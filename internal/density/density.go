@@ -10,6 +10,7 @@ package density
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"dtgp/internal/fft"
 	"dtgp/internal/geom"
@@ -29,25 +30,27 @@ type Grid struct {
 	Density []float64
 	// FixedDensity is the precomputed contribution of fixed objects.
 	FixedDensity []float64
-	// Potential ψ and field ξ from the latest Solve.
-	Potential      []float64
+	// Field ξ from the latest Solve.
 	FieldX, FieldY []float64
 
 	planX, planY *fft.DCTPlan
-	coefs        []float64 // DCT coefficients scratch
-	scratch      []float64
-	wu, wv       []float64 // frequencies
+	psi          []float64 // potential coefficients ψ̂ of the latest Solve
+	potential    []float64 // Potential's output, allocated on first use
+	wu, wv       []float64 // spatial frequencies πu/(M·BinW), πv/(N·BinH)
 	// movableArea of the last BuildDensity call (for overflow).
 	movableArea float64
 
-	// Reused scratch: transform column/output buffers (sized max(M,N)),
-	// the overflow histogram, and the Gradient dispatch state.
-	tCol, tOut []float64
-	overBuf    []float64
-	gradFn     func(i int)
-	gx, gy     []float64
-	gw, gh     []float64
-	ggx, ggy   []float64
+	// Line passes: the pass posted to the pool, its kernel, and one complex
+	// line buffer of max(M,N) per worker.
+	pass    linePass
+	passFn  func(worker, lo, hi int)
+	lineBuf []complex128
+	// Reused scratch: the overflow histogram and the Gradient dispatch state.
+	overBuf  []float64
+	gradFn   func(i int)
+	gx, gy   []float64
+	gw, gh   []float64
+	ggx, ggy []float64
 }
 
 // NewGrid creates a bin grid with m×n bins (powers of two) over region.
@@ -74,25 +77,22 @@ func NewGrid(region geom.Rect, m, n int, targetDensity float64) (*Grid, error) {
 		TargetDensity: targetDensity,
 		Density:       make([]float64, m*n),
 		FixedDensity:  make([]float64, m*n),
-		Potential:     make([]float64, m*n),
 		FieldX:        make([]float64, m*n),
 		FieldY:        make([]float64, m*n),
 		planX:         px,
 		planY:         py,
-		coefs:         make([]float64, m*n),
-		scratch:       make([]float64, m*n),
+		psi:           make([]float64, m*n),
 		wu:            make([]float64, m),
 		wv:            make([]float64, n),
 	}
 	for u := 0; u < m; u++ {
-		g.wu[u] = math.Pi * float64(u) / float64(m)
+		g.wu[u] = math.Pi * float64(u) / float64(m) / g.BinW
 	}
 	for v := 0; v < n; v++ {
-		g.wv[v] = math.Pi * float64(v) / float64(n)
+		g.wv[v] = math.Pi * float64(v) / float64(n) / g.BinH
 	}
-	g.tCol = make([]float64, max(m, n))
-	g.tOut = make([]float64, max(m, n))
 	g.overBuf = make([]float64, m*n)
+	g.passFn = g.linePairs
 	g.gradFn = func(i int) {
 		we, he, scale := g.effectiveShape(g.gw[i], g.gh[i])
 		cx := g.gx[i] + g.gw[i]/2 - we/2
@@ -105,26 +105,6 @@ func NewGrid(region geom.Rect, m, n int, targetDensity float64) (*Grid, error) {
 		g.ggy[i] -= scale * fy
 	}
 	return g, nil
-}
-
-// binIndex returns clamped bin coordinates of a point.
-//dtgp:hotpath
-func (g *Grid) binIndex(x, y float64) (int, int) {
-	ix := int((x - g.Region.Lo.X) / g.BinW)
-	iy := int((y - g.Region.Lo.Y) / g.BinH)
-	if ix < 0 {
-		ix = 0
-	}
-	if ix >= g.M {
-		ix = g.M - 1
-	}
-	if iy < 0 {
-		iy = 0
-	}
-	if iy >= g.N {
-		iy = g.N - 1
-	}
-	return ix, iy
 }
 
 // SetFixed rasterises fixed-object rectangles into FixedDensity. Call once
@@ -151,6 +131,7 @@ func (g *Grid) SetFixed(rects []geom.Rect) {
 
 // splat adds a rectangle's area into bins, normalised by bin area, with
 // charge scaled by `scale`.
+//
 //dtgp:hotpath
 func (g *Grid) splat(x, y, w, h, scale float64, dst []float64) {
 	if w <= 0 || h <= 0 {
@@ -194,6 +175,7 @@ func (g *Grid) splat(x, y, w, h, scale float64, dst []float64) {
 // effectiveShape applies ePlace's density smoothing: cells smaller than
 // √2× the bin size are inflated to that size with proportionally reduced
 // charge density, keeping total charge equal to the cell area.
+//
 //dtgp:hotpath
 func (g *Grid) effectiveShape(w, h float64) (we, he, scale float64) {
 	we, he = w, h
@@ -213,6 +195,7 @@ func (g *Grid) effectiveShape(w, h float64) (we, he, scale float64) {
 
 // BuildDensity recomputes the movable charge distribution from cell
 // rectangles (lower-left + size) and adds the fixed contribution.
+//
 //dtgp:hotpath
 func (g *Grid) BuildDensity(x, y, w, h []float64) {
 	copy(g.Density, g.FixedDensity)
@@ -227,164 +210,182 @@ func (g *Grid) BuildDensity(x, y, w, h []float64) {
 	}
 }
 
-// Solve computes potential and field from the current Density via the
-// spectral Poisson solution and returns the total electrostatic energy
-// ½·Σ ρψ·binArea.
+// Solve computes the field from the current Density via the spectral
+// Poisson solution and returns the total electrostatic energy
+// ½·Σ ρψ·binArea. It keeps the potential coefficients for Potential but
+// does not transform them: the placer needs only the field.
 //
 //dtgp:hotpath
 //dtgp:forward(density, explicit-grad)
 func (g *Grid) Solve() float64 {
 	m, n := g.M, g.N
 	// RHS: density relative to its mean (DC removed; the u=v=0 mode is
-	// unconstrained under Neumann boundaries).
+	// unconstrained under Neumann boundaries). FieldX holds the density
+	// spectrum C until the loop below has consumed it.
 	mean := 0.0
 	for _, v := range g.Density {
 		mean += v
 	}
 	mean /= float64(m * n)
+	c := g.FieldX
 	for i, v := range g.Density {
-		g.coefs[i] = v - mean
+		c[i] = v - mean
 	}
 
 	// Forward 2-D DCT-II: rows (x), then columns (y).
-	g.dct2Rows(g.coefs)
-	g.dct2Cols(g.coefs)
+	g.rows(c, dct2)
+	g.cols(c, dct2)
 
 	// ψ coefficients: divide by (w_u² + w_v²); field coefficients carry an
-	// extra w factor. Frequencies are in per-bin units; scale to spatial
-	// units so the field has consistent dimensions across grid sizes.
-	// The overall (4/MN) inversion factor is folded in here.
-	norm := 4 / float64(m*n)
-	psi := g.scratch
-	for u := 0; u < m; u++ {
-		for v := 0; v < n; v++ {
-			idx := u*n + v
-			wu := g.wu[u] / g.BinW
-			wv := g.wv[v] / g.BinH
-			den := wu*wu + wv*wv
-			if den == 0 {
-				psi[idx] = 0
-				continue
-			}
-			psi[idx] = norm * g.coefs[idx] / den
-		}
-	}
-
-	// Potential: inverse 2-D DCT (DCT-III both dims).
-	copy(g.Potential, psi)
-	g.dct3Rows(g.Potential)
-	g.dct3Cols(g.Potential)
-
+	// extra w factor. Frequencies are in spatial units so the field has
+	// consistent dimensions across grid sizes. The overall (4/MN) inversion
+	// factor is folded in here.
+	//
 	// Field ξx = −∂ψ/∂x = Σ_{u≥1} ψ_uv·wu·sin(wu·x)·cos(wv·y). DST-III
 	// consumes the coefficient of sin(π(k+1)·)/… at slot k, so the u index
-	// shifts down by one (slot m−1 gets the absent u=m term, i.e. zero).
-	for u := 0; u < m; u++ {
-		for v := 0; v < n; v++ {
-			c := 0.0
-			if u+1 < m {
-				c = psi[(u+1)*n+v] * (g.wu[u+1] / g.BinW)
-			}
-			g.FieldX[u*n+v] = c
-		}
-	}
-	g.dst3Rows(g.FieldX)
-	g.dct3Cols(g.FieldX)
-
-	// Field ξy: same with the roles of u and v swapped.
-	for u := 0; u < m; u++ {
-		for v := 0; v < n; v++ {
-			c := 0.0
-			if v+1 < n {
-				c = psi[u*n+v+1] * (g.wv[v+1] / g.BinH)
-			}
-			g.FieldY[u*n+v] = c
-		}
-	}
-	g.dct3Rows(g.FieldY)
-	g.dst3Cols(g.FieldY)
-
-	// Energy = ½ Σ ρ ψ (bin area weighting).
+	// shifts down by one (slot m−1 gets the absent u=m term, i.e. zero);
+	// ξy likewise in v. Row u−1 of FieldX is written only after it was read.
+	//
+	// Energy: with a_0 = ½ and a_k = 1 (the DCT-III weights), ψ =
+	// Σ_uv a_u·a_v·ψ̂_uv·cos·cos, so Σ ρψ = Σ_uv a_u·a_v·ψ̂_uv·C_uv.
+	norm := 4 / float64(m*n)
 	e := 0.0
-	binArea := g.BinW * g.BinH
-	for i := range g.Potential {
-		e += (g.Density[i] - mean) * g.Potential[i]
+	for u := 0; u < m; u++ {
+		wu := g.wu[u]
+		for v, wv := range g.wv {
+			idx := u*n + v
+			psi := 0.0
+			if den := wu*wu + wv*wv; den != 0 {
+				psi = norm * c[idx] / den
+			}
+			ec := psi * c[idx]
+			if u == 0 {
+				ec /= 2
+			}
+			if v == 0 {
+				ec /= 2
+			}
+			e += ec
+			g.psi[idx] = psi
+			if u > 0 {
+				g.FieldX[idx-n] = psi * wu
+			}
+			if v > 0 {
+				g.FieldY[idx-1] = psi * wv
+			}
+		}
+		g.FieldY[u*n+n-1] = 0
 	}
+	clear(g.FieldX[(m-1)*n:])
+
+	g.rows(g.FieldX, dst3)
+	g.cols(g.FieldX, dct3)
+	g.rows(g.FieldY, dct3)
+	g.cols(g.FieldY, dst3)
+	binArea := g.BinW * g.BinH
 	return e * binArea / 2
 }
 
-//dtgp:hotpath
-func (g *Grid) dct2Rows(a []float64) {
-	// "Rows" here means transforming along u (x index) for each fixed v.
-	m, n := g.M, g.N
-	col, out := g.tCol[:m], g.tOut[:m]
-	for v := 0; v < n; v++ {
-		for u := 0; u < m; u++ {
-			col[u] = a[u*n+v]
-		}
-		g.planX.DCT2(out, col)
-		for u := 0; u < m; u++ {
-			a[u*n+v] = out[u]
-		}
+// Potential returns ψ for the density of the latest Solve, row-major like
+// Density, by the inverse 2-D DCT (DCT-III both dims) of the coefficients
+// Solve kept. The slice is reused by the next call.
+func (g *Grid) Potential() []float64 {
+	if g.potential == nil {
+		g.potential = make([]float64, g.M*g.N)
 	}
+	copy(g.potential, g.psi)
+	g.rows(g.potential, dct3)
+	g.cols(g.potential, dct3)
+	return g.potential
 }
 
-//dtgp:hotpath
-func (g *Grid) dct3Rows(a []float64) {
-	m, n := g.M, g.N
-	col, out := g.tCol[:m], g.tOut[:m]
-	for v := 0; v < n; v++ {
-		for u := 0; u < m; u++ {
-			col[u] = a[u*n+v]
-		}
-		g.planX.DCT3(out, col)
-		for u := 0; u < m; u++ {
-			a[u*n+v] = out[u]
-		}
-	}
+// lineOp is the 1-D transform of a line pass.
+type lineOp int8
+
+const (
+	dct2 lineOp = iota
+	dct3
+	dst3
+)
+
+// linePass is one paired transform over every line of a grid array: element
+// i of line j sits at a[j*lineStride + i*elemStride].
+type linePass struct {
+	a                      []float64
+	plan                   *fft.DCTPlan
+	op                     lineOp
+	lines                  int
+	lineStride, elemStride int
 }
 
+// rows transforms along x (over u) for every v; "rows" are strided.
+//
 //dtgp:hotpath
-func (g *Grid) dst3Rows(a []float64) {
-	m, n := g.M, g.N
-	col, out := g.tCol[:m], g.tOut[:m]
-	for v := 0; v < n; v++ {
-		for u := 0; u < m; u++ {
-			col[u] = a[u*n+v]
+func (g *Grid) rows(a []float64, op lineOp) {
+	g.lines(linePass{a: a, plan: g.planX, op: op, lines: g.N, lineStride: 1, elemStride: g.N})
+}
+
+// cols transforms along y (over v) for every u; columns are contiguous.
+//
+//dtgp:hotpath
+func (g *Grid) cols(a []float64, op lineOp) {
+	g.lines(linePass{a: a, plan: g.planY, op: op, lines: g.M, lineStride: g.N, elemStride: 1})
+}
+
+// lines runs one pass as (lines+1)/2 line pairs on the pool. A pair costs
+// about one length-L FFT: L·log₂L butterflies plus the L-element loads and
+// stores.
+//
+//dtgp:hotpath
+func (g *Grid) lines(ps linePass) {
+	l := ps.plan.Len()
+	if need := parallel.Workers() * max(g.M, g.N); len(g.lineBuf) < need {
+		g.lineBuf = make([]complex128, need)
+	}
+	g.pass = ps
+	parallel.ForWorker((ps.lines+1)/2, l*(bits.Len(uint(l))+2), g.passFn)
+	g.pass.a = nil
+}
+
+// linePairs transforms line pairs [lo, hi) of the posted pass in worker w's
+// buffer. Pair p is lines 2p and 2p+1 whatever the partition, so the result
+// does not depend on the lane count. A lone line (a grid one bin wide) is
+// both halves of its pair.
+//
+//dtgp:hotpath
+func (g *Grid) linePairs(w, lo, hi int) {
+	ps := &g.pass
+	a, es, plan := ps.a, ps.elemStride, ps.plan
+	l := plan.Len()
+	stride := max(g.M, g.N)
+	z := g.lineBuf[w*stride : w*stride+l]
+	slot := plan.Slots()
+	for p := lo; p < hi; p++ {
+		o0 := 2 * p * ps.lineStride
+		o1 := min(o0+ps.lineStride, (ps.lines-1)*ps.lineStride)
+		if ps.op == dct2 {
+			for i, s := range slot {
+				z[s] = complex(a[o0+i*es], a[o1+i*es])
+			}
+			plan.DCT2Pair(z)
+			for k, v := range z {
+				a[o0+k*es] = real(v)
+				a[o1+k*es] = imag(v)
+			}
+			continue
 		}
-		g.planX.DST3(out, col)
-		for u := 0; u < m; u++ {
-			a[u*n+v] = out[u]
+		for k := range z {
+			z[k] = complex(a[o0+k*es], a[o1+k*es])
 		}
-	}
-}
-
-//dtgp:hotpath
-func (g *Grid) dct2Cols(a []float64) {
-	m, n := g.M, g.N
-	out := g.tOut[:n]
-	for u := 0; u < m; u++ {
-		g.planY.DCT2(out, a[u*n:(u+1)*n])
-		copy(a[u*n:(u+1)*n], out)
-	}
-}
-
-//dtgp:hotpath
-func (g *Grid) dct3Cols(a []float64) {
-	m, n := g.M, g.N
-	out := g.tOut[:n]
-	for u := 0; u < m; u++ {
-		g.planY.DCT3(out, a[u*n:(u+1)*n])
-		copy(a[u*n:(u+1)*n], out)
-	}
-}
-
-//dtgp:hotpath
-func (g *Grid) dst3Cols(a []float64) {
-	m, n := g.M, g.N
-	out := g.tOut[:n]
-	for u := 0; u < m; u++ {
-		g.planY.DST3(out, a[u*n:(u+1)*n])
-		copy(a[u*n:(u+1)*n], out)
+		if ps.op == dct3 {
+			plan.DCT3Pair(z)
+		} else {
+			plan.DST3Pair(z)
+		}
+		for i, s := range slot {
+			a[o0+i*es] = real(z[s])
+			a[o1+i*es] = imag(z[s])
+		}
 	}
 }
 
@@ -404,6 +405,7 @@ func (g *Grid) Gradient(x, y, w, h, gradX, gradY []float64) {
 }
 
 // fieldOverlap integrates the field over the bins a rectangle overlaps.
+//
 //dtgp:hotpath
 func (g *Grid) fieldOverlap(x, y, w, h float64) (fx, fy float64) {
 	x0, y0 := x-g.Region.Lo.X, y-g.Region.Lo.Y
@@ -447,6 +449,7 @@ func (g *Grid) fieldOverlap(x, y, w, h float64) (fx, fy float64) {
 // Overflow returns the density overflow ratio: the total movable area in
 // excess of each bin's target capacity, divided by total movable area. This
 // is the placement stop criterion used in the paper's Fig. 8.
+//
 //dtgp:hotpath
 func (g *Grid) Overflow(x, y, w, h []float64) float64 {
 	over := g.overBuf

@@ -23,9 +23,7 @@ func TestSolveLinearity(t *testing.T) {
 	solve := func(src []float64) []float64 {
 		copy(g.Density, src)
 		g.Solve()
-		out := make([]float64, len(g.Potential))
-		copy(out, g.Potential)
-		return out
+		return append([]float64(nil), g.Potential()...)
 	}
 	pa := solve(a)
 	pb := solve(b)
@@ -50,11 +48,12 @@ func TestPotentialMeanFree(t *testing.T) {
 		g.Density[i] = rng.Float64()
 	}
 	g.Solve()
+	pot := g.Potential()
 	sum := 0.0
-	for _, v := range g.Potential {
+	for _, v := range pot {
 		sum += v
 	}
-	if math.Abs(sum) > 1e-6*float64(len(g.Potential)) {
+	if math.Abs(sum) > 1e-6*float64(len(pot)) {
 		t.Errorf("potential sum = %v, want ≈ 0", sum)
 	}
 }

@@ -69,39 +69,44 @@ func TestEffectiveShapePreservesCharge(t *testing.T) {
 	}
 }
 
-// TestPoissonResidual: the solved potential must satisfy the discrete
+// TestPoissonSingleMode: the solved potential must satisfy the discrete
 // Poisson equation ∇²ψ ≈ −ρ in the spectral sense. We verify with a smooth
-// single-mode density whose analytic solution is known.
+// single-mode density whose analytic solution is known, on square and
+// non-square grids (the latter catch swapped x/y plans or strides: bins are
+// not square there, so the two axes scale differently).
 func TestPoissonSingleMode(t *testing.T) {
-	g := newTestGrid(t, 64, 64)
-	// ρ(i,j) = cos(w_u0·(i+½))·cos(w_v0·(j+½)) with (u0,v0) = (3,5).
-	u0, v0 := 3, 5
-	wu := math.Pi * float64(u0) / float64(g.M)
-	wv := math.Pi * float64(v0) / float64(g.N)
-	for i := 0; i < g.M; i++ {
-		for j := 0; j < g.N; j++ {
-			g.Density[i*g.N+j] = math.Cos(wu*(float64(i)+0.5)) * math.Cos(wv*(float64(j)+0.5))
-		}
-	}
-	g.Solve()
-	// Analytic: ψ = ρ/(wu'²+wv'²) with spatial frequencies wu' = wu/BinW.
-	den := (wu/g.BinW)*(wu/g.BinW) + (wv/g.BinH)*(wv/g.BinH)
-	for i := 0; i < g.M; i++ {
-		for j := 0; j < g.N; j++ {
-			want := g.Density[i*g.N+j] / den
-			got := g.Potential[i*g.N+j]
-			if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
-				t.Fatalf("ψ(%d,%d) = %v, want %v", i, j, got, want)
+	for _, sz := range [][2]int{{64, 64}, {16, 64}, {64, 16}} {
+		g := newTestGrid(t, sz[0], sz[1])
+		// ρ(i,j) = cos(w_u0·(i+½))·cos(w_v0·(j+½)) with (u0,v0) = (3,5).
+		u0, v0 := 3, 5
+		wu := math.Pi * float64(u0) / float64(g.M)
+		wv := math.Pi * float64(v0) / float64(g.N)
+		for i := 0; i < g.M; i++ {
+			for j := 0; j < g.N; j++ {
+				g.Density[i*g.N+j] = math.Cos(wu*(float64(i)+0.5)) * math.Cos(wv*(float64(j)+0.5))
 			}
 		}
-	}
-	// Field: ξx = wu'·sin(wu x)·cos(wv y)/den at x=(i+½).
-	for i := 0; i < g.M; i += 7 {
-		for j := 0; j < g.N; j += 5 {
-			want := (wu / g.BinW) * math.Sin(wu*(float64(i)+0.5)) * math.Cos(wv*(float64(j)+0.5)) / den
-			got := g.FieldX[i*g.N+j]
-			if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
-				t.Fatalf("ξx(%d,%d) = %v, want %v", i, j, got, want)
+		g.Solve()
+		pot := g.Potential()
+		// Analytic: ψ = ρ/(wu'²+wv'²) with spatial frequencies wu' = wu/BinW;
+		// ξx = wu'·sin(wu x)·cos(wv y)/den at x=(i+½), ξy likewise.
+		den := (wu/g.BinW)*(wu/g.BinW) + (wv/g.BinH)*(wv/g.BinH)
+		for i := 0; i < g.M; i++ {
+			for j := 0; j < g.N; j++ {
+				x, y := float64(i)+0.5, float64(j)+0.5
+				idx := i*g.N + j
+				for _, c := range []struct {
+					name      string
+					got, want float64
+				}{
+					{"ψ", pot[idx], g.Density[idx] / den},
+					{"ξx", g.FieldX[idx], (wu / g.BinW) * math.Sin(wu*x) * math.Cos(wv*y) / den},
+					{"ξy", g.FieldY[idx], (wv / g.BinH) * math.Cos(wu*x) * math.Sin(wv*y) / den},
+				} {
+					if math.Abs(c.got-c.want) > 1e-9*(1+math.Abs(c.want)) {
+						t.Fatalf("%dx%d: %s(%d,%d) = %v, want %v", g.M, g.N, c.name, i, j, c.got, c.want)
+					}
+				}
 			}
 		}
 	}

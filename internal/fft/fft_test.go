@@ -12,6 +12,9 @@ func TestNewPlanRejectsNonPow2(t *testing.T) {
 		if _, err := NewPlan(n); err == nil {
 			t.Errorf("NewPlan(%d) accepted", n)
 		}
+		if _, err := NewDCTPlan(n); err == nil {
+			t.Errorf("NewDCTPlan(%d) accepted", n)
+		}
 	}
 	if _, err := NewPlan(1); err != nil {
 		t.Errorf("NewPlan(1): %v", err)
@@ -30,6 +33,122 @@ func naiveDFT(x []complex128) []complex128 {
 		out[k] = s
 	}
 	return out
+}
+
+// naiveDCT2 is the O(N²) oracle for DCT-II.
+func naiveDCT2(x []float64) []float64 {
+	n := len(x)
+	out := make([]float64, n)
+	for k := 0; k < n; k++ {
+		s := 0.0
+		for i := 0; i < n; i++ {
+			s += x[i] * math.Cos(math.Pi*float64(k)*float64(2*i+1)/float64(2*n))
+		}
+		out[k] = s
+	}
+	return out
+}
+
+// naiveDCT3 is the O(N²) oracle for DCT-III.
+func naiveDCT3(x []float64) []float64 {
+	n := len(x)
+	out := make([]float64, n)
+	for i := 0; i < n; i++ {
+		s := x[0] / 2
+		for k := 1; k < n; k++ {
+			s += x[k] * math.Cos(math.Pi*float64(k)*float64(2*i+1)/float64(2*n))
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// naiveDST3 is the O(N²) oracle for DST-III.
+func naiveDST3(x []float64) []float64 {
+	n := len(x)
+	out := make([]float64, n)
+	for i := 0; i < n; i++ {
+		s := 0.0
+		for k := 0; k < n-1; k++ {
+			s += x[k] * math.Sin(math.Pi*float64(k+1)*float64(2*i+1)/float64(2*n))
+		}
+		if i%2 == 0 {
+			s += x[n-1] / 2
+		} else {
+			s -= x[n-1] / 2
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// pairOp names one paired transform for the helpers below.
+type pairOp int
+
+const (
+	opDCT2 pairOp = iota
+	opDCT3
+	opDST3
+)
+
+// runPair transforms lines a and b together and returns both results, going
+// through the plan's buffer layout the way the density solver does.
+func runPair(p *DCTPlan, op pairOp, a, b []float64) (ra, rb []float64) {
+	n := p.Len()
+	z := make([]complex128, n)
+	ra, rb = make([]float64, n), make([]float64, n)
+	slot := p.Slots()
+	if op == opDCT2 {
+		for i, s := range slot {
+			z[s] = complex(a[i], b[i])
+		}
+		p.DCT2Pair(z)
+		for k, v := range z {
+			ra[k], rb[k] = real(v), imag(v)
+		}
+		return ra, rb
+	}
+	for k := range z {
+		z[k] = complex(a[k], b[k])
+	}
+	if op == opDCT3 {
+		p.DCT3Pair(z)
+	} else {
+		p.DST3Pair(z)
+	}
+	for i, s := range slot {
+		ra[i], rb[i] = real(z[s]), imag(z[s])
+	}
+	return ra, rb
+}
+
+func randLine(rng *rand.Rand, n int) []float64 {
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	return x
+}
+
+// checkPairMatchesNaive compares both halves of every paired transform with
+// the oracle applied to each line alone.
+func checkPairMatchesNaive(t *testing.T, op pairOp, seed int64, oracle func([]float64) []float64, sizes []int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	for _, n := range sizes {
+		p, err := NewDCTPlan(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := randLine(rng, n), randLine(rng, n)
+		ga, gb := runPair(p, op, a, b)
+		wa, wb := oracle(a), oracle(b)
+		for k := 0; k < n; k++ {
+			if math.Abs(ga[k]-wa[k]) > 1e-12*float64(n) || math.Abs(gb[k]-wb[k]) > 1e-12*float64(n) {
+				t.Fatalf("op %d n=%d k=%d: (%v, %v) vs (%v, %v)", op, n, k, ga[k], gb[k], wa[k], wb[k])
+			}
+		}
+	}
 }
 
 func TestForwardMatchesNaive(t *testing.T) {
@@ -54,6 +173,8 @@ func TestForwardMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestForwardInverseRoundTrip: the conjugate trick inverts the forward-only
+// kernel, x = conj(Forward(conj(Forward(x))))/N.
 func TestForwardInverseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, n := range []int{2, 8, 128, 1024} {
@@ -64,10 +185,14 @@ func TestForwardInverseRoundTrip(t *testing.T) {
 		}
 		y := append([]complex128(nil), x...)
 		p.Forward(y)
-		p.Inverse(y)
+		for i := range y {
+			y[i] = cmplx.Conj(y[i])
+		}
+		p.Forward(y)
 		for i := range x {
-			if cmplx.Abs(y[i]-x[i]) > 1e-10*float64(n) {
-				t.Fatalf("n=%d: round trip failed at %d: %v vs %v", n, i, y[i], x[i])
+			got := cmplx.Conj(y[i]) / complex(float64(n), 0)
+			if cmplx.Abs(got-x[i]) > 1e-10*float64(n) {
+				t.Fatalf("n=%d: round trip failed at %d: %v vs %v", n, i, got, x[i])
 			}
 		}
 	}
@@ -94,81 +219,28 @@ func TestParseval(t *testing.T) {
 }
 
 func TestDCT2MatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, n := range []int{1, 2, 4, 16, 64, 256} {
-		p, err := NewDCTPlan(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		want := NaiveDCT2(x)
-		got := make([]float64, n)
-		p.DCT2(got, x)
-		for k := range got {
-			if math.Abs(got[k]-want[k]) > 1e-9*float64(n) {
-				t.Fatalf("DCT2 n=%d k=%d: %v vs %v", n, k, got[k], want[k])
-			}
-		}
-	}
+	checkPairMatchesNaive(t, opDCT2, 4, naiveDCT2, []int{1, 2, 4, 16, 64, 256})
 }
 
 func TestDCT3MatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, n := range []int{1, 2, 4, 16, 64, 256} {
-		p, _ := NewDCTPlan(n)
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		want := NaiveDCT3(x)
-		got := make([]float64, n)
-		p.DCT3(got, x)
-		for k := range got {
-			if math.Abs(got[k]-want[k]) > 1e-9*float64(n) {
-				t.Fatalf("DCT3 n=%d k=%d: %v vs %v", n, k, got[k], want[k])
-			}
-		}
-	}
+	checkPairMatchesNaive(t, opDCT3, 5, naiveDCT3, []int{1, 2, 4, 16, 64, 256})
 }
 
 func TestDST3MatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for _, n := range []int{2, 4, 16, 64, 256} {
-		p, _ := NewDCTPlan(n)
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		want := NaiveDST3(x)
-		got := make([]float64, n)
-		p.DST3(got, x)
-		for k := range got {
-			if math.Abs(got[k]-want[k]) > 1e-9*float64(n) {
-				t.Fatalf("DST3 n=%d k=%d: %v vs %v", n, k, got[k], want[k])
-			}
-		}
-	}
+	checkPairMatchesNaive(t, opDST3, 6, naiveDST3, []int{1, 2, 4, 16, 64, 256})
 }
 
 func TestDCT2DCT3Inverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n := 128
 	p, _ := NewDCTPlan(n)
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	c := make([]float64, n)
-	y := make([]float64, n)
-	p.DCT2(c, x)
-	p.DCT3(y, c)
-	for i := range x {
-		want := float64(n) / 2 * x[i]
-		if math.Abs(y[i]-want) > 1e-8*float64(n) {
-			t.Fatalf("dct3∘dct2 != N/2·id at %d: %v vs %v", i, y[i], want)
+	a, b := randLine(rng, n), randLine(rng, n)
+	ca, cb := runPair(p, opDCT2, a, b)
+	ya, yb := runPair(p, opDCT3, ca, cb)
+	for i := range a {
+		wa, wb := float64(n)/2*a[i], float64(n)/2*b[i]
+		if math.Abs(ya[i]-wa) > 1e-10*float64(n) || math.Abs(yb[i]-wb) > 1e-10*float64(n) {
+			t.Fatalf("dct3∘dct2 != N/2·id at %d: (%v, %v) vs (%v, %v)", i, ya[i], yb[i], wa, wb)
 		}
 	}
 }
@@ -185,16 +257,17 @@ func BenchmarkFFT1024(b *testing.B) {
 	}
 }
 
-func BenchmarkDCT2_512(b *testing.B) {
+// BenchmarkDCT2Pair512 times one paired 512-point DCT-II: two lines of a
+// 512×512 density grid.
+func BenchmarkDCT2Pair512(b *testing.B) {
 	p, _ := NewDCTPlan(512)
-	x := make([]float64, 512)
-	dst := make([]float64, 512)
-	for i := range x {
-		x[i] = float64(i % 13)
-	}
+	z := make([]complex128, 512)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.DCT2(dst, x)
+		for k := range z {
+			z[k] = complex(float64(k%13), float64(k%7))
+		}
+		p.DCT2Pair(z)
 	}
 }
 
@@ -203,15 +276,13 @@ func TestDCTPlanSize1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := []float64{3.5}
-	dst := []float64{0}
-	p.DCT2(dst, x)
-	if dst[0] != 3.5 {
-		t.Errorf("DCT2 size-1 = %v", dst[0])
+	a, b := runPair(p, opDCT2, []float64{3.5}, []float64{-1})
+	if a[0] != 3.5 || b[0] != -1 {
+		t.Errorf("DCT2 size-1 = %v, %v", a[0], b[0])
 	}
-	p.DCT3(dst, []float64{3.5})
-	if dst[0] != 1.75 { // x_0/2 by the DCT-III convention
-		t.Errorf("DCT3 size-1 = %v", dst[0])
+	a, b = runPair(p, opDCT3, []float64{3.5}, []float64{-1})
+	if a[0] != 1.75 || b[0] != -0.5 { // x_0/2 by the DCT-III convention
+		t.Errorf("DCT3 size-1 = %v, %v", a[0], b[0])
 	}
 }
 
@@ -219,20 +290,13 @@ func TestDCT2Linearity(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n := 64
 	p, _ := NewDCTPlan(n)
-	a := make([]float64, n)
-	b := make([]float64, n)
+	a, b := randLine(rng, n), randLine(rng, n)
 	sum := make([]float64, n)
 	for i := range a {
-		a[i] = rng.NormFloat64()
-		b[i] = rng.NormFloat64()
 		sum[i] = 2*a[i] + 3*b[i]
 	}
-	ta := make([]float64, n)
-	tb := make([]float64, n)
-	ts := make([]float64, n)
-	p.DCT2(ta, a)
-	p.DCT2(tb, b)
-	p.DCT2(ts, sum)
+	ta, tb := runPair(p, opDCT2, a, b)
+	ts, _ := runPair(p, opDCT2, sum, a)
 	for i := range ts {
 		if math.Abs(ts[i]-(2*ta[i]+3*tb[i])) > 1e-9 {
 			t.Fatalf("not linear at %d", i)
