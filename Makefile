@@ -3,7 +3,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: build vet vet-budget vet-fixtures test race bench bench-smoke bench-scale bench-scale-smoke check fuzz-smoke chaos-smoke
+.PHONY: build vet vet-budget vet-fixtures test race bench bench-smoke bench-scale bench-scale-smoke bench-module-test check fuzz-smoke chaos-smoke
 
 build:
 	$(GO) build ./...
@@ -100,12 +100,21 @@ bench-scale-smoke:
 bench-scale:
 	$(GO) run ./cmd/dtgp-bench -experiment scale -iters 10 -out BENCH_scale.json
 
+# The benchmark harness under benchmark/ is a module of its own, so the root
+# ./... never reaches its tests: a toy parent/child smoke run against
+# BENCHMARK.json, correctness-gate corruption, fingerprint staleness and the
+# --compare verdicts (about 10 s).
+bench-module-test:
+	$(GO) -C benchmark test ./...
+
 # check is the full pre-merge gate: compile, static analysis, the whole test
-# suite, the race detector over the quick (-short) suite, the chaos/resume
-# robustness matrix, the benchmark smoke, and the parser+codec fuzz smoke.
+# suite, the benchmark module's tests, the race detector over the quick
+# (-short) suite, the chaos/resume robustness matrix, the benchmark smoke,
+# and the parser+codec fuzz smoke.
 check: build vet
 	$(MAKE) vet-fixtures
 	$(GO) test ./...
+	$(MAKE) bench-module-test
 	$(GO) test -race -short ./...
 	$(MAKE) chaos-smoke
 	$(MAKE) bench-smoke

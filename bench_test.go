@@ -474,9 +474,12 @@ func BenchmarkSteinerBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkSteinerRebuild is the same stage on the warm path: periodic
-// topology re-extraction into pre-existing per-net state (what the timer
-// actually pays every SteinerPeriod evaluations).
+// BenchmarkSteinerRebuild is the same stage on the warm path: topology
+// re-extraction into pre-existing per-net state. The default timer pays it
+// per net at its refresh fences (for the nets that moved) and on bounding-box
+// distortion, and timing.Incremental.MoveCells pays it on every call for
+// each net of a moved cell; this rebuilds every net, as a fence after all
+// cells moved does.
 func BenchmarkSteinerRebuild(b *testing.B) {
 	d, con := benchDesign(b, "superblue4")
 	g, err := timing.NewGraph(d, con)

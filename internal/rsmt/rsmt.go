@@ -1,6 +1,7 @@
 // Package rsmt constructs rectilinear Steiner minimal trees for nets. It
 // replaces FLUTE (which the paper itself notes is swappable, §3.4.1): exact
-// trees for nets of up to four pins via Hanan-grid enumeration, and a
+// trees for nets of up to four pins via Hanan-grid enumeration, which stops
+// at the first candidate reaching the closed-form optimal length, and a
 // Prim spanning tree refined by greedy Steiner-point insertion
 // (Borah–Owens–Irwin style) for larger nets.
 //
@@ -14,8 +15,6 @@ package rsmt
 import (
 	"math"
 	"sync"
-
-	"dtgp/internal/geom"
 )
 
 // Tree is a rectilinear Steiner tree over a net's pins.
@@ -142,7 +141,8 @@ func dist(t *Tree, a, b int32) float64 {
 }
 
 // mstScratch holds Prim working arrays so repeated MST evaluations (the
-// Hanan-subset enumeration runs ~40 per 4-pin net) reuse one allocation set.
+// Hanan-subset enumeration runs up to 79 per 4-pin net) reuse one
+// allocation set.
 type mstScratch struct {
 	inTree []bool
 	best   []float64
@@ -237,6 +237,55 @@ func tryExact(t *Tree, s *buildScratch, pts []hanan, bestLen *float64) {
 	t.Y = t.Y[:base]
 }
 
+// stopLength returns the length at which buildExact may stop: the RSMT
+// length of the tree's pins in closed form — HPWL, plus min(x₍₃₎−x₍₂₎,
+// y₍₃₎−y₍₂₎) when four pins' two leftmost are neither their two lowest nor
+// their two highest — less a 2⁻⁴⁹·opt margin, never below the HPWL, so
+// that rounding cannot let a later co-optimal tree undercut the incumbent
+// by the 1e-12 hysteresis (DESIGN.md §15).
+//
+//dtgp:hotpath
+func stopLength(t *Tree) float64 {
+	n := t.NumPins
+	minX, maxX := t.X[0], t.X[0]
+	minY, maxY := t.Y[0], t.Y[0]
+	for i := 1; i < n; i++ {
+		minX = math.Min(minX, t.X[i])
+		maxX = math.Max(maxX, t.X[i])
+		minY = math.Min(minY, t.Y[i])
+		maxY = math.Max(maxY, t.Y[i])
+	}
+	hpwl := (maxX - minX) + (maxY - minY)
+	if n < 4 {
+		return hpwl
+	}
+	x2, x3, left := middle4(t.X)
+	y2, y3, low := middle4(t.Y)
+	if left == low || left == low^0b1111 {
+		return hpwl
+	}
+	opt := hpwl + math.Min(x3-x2, y3-y2)
+	return math.Max(hpwl, opt-opt*0x1p-49)
+}
+
+// middle4 returns the second and third smallest of v[0..3] and the bit set
+// of the two indices holding the smallest two (insertion sort).
+//
+//dtgp:hotpath
+//dtgp:index v=snode
+func middle4(v []float64) (second, third float64, lowest uint8) {
+	var s [4]float64
+	var m [4]uint8
+	for i := 0; i < 4; i++ {
+		j := i
+		for ; j > 0 && v[i] < s[j-1]; j-- {
+			s[j], m[j] = s[j-1], m[j-1]
+		}
+		s[j], m[j] = v[i], 1<<i
+	}
+	return s[1], s[2], m[0] | m[1]
+}
+
 // buildExact finds an optimal RSMT for 3–4 pins by enumerating Hanan-grid
 // Steiner point subsets of size ≤ n−2 and taking the spanning tree of
 // pins ∪ subset with minimum length.
@@ -255,47 +304,25 @@ func buildExact(t *Tree, s *buildScratch) {
 	}
 	s.cands = cands
 
-	// Half-perimeter lower bound: no rectilinear Steiner tree over the pins
-	// can be shorter, and tryExact only replaces the incumbent on a
-	// *strictly* better length, so once the incumbent reaches the bound no
-	// later candidate can win and the enumeration can stop. For three pins
-	// the bound is always attained (the median Hanan point is optimal), so
-	// the candidate loop terminates almost immediately; for four pins it
-	// skips the 66-pair enumeration whenever a single Steiner point already
-	// closes the gap — the common case on real nets.
-	minX, maxX := t.X[0], t.X[0]
-	minY, maxY := t.Y[0], t.Y[0]
-	for i := 1; i < n; i++ {
-		minX = math.Min(minX, t.X[i])
-		maxX = math.Max(maxX, t.X[i])
-		minY = math.Min(minY, t.Y[i])
-		maxY = math.Max(maxY, t.Y[i])
-	}
-	lower := (maxX - minX) + (maxY - minY) + 1e-12
+	// No tree over the pins is shorter than the optimum, and tryExact only
+	// replaces the incumbent on a *strictly* better length, so once the
+	// incumbent reaches the bound no later candidate can win and the
+	// enumeration stops with the tree the full enumeration returns. A
+	// non-finite pin makes the bound non-finite: only the MST is tried.
+	lower := stopLength(t) + 1e-12
 
 	bestLen := math.Inf(1)
 	s.bestEdges = s.bestEdges[:0]
 	s.bestPts = s.bestPts[:0]
 
 	tryExact(t, s, nil, &bestLen)
-	if bestLen > lower {
-		for i := range cands {
-			tryExact(t, s, cands[i:i+1], &bestLen)
-			if bestLen <= lower {
-				break
-			}
-		}
+	for i := 0; i < len(cands) && bestLen > lower; i++ {
+		tryExact(t, s, cands[i:i+1], &bestLen)
 	}
-	if n == 4 && bestLen > lower {
-	pairs:
-		for i := range cands {
-			for j := i + 1; j < len(cands); j++ {
-				pair := [2]hanan{cands[i], cands[j]}
-				tryExact(t, s, pair[:], &bestLen)
-				if bestLen <= lower {
-					break pairs
-				}
-			}
+	for i := 0; n == 4 && i < len(cands) && bestLen > lower; i++ {
+		for j := i + 1; j < len(cands) && bestLen > lower; j++ {
+			pair := [2]hanan{cands[i], cands[j]}
+			tryExact(t, s, pair[:], &bestLen)
 		}
 	}
 
@@ -430,8 +457,8 @@ func buildHeuristic(t *Tree, s *buildScratch) {
 		t.Y = append(t.Y, sy)
 		t.XPin = append(t.XPin, t.XPin[sxo])
 		t.YPin = append(t.YPin, t.YPin[syo])
-		// Filter in place: two edges leave, three arrive; append handles
-		// the one-slot growth past the original backing if needed.
+		// Filter in place: two edges leave, three arrive; a backing grown
+		// past the scratch's goes back to the scratch for later builds.
 		keep := t.Edges[:0]
 		for _, e := range t.Edges {
 			if (e[0] == u && e[1] == v) || (e[0] == v && e[1] == u) ||
@@ -440,8 +467,8 @@ func buildHeuristic(t *Tree, s *buildScratch) {
 			}
 			keep = append(keep, e)
 		}
-		keep = append(keep, [2]int32{u, sn}, [2]int32{v, sn}, [2]int32{w, sn})
-		t.Edges = keep
+		t.Edges = append(keep, [2]int32{u, sn}, [2]int32{v, sn}, [2]int32{w, sn})
+		s.mst.edges = t.Edges[:0]
 	}
 	t.Edges = pruneDegenerate(t, t.Edges, s)
 }
@@ -479,32 +506,5 @@ func median3Owner(a, b, c float64, na, nb, nc int32) (float64, int32) {
 			v0, v1, n0, n1 = v1, v0, n1, n0
 		}
 	}
-	_, _, _, _ = v0, n0, v2, n2
 	return v1, n1
-}
-
-// SpanningLength returns the rectilinear MST length over the pins alone —
-// an upper bound on the Steiner length used in tests and as the net-degree
-// normaliser in net weighting.
-func SpanningLength(px, py []float64) float64 {
-	t := &Tree{X: px, Y: py, NumPins: len(px)}
-	var s mstScratch
-	total := 0.0
-	for _, e := range mstEdges(t, len(px), &s) {
-		total += dist(t, e[0], e[1])
-	}
-	return total
-}
-
-// HPWL returns the half-perimeter bound of the pin set — a lower bound on
-// any Steiner tree length (for nets of degree ≤ 3 it is exact).
-func HPWL(px, py []float64) float64 {
-	if len(px) == 0 {
-		return 0
-	}
-	pts := make([]geom.Point, len(px))
-	for i := range px {
-		pts[i] = geom.Point{X: px[i], Y: py[i]}
-	}
-	return geom.BoundingBox(pts).HalfPerimeter()
 }

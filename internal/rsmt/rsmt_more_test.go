@@ -56,15 +56,15 @@ func TestLShape(t *testing.T) {
 	}
 }
 
-// TestSpanningLengthDegenerate covers edge inputs of the helper.
+// TestSpanningLengthDegenerate covers edge inputs of the test helpers.
 func TestSpanningLengthDegenerate(t *testing.T) {
-	if SpanningLength(nil, nil) != 0 {
+	if spanningLength(nil, nil) != 0 {
 		t.Error("empty MST length")
 	}
-	if SpanningLength([]float64{3}, []float64{4}) != 0 {
+	if spanningLength([]float64{3}, []float64{4}) != 0 {
 		t.Error("1-pin MST length")
 	}
-	if HPWL(nil, nil) != 0 {
+	if hpwl(nil, nil) != 0 {
 		t.Error("empty HPWL")
 	}
 }
