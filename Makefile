@@ -3,7 +3,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: build vet vet-budget vet-fixtures test race bench bench-smoke bench-scale bench-scale-smoke bench-module-test check fuzz-smoke chaos-smoke
+.PHONY: build vet vet-budget vet-fixtures test race bench bench-smoke bench-scale bench-scale-smoke bench-module-test examples-smoke check fuzz-smoke chaos-smoke
 
 build:
 	$(GO) build ./...
@@ -107,14 +107,25 @@ bench-scale:
 bench-module-test:
 	$(GO) -C benchmark test ./...
 
+# Examples smoke: run the examples that finish in seconds and write nothing
+# into the working directory. gradcheck is the public API's gradient check
+# (analytic vs finite differences) and exits 1 when it fails; stareport and
+# quickstart drive the facade end to end. visualize writes SVG files and
+# timingflow takes about 10 s, so they are left out.
+examples-smoke:
+	$(GO) run ./examples/gradcheck
+	$(GO) run ./examples/stareport
+	$(GO) run ./examples/quickstart
+
 # check is the full pre-merge gate: compile, static analysis, the whole test
-# suite, the benchmark module's tests, the race detector over the quick
-# (-short) suite, the chaos/resume robustness matrix, the benchmark smoke,
-# and the parser+codec fuzz smoke.
+# suite, the benchmark module's tests, the examples, the race detector over
+# the quick (-short) suite, the chaos/resume robustness matrix, the benchmark
+# smoke, and the parser+codec fuzz smoke.
 check: build vet
 	$(MAKE) vet-fixtures
 	$(GO) test ./...
 	$(MAKE) bench-module-test
+	$(MAKE) examples-smoke
 	$(GO) test -race -short ./...
 	$(MAKE) chaos-smoke
 	$(MAKE) bench-smoke

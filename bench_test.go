@@ -109,7 +109,7 @@ func BenchmarkFigure8Trace(b *testing.B) {
 }
 
 // timerBed builds a differentiable timer over a bench design.
-func timerBed(b *testing.B, gamma float64, steinerPeriod int) *core.Timer {
+func timerBed(b *testing.B, opts core.Options) *core.Timer {
 	b.Helper()
 	d, con := benchDesign(b, "superblue4")
 	if err := CalibratePeriod(d, con, 0.7); err != nil {
@@ -119,12 +119,14 @@ func timerBed(b *testing.B, gamma float64, steinerPeriod int) *core.Timer {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return core.NewTimer(g, core.Options{Gamma: gamma, SteinerPeriod: steinerPeriod})
+	return core.NewTimer(g, opts)
 }
 
 // BenchmarkAblationSteinerPeriod measures the §3.6 design choice: cost of a
-// differentiable-timer evaluation as a function of the Steiner rebuild
-// period (period 1 = rebuild every evaluation, as [24]-style flows must).
+// differentiable-timer evaluation as a function of the Steiner reuse period,
+// the timer's fence cadence (period 1 = re-extract every moved net on every
+// evaluation, as [24]-style flows must). It runs on the small-step movement
+// bed: on a static design a fence finds no moved net and does no work.
 func BenchmarkAblationSteinerPeriod(b *testing.B) {
 	for _, period := range []int{1, 5, 10, 20, 1 << 30} {
 		name := fmt.Sprintf("period-%d", period)
@@ -132,9 +134,17 @@ func BenchmarkAblationSteinerPeriod(b *testing.B) {
 			name = "period-inf"
 		}
 		b.Run(name, func(b *testing.B) {
-			tm := timerBed(b, 100, period)
+			opts := core.DefaultOptions()
+			opts.FencePeriod = period
+			tm, d, movable := movementBed(b, opts)
+			rng := rand.New(rand.NewSource(9))
+			tm.Evaluate(0.01, 0.001)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				for _, ci := range movable {
+					d.Cells[ci].Pos.X += (rng.Float64() - 0.5) * 0.2
+					d.Cells[ci].Pos.Y += (rng.Float64() - 0.5) * 0.2
+				}
 				tm.Evaluate(0.01, 0.001)
 			}
 		})
@@ -146,7 +156,9 @@ func BenchmarkAblationSteinerPeriod(b *testing.B) {
 func BenchmarkAblationGamma(b *testing.B) {
 	for _, gamma := range []float64{10, 50, 100, 200, 500} {
 		b.Run(fmt.Sprintf("gamma-%g", gamma), func(b *testing.B) {
-			tm := timerBed(b, gamma, 10)
+			opts := core.DefaultOptions()
+			opts.Gamma = gamma
+			tm := timerBed(b, opts)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tm.Evaluate(0.01, 0.001)
@@ -169,7 +181,7 @@ func BenchmarkAblationObjectiveWeights(b *testing.B) {
 	}
 	for _, cfg := range configs {
 		b.Run(cfg.name, func(b *testing.B) {
-			tm := timerBed(b, 100, 10)
+			tm := timerBed(b, core.DefaultOptions())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tm.Evaluate(cfg.t1, cfg.t2)
@@ -181,9 +193,12 @@ func BenchmarkAblationObjectiveWeights(b *testing.B) {
 // --- micro-benchmarks of the kernels behind the tables ---
 
 // BenchmarkDiffTimerForwardBackward is one full differentiable STA pass
-// (the per-iteration cost added by the paper's method).
+// (the per-iteration cost added by the paper's method): with a fence on
+// every evaluation, each op is one full forward and one full backward.
 func BenchmarkDiffTimerForwardBackward(b *testing.B) {
-	tm := timerBed(b, 100, 10)
+	opts := core.DefaultOptions()
+	opts.FencePeriod = 1
+	tm := timerBed(b, opts)
 	tm.Phase = core.PhaseTimes{}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -213,20 +228,8 @@ func BenchmarkExactSTA(b *testing.B) {
 }
 
 // movementBed builds a differentiable timer plus the movable-cell index for
-// movement-workload benchmarks. incremental toggles the displacement-driven
-// evaluation mode against the legacy full-refresh baseline.
-func movementBed(b *testing.B, incremental bool) (*core.Timer, *Design, []int32) {
-	b.Helper()
-	opts := core.Options{Gamma: 100, SteinerPeriod: 10}
-	if incremental {
-		opts = core.DefaultOptions()
-	}
-	return movementBedOpts(b, opts)
-}
-
-// movementBedOpts is movementBed with explicit timer options, for benchmarks
-// that pin a specific backward mode.
-func movementBedOpts(b *testing.B, opts core.Options) (*core.Timer, *Design, []int32) {
+// movement-workload benchmarks.
+func movementBed(b *testing.B, opts core.Options) (*core.Timer, *Design, []int32) {
 	b.Helper()
 	d, con := benchDesign(b, "superblue4")
 	if err := CalibratePeriod(d, con, 0.7); err != nil {
@@ -258,37 +261,31 @@ func reportPhases(b *testing.B, tm *core.Timer) {
 // BenchmarkDiffTimerIncremental measures one differentiable-timer evaluation
 // under a movement workload: every movable cell drifts by a uniform step
 // before each Evaluate. small-step mimics a converging placement (drift well
-// under the ε-displacement threshold, so the incremental mode skips most
-// extraction and propagation); large-step forces every net dirty and bounds
-// the bookkeeping overhead of the incremental machinery.
+// under the ε-displacement threshold, so the timer skips most extraction and
+// propagation); large-step forces every net dirty and bounds the bookkeeping
+// overhead of the incremental machinery.
 func BenchmarkDiffTimerIncremental(b *testing.B) {
 	steps := []struct {
 		name  string
 		delta float64
 	}{{"small-step", 0.1}, {"large-step", 25}}
-	modes := []struct {
-		name        string
-		incremental bool
-	}{{"full", false}, {"incremental", true}}
 	for _, st := range steps {
-		for _, m := range modes {
-			b.Run(st.name+"/"+m.name, func(b *testing.B) {
-				tm, d, movable := movementBed(b, m.incremental)
-				rng := rand.New(rand.NewSource(9))
-				tm.Evaluate(0.01, 0.001) // warm caches and scratch
-				tm.Phase = core.PhaseTimes{}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for _, ci := range movable {
-						d.Cells[ci].Pos.X += (rng.Float64() - 0.5) * 2 * st.delta
-						d.Cells[ci].Pos.Y += (rng.Float64() - 0.5) * 2 * st.delta
-					}
-					tm.Evaluate(0.01, 0.001)
+		b.Run(st.name, func(b *testing.B) {
+			tm, d, movable := movementBed(b, core.DefaultOptions())
+			rng := rand.New(rand.NewSource(9))
+			tm.Evaluate(0.01, 0.001) // warm caches and scratch
+			tm.Phase = core.PhaseTimes{}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, ci := range movable {
+					d.Cells[ci].Pos.X += (rng.Float64() - 0.5) * 2 * st.delta
+					d.Cells[ci].Pos.Y += (rng.Float64() - 0.5) * 2 * st.delta
 				}
-				reportPhases(b, tm)
-			})
-		}
+				tm.Evaluate(0.01, 0.001)
+			}
+			reportPhases(b, tm)
+		})
 	}
 }
 
@@ -329,7 +326,7 @@ func BenchmarkDiffTimerSparseBackward(b *testing.B) {
 	for _, wl := range workloads {
 		for _, m := range modes {
 			b.Run(wl.name+"/"+m.name, func(b *testing.B) {
-				tm, d, movable := movementBedOpts(b, m.opts())
+				tm, d, movable := movementBed(b, m.opts())
 				rng := rand.New(rand.NewSource(9))
 				nMove := int(wl.frac * float64(len(movable)))
 				if nMove < 1 {
@@ -432,30 +429,21 @@ func BenchmarkExactSTAIncremental(b *testing.B) {
 }
 
 // BenchmarkPlacementIterationTiming runs a short timing-active placement
-// segment with incremental evaluation on versus the ExactRefresh baseline;
-// the trajectories are bit-identical, only the per-iteration work differs.
+// segment: 60 difftiming iterations with timing active from iteration 5.
 func BenchmarkPlacementIterationTiming(b *testing.B) {
 	d0, con := benchDesign(b, "superblue4")
 	if err := CalibratePeriod(d0, con, 0.5); err != nil {
 		b.Fatal(err)
 	}
-	for _, m := range []struct {
-		name  string
-		exact bool
-	}{{"exact-refresh", true}, {"incremental", false}} {
-		b.Run(m.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				d := d0.Clone()
-				opts := DefaultPlaceOptions(FlowDiffTiming)
-				opts.MaxIters = 60
-				opts.TimingStartIter = 5
-				opts.SkipLegalize = true
-				opts.ExactRefresh = m.exact
-				if _, err := Place(d, con, FlowDiffTiming, &opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		d := d0.Clone()
+		opts := DefaultPlaceOptions(FlowDiffTiming)
+		opts.MaxIters = 60
+		opts.TimingStartIter = 5
+		opts.SkipLegalize = true
+		if _, err := Place(d, con, FlowDiffTiming, &opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -33,7 +33,6 @@ func main() {
 		quiet      = flag.Bool("q", false, "suppress progress output")
 		cells      = flag.String("cells", report.DefaultScaleSpec, "scale sweep points: cell counts (50000, 200k) and/or preset names")
 		iters      = flag.Int("iters", 10, "timing-driven iterations per scale point")
-		noArena    = flag.Bool("no-arena", false, "scale sweep on the legacy heap-allocation path")
 		list       = flag.Bool("list", false, "print the scale sweep's canonical point names and exit")
 	)
 	flag.Parse()
@@ -120,7 +119,7 @@ func main() {
 				}
 				return nil
 			}
-			rep, err := report.RunScaleSweep(specs, *iters, *noArena, opts.Logf)
+			rep, err := report.RunScaleSweep(specs, *iters, opts.Logf)
 			if err != nil {
 				return err
 			}

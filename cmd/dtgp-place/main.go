@@ -67,7 +67,6 @@ func run() error {
 		svg      = flag.String("svg", "", "write a slack-coloured placement SVG to this path")
 		iters    = flag.Int("iters", 0, "max iterations (0 = default)")
 		noGuard  = flag.Bool("no-guard", false, "disable the fault-tolerance supervisor (checkpoints, rollback)")
-		exact    = flag.Bool("exact-refresh", false, "disable incremental timing: full re-extraction every evaluation (A/B baseline, bit-identical results)")
 		fullBwd  = flag.Bool("full-backward", false, "disable the sparse cone-restricted backward pass: seed every violating endpoint (quality A/B baseline)")
 		topk     = flag.Int("topk", 0, "critical endpoints seeded per sparse backward pass (0 = auto quota)")
 		ckptDir  = flag.String("checkpoint-dir", "", "durably persist supervisor checkpoints into this directory (crash-consistent)")
@@ -115,7 +114,6 @@ func run() error {
 		opts.MaxIters = *iters
 	}
 	opts.Guard.Enabled = !*noGuard
-	opts.ExactRefresh = *exact
 	opts.FullBackward = *fullBwd
 	opts.TimingTopK = *topk
 	opts.CheckpointDir = *ckptDir

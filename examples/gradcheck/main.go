@@ -25,9 +25,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Huge Steiner period: the tree topology is frozen, so finite
-	// differences probe exactly the function the gradient differentiates.
-	timer := dtgp.NewDiffTimer(graph, &dtgp.DiffTimerOptions{Gamma: 80, SteinerPeriod: 1 << 30})
+	// Frozen tree topology (no fence, no per-net rebuild) and exact refresh
+	// thresholds: finite differences probe exactly the function the
+	// gradient differentiates.
+	timer := dtgp.NewDiffTimer(graph, &dtgp.DiffTimerOptions{
+		Gamma: 80, FencePeriod: 1 << 30, DistortionLimit: math.Inf(1),
+	})
 
 	const t1, t2 = 0.01, 0.001
 	f0 := timer.Evaluate(t1, t2)

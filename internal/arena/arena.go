@@ -3,18 +3,17 @@
 // timing graph allocated with plain make is millions of small slices — each
 // a separate GC object with its own header, scan metadata and cache-hostile
 // placement. The arena instead carves them out of a handful of large []byte
-// slabs: allocation is a bump of an offset, freeing is wholesale (Reset),
-// and slices requested consecutively are adjacent in memory, which is what
-// the timer's level-ordered sweeps want.
+// slabs: allocation is a bump of an offset, freeing is wholesale (the GC
+// reclaims the slabs once the arena and every slice carved from it are
+// unreachable), and slices requested consecutively are adjacent in memory,
+// which is what the timer's level-ordered sweeps want.
 //
 // The element type set is restricted to fixed-size pointer-free kinds so a
-// slab never holds pointers the GC would need to scan (and so a stale view
-// after Reset can corrupt data but never break memory safety). Types with
-// pointers (slices, strings, structs containing them) must stay on the GC
-// heap via plain make.
+// slab never holds pointers the GC would need to scan. Types with pointers
+// (slices, strings, structs containing them) must stay on the GC heap via
+// plain make.
 //
-// A nil *Arena is valid everywhere and falls back to plain make — that is
-// the legacy allocation path behind the -no-arena A/B flag.
+// A nil *Arena is valid everywhere and falls back to plain make.
 //
 // An Arena is NOT safe for concurrent use. The placer does all carving in
 // serial pre-size passes; the worker pool only reads/writes the resulting
@@ -49,9 +48,8 @@ type Arena struct {
 	ci        int // index of the chunk currently being carved
 	off       int // carve offset into chunks[ci]
 
-	held   int64 // total bytes across all chunks
-	used   int64 // bytes handed out (incl. alignment padding) since last Reset
-	resets int64
+	held int64 // total bytes across all chunks
+	used int64 // bytes handed out (incl. alignment padding)
 }
 
 // New returns an arena that grows in chunks of chunkSize bytes (allocations
@@ -64,24 +62,11 @@ func New(chunkSize int) *Arena {
 	return &Arena{chunkSize: chunkSize}
 }
 
-// Reset makes every held chunk available for carving again. All slices
-// previously returned by Make/MakeCap become invalid: they still point at
-// valid memory (the slabs are retained, so this is memory-safe) but their
-// contents will be overwritten by subsequent allocations. The caller owns
-// the discipline of not using an engine's slices after resetting its arena.
-func (a *Arena) Reset() {
-	a.ci = 0
-	a.off = 0
-	a.used = 0
-	a.resets++
-}
-
 // Stats is a point-in-time snapshot of arena usage.
 type Stats struct {
 	Chunks    int   // number of slabs held
 	HeldBytes int64 // total slab bytes
-	UsedBytes int64 // bytes carved since the last Reset (incl. padding)
-	Resets    int64 // number of Reset calls
+	UsedBytes int64 // bytes carved (incl. padding)
 }
 
 // Stats reports current usage.
@@ -89,7 +74,7 @@ func (a *Arena) Stats() Stats {
 	if a == nil {
 		return Stats{}
 	}
-	return Stats{Chunks: len(a.chunks), HeldBytes: a.held, UsedBytes: a.used, Resets: a.resets}
+	return Stats{Chunks: len(a.chunks), HeldBytes: a.held, UsedBytes: a.used}
 }
 
 // bytes carves n bytes, 8-aligned, from the current chunk, moving to the
@@ -108,7 +93,7 @@ func (a *Arena) bytes(n int) []byte {
 					panic(fmt.Sprintf("arena: chunk base %#x not %d-aligned", base, align))
 				}
 				off := a.off
-				a.off = off + (n+align-1) &^ (align - 1)
+				a.off = off + (n+align-1)&^(align-1)
 				if a.off > len(c) {
 					a.off = len(c)
 				}
@@ -129,9 +114,9 @@ func (a *Arena) bytes(n int) []byte {
 }
 
 // Make returns a zeroed []T of length n carved from the arena. A nil arena
-// falls back to plain make (the legacy allocation path). The returned slice
-// has capacity exactly n: appending beyond it reallocates onto the GC heap
-// rather than clobbering a neighbouring allocation.
+// falls back to plain make. The returned slice has capacity exactly n:
+// appending beyond it reallocates onto the GC heap rather than clobbering a
+// neighbouring allocation.
 func Make[T Plain](a *Arena, n int) []T {
 	return MakeCap[T](a, n, n)
 }
@@ -153,8 +138,8 @@ func MakeCap[T Plain](a *Arena, length, capacity int) []T {
 	if capacity > (1<<60)/sz {
 		panic(fmt.Sprintf("arena: MakeCap capacity %d overflows", capacity))
 	}
+	// Chunks come zeroed from make and every byte is carved at most once,
+	// so the window needs no clearing.
 	b := a.bytes(capacity * sz)
-	s := unsafe.Slice((*T)(unsafe.Pointer(&b[0])), capacity)
-	clear(s) // chunks are reused after Reset and may hold stale data
-	return s[:length:capacity]
+	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), capacity)[:length:capacity]
 }

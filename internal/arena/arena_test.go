@@ -82,39 +82,7 @@ func TestOversizeAllocation(t *testing.T) {
 	}
 }
 
-// TestResetReuse verifies Reset rewinds carving onto the same slabs (no new
-// chunks) and that reallocated slices come back zeroed despite stale data.
-func TestResetReuse(t *testing.T) {
-	a := New(1 << 12)
-	first := Make[float64](a, 1000)
-	for i := range first {
-		first[i] = 3.14
-	}
-	chunksBefore := a.Stats().Chunks
-	heldBefore := a.Stats().HeldBytes
-
-	a.Reset()
-	second := Make[float64](a, 1000)
-	if &first[0] != &second[0] {
-		t.Fatalf("Reset did not reuse the slab: %p vs %p", &first[0], &second[0])
-	}
-	for i, v := range second {
-		if v != 0 {
-			t.Fatalf("reused slab not zeroed at %d: %v", i, v)
-		}
-	}
-	st := a.Stats()
-	if st.Chunks != chunksBefore || st.HeldBytes != heldBefore {
-		t.Fatalf("Reset grew the arena: chunks %d→%d held %d→%d",
-			chunksBefore, st.Chunks, heldBefore, st.HeldBytes)
-	}
-	if st.Resets != 1 {
-		t.Fatalf("Resets = %d, want 1", st.Resets)
-	}
-}
-
-// TestNilArenaFallback: a nil arena must behave exactly like plain make —
-// the legacy -no-arena allocation path.
+// TestNilArenaFallback: a nil arena must behave exactly like plain make.
 func TestNilArenaFallback(t *testing.T) {
 	var a *Arena
 	s := Make[int32](a, 5)

@@ -11,7 +11,7 @@ import (
 
 // arenaTestBed builds two timers over independently generated copies of the
 // same design — one arena-backed (with a compacted netlist, as the placer
-// wires it), one on the legacy heap path.
+// wires it), one on the nil-arena heap path.
 func arenaTestBed(t *testing.T, cells int, seed int64, opts Options) (withArena, noArena *Timer) {
 	t.Helper()
 	build := func(a *arena.Arena) *Timer {
@@ -47,16 +47,21 @@ func moveCells(d *netlist.Design, step int) {
 }
 
 // TestArenaBitIdentity: the arena changes only backing storage, never
-// values. Run several evaluations through the incremental + sparse paths
-// (the defaults) with identical movement on both sides and demand bitwise
-// equality of objective, gradients and reported metrics every iteration.
+// values. Run several evaluations with identical movement on both sides and
+// demand bitwise equality of objective, gradients and reported metrics
+// every iteration, under the defaults and under exact thresholds with the
+// full backward.
 func TestArenaBitIdentity(t *testing.T) {
+	exactFull := DefaultOptions()
+	exactFull.RefreshEps = 0
+	exactFull.PropagateEps = 0
+	exactFull.SparseBackward = false
 	for _, mode := range []struct {
 		name string
 		opts Options
 	}{
 		{"default", DefaultOptions()},
-		{"exact-full", Options{Gamma: 100, SteinerPeriod: 10}},
+		{"exact-full", exactFull},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			ta, tn := arenaTestBed(t, 300, 41, mode.opts)
@@ -79,29 +84,6 @@ func TestArenaBitIdentity(t *testing.T) {
 				moveCells(tn.G.D, it)
 			}
 		})
-	}
-}
-
-// TestArenaBitIdentityHold extends the A/B check through the hold path,
-// which walks the CSR groups directly.
-func TestArenaBitIdentityHold(t *testing.T) {
-	ta, tn := arenaTestBed(t, 250, 43, DefaultOptions())
-	for it := 0; it < 4; it++ {
-		fa := ta.EvaluateHold(0.01, 0.0001, 0.01)
-		fn := tn.EvaluateHold(0.01, 0.0001, 0.01)
-		if fa != fn {
-			t.Fatalf("iter %d: hold objective %v vs %v", it, fa, fn)
-		}
-		if ta.SmTHS != tn.SmTHS || ta.EstTHS != tn.EstTHS {
-			t.Fatalf("iter %d: hold metrics diverge", it)
-		}
-		for i := range ta.CellGradX {
-			if ta.CellGradX[i] != tn.CellGradX[i] || ta.CellGradY[i] != tn.CellGradY[i] {
-				t.Fatalf("iter %d: gradient differs at cell %d", it, i)
-			}
-		}
-		moveCells(ta.G.D, it)
-		moveCells(tn.G.D, it)
 	}
 }
 

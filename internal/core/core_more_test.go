@@ -14,7 +14,9 @@ func TestGammaMonotoneConservatism(t *testing.T) {
 	g := makeTestBed(t, 300, 81)
 	prev := math.Inf(1)
 	for _, gamma := range []float64{10, 50, 100, 300} {
-		tm := NewTimer(g, Options{Gamma: gamma, SteinerPeriod: 10})
+		opts := DefaultOptions()
+		opts.Gamma = gamma
+		tm := NewTimer(g, opts)
 		tm.Evaluate(0.01, 0.001)
 		if tm.SmWNS > prev+1e-6 {
 			t.Fatalf("SmWNS not monotone in γ: %v at γ=%v (prev %v)", tm.SmWNS, gamma, prev)
@@ -27,9 +29,12 @@ func TestGammaMonotoneConservatism(t *testing.T) {
 // should barely move with γ (only via slew smoothing), unlike SmWNS.
 func TestHardEstimateGammaInvariant(t *testing.T) {
 	g := makeTestBed(t, 300, 82)
-	tm1 := NewTimer(g, Options{Gamma: 10, SteinerPeriod: 10})
+	opts := DefaultOptions()
+	opts.Gamma = 10
+	tm1 := NewTimer(g, opts)
 	tm1.Evaluate(0.01, 0.001)
-	tm2 := NewTimer(g, Options{Gamma: 300, SteinerPeriod: 10})
+	opts.Gamma = 300
+	tm2 := NewTimer(g, opts)
 	tm2.Evaluate(0.01, 0.001)
 	smGap := math.Abs(tm1.SmWNS - tm2.SmWNS)
 	estGap := math.Abs(tm1.EstWNS - tm2.EstWNS)
@@ -73,7 +78,7 @@ func TestExactResultSharesInterconnect(t *testing.T) {
 func TestGradDirectionDominantlyDescending(t *testing.T) {
 	g := makeTestBed(t, 250, 85)
 	d := g.D
-	tm := NewTimer(g, Options{Gamma: 100, SteinerPeriod: 1 << 30})
+	tm := NewTimer(g, frozenOptions(100))
 	f0 := tm.Evaluate(0.01, 0.001)
 	if f0 <= 0 {
 		t.Skip("no violations")

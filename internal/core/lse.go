@@ -7,126 +7,6 @@ package core
 
 import "math"
 
-// LSE computes the log-sum-exp smooth maximum (Eq. 5)
-//
-//	LSE_γ(x…) = γ·log Σ exp(x_i/γ)
-//
-// in the numerically stable shifted form. γ must be positive.
-//
-//dtgp:hotpath
-//dtgp:forward(lse, explicit-grad)
-func LSE(gamma float64, xs ...float64) float64 {
-	v, _ := lseShifted(gamma, xs)
-	return v
-}
-
-// lseShifted returns the LSE value and the shifted partition function
-// Σ exp((x_i−m)/γ) together with... the max is recoverable as v − γ·log(z).
-//
-//dtgp:hotpath
-func lseShifted(gamma float64, xs []float64) (val, z float64) {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	if math.IsInf(m, -1) {
-		return m, 0
-	}
-	for _, x := range xs {
-		z += math.Exp((x - m) / gamma)
-	}
-	return m + gamma*math.Log(z), z
-}
-
-// LSEGrad returns LSE_γ(xs) and the softmax weights ∂LSE/∂x_i, which are
-// the gradient factors ∇_input LSE in Eq. 12a–12c.
-//
-//dtgp:backward(lse, explicit-grad)
-func LSEGrad(gamma float64, xs ...float64) (float64, []float64) {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	w := make([]float64, len(xs))
-	if math.IsInf(m, -1) {
-		return m, w
-	}
-	z := 0.0
-	for i, x := range xs {
-		w[i] = math.Exp((x - m) / gamma)
-		z += w[i]
-	}
-	for i := range w {
-		w[i] /= z
-	}
-	return m + gamma*math.Log(z), w
-}
-
-// SoftMin is the smooth minimum: −LSE_γ(−x…) ("we transform min to the max
-// of the inverse value of operands", §3.2). Computed directly from the
-// shifted form so no negated copy of the inputs is allocated:
-// softmin(x) = m − γ·log Σ exp((m − xᵢ)/γ) with m = min(x).
-//
-//dtgp:hotpath
-//dtgp:forward(softmin, explicit-grad)
-func SoftMin(gamma float64, xs ...float64) float64 {
-	if len(xs) == 0 {
-		return math.Inf(1)
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	if math.IsInf(m, 0) {
-		return m
-	}
-	var z float64
-	for _, x := range xs {
-		z += math.Exp((m - x) / gamma)
-	}
-	return m - gamma*math.Log(z)
-}
-
-// SoftMinGrad returns the smooth minimum and its gradient weights (which
-// are non-negative and sum to 1, concentrated on the smallest inputs).
-//
-//dtgp:backward(softmin, explicit-grad)
-func SoftMinGrad(gamma float64, xs ...float64) (float64, []float64) {
-	neg := make([]float64, len(xs))
-	for i, x := range xs {
-		neg[i] = -x
-	}
-	v, w := LSEGrad(gamma, neg...)
-	return -v, w
-}
-
-// SoftMin2Grad is SoftMinGrad specialised to two inputs — the rise/fall
-// merge at every hold endpoint — so the steady-state hold objective pays no
-// per-endpoint slice allocation. For finite inputs the value and weights are
-// bit-identical to SoftMinGrad(gamma, a, b): the shifted exponents
-// (m − x_i)/γ are the exact negations of LSEGrad's (−x_i − (−m))/γ, and
-// round-to-nearest is symmetric under negation. (SoftMinGrad keeps the
-// softmin backward declaration; this is a call-site specialisation, not a
-// second derivative pair.)
-//
-//dtgp:hotpath
-func SoftMin2Grad(gamma, a, b float64) (float64, [2]float64) {
-	m := a
-	if b < m {
-		m = b
-	}
-	wa := math.Exp((m - a) / gamma)
-	wb := math.Exp((m - b) / gamma)
-	z := wa + wb
-	return m - gamma*math.Log(z), [2]float64{wa / z, wb / z}
-}
-
 // SoftNeg is the smooth version of min(0, s) used inside the TNS objective:
 //
 //	softneg_γ(s) = −γ·log(1 + exp(−s/γ))

@@ -2,124 +2,28 @@ package core
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-func TestLSEBounds(t *testing.T) {
-	// max(x) ≤ LSE_γ(x) ≤ max(x) + γ·ln n.
-	f := func(a, b, c float64) bool {
-		a, b, c = math.Mod(a, 1e4), math.Mod(b, 1e4), math.Mod(c, 1e4)
-		gamma := 50.0
-		v := LSE(gamma, a, b, c)
-		m := math.Max(a, math.Max(b, c))
-		return v >= m-1e-9 && v <= m+gamma*math.Log(3)+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLSEApproachesMax(t *testing.T) {
-	xs := []float64{10, 42, -7}
-	prev := math.Inf(1)
-	for _, gamma := range []float64{100, 10, 1, 0.1, 0.01} {
-		v := LSE(gamma, xs...)
-		if v > prev+1e-12 {
-			t.Errorf("LSE not decreasing in γ: %v at γ=%v", v, gamma)
-		}
-		prev = v
-	}
-	if math.Abs(LSE(0.01, xs...)-42) > 1e-6 {
-		t.Errorf("LSE(γ→0) = %v, want 42", LSE(0.01, xs...))
-	}
-}
-
-func TestLSEGradWeights(t *testing.T) {
-	_, w := LSEGrad(25, 1, 2, 3, 4)
-	sum := 0.0
-	for _, wi := range w {
-		if wi < 0 || wi > 1 {
-			t.Errorf("weight %v out of [0,1]", wi)
-		}
-		sum += wi
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("weights sum to %v", sum)
-	}
-	// Largest input gets the largest weight.
-	if !(w[3] > w[2] && w[2] > w[1] && w[1] > w[0]) {
-		t.Errorf("weights not ordered: %v", w)
-	}
-}
-
-func TestLSEGradFiniteDifference(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	const h = 1e-6
-	for trial := 0; trial < 100; trial++ {
-		n := 2 + rng.Intn(5)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.NormFloat64() * 100
-		}
-		gamma := 10 + rng.Float64()*100
-		_, w := LSEGrad(gamma, xs...)
-		for i := range xs {
-			up := append([]float64(nil), xs...)
-			dn := append([]float64(nil), xs...)
-			up[i] += h
-			dn[i] -= h
-			fd := (LSE(gamma, up...) - LSE(gamma, dn...)) / (2 * h)
-			if math.Abs(fd-w[i]) > 1e-5 {
-				t.Fatalf("trial %d: dLSE/dx%d analytic %v vs fd %v", trial, i, w[i], fd)
-			}
-		}
-	}
-}
-
+// TestSoftMin checks the two-input soft-min that merges rise/fall slacks at
+// every endpoint: it approaches min as γ → 0, never exceeds min, and its
+// weights concentrate on the smaller input.
 func TestSoftMin(t *testing.T) {
-	v := SoftMin(0.01, 5, 2, 9)
-	if math.Abs(v-2) > 1e-6 {
-		t.Errorf("SoftMin(γ→0) = %v, want 2", v)
+	if v, _, _ := softMin2Grad(0.01, 5, 2); math.Abs(v-2) > 1e-6 {
+		t.Errorf("softmin(γ→0) = %v, want 2", v)
 	}
-	// SoftMin is a lower bound of min.
 	f := func(a, b float64) bool {
 		a, b = math.Mod(a, 1e4), math.Mod(b, 1e4)
-		return SoftMin(30, a, b) <= math.Min(a, b)+1e-9
+		v, w0, w1 := softMin2Grad(30, a, b)
+		return v <= math.Min(a, b)+1e-9 && math.Abs(w0+w1-1) < 1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-	_, w := SoftMinGrad(10, 1, 100)
-	if w[0] < 0.99 {
-		t.Errorf("SoftMin weight should concentrate on the min: %v", w)
+	if _, w0, _ := softMin2Grad(10, 1, 100); w0 < 0.99 {
+		t.Errorf("softmin weight should concentrate on the min: %v", w0)
 	}
-}
-
-// TestSoftMin2GradMatchesGeneral pins the hold objective's allocation-free
-// two-input path to the general variadic form: bit-identical values and
-// weights, and zero heap allocations per call.
-func TestSoftMin2GradMatchesGeneral(t *testing.T) {
-	f := func(a, b, g float64) bool {
-		a, b = math.Mod(a, 1e4), math.Mod(b, 1e4)
-		gamma := math.Abs(math.Mod(g, 100)) + 1e-3
-		v1, w1 := SoftMinGrad(gamma, a, b)
-		v2, w2 := SoftMin2Grad(gamma, a, b)
-		return v1 == v2 && w1[0] == w2[0] && w1[1] == w2[1]
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	var sink float64
-	allocs := testing.AllocsPerRun(100, func() {
-		v, w := SoftMin2Grad(25, -3.5, 1.25)
-		sink += v + w[0] + w[1]
-	})
-	if allocs != 0 {
-		t.Errorf("SoftMin2Grad allocates %v times per call, want 0", allocs)
-	}
-	_ = sink
 }
 
 func TestSoftNeg(t *testing.T) {

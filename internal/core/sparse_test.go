@@ -70,13 +70,15 @@ func TestSparseBackwardDeterministic(t *testing.T) {
 // a budget covering every endpoint the density cutoff routes each pass to the
 // full backward, and the whole trajectory — objectives and gradients — must
 // be bit-identical to a SparseBackward=false run of the same movement
-// sequence.
+// sequence. A fence every third evaluation alternates full and dirty passes.
 func TestSparseFullBudgetFallsBackBitIdentical(t *testing.T) {
-	base := Options{Gamma: 50, SteinerPeriod: 3}
+	base := DefaultOptions()
+	base.Gamma = 50
+	base.FencePeriod = 3
+	base.SparseBackward = false
 	sparse := base
 	sparse.SparseBackward = true
 	sparse.TopK = 1 << 30
-	sparse.ConeDecay = 0.5
 
 	valsF, gxF, gyF := sparseMovementRun(t, base, 12, 2)
 	valsS, gxS, gyS := sparseMovementRun(t, sparse, 12, 2)
@@ -99,10 +101,13 @@ func TestSparseFullBudgetFallsBackBitIdentical(t *testing.T) {
 // direction positively aligned with the full gradient.
 func TestSparseConeGradientAlignsWithFull(t *testing.T) {
 	g := makeTestBed(t, 400, 64)
-	full := NewTimer(g, Options{Gamma: 50, SteinerPeriod: 1 << 30})
+	opts := frozenOptions(50)
+	opts.SparseBackward = false
+	full := NewTimer(g, opts)
 	full.Evaluate(0.01, 0.001)
 
-	opts := Options{Gamma: 50, SteinerPeriod: 1 << 30, SparseBackward: true, ConeDecay: 0}
+	opts.SparseBackward = true
+	opts.ConeDecay = 0
 	sp := NewTimer(g, opts)
 	sp.Evaluate(0.01, 0.001) // warm-up: full pass seeds the stale memory
 	sp.Evaluate(0.01, 0.001) // sparse pass on the identical state
@@ -133,12 +138,6 @@ func TestSparseGradientDescentImprovesTiming(t *testing.T) {
 	d := g.D
 	opts := DefaultOptions()
 	opts.Gamma = 50
-	// The descent steps below move every cell well past the dirty-density
-	// cutoff, so in incremental mode the full-backward fence would
-	// (correctly) route every pass through the exact gradient. Disable
-	// incremental refresh so the sparse pass itself is what drives descent.
-	opts.Incremental = false
-	opts.SteinerPeriod = 1 << 30
 	tm := NewTimer(g, opts)
 	f0 := tm.Evaluate(0.01, 0.001)
 	if f0 <= 0 {
@@ -147,7 +146,10 @@ func TestSparseGradientDescentImprovesTiming(t *testing.T) {
 	fPrev := f0
 	improved := 0
 	for it := 0; it < 12; it++ {
-		// Normalised step against the current gradient.
+		// Normalised step against the current gradient, short enough
+		// that most steps dirty under a quarter of the nets: a longer one
+		// trips the dirty-density cutoff, whose full pass runs the exact
+		// backward instead of the sparse one under test.
 		norm := 0.0
 		for ci := range d.Cells {
 			norm += tm.CellGradX[ci]*tm.CellGradX[ci] + tm.CellGradY[ci]*tm.CellGradY[ci]
@@ -155,7 +157,7 @@ func TestSparseGradientDescentImprovesTiming(t *testing.T) {
 		if norm == 0 {
 			break
 		}
-		scale := 40 / math.Sqrt(norm)
+		scale := 4 / math.Sqrt(norm)
 		for ci := range d.Cells {
 			if !d.Cells[ci].Movable() {
 				continue
@@ -187,8 +189,7 @@ func TestSparseGradientDescentImprovesTiming(t *testing.T) {
 func TestSparseSteadyStateAllocFree(t *testing.T) {
 	g := makeTestBed(t, 400, 66)
 	d := g.D
-	opts := Options{Gamma: 50, SteinerPeriod: 1 << 30, SparseBackward: true, ConeDecay: 0.5}
-	tm := NewTimer(g, opts)
+	tm := NewTimer(g, frozenOptions(50))
 	rng := rand.New(rand.NewSource(17))
 	step := func() {
 		for n := 0; n < 8; n++ {

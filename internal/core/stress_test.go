@@ -11,13 +11,13 @@ import (
 )
 
 // TestDiffTimingFlowStress drives the full differentiable-timing flow —
-// periodic Steiner rebuilds, geometry refreshes, levelised forward sweeps,
-// objective, backward sweeps and hold analysis — on a multi-lane pool for
-// many iterations, so `go test -race` exercises every barrier handoff and
-// worker-local scratch buffer across hundreds of pool reuses. The same flow
-// is then replayed on a single-lane pool and every per-iteration objective
-// plus the final gradients must match bit for bit: the parallel schedule
-// must not leak into the arithmetic.
+// refresh fences, geometry refreshes, dirty and full levelised forward
+// sweeps, objective, sparse and full backward sweeps — on a multi-lane pool
+// for many iterations, so `go test -race` exercises every barrier handoff
+// and worker-local scratch buffer across hundreds of pool reuses. The same
+// flow is then replayed on a single-lane pool and every per-iteration
+// objective plus the final gradients must match bit for bit: the parallel
+// schedule must not leak into the arithmetic.
 func TestDiffTimingFlowStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test skipped in -short mode")
@@ -29,20 +29,29 @@ func TestDiffTimingFlowStress(t *testing.T) {
 	run := func(workers int) ([]float64, []float64, []float64) {
 		parallel.SetWorkers(workers)
 		g := makeTestBed(t, 300, 41)
-		// SteinerPeriod 3 alternates rebuild and refresh paths.
-		tm := NewTimer(g, Options{Gamma: 50, SteinerPeriod: 3})
-		vals := make([]float64, 0, 2*iters)
+		d := g.D
+		// A fence every third evaluation alternates full and dirty passes.
+		opts := DefaultOptions()
+		opts.Gamma = 50
+		opts.FencePeriod = 3
+		tm := NewTimer(g, opts)
+		rng := rand.New(rand.NewSource(41))
+		vals := make([]float64, 0, iters)
 		for i := 0; i < iters; i++ {
+			for moved := 0; moved < 10; {
+				ci := rng.Intn(len(d.Cells))
+				if !d.Cells[ci].Movable() {
+					continue
+				}
+				d.Cells[ci].Pos.X += rng.NormFloat64() * 5
+				d.Cells[ci].Pos.Y += rng.NormFloat64() * 5
+				moved++
+			}
 			f := tm.Evaluate(0.01, 0.001)
 			if math.IsNaN(f) || math.IsInf(f, 0) {
 				t.Fatalf("workers=%d iter %d: objective %v", workers, i, f)
 			}
 			vals = append(vals, f)
-			fh := tm.EvaluateHold(0.01, 0.001, 0.005)
-			if math.IsNaN(fh) || math.IsInf(fh, 0) {
-				t.Fatalf("workers=%d iter %d: hold objective %v", workers, i, fh)
-			}
-			vals = append(vals, fh)
 		}
 		gx := append([]float64(nil), tm.CellGradX...)
 		gy := append([]float64(nil), tm.CellGradY...)

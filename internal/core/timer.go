@@ -14,26 +14,15 @@ import (
 	"dtgp/internal/timing"
 )
 
-// Options configure the differentiable timer.
+// Options configure the differentiable timer. Evaluation is incremental:
+// only nets whose pins moved beyond RefreshEps since their last refresh are
+// slid or re-extracted, and the forward sweep recomputes only pins whose
+// fan-in changed, with a periodic full-refresh fence (FencePeriod).
 type Options struct {
 	// Gamma is the LSE smoothing strength (Eq. 5), in ps. The paper sets
 	// it "to around 100".
 	Gamma float64
-	// SteinerPeriod is how often Steiner-tree topologies are rebuilt in the
-	// full-refresh mode (Incremental == false): every SteinerPeriod
-	// evaluations the topology is re-extracted, and in between stored
-	// Steiner points ride along with their pins (§3.6, "every 10
-	// iterations"). In incremental mode the global period is replaced by
-	// per-net lazy rebuilds (DistortionLimit) plus the FencePeriod
-	// full-refresh fence, and SteinerPeriod is ignored.
-	SteinerPeriod int
 
-	// Incremental enables displacement-driven dirty tracking: on Evaluate
-	// only nets whose pins moved beyond RefreshEps since their last refresh
-	// are re-extracted/re-propagated, and the forward sweep recomputes only
-	// pins whose fan-in changed. The zero value keeps the legacy
-	// full-refresh behaviour bit-identically.
-	Incremental bool
 	// RefreshEps is the per-pin displacement threshold ε in DBU (Chebyshev
 	// distance against the geometry of the net's last refresh) below which
 	// a net keeps its cached Steiner/RC state. 0 means any bitwise movement
@@ -42,14 +31,16 @@ type Options struct {
 	// DistortionLimit is the relative pin-bbox half-perimeter change that
 	// triggers a per-net Steiner topology rebuild instead of the cheap
 	// geometry slide. +Inf disables per-net rebuilds; <= 0 selects the
-	// default (0.5) in incremental mode. Kept deliberately loose: scattered
-	// per-net rebuilds are objective discontinuities mid-descent, so only
-	// violently distorted nets rebuild between fences.
+	// default (0.5). Kept deliberately loose: scattered per-net rebuilds
+	// are objective discontinuities mid-descent, so only violently
+	// distorted nets rebuild between fences.
 	DistortionLimit float64
-	// FencePeriod is the periodic full-refresh fence in incremental mode:
-	// every FencePeriod evaluations all nets are re-extracted and the full
-	// forward sweep runs, bounding drift from skipped sub-ε movement.
-	// <= 0 selects the default (10).
+	// FencePeriod is the Steiner-topology reuse period (§3.6, "every 10
+	// iterations"): every FencePeriod evaluations a full-refresh fence
+	// re-extracts every moved net's Steiner and RC trees and runs the full
+	// forward sweep, bounding drift from skipped sub-ε movement. Between
+	// fences stored Steiner points ride along with their pins. <= 0
+	// selects the default (10).
 	FencePeriod int
 	// PropagateEps is the forward change-damping threshold: a recomputed
 	// pin whose AT/slew/hard-AT all changed by at most PropagateEps does
@@ -60,9 +51,8 @@ type Options struct {
 	// are seeded only at the TopK most critical endpoints (per-domain
 	// quota), propagated through their transitive fan-in cones, and the
 	// contributions of unselected endpoints are carried forward as a
-	// decaying stale-gradient term (ConeDecay). The zero value keeps the
-	// legacy full backward bit-identically, mirroring the Incremental
-	// contract.
+	// decaying stale-gradient term (ConeDecay). The zero value runs the
+	// exact full backward on every evaluation.
 	SparseBackward bool
 	// TopK is the endpoint budget of the sparse backward. <= 0 selects the
 	// default max(16, endpoints/8).
@@ -87,20 +77,17 @@ type Options struct {
 	// state, gradients, CSR group storage, level buckets) and the per-net
 	// Steiner/RC buffers with chunked slab storage (DESIGN.md §13). All
 	// values are bit-identical to the heap path — only the backing storage
-	// differs. nil keeps the legacy plain-make allocation (-no-arena).
+	// differs. nil allocates with plain make.
 	Arena *arena.Arena
 }
 
-// DefaultOptions mirrors the paper's §4 hyperparameters, with incremental
-// evaluation enabled: ε = 0.5 DBU, 50% distortion rebuild, fence every 10
-// (matching the legacy topology cadence, so staleness is bounded the same
-// way), and a 1 fs propagation deadband so sub-resolution arrival jitter
-// does not re-dirty the whole downstream cone.
+// DefaultOptions mirrors the paper's §4 hyperparameters: ε = 0.5 DBU, 50%
+// distortion rebuild, a fence every 10 evaluations (the paper's Steiner
+// reuse period), and a 1 fs propagation deadband so sub-resolution arrival
+// jitter does not re-dirty the whole downstream cone.
 func DefaultOptions() Options {
 	return Options{
 		Gamma:           100,
-		SteinerPeriod:   10,
-		Incremental:     true,
 		RefreshEps:      0.5,
 		DistortionLimit: 0.5,
 		FencePeriod:     10,
@@ -186,8 +173,8 @@ type Timer struct {
 	G    *timing.Graph
 	Opts Options
 
-	// Nets carries the Steiner/RC state; rebuilt every SteinerPeriod
-	// evaluations and coordinate-refreshed otherwise.
+	// Nets carries the Steiner/RC state: re-extracted at fences and on
+	// bbox distortion, coordinate-refreshed otherwise.
 	Nets []timing.NetState //dtgp:index domain=net
 
 	// Forward state per (pin, transition) index; smoothed late analysis.
@@ -211,25 +198,17 @@ type Timer struct {
 	netGrads    []*rctree.Grad //dtgp:index domain=net
 	netGradUsed []bool         //dtgp:index domain=net
 
-	// Early-mode (hold) state, allocated on first EvaluateHold.
-	hold            *holdState
-	gDelayNodeEarly [][]float64 //dtgp:index domain=net
-	gImpSqEarly     [][]float64 //dtgp:index domain=net
-	gLoadRootEarly  []float64   //dtgp:index domain=net
-
 	// Outputs of Evaluate.
 	CellGradX, CellGradY []float64 //dtgp:index domain=cell
 	// SmTNS/SmWNS are the smoothed objective values TNS_γ, WNS_γ;
-	// EstTNS/EstWNS are hard-max estimates from the same pass. SmTHS and
-	// EstTHS report the hold objective when EvaluateHold is used.
+	// EstTNS/EstWNS are hard-max estimates from the same pass.
 	SmTNS, SmWNS   float64
 	EstTNS, EstWNS float64
-	SmTHS, EstTHS  float64
 
 	evalCount int
 	// netGradSized records that preSizeNetGrad already carved the per-net
 	// accumulators from the arena (the lazy heap growth in resetTasks
-	// remains as the no-arena path and the fallback for grown nets).
+	// remains as the nil-arena path and the fallback for grown nets).
 	netGradSized bool
 
 	// Precomputed structure.
@@ -266,19 +245,17 @@ type Timer struct {
 	fwdFn      func(w, lo, hi int)
 	bwdFn      func(i int)
 	elmoreFn   func(w, lo, hi int)
-	refreshFn  func(w, lo, hi int)
 	fwdNetsFn  func(w, lo, hi int)
 	resetTasks []func()
 
-	// Incremental-evaluation state (Opts.Incremental). netMoved is the
-	// per-net movement flag written by the parallel scan (single writer per
-	// index), compacted into dirtyNets; pinDirty marks pins whose fan-in
-	// changed, bucketed by level into levelBuckets (dirtyCount tracks the
-	// outstanding total so the sweep can stop once the cone dies out);
-	// pinChanged is the per-pin "outputs changed" flag written by the level
-	// kernel. fullPass records that the current evaluation refreshed
-	// everything (first build, fence, or the dirty-density cutoff), so the
-	// forward sweep must run in full.
+	// Incremental-evaluation state. netMoved is the per-net movement flag
+	// written by the parallel scan (single writer per index), compacted into
+	// dirtyNets; pinDirty marks pins whose fan-in changed, bucketed by level
+	// into levelBuckets (dirtyCount tracks the outstanding total so the
+	// sweep can stop once the cone dies out); pinChanged is the per-pin
+	// "outputs changed" flag written by the level kernel. fullPass records
+	// that the current evaluation refreshed everything (first build, fence,
+	// or the dirty-density cutoff), so the forward sweep must run in full.
 	netMoved      []bool  //dtgp:index domain=net
 	dirtyNets     []int32 //dtgp:index elem=net
 	pinDirty      bitset.Set
@@ -317,22 +294,17 @@ func NewTimer(g *timing.Graph, opts Options) *Timer {
 	if opts.Gamma <= 0 {
 		opts.Gamma = 100
 	}
-	if opts.SteinerPeriod <= 0 {
-		opts.SteinerPeriod = 10
+	if opts.DistortionLimit <= 0 {
+		opts.DistortionLimit = 0.5
 	}
-	if opts.Incremental {
-		if opts.DistortionLimit <= 0 {
-			opts.DistortionLimit = 0.5
-		}
-		if opts.FencePeriod <= 0 {
-			opts.FencePeriod = 10
-		}
-		if opts.RefreshEps < 0 {
-			opts.RefreshEps = 0
-		}
-		if opts.PropagateEps < 0 {
-			opts.PropagateEps = 0
-		}
+	if opts.FencePeriod <= 0 {
+		opts.FencePeriod = 10
+	}
+	if opts.RefreshEps < 0 {
+		opts.RefreshEps = 0
+	}
+	if opts.PropagateEps < 0 {
+		opts.PropagateEps = 0
 	}
 	if opts.SparseBackward {
 		if opts.ConeDecay < 0 {
@@ -349,7 +321,7 @@ func NewTimer(g *timing.Graph, opts Options) *Timer {
 		}
 	}
 	// The big per-tnode/per-net/per-cell SoA arrays carve from the arena
-	// when one is configured (a nil arena is plain make, the legacy path).
+	// when one is configured (a nil arena is plain make).
 	// Slices of pointer-bearing types (netGrads, epStates) stay on the GC
 	// heap by construction: the arena's type set rejects them.
 	a := opts.Arena
@@ -407,9 +379,7 @@ func NewTimer(g *timing.Graph, opts Options) *Timer {
 	t.buildSchedule()
 	t.buildStartPins()
 	t.buildKernels()
-	if opts.Incremental {
-		t.buildIncState()
-	}
+	t.buildIncState()
 	if opts.SparseBackward {
 		t.buildSparseState()
 	}
@@ -508,10 +478,10 @@ func (t *Timer) buildGroups() {
 	// Pass 1: per-group pin counts in final group order, plus per-level
 	// group counts (net groups first, then cell groups).
 	var sizes []int32
-	levelBase := make([]int32, nLevels+1)   // group id of each level's first group
-	netGroupsOf := make([]int32, nLevels)   // net-group count per level
-	netScratch := make([]int32, 0, 64)      // per-level net-group sizes
-	cellScratch := make([]int32, 0, 64)     // per-level cell-group sizes
+	levelBase := make([]int32, nLevels+1) // group id of each level's first group
+	netGroupsOf := make([]int32, nLevels) // net-group count per level
+	netScratch := make([]int32, 0, 64)    // per-level net-group sizes
+	cellScratch := make([]int32, 0, 64)   // per-level cell-group sizes
 	for li, level := range g.Levels {
 		stamp := int32(li)
 		netScratch, cellScratch = netScratch[:0], cellScratch[:0]
@@ -680,11 +650,6 @@ func (t *Timer) buildKernels() {
 		}
 	}
 	t.elmoreFn = t.elmoreBackward
-	t.refreshFn = func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			timing.RefreshNetState(t.G, &t.Nets[i])
-		}
-	}
 	t.fwdNetsFn = func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if t.Nets[i].RC != nil {
@@ -802,40 +767,15 @@ func (t *Timer) ensureScratch() {
 }
 
 // refreshNets updates or rebuilds the Steiner/RC state and runs the Elmore
-// forward passes (Fig. 3 stages 1-2). In incremental mode only nets whose
-// pins moved beyond ε are touched.
-//
-//dtgp:hotpath
-func (t *Timer) refreshNets() {
-	if t.Opts.Incremental {
-		t.refreshNetsIncremental()
-		return
-	}
-	if t.Nets == nil {
-		t.Nets = timing.BuildNetStatesArena(t.G, t.Opts.Arena)
-		t.preSizeNetGrad()
-		t.fullPass = true
-	} else if t.evalCount%t.Opts.SteinerPeriod == 0 {
-		// Periodic topology rebuild reuses each net's buffers in place.
-		timing.RebuildNetStates(t.G, t.Nets)
-		t.fullPass = true
-	} else {
-		parallel.ForGuided(len(t.Nets), 16, parallel.CostDefault, t.refreshFn)
-		t.fullPass = false
-	}
-	t.evalCount++
-	parallel.ForGuided(len(t.Nets), 16, parallel.CostDefault, t.fwdNetsFn)
-}
-
-// refreshNetsIncremental is the displacement-driven refresh: a parallel scan
-// flags nets whose pins moved beyond RefreshEps against the geometry of
+// forward passes (Fig. 3 stages 1-2). It is displacement-driven: a parallel
+// scan flags nets whose pins moved beyond RefreshEps against the geometry of
 // their last refresh, the flags are compacted into dirtyNets, and only those
 // nets get the lazy refresh-or-rebuild plus Elmore forward. The first
 // evaluation and every FencePeriod-th evaluation instead refresh everything
 // (the fence that bounds sub-ε drift).
 //
 //dtgp:hotpath
-func (t *Timer) refreshNetsIncremental() {
+func (t *Timer) refreshNets() {
 	if t.Nets == nil {
 		t.Nets = timing.BuildNetStatesArena(t.G, t.Opts.Arena)
 		t.preSizeNetGrad()
@@ -906,7 +846,7 @@ func (t *Timer) ExactResult() *timing.Result {
 
 //dtgp:hotpath
 func (t *Timer) forward() {
-	if t.Opts.Incremental && !t.fullPass {
+	if !t.fullPass {
 		t.forwardIncremental()
 		return
 	}
@@ -1222,8 +1162,10 @@ func (t *Timer) driverLoadOf(pid int32) float64 {
 // ---------------------------------------------------------------------------
 // Objective and backward pass (§3.3 step 5).
 
-// softMin2Grad is the two-input smooth minimum with gradient weights,
-// arithmetically identical to SoftMinGrad(gamma, x0, x1) but allocation-free.
+// softMin2Grad is the two-input smooth minimum −LSE_γ(−x0, −x1) ("we
+// transform min to the max of the inverse value of operands", §3.2) with its
+// gradient weights, which are non-negative, sum to 1 and concentrate on the
+// smaller input.
 //
 //dtgp:hotpath
 func softMin2Grad(gamma, x0, x1 float64) (v, w0, w1 float64) {
@@ -1308,8 +1250,8 @@ func (t *Timer) objective(t1, t2 float64, seed bool) (float64, bool) {
 		t.SmTNS, t.SmWNS, t.EstTNS, t.EstWNS = 0, 0, 0, 0
 		return 0, false
 	}
-	// Inline softmin over endpoint slacks (same shifted form and summation
-	// order as SoftMinGrad, with the weights recomputed in the seed loop).
+	// Inline softmin over endpoint slacks (the shifted form of
+	// softMin2Grad, with the weights recomputed in the seed loop).
 	wnsM := math.Inf(-1)
 	for _, s := range t.sEps {
 		if -s > wnsM {
@@ -1620,6 +1562,6 @@ func (t *Timer) HealthScan() int {
 
 // String summarises the timer state for logs.
 func (t *Timer) String() string {
-	return fmt.Sprintf("difftimer{γ=%g steiner=%d evals=%d smWNS=%.1f smTNS=%.1f}",
-		t.Opts.Gamma, t.Opts.SteinerPeriod, t.evalCount, t.SmWNS, t.SmTNS)
+	return fmt.Sprintf("difftimer{γ=%g fence=%d evals=%d smWNS=%.1f smTNS=%.1f}",
+		t.Opts.Gamma, t.Opts.FencePeriod, t.evalCount, t.SmWNS, t.SmTNS)
 }

@@ -25,7 +25,9 @@ func makeTestBed(t *testing.T, cells int, seed int64) *timing.Graph {
 func TestTimerSmoothedTracksExact(t *testing.T) {
 	g := makeTestBed(t, 400, 21)
 	// Tiny γ → the smoothed engine degenerates to exact max/min.
-	tm := NewTimer(g, Options{Gamma: 0.01, SteinerPeriod: 10})
+	opts := DefaultOptions()
+	opts.Gamma = 0.01
+	tm := NewTimer(g, opts)
 	tm.Evaluate(1, 1)
 	exact := tm.ExactResult()
 	if math.Abs(tm.EstWNS-exact.WNS) > 2 {
@@ -49,7 +51,7 @@ func relDiff(a, b float64) float64 {
 
 func TestSmoothedBoundsExact(t *testing.T) {
 	g := makeTestBed(t, 400, 22)
-	tm := NewTimer(g, Options{Gamma: 100, SteinerPeriod: 10})
+	tm := NewTimer(g, DefaultOptions())
 	tm.Evaluate(1, 1)
 	// LSE overestimates max arrival → smoothed slacks underestimate true
 	// slacks → smoothed WNS must not be better (larger) than the
@@ -122,9 +124,8 @@ func TestGradientZeroForFixedOnlyMotion(t *testing.T) {
 func TestTimerGradientFiniteDifference(t *testing.T) {
 	g := makeTestBed(t, 150, 26)
 	d := g.D
-	// Large SteinerPeriod: topology built once, probes use the refresh
-	// path.
-	tm := NewTimer(g, Options{Gamma: 60, SteinerPeriod: 1 << 30})
+	// Frozen topology: built once, probes slide the trees with their pins.
+	tm := NewTimer(g, frozenOptions(60))
 	const t1, t2 = 0.01, 0.001
 	tm.Evaluate(t1, t2)
 	gradX := append([]float64(nil), tm.CellGradX...)
@@ -186,7 +187,7 @@ func TestTimerGradientFiniteDifference(t *testing.T) {
 func TestGradientDescentImprovesTiming(t *testing.T) {
 	g := makeTestBed(t, 300, 27)
 	d := g.D
-	tm := NewTimer(g, Options{Gamma: 100, SteinerPeriod: 1 << 30})
+	tm := NewTimer(g, frozenOptions(100))
 	const t1, t2 = 0.01, 0.001
 	f0 := tm.Evaluate(t1, t2)
 	if f0 <= 0 {
@@ -216,9 +217,11 @@ func TestGradientDescentImprovesTiming(t *testing.T) {
 
 func TestSteinerPeriodRebuild(t *testing.T) {
 	g := makeTestBed(t, 200, 28)
-	tm := NewTimer(g, Options{Gamma: 100, SteinerPeriod: 3})
-	// Move a cell a long way between evaluations; after the periodic
-	// rebuild the trees must re-adapt (no stale-topology crash, objective
+	opts := DefaultOptions()
+	opts.FencePeriod = 3
+	tm := NewTimer(g, opts)
+	// Move every cell a long way between evaluations; after the periodic
+	// fence the trees must re-adapt (no stale-topology crash, objective
 	// stays finite).
 	for iter := 0; iter < 7; iter++ {
 		f := tm.Evaluate(0.01, 0.001)
@@ -271,100 +274,5 @@ func TestTimerString(t *testing.T) {
 	tm.Evaluate(0.01, 0.001)
 	if s := tm.String(); len(s) == 0 {
 		t.Error("empty String()")
-	}
-}
-
-// TestHoldGradientFiniteDifference validates the early-mode (hold)
-// extension end to end, exactly like the setup-path check: analytic
-// ∂f/∂(cell position) of the hold objective vs central finite differences.
-func TestHoldGradientFiniteDifference(t *testing.T) {
-	g := makeTestBed(t, 150, 33)
-	d := g.D
-	tm := NewTimer(g, Options{Gamma: 300, SteinerPeriod: 1 << 30})
-	// Large γ keeps softneg unsaturated even at positive hold slacks, so
-	// gradients flow and the chain is fully exercised.
-	const t3 = 0.05
-	tm.EvaluateHold(0, 0, t3)
-	gradX := append([]float64(nil), tm.CellGradX...)
-	gradY := append([]float64(nil), tm.CellGradY...)
-
-	nonZero := 0
-	for ci := range gradX {
-		if gradX[ci] != 0 || gradY[ci] != 0 {
-			nonZero++
-		}
-	}
-	if nonZero == 0 {
-		t.Fatal("hold objective produced no gradients")
-	}
-
-	rng := rand.New(rand.NewSource(77))
-	const h = 0.02
-	checked := 0
-	for trial := 0; trial < 80 && checked < 20; trial++ {
-		ci := rng.Intn(len(d.Cells))
-		c := &d.Cells[ci]
-		if !c.Movable() || (gradX[ci] == 0 && gradY[ci] == 0) {
-			continue
-		}
-		probe := func(dx float64) float64 {
-			c.Pos.X += dx
-			f := tm.EvaluateHold(0, 0, t3)
-			c.Pos.X -= dx
-			return f
-		}
-		f0 := probe(0)
-		fdUp := (probe(h) - f0) / h
-		fdDn := (f0 - probe(-h)) / h
-		fd := (fdUp + fdDn) / 2
-		scale := math.Max(1e-9, math.Max(math.Abs(fd), math.Abs(gradX[ci])))
-		if math.Abs(fdUp-fdDn) > 0.02*scale {
-			continue // kink straddled
-		}
-		if math.Abs(fd-gradX[ci]) > 0.01*scale+1e-12 {
-			t.Errorf("cell %d (%s): hold dX analytic %v vs fd %v", ci, c.Name, gradX[ci], fd)
-		}
-		checked++
-	}
-	if checked < 8 {
-		t.Fatalf("only %d cells checked", checked)
-	}
-}
-
-// TestEvaluateHoldZeroWeightMatchesEvaluate: with t3 = 0 the hold path must
-// not change the setup objective or gradients.
-func TestEvaluateHoldZeroWeightMatchesEvaluate(t *testing.T) {
-	g := makeTestBed(t, 200, 34)
-	tm1 := NewTimer(g, DefaultOptions())
-	tm2 := NewTimer(g, DefaultOptions())
-	f1 := tm1.Evaluate(0.01, 0.001)
-	f2 := tm2.EvaluateHold(0.01, 0.001, 0)
-	if f1 != f2 {
-		t.Fatalf("objectives differ: %v vs %v", f1, f2)
-	}
-	for ci := range tm1.CellGradX {
-		if tm1.CellGradX[ci] != tm2.CellGradX[ci] {
-			t.Fatal("gradients differ with t3=0")
-		}
-	}
-}
-
-// TestEarlyNotAfterLateSmoothed: the smoothed early arrival estimate never
-// exceeds the smoothed late arrival at any valid pin (soft-min ≤ soft-max
-// of the same candidate structure, and early slews are faster).
-func TestEarlyNotAfterLateSmoothed(t *testing.T) {
-	g := makeTestBed(t, 300, 35)
-	tm := NewTimer(g, Options{Gamma: 50, SteinerPeriod: 10})
-	tm.EvaluateHold(0.01, 0.001, 0.01)
-	for i := range tm.AT {
-		if !tm.Valid[i] || !tm.hold.Valid[i] {
-			continue
-		}
-		if tm.hold.HardAT[i] > tm.HardAT[i]+1e-6 {
-			t.Fatalf("hard early AT %v > hard late AT %v at %d", tm.hold.HardAT[i], tm.HardAT[i], i)
-		}
-	}
-	if tm.SmTHS > 0 {
-		t.Errorf("smoothed THS must be ≤ 0, got %v", tm.SmTHS)
 	}
 }

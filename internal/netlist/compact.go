@@ -14,11 +14,9 @@ import "dtgp/internal/arena"
 // the pipeline appends after Finish) reallocates onto the GC heap instead
 // of clobbering the neighbouring list.
 //
-// Compact is idempotent: a second call is a no-op, which also makes it safe
-// to reuse a design across placement runs that Reset and re-carve a shared
-// arena (re-copying into a reset slab would alias source and destination).
-// A nil arena compacts into a plain heap slab (the -no-arena path never
-// calls Compact at all).
+// Compact is idempotent: a second call is a no-op, so a design placed again
+// keeps the slab of its first compaction. A nil arena compacts into a plain
+// heap slab.
 func (d *Design) Compact(a *arena.Arena) {
 	if d.compacted {
 		return

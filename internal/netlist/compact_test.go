@@ -69,15 +69,13 @@ func TestCompactFlatBacking(t *testing.T) {
 	}
 }
 
-// TestCompactIdempotent: a second Compact (e.g. reusing a design across
-// runs on a reset arena) must not move or re-copy anything.
+// TestCompactIdempotent: a second Compact (a design placed again, by a run
+// with an arena of its own) must not move or re-copy anything.
 func TestCompactIdempotent(t *testing.T) {
 	d := buildToy(t)
-	a := arena.New(1 << 12)
-	d.Compact(a)
+	d.Compact(arena.New(1 << 12))
 	before := unsafe.SliceData(d.Cells[0].Pins)
-	a.Reset() // a second copy pass would now alias source and destination
-	d.Compact(a)
+	d.Compact(arena.New(1 << 12))
 	if unsafe.SliceData(d.Cells[0].Pins) != before {
 		t.Fatalf("Compact not idempotent: pin lists moved")
 	}
@@ -93,18 +91,22 @@ func TestCompactNilArena(t *testing.T) {
 }
 
 // TestCloneAfterCompact: a clone of a compacted design owns fresh heap
-// slices and must survive the original's arena being reset.
+// slices and must survive the original's slab being overwritten.
 func TestCloneAfterCompact(t *testing.T) {
 	d := buildToy(t)
-	a := arena.New(1 << 12)
-	d.Compact(a)
+	d.Compact(arena.New(1 << 12))
 	c := d.Clone()
-	a.Reset()
-	junk := arena.Make[int32](a, 256)
-	for i := range junk {
-		junk[i] = -12345
+	for ci := range d.Cells {
+		for k := range d.Cells[ci].Pins {
+			d.Cells[ci].Pins[k] = -12345
+		}
+	}
+	for ni := range d.Nets {
+		for k := range d.Nets[ni].Pins {
+			d.Nets[ni].Pins[k] = -12345
+		}
 	}
 	if err := c.Validate(); err != nil {
-		t.Fatalf("clone corrupted by arena reset: %v", err)
+		t.Fatalf("clone corrupted through the original's slab: %v", err)
 	}
 }

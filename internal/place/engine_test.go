@@ -2,8 +2,10 @@ package place
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"dtgp/internal/core"
 	"dtgp/internal/gen"
 )
 
@@ -163,5 +165,44 @@ func TestOverflowZeroWhenSpread(t *testing.T) {
 	ovRandom := e.overflow(z)
 	if ovRandom >= ov {
 		t.Errorf("random placement overflow %v not below centered-clump overflow %v", ovRandom, ov)
+	}
+}
+
+// TestAblationKnobsReachTimer: every option an ablation sweeps must reach
+// the differentiable timer, or the sweep prints equal rows without anyone
+// noticing. The fence cadence and γ are read back from the timer's options;
+// the Eq. 6 weights, which the engine passes to Evaluate, must each change
+// the timer gradient.
+func TestAblationKnobsReachTimer(t *testing.T) {
+	d0, con, err := gen.Generate(gen.DefaultParams("e", 300, 66))
+	if err != nil {
+		t.Fatal(err)
+	}
+	timerAfterGradient := func(configure func(*Options)) *core.Timer {
+		opts := DefaultOptions(ModeDiffTiming)
+		configure(&opts)
+		e, err := newEngine(d0.Clone(), con, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.timingActive, e.tGrow = true, 1
+		e.gradient(e.z, make([]float64, len(e.z)), 1)
+		return e.timer
+	}
+	tm := timerAfterGradient(func(o *Options) { o.FencePeriod, o.TimingGamma = 7, 42 })
+	if tm.Opts.FencePeriod != 7 || tm.Opts.Gamma != 42 {
+		t.Errorf("timer runs FencePeriod %d, γ %v; want 7, 42", tm.Opts.FencePeriod, tm.Opts.Gamma)
+	}
+	both := timerAfterGradient(func(*Options) {}).CellGradX
+	for _, w := range []struct {
+		name string
+		zero func(*Options)
+	}{
+		{"T1", func(o *Options) { o.T1 = 0 }},
+		{"T2", func(o *Options) { o.T2 = 0 }},
+	} {
+		if slices.Equal(timerAfterGradient(w.zero).CellGradX, both) {
+			t.Errorf("zeroing %s leaves the timer gradient unchanged", w.name)
+		}
 	}
 }

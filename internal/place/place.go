@@ -103,25 +103,19 @@ type Options struct {
 	TimingScale float64
 	// TimingGamma is the LSE smoothing γ of the differentiable timer.
 	TimingGamma float64
-	// SteinerPeriod is the Steiner-tree reuse period (§3.6) of the timer's
-	// full-refresh mode; ignored when incremental timing is active (the
-	// default — see ExactRefresh).
-	SteinerPeriod int
+	// FencePeriod is the Steiner-tree reuse period (§3.6, "every 10
+	// iterations"): the differentiable timer's full-refresh fence
+	// re-extracts every moved net's topology once per FencePeriod
+	// evaluations (core.Options.FencePeriod).
+	FencePeriod int
 	// NetWeightPeriod is the STA/reweight cadence of ModeNetWeight, in
 	// iterations ([24] reweights every iteration on GPU).
 	NetWeightPeriod int
-	// ExactRefresh disables displacement-driven incremental timing (the
-	// A/B baseline): the differentiable timer re-extracts and re-propagates
-	// everything each evaluation on the legacy SteinerPeriod cadence, and
-	// the net-weighting hook runs from-scratch exact STA instead of the
-	// maintained incremental engine. Results are bit-identical either way;
-	// only the work per iteration differs.
-	ExactRefresh bool
 	// FullBackward disables the cone-restricted sparse backward pass (the
 	// quality A/B baseline): every timer evaluation seeds all violating
-	// endpoints and runs the full reverse sweep. Unlike ExactRefresh this
-	// changes the gradient (sparse is an approximation outside the cones),
-	// so the A/B comparison is on final WNS/TNS, not bit-identity.
+	// endpoints and runs the full reverse sweep. This changes the gradient
+	// (sparse is an approximation outside the cones), so the A/B comparison
+	// is on final WNS/TNS, not bit-identity.
 	FullBackward bool
 	// TimingTopK caps how many critical endpoints the sparse backward pass
 	// seeds per evaluation (0 = the timer's auto quota). Ignored when
@@ -173,18 +167,7 @@ type Options struct {
 	// DetailedPasses > 0 runs detailed-placement refinement after
 	// legalization (intra-row + global swaps).
 	DetailedPasses int
-	// NoArena disables the chunked arena behind the netlist/timing SoA
-	// builders, keeping the legacy per-slice heap allocation (the -no-arena
-	// A/B flag). Results are bit-identical either way; the arena only
-	// changes backing storage and allocation count.
-	NoArena bool
-	// Arena, when non-nil (and NoArena unset), is reused as the run's slab
-	// storage instead of allocating a fresh one: it is Reset and re-carved,
-	// so the slabs of a previous run on the same arena are recycled. The
-	// caller must not touch the previous run's engine after handing its
-	// arena to a new run. nil allocates a private arena per run.
-	Arena *arena.Arena
-	// Quiet suppresses progress output via Logf.
+	// Logf receives progress output; nil discards it.
 	Logf func(format string, args ...any)
 }
 
@@ -205,7 +188,7 @@ func DefaultOptions(mode Mode) Options {
 		TimingGrowth:        1.01,
 		TimingScale:         0.15,
 		TimingGamma:         100,
-		SteinerPeriod:       10,
+		FencePeriod:         10,
 		NetWeightPeriod:     1,
 		TracePeriod:         10,
 		Guard:               guard.DefaultConfig(),
@@ -312,8 +295,7 @@ type engine struct {
 	graph *timing.Graph
 	timer *core.Timer
 	nwUp  *netweight.Updater
-	// arena backs the netlist/timer/net-state SoA storage for this run
-	// (nil with Options.NoArena).
+	// arena backs the netlist/timer/net-state SoA storage for this run.
 	arena *arena.Arena
 	// staInc is the lazily built incremental exact-STA engine backing the
 	// net-weighting hook; staX/staY snapshot the cell positions it has
@@ -382,20 +364,10 @@ func newEngine(d *netlist.Design, con *sdc.Constraints, opts Options) (*engine, 
 	e.nReal = len(d.Cells)
 
 	// Slab storage for the big SoA surfaces (netlist pin lists, timer
-	// state, per-net Steiner/RC buffers). A reused arena is reset first:
-	// its slabs are recycled for this run's carving. Compact is idempotent,
-	// so a design re-placed with its pin lists already flat keeps them —
-	// re-copying into a freshly reset slab would alias source and
-	// destination.
-	if !opts.NoArena {
-		e.arena = opts.Arena
-		if e.arena == nil {
-			e.arena = arena.New(arenaChunkSize(e.nReal))
-		} else {
-			e.arena.Reset()
-		}
-		d.Compact(e.arena)
-	}
+	// state, per-net Steiner/RC buffers). Compact is idempotent, so a
+	// design re-placed with its pin lists already flat keeps them.
+	e.arena = arena.New(arenaChunkSize(e.nReal))
+	d.Compact(e.arena)
 
 	// Fillers occupy the whitespace so the density system has a
 	// well-defined equilibrium (ePlace §filler insertion).
@@ -493,8 +465,7 @@ func newEngine(d *netlist.Design, con *sdc.Constraints, opts Options) (*engine, 
 		if opts.Mode == ModeDiffTiming {
 			tOpts := core.DefaultOptions()
 			tOpts.Gamma = opts.TimingGamma
-			tOpts.SteinerPeriod = opts.SteinerPeriod
-			tOpts.Incremental = !opts.ExactRefresh
+			tOpts.FencePeriod = opts.FencePeriod
 			tOpts.SparseBackward = !opts.FullBackward
 			tOpts.TopK = opts.TimingTopK
 			tOpts.Arena = e.arena
@@ -774,17 +745,12 @@ func (e *engine) step(st *optState, iter int, res *Result, quiet bool) (err erro
 	opts := &e.opts
 	n2 := len(st.u)
 
-	// Net-weighting hook: exact STA on the current major iterate —
-	// incremental by default, from-scratch when ExactRefresh is set. The
-	// two agree bitwise (the incremental engine runs with Epsilon 0), so
-	// the A/B flag changes work, not weights.
+	// Net-weighting hook: exact STA on the current major iterate, served
+	// by the maintained incremental engine (Epsilon 0, so its slacks equal
+	// a from-scratch timing.Analyze bitwise).
 	if e.nwUp != nil && e.timingActive && iter%max(1, opts.NetWeightPeriod) == 0 {
 		e.writePositions(st.u)
-		if opts.ExactRefresh {
-			e.nwUp.Update(e.d, timing.Analyze(e.graph))
-		} else {
-			e.nwUp.Update(e.d, e.incrementalSTA())
-		}
+		e.nwUp.Update(e.d, e.incrementalSTA())
 	}
 
 	wlNorm, dNorm := e.gradient(st.v, st.g, iter)

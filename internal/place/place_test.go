@@ -2,6 +2,7 @@ package place
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"dtgp/internal/gen"
@@ -207,6 +208,52 @@ func TestNetWeightFlowImprovesTiming(t *testing.T) {
 	}
 	if resNW.WNS <= staWL.WNS {
 		t.Errorf("netweight WNS %v not better than wirelength %v", resNW.WNS, staWL.WNS)
+	}
+}
+
+// TestIncrementalSTAMatchesAnalyze: the net-weighting hook's maintained
+// exact STA must agree bitwise with the from-scratch oracle, timing.Analyze,
+// at every call — after ordinary moves and after a rollback that rewrites
+// positions behind the engine's back — so each reweight sees exactly the
+// slacks a from-scratch analysis gives.
+func TestIncrementalSTAMatchesAnalyze(t *testing.T) {
+	d, con, err := gen.Generate(gen.DefaultParams("p", 400, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := newEngine(d, con, DefaultOptions(ModeNetWeight))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	z := append([]float64(nil), e.z...)
+	var saved []float64
+	for call := 0; call < 8; call++ {
+		if call == 5 {
+			copy(z, saved) // rollback to the iterate of call 2
+		} else {
+			for k := 0; k < 20; k++ {
+				z[rng.Intn(len(z))] += rng.NormFloat64() * 30
+			}
+			e.clamp(z)
+		}
+		if call == 2 {
+			saved = append([]float64(nil), z...)
+		}
+		e.writePositions(z)
+		inc := e.incrementalSTA()
+		ref := timing.Analyze(e.graph)
+		if inc.WorstSlack() != ref.WorstSlack() || inc.TNS != ref.TNS {
+			t.Fatalf("call %d: WNS %v vs %v, TNS %v vs %v", call, inc.WorstSlack(), ref.WorstSlack(), inc.TNS, ref.TNS)
+		}
+		for pi := range d.Pins {
+			for tr := timing.Rise; tr <= timing.Fall; tr++ {
+				si, sr := inc.PinSlack(int32(pi), tr), ref.PinSlack(int32(pi), tr)
+				if si != sr && !(math.IsInf(si, 1) && math.IsInf(sr, 1)) {
+					t.Fatalf("call %d: pin %d slack %v vs %v", call, pi, si, sr)
+				}
+			}
+		}
 	}
 }
 

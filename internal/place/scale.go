@@ -23,7 +23,7 @@ type ScaleStats struct {
 	// SecPerIter is the steady-state mean over IterSec[1:] (IterSec[0]
 	// when only one iteration ran).
 	SecPerIter float64
-	// Arena reports slab usage (zero value under NoArena).
+	// Arena reports the engine's slab usage.
 	Arena arena.Stats
 }
 
@@ -74,8 +74,6 @@ func RunScaleBench(d *netlist.Design, con *sdc.Constraints, opts Options, iters 
 	} else {
 		stats.SecPerIter = stats.IterSec[0]
 	}
-	if e.arena != nil {
-		stats.Arena = e.arena.Stats()
-	}
+	stats.Arena = e.arena.Stats()
 	return stats, nil
 }

@@ -67,8 +67,9 @@ func runAblation(opts SuiteOptions, configure func(label string, po *place.Optio
 }
 
 // RunAblationSteinerPeriod sweeps the Steiner-tree reuse period (§3.6's
-// "every 10 iterations" design choice; ∞ disables rebuilds entirely after
-// the first construction).
+// "every 10 iterations" design choice): the timer's full-refresh fence
+// cadence, place.Options.FencePeriod. "never rebuild" leaves only the first
+// construction and the per-net rebuilds of violently distorted nets.
 func RunAblationSteinerPeriod(opts SuiteOptions) ([]AblationRow, error) {
 	periods := map[string]int{
 		"rebuild every iter": 1,
@@ -79,7 +80,7 @@ func RunAblationSteinerPeriod(opts SuiteOptions) ([]AblationRow, error) {
 	}
 	labels := []string{"rebuild every iter", "period 5", "period 10 (paper)", "period 20", "never rebuild"}
 	return runAblation(opts, func(label string, po *place.Options) {
-		po.SteinerPeriod = periods[label]
+		po.FencePeriod = periods[label]
 	}, labels)
 }
 

@@ -149,6 +149,29 @@ func TestAblationWeightsQuick(t *testing.T) {
 	}
 }
 
+// TestAblationSteinerQuick: A1 sweeps the timer's fence cadence, so its
+// rows cannot all be equal; equal rows mean the swept option no longer
+// reaches the timer.
+func TestAblationSteinerQuick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multiple placement runs")
+	}
+	rows, err := RunAblationSteinerPeriod(quickSuite())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 5 {
+		t.Fatalf("rows = %d", len(rows))
+	}
+	for _, r := range rows[1:] {
+		if r.WNS != rows[0].WNS || r.TNS != rows[0].TNS || r.HPWL != rows[0].HPWL {
+			return
+		}
+	}
+	t.Errorf("all %d rows equal (WNS %v, TNS %v, HPWL %v): the swept period does not reach the timer",
+		len(rows), rows[0].WNS, rows[0].TNS, rows[0].HPWL)
+}
+
 func TestUnknownPresetErrors(t *testing.T) {
 	opts := quickSuite()
 	opts.Presets = []string{"bogus"}

@@ -118,13 +118,12 @@ type ScaleReport struct {
 	Go          string     `json:"go"`
 	CPUs        int        `json:"cpus"`
 	Iters       int        `json:"iters"`
-	Arena       bool       `json:"arena"`
 	Benchmarks  []ScaleRow `json:"benchmarks"`
 }
 
 // RunScalePoint generates the spec's design and times netlist build plus
 // `iters` timing-driven iterations through place.RunScaleBench.
-func RunScalePoint(spec ScaleSpec, iters int, noArena bool, logf func(string, ...any)) (*ScaleRow, error) {
+func RunScalePoint(spec ScaleSpec, iters int, logf func(string, ...any)) (*ScaleRow, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
@@ -142,9 +141,7 @@ func RunScalePoint(spec ScaleSpec, iters int, noArena bool, logf func(string, ..
 	s := d.Stats()
 	logf("%s: generated %d cells / %d nets / %d pins in %.1fs", spec.Name, s.Cells, s.Nets, s.Pins, genSec)
 
-	opts := place.DefaultOptions(place.ModeDiffTiming)
-	opts.NoArena = noArena
-	st, err := place.RunScaleBench(d, con, opts, iters)
+	st, err := place.RunScaleBench(d, con, place.DefaultOptions(place.ModeDiffTiming), iters)
 	if err != nil {
 		return nil, fmt.Errorf("report: %s: %w", spec.Name, err)
 	}
@@ -171,7 +168,7 @@ func RunScalePoint(spec ScaleSpec, iters int, noArena bool, logf func(string, ..
 
 // RunScaleSweep measures every spec in ascending size order (see
 // ScaleRow.PeakRSSMB) and assembles the committed report.
-func RunScaleSweep(specs []ScaleSpec, iters int, noArena bool, logf func(string, ...any)) (*ScaleReport, error) {
+func RunScaleSweep(specs []ScaleSpec, iters int, logf func(string, ...any)) (*ScaleReport, error) {
 	sorted := append([]ScaleSpec(nil), specs...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].TargetCells() < sorted[j].TargetCells() })
 	rep := &ScaleReport{
@@ -186,10 +183,9 @@ func RunScaleSweep(specs []ScaleSpec, iters int, noArena bool, logf func(string,
 		Go:    runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
 		CPUs:  runtime.NumCPU(),
 		Iters: iters,
-		Arena: !noArena,
 	}
 	for _, spec := range sorted {
-		row, err := RunScalePoint(spec, iters, noArena, logf)
+		row, err := RunScalePoint(spec, iters, logf)
 		if err != nil {
 			return nil, err
 		}

@@ -43,7 +43,7 @@ func TestRunScaleSweepQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunScaleSweep(specs, 2, false, nil)
+	rep, err := RunScaleSweep(specs, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestRunScaleSweepQuick(t *testing.T) {
 			t.Fatalf("%s: incoherent timings: %+v", row.Name, row)
 		}
 		if row.ArenaMB <= 0 {
-			t.Fatalf("%s: arena run reports no arena footprint", row.Name)
+			t.Fatalf("%s: run reports no arena footprint", row.Name)
 		}
 	}
 	js, err := rep.JSON()

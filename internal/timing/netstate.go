@@ -282,17 +282,6 @@ func RefreshNetStateLazy(g *Graph, ns *NetState, distortionLimit float64) {
 	RefreshNetState(g, ns)
 }
 
-// RefreshNetStates updates every net from current pin positions.
-//
-//dtgp:hotpath
-func RefreshNetStates(g *Graph, states []NetState) {
-	parallel.ForGuided(len(states), 16, parallel.CostDefault, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			RefreshNetState(g, &states[i])
-		}
-	})
-}
-
 // ForwardAll runs the Elmore forward passes on every net, in parallel. Its
 // batch adjoint is the core timer's elmoreBackward sweep.
 //

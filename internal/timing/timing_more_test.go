@@ -248,7 +248,9 @@ func TestNetStateRefreshMatchesRebuild(t *testing.T) {
 			d.Cells[ci].Pos.X += 0.25
 		}
 	}
-	RefreshNetStates(g, nets)
+	for i := range nets {
+		RefreshNetState(g, &nets[i])
+	}
 	ForwardAll(nets)
 	r1 := AnalyzeWithNets(g, nets)
 	// Reference: full rebuild.
