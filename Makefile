@@ -3,10 +3,19 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: build vet vet-budget vet-fixtures test race bench bench-smoke bench-scale bench-scale-smoke bench-module-test examples-smoke check fuzz-smoke chaos-smoke
+.PHONY: build fmt-check vet vet-budget vet-fixtures test race bench bench-smoke bench-scale bench-scale-smoke bench-module-test examples-smoke check fuzz-smoke chaos-smoke
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: every tracked Go file must be gofmt-clean. The analyzer
+# fixtures under testdata/ are exempt: their .golden files record line
+# numbers that reformatting would shift.
+fmt-check:
+	@unformatted=$$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then \
+		echo "fmt-check: gofmt -l reports:" >&2; echo "$$unformatted" >&2; exit 1; \
+	fi
 
 # Static-analysis suite: dirtymark, errflow, floatdet, gradpair, hotalloc,
 # indexspace, mapiter, parsafe, scratchlife (see internal/analysis and
@@ -117,11 +126,11 @@ examples-smoke:
 	$(GO) run ./examples/stareport
 	$(GO) run ./examples/quickstart
 
-# check is the full pre-merge gate: compile, static analysis, the whole test
-# suite, the benchmark module's tests, the examples, the race detector over
-# the quick (-short) suite, the chaos/resume robustness matrix, the benchmark
-# smoke, and the parser+codec fuzz smoke.
-check: build vet
+# check is the full pre-merge gate: compile, formatting, static analysis,
+# the whole test suite, the benchmark module's tests, the examples, the race
+# detector over the quick (-short) suite, the chaos/resume robustness
+# matrix, the benchmark smoke, and the parser+codec fuzz smoke.
+check: build fmt-check vet
 	$(MAKE) vet-fixtures
 	$(GO) test ./...
 	$(MAKE) bench-module-test

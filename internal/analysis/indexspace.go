@@ -176,7 +176,7 @@ type indexState struct {
 	localAnn map[*types.Var]idxAnn
 	// lineAnn indexes every dtgp:index comment by file and line for
 	// local-declaration attachment.
-	lineAnn   map[string]map[int]*idxComment
+	lineAnn  map[string]map[int]*idxComment
 	comments []*idxComment
 	// declResults holds declared result annotations keyed by function,
 	// merged into summaries when they are built.

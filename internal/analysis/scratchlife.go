@@ -42,8 +42,8 @@ func runScratchLife(pass *Pass) error {
 // scratchSite is one pool.Get assignment and its alias closure.
 type scratchSite struct {
 	id      int
-	pos     ast.Node       // the Get assignment, for leak reports
-	name    string         // display name of the Get target
+	pos     ast.Node // the Get assignment, for leak reports
+	name    string   // display name of the Get target
 	members map[types.Object]bool
 }
 

@@ -94,6 +94,17 @@ func TestParsePl(t *testing.T) {
 	}
 }
 
+// TestParsePlRejectsNonFinite: strconv parses nan and inf, but a non-finite
+// coordinate must be a line-numbered error, not a placement.
+func TestParsePlRejectsNonFinite(t *testing.T) {
+	for _, xy := range []string{"nan 10", "10 NaN", "inf 10", "10 -Inf", "+inf +inf"} {
+		_, err := ParsePl("UCLA pl 1.0\na 1 2 : N\nb " + xy + " : N\n")
+		if err == nil || !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("coordinates %q: err = %v, want a line 3 error", xy, err)
+		}
+	}
+}
+
 func TestParseScl(t *testing.T) {
 	src := `UCLA scl 1.0
 NumRows : 2
@@ -140,6 +151,56 @@ func TestParseNodes(t *testing.T) {
 	}
 	if !ni.Terminal["p"] || ni.Terminal["a"] {
 		t.Error("terminal flags wrong")
+	}
+}
+
+// TestParseNodesRejectsNonFinite: a nan or inf node size is a line-numbered
+// error.
+func TestParseNodesRejectsNonFinite(t *testing.T) {
+	for _, wh := range []string{"nan 12", "3 inf", "-Inf 12"} {
+		_, err := ParseNodes("UCLA nodes 1.0\n  a 3 12\n  b " + wh + "\n")
+		if err == nil || !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("sizes %q: err = %v, want a line 3 error", wh, err)
+		}
+	}
+}
+
+// TestLoadRejectsNonFinitePlacement: one NaN coordinate in a saved
+// benchmark fails Load with an error naming the .pl file, instead of
+// loading a design whose poisoned nets time as untimed.
+func TestLoadRejectsNonFinitePlacement(t *testing.T) {
+	d, con, err := gen.Generate(gen.DefaultParams("nf", 200, 24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := Save(dir, "nf", d, con); err != nil {
+		t.Fatal(err)
+	}
+	pl := filepath.Join(dir, "nf.pl")
+	src, err := os.ReadFile(pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := d.Cells[d.NumCells()-1].Name
+	lines := strings.Split(string(src), "\n")
+	poisoned := false
+	for i, line := range lines {
+		if f := strings.Fields(line); len(f) >= 3 && f[0] == name {
+			f[1] = "nan"
+			lines[i] = strings.Join(f, " ")
+			poisoned = true
+		}
+	}
+	if !poisoned {
+		t.Fatalf("cell %s not found in %s", name, pl)
+	}
+	if err := os.WriteFile(pl, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = Load(dir, "nf")
+	if err == nil || !strings.Contains(err.Error(), pl) || !strings.Contains(err.Error(), "line ") {
+		t.Fatalf("Load err = %v, want a line-numbered error naming %s", err, pl)
 	}
 }
 

@@ -51,10 +51,10 @@ func ParsePl(src string) (*Placement, error) {
 		if len(fields) < 3 {
 			return nil, fmt.Errorf("bookshelf: line %d: bad pl line %q", ln, line)
 		}
-		x, err1 := strconv.ParseFloat(fields[1], 64)
-		y, err2 := strconv.ParseFloat(fields[2], 64)
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("bookshelf: line %d: bad coordinates in %q", ln, line)
+		x, okX := parseFinite(fields[1])
+		y, okY := parseFinite(fields[2])
+		if !okX || !okY {
+			return nil, fmt.Errorf("bookshelf: line %d: bad coordinates in %q (want finite numbers)", ln, line)
 		}
 		p.Pos[fields[0]] = geom.Point{X: x, Y: y}
 		if strings.Contains(line, "/FIXED") {
@@ -65,6 +65,14 @@ func ParsePl(src string) (*Placement, error) {
 		return nil, fmt.Errorf("bookshelf: reading pl: %w", err)
 	}
 	return p, nil
+}
+
+// parseFinite parses a finite number. strconv accepts "nan" and "inf",
+// which would flow through placement and timing as poisoned coordinates
+// or sizes, so they are rejected like any other malformed number.
+func parseFinite(s string) (float64, bool) {
+	v, err := strconv.ParseFloat(s, 64)
+	return v, err == nil && !math.IsNaN(v) && !math.IsInf(v, 0)
 }
 
 // Rows holds parsed .scl content.
@@ -163,10 +171,10 @@ func ParseNodes(src string) (*NodeInfo, error) {
 		if len(f) < 3 {
 			continue
 		}
-		w, err1 := strconv.ParseFloat(f[1], 64)
-		h, err2 := strconv.ParseFloat(f[2], 64)
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("bookshelf: line %d: bad nodes line %q", ln, line)
+		w, okW := parseFinite(f[1])
+		h, okH := parseFinite(f[2])
+		if !okW || !okH {
+			return nil, fmt.Errorf("bookshelf: line %d: bad nodes line %q (want finite sizes)", ln, line)
 		}
 		ni.W[f[0]] = w
 		ni.H[f[0]] = h

@@ -1,6 +1,12 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"dtgp/internal/arena"
+	"dtgp/internal/gen"
+	"dtgp/internal/timing"
+)
 
 // TestEvaluateSteadyStateAllocFree pins down the allocation-free hot path:
 // with topology frozen and most cells moving between evaluations, every
@@ -35,5 +41,50 @@ func TestEvaluateValueOnlySteadyStateAllocFree(t *testing.T) {
 	eval()
 	if allocs := testing.AllocsPerRun(10, eval); allocs != 0 {
 		t.Errorf("EvaluateValueOnly allocated %v objects/op in steady state, want 0", allocs)
+	}
+}
+
+// TestEvaluateFenceAllocFree extends the contract to fence evaluations:
+// with FencePeriod 1 every call re-extracts each moved net's Steiner and RC
+// trees and runs the full sweeps. The cells alternate between two
+// placements, so every rebuilt tree fits buffers an earlier build grew, and
+// the arena pre-sizes the per-net gradient accumulators. A longer period
+// would hide a per-fence allocation: AllocsPerRun rounds the per-call
+// average down.
+func TestEvaluateFenceAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled Steiner scratch, so net rebuilds allocate")
+	}
+	d, con, err := gen.Generate(gen.DefaultParams("core-fence", 400, 33))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := arena.New(1 << 20)
+	d.Compact(a)
+	g, err := timing.NewGraph(d, con)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.FencePeriod = 1
+	opts.Arena = a
+	tm := NewTimer(g, opts)
+	x0, y0 := d.Positions()
+	moveCells(d, 0)
+	x1, y1 := d.Positions()
+	flip := false
+	eval := func() {
+		if flip = !flip; flip {
+			d.SetPositions(x0, y0)
+		} else {
+			d.SetPositions(x1, y1)
+		}
+		tm.Evaluate(0.01, 0.001)
+	}
+	for i := 0; i < 4; i++ {
+		eval()
+	}
+	if allocs := testing.AllocsPerRun(10, eval); allocs != 0 {
+		t.Errorf("fence Evaluate allocated %v objects/op in steady state, want 0", allocs)
 	}
 }

@@ -129,7 +129,7 @@ func TestGroupsCSRStructure(t *testing.T) {
 			if g.IsStart[pid] {
 				continue
 			}
-			if g.IsNetSink[pid] && tm.netOfSink[pid] < 0 {
+			if g.IsNetSink[pid] && g.NetOfSink[pid] < 0 {
 				continue
 			}
 			if !g.IsNetSink[pid] && !g.IsCellOut[pid] {

@@ -7,8 +7,6 @@ import (
 	"dtgp/internal/arena"
 	"dtgp/internal/bitset"
 	"dtgp/internal/parallel"
-	"dtgp/internal/rctree"
-	"dtgp/internal/timing"
 )
 
 // ConeStats summarises the sparse backward behaviour of a Timer: how many
@@ -89,16 +87,10 @@ type sparseState struct {
 	//dtgp:cached by=buildSparseState,backwardSparse
 	coneValid bool
 
-	// Touched-net tracking: the sweep kernels flag nets whose Elmore
-	// accumulators they actually wrote (sink side and driver side have
-	// distinct single-writer groups, hence two flag arrays), so the Elmore
-	// backward, the scatter and the end-of-pass accumulator re-zeroing all
-	// run over the touched list instead of scanning the whole cone.
-	netTouchedSink []bool  //dtgp:index domain=net
-	netTouchedDrv  []bool  //dtgp:index domain=net
-	touchedNets    []int32 //dtgp:index elem=net
-	cellMark       bitset.Set
-	touchedCells   []int32 //dtgp:index elem=cell
+	// Cells adjacent to a touched net (Timer.touchedNets): the gather pass
+	// runs over these only.
+	cellMark     bitset.Set
+	touchedCells []int32 //dtgp:index elem=cell
 
 	// Fig. 4 two-pass scatter state: per-net per-pin-slot gradient
 	// accumulators and the static cell→(net, slot) transpose in CSR form
@@ -108,10 +100,6 @@ type sparseState struct {
 	cellSlotStart []int32     //dtgp:index domain=cell
 	cellSlotNet   []int32     //dtgp:index elem=net
 	cellSlotPos   []int32     //dtgp:index elem=npin
-
-	// pruneAbs is the absolute adjoint deadband of the current sparse pass
-	// (ConePrune × the largest seeded adjoint magnitude).
-	pruneAbs float64
 
 	// Stale-gradient memory: the cell gradients emitted by the previous
 	// pass, reused with geometric decay for non-cone contributions. warm
@@ -125,7 +113,6 @@ type sparseState struct {
 	curGroups []bwdGroup
 	curList   []int32
 	sweepFn   func(i int)
-	elmoreFn  func(w, lo, hi int)
 	scatterFn func(w, lo, hi int)
 	decayFn   func(w, lo, hi int)
 	gatherFn  func(w, lo, hi int)
@@ -212,9 +199,6 @@ func (t *Timer) buildSparseState() {
 	sb.coneNets = arena.MakeCap[int32](a, 0, len(d.Nets))
 	sb.seedPins = arena.MakeCap[int32](a, 0, nEps)
 	sb.prevSeedPins = arena.MakeCap[int32](a, 0, nEps)
-	sb.netTouchedSink = arena.Make[bool](a, len(d.Nets))
-	sb.netTouchedDrv = arena.Make[bool](a, len(d.Nets))
-	sb.touchedNets = arena.MakeCap[int32](a, 0, len(d.Nets))
 	sb.cellMark.Grow(len(d.Cells))
 	sb.touchedCells = arena.MakeCap[int32](a, 0, len(d.Cells))
 
@@ -270,8 +254,7 @@ func (t *Timer) buildSparseState() {
 		t.gImpSq = make([][]float64, len(d.Nets))
 	}
 
-	sb.sweepFn = t.sweepConeGroup
-	sb.elmoreFn = t.elmoreBackwardCone
+	sb.sweepFn = func(i int) { t.backwardGroup(&sb.curGroups[sb.curList[i]]) }
 	sb.scatterFn = t.scatterNetGrads
 	sb.decayFn = t.decayCellGrads
 	sb.gatherFn = t.gatherCellGrads
@@ -398,24 +381,22 @@ func (t *Timer) backwardSparse(t1, t2 float64) float64 {
 	// Collect the nets the sweep actually wrote (deterministic: cone-list
 	// order filtered by the single-writer touch flags), then run Elmore
 	// backward (Eq. 8) over exactly those.
-	sb.touchedNets = sb.touchedNets[:0]
+	t.touchedNets = t.touchedNets[:0]
 	for _, ni := range sb.coneNets {
-		if sb.netTouchedSink[ni] || sb.netTouchedDrv[ni] {
-			sb.touchedNets = append(sb.touchedNets, ni)
-		}
+		t.collectTouched(ni)
 	}
-	parallel.ForGuided(len(sb.touchedNets), 4, parallel.CostHeavy, sb.elmoreFn)
+	parallel.ForGuided(len(t.touchedNets), 4, parallel.CostHeavy, t.elmoreFn)
 
 	// Fig. 4 redistribution as a deterministic two-pass scatter: per-net
 	// Steiner gradients fold into per-pin-slot accumulators (single writer
 	// per net, fixed node order), then every cell takes the decayed stale
 	// gradient and the cells adjacent to a touched net add their own pins'
 	// slots on top (single writer per cell, fixed pin order).
-	parallel.ForGuided(len(sb.touchedNets), 4, parallel.CostHeavy, sb.scatterFn)
+	parallel.ForGuided(len(t.touchedNets), 4, parallel.CostHeavy, sb.scatterFn)
 	sb.cellMark.ClearMembers(sb.touchedCells)
 	sb.touchedCells = sb.touchedCells[:0]
 	d := t.G.D
-	for _, ni := range sb.touchedNets {
+	for _, ni := range t.touchedNets {
 		if !t.netGradUsed[ni] {
 			continue
 		}
@@ -431,11 +412,9 @@ func (t *Timer) backwardSparse(t1, t2 float64) float64 {
 
 	// Leave the per-net accumulators zero for the next pass (O(touched),
 	// replacing the full pass's global reset).
-	for _, ni := range sb.touchedNets {
+	for _, ni := range t.touchedNets {
 		t.gLoadRoot[ni] = 0
 		t.netGradUsed[ni] = false
-		sb.netTouchedSink[ni] = false
-		sb.netTouchedDrv[ni] = false
 		dn := t.gDelayNode[ni]
 		for j := range dn {
 			dn[j] = 0
@@ -521,7 +500,7 @@ func (t *Timer) markCones() {
 			switch {
 			case g.IsStart[pid]:
 			case g.IsNetSink[pid]:
-				ni := t.netOfSink[pid]
+				ni := g.NetOfSink[pid]
 				if ni < 0 || t.Nets[ni].Tree == nil {
 					continue
 				}
@@ -590,23 +569,18 @@ func (t *Timer) coneMarkNet(ni int32) {
 	sb.coneNets = append(sb.coneNets, ni)
 }
 
-// seedSparse recomputes the endpoint softmin weights over the selected
-// subset and seeds ∂f/∂AT and ∂f/∂Slew at the selected endpoints, in the
-// same shifted form as the full objective seed loop: the WNS partition keeps
-// the full pass's shift wnsM but renormalises the sum over selected
+// seedSparse seeds ∂f/∂AT and ∂f/∂Slew at the selected endpoints, in the
+// same shifted form as the full objective's seeding: the WNS partition
+// keeps the full pass's shift wnsM but renormalises the sum over selected
 // endpoints so the seeded softmin mass stays 1, while the per-endpoint TNS
 // adjoint is exact (the unselected remainder is what the stale-gradient
-// decay carries).
+// decay carries). It sets the sweep's deadband from the largest seed.
 //
 //dtgp:hotpath
-//dtgp:forward(ep-seed-sparse)
-//dtgp:backward(ep-seed-sparse)
 func (t *Timer) seedSparse(t1, t2 float64) {
 	sb := t.sb
-	g := t.G
 	gamma := t.Opts.Gamma
-	sb.pruneAbs = 0
-	seedMax := 0.0
+	t.pruneAbs = 0
 	zSel := 0.0
 	for _, ei := range sb.selEps {
 		st := &t.epStates[ei]
@@ -618,188 +592,7 @@ func (t *Timer) seedSparse(t1, t2 float64) {
 	if zSel == 0 {
 		return
 	}
-	for _, ei := range sb.selEps {
-		st := &t.epStates[ei]
-		if math.IsInf(st.sEp, 1) {
-			continue
-		}
-		ep := &g.Endpoints[ei]
-		_, dTNS := SoftNegGrad(gamma, st.sEp)
-		wEp := math.Exp((-st.sEp-t.wnsM)/gamma) / zSel
-		dfdsEp := -t1*dTNS - t2*wEp
-		for tr := timing.Rise; tr <= timing.Fall; tr++ {
-			if !st.ok[tr] {
-				continue
-			}
-			ti := timing.TIdx(ep.Pin, tr)
-			dfds := dfdsEp * st.wTr[tr]
-			t.gAT[ti] -= dfds
-			if m := math.Abs(dfds); m > seedMax {
-				seedMax = m
-			}
-			if ep.Kind == timing.EndFFData && ep.Setup != nil {
-				lut := constraintTable(ep.Setup.Arc, tr)
-				_, _, dRdSlew := lut.EvalGrad(t.clockSlew, t.Slew[ti])
-				t.gSlew[ti] -= dRdSlew * dfds
-			}
-		}
-	}
-	sb.pruneAbs = t.Opts.ConePrune * seedMax
-}
-
-// sweepConeGroup runs the pruned backward kernels over one marked group. All
-// of the group's pins are visited — unmarked ones carry zero adjoints and
-// fall out of the kernels' deadband skip — so in-group accumulation order
-// matches the full sweep exactly.
-//
-//dtgp:hotpath
-func (t *Timer) sweepConeGroup(i int) {
-	sb := t.sb
-	grp := &sb.curGroups[sb.curList[i]]
-	if grp.isNet {
-		for _, pid := range grp.pins {
-			t.backwardNetSinkSparse(pid)
-		}
-	} else {
-		for _, pid := range grp.pins {
-			t.backwardCellOutSparse(pid)
-		}
-	}
-}
-
-// backwardNetSinkSparse is backwardNetSink (Eq. 10) with the sparse pass's
-// adjoint deadband: each sub-threshold adjoint component stops propagating,
-// confining work to the dominant sub-cone. The full pass keeps the exact ==0
-// skip. Writing the sink-side touch flag is race-free because a net's sinks
-// form exactly one backward group.
-//
-//dtgp:hotpath
-//dtgp:index pid=pin
-func (t *Timer) backwardNetSinkSparse(pid int32) {
-	sb := t.sb
-	eps := sb.pruneAbs
-	ni := t.netOfSink[pid]
-	if ni < 0 || t.Nets[ni].Tree == nil {
-		return
-	}
-	ns := &t.Nets[ni]
-	driver := t.G.D.Nets[ni].Driver
-	node := ns.Node[t.posOfSink[pid]]
-	for tr := timing.Rise; tr <= timing.Fall; tr++ {
-		u, v := timing.TIdx(driver, tr), timing.TIdx(pid, tr)
-		if !t.Valid[v] || !t.Valid[u] {
-			continue
-		}
-		gat, gsl := t.gAT[v], t.gSlew[v]
-		doAT := math.Abs(gat) > eps
-		doSL := math.Abs(gsl) > eps
-		if !doAT && !doSL {
-			continue
-		}
-		sb.netTouchedSink[ni] = true
-		if doAT {
-			// Eq. 10a/10b.
-			t.gAT[u] += gat
-			t.gDelayNode[ni][node] += gat
-		}
-		// Eq. 10c/10d; see backwardNetSink for the zero-slew guard.
-		if sv := t.Slew[v]; doSL && sv > 1e-9 {
-			t.gSlew[u] += t.Slew[u] / sv * gsl
-			t.gImpSq[ni][node] += gsl / (2 * sv)
-		}
-	}
-}
-
-// backwardCellOutSparse is backwardCellOut (Eq. 12) with the sparse pass's
-// adjoint deadband, applied per component: a sub-threshold arrival adjoint
-// skips the delay-LUT gradient and a sub-threshold slew adjoint skips the
-// slew-LUT gradient, so one-sided pins cost half the table work. Writing the
-// driver-side touch flag is race-free because a net's driver pin belongs to
-// exactly one backward group.
-//
-//dtgp:hotpath
-//dtgp:index pid=pin
-func (t *Timer) backwardCellOutSparse(pid int32) {
-	sb := t.sb
-	eps := sb.pruneAbs
-	gamma := t.Opts.Gamma
-	netID := t.G.D.Pins[pid].Net
-	load := t.driverLoadOf(pid)
-	for outTr := timing.Rise; outTr <= timing.Fall; outTr++ {
-		v := timing.TIdx(pid, outTr)
-		if !t.Valid[v] {
-			continue
-		}
-		gat, gsl := t.gAT[v], t.gSlew[v]
-		doAT := math.Abs(gat) > eps
-		doSL := math.Abs(gsl) > eps
-		if !doAT && !doSL {
-			continue
-		}
-		atM, atZ := t.atMax[v], t.atZ[v]
-		slM, slZ := t.slMax[v], t.slZ[v]
-		if atZ == 0 || slZ == 0 {
-			continue
-		}
-		if netID >= 0 {
-			sb.netTouchedDrv[netID] = true
-		}
-		g := t.G
-		for ai := range g.ArcsInto[pid] {
-			ar := &g.ArcsInto[pid][ai]
-			dl, tl := delayTables(ar.Arc, outTr)
-			for _, inTr := range inputTransitions(ar.Arc.Unate, outTr) {
-				if inTr < 0 {
-					continue
-				}
-				u := timing.TIdx(ar.FromPin, timing.Transition(inTr))
-				if !t.Valid[u] {
-					continue
-				}
-				var gA, gS, dDds, dSds, dDdl, dSdl float64
-				if doAT {
-					dv, dds, ddl := dl.EvalGrad(t.Slew[u], load)
-					dDds, dDdl = dds, ddl
-					// Eq. 12a/12b: arrival candidates.
-					gA = math.Exp((t.AT[u]+dv-atM)/gamma) / atZ * gat
-					t.gAT[u] += gA
-				}
-				if doSL {
-					sv, sds, sdl := tl.EvalGrad(t.Slew[u], load)
-					dSds, dSdl = sds, sdl
-					// Eq. 12c: slew candidates.
-					gS = math.Exp((sv-slM)/gamma) / slZ * gsl
-				}
-				// Eq. 12d: input slew via both LUTs.
-				t.gSlew[u] += dDds*gA + dSds*gS
-				// Eq. 12e: output load via both LUTs.
-				if netID >= 0 {
-					t.gLoadRoot[netID] += dDdl*gA + dSdl*gS
-				}
-			}
-		}
-	}
-}
-
-// elmoreBackwardCone is elmoreBackward restricted to the touched nets
-// [lo, hi) of the current sparse pass: the sweep kernels flagged exactly the
-// nets they wrote, so there is no all-zero scan here.
-//
-//dtgp:hotpath
-func (t *Timer) elmoreBackwardCone(_, lo, hi int) {
-	sb := t.sb
-	for i := lo; i < hi; i++ {
-		ni := sb.touchedNets[i]
-		ns := &t.Nets[ni]
-		if ns.Tree == nil {
-			continue
-		}
-		if t.netGrads[ni] == nil {
-			t.netGrads[ni] = &rctree.Grad{}
-		}
-		ns.RC.BackwardInto(t.netGrads[ni], t.gDelayNode[ni], t.gImpSq[ni], t.gLoadRoot[ni])
-		t.netGradUsed[ni] = true
-	}
+	t.pruneAbs = t.Opts.ConePrune * t.seedEndpoints(sb.selEps, zSel, t1, t2)
 }
 
 // scatterNetGrads is pass one of the parallel Fig. 4 redistribution: each
@@ -811,7 +604,7 @@ func (t *Timer) elmoreBackwardCone(_, lo, hi int) {
 func (t *Timer) scatterNetGrads(_, lo, hi int) {
 	sb := t.sb
 	for i := lo; i < hi; i++ {
-		ni := sb.touchedNets[i]
+		ni := t.touchedNets[i]
 		if !t.netGradUsed[ni] {
 			continue
 		}

@@ -56,19 +56,19 @@ func TestObjectiveWeightsScale(t *testing.T) {
 	}
 }
 
-// TestExactResultSharesInterconnect: the timer's ExactResult must agree
-// with a fresh timing.Analyze when trees were just rebuilt.
+// TestExactResultSharesInterconnect: exact STA over the timer's net states
+// must agree with a fresh timing.Analyze when trees were just rebuilt.
 func TestExactResultSharesInterconnect(t *testing.T) {
 	g := makeTestBed(t, 300, 84)
 	tm := NewTimer(g, DefaultOptions())
 	tm.Evaluate(0.01, 0.001) // first call rebuilds trees
-	fromTimer := tm.ExactResult()
+	fromTimer := timing.AnalyzeWithNets(tm.G, tm.Nets)
 	scratch := timing.Analyze(g)
 	if math.Abs(fromTimer.WNS-scratch.WNS) > 1e-6 {
-		t.Errorf("ExactResult WNS %v vs scratch %v", fromTimer.WNS, scratch.WNS)
+		t.Errorf("timer-state WNS %v vs scratch %v", fromTimer.WNS, scratch.WNS)
 	}
 	if math.Abs(fromTimer.TNS-scratch.TNS) > 1e-6 {
-		t.Errorf("ExactResult TNS %v vs scratch %v", fromTimer.TNS, scratch.TNS)
+		t.Errorf("timer-state TNS %v vs scratch %v", fromTimer.TNS, scratch.TNS)
 	}
 }
 

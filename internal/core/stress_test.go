@@ -125,8 +125,8 @@ func TestIncrementalTimerStress(t *testing.T) {
 			s.wns = append(s.wns, inc.WNS)
 			s.tns = append(s.tns, inc.TNS)
 		}
-		s.at = append([]float64(nil), inc.AT...)
-		s.slew = append([]float64(nil), inc.Slew...)
+		s.at = append([]float64(nil), inc.ATLate...)
+		s.slew = append([]float64(nil), inc.SlewLate...)
 		return s
 	}
 

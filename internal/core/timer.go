@@ -8,7 +8,6 @@ import (
 
 	"dtgp/internal/arena"
 	"dtgp/internal/bitset"
-	"dtgp/internal/liberty"
 	"dtgp/internal/parallel"
 	"dtgp/internal/rctree"
 	"dtgp/internal/timing"
@@ -194,9 +193,23 @@ type Timer struct {
 	gImpSq     [][]float64 //dtgp:index domain=net
 	gLoadRoot  []float64   //dtgp:index domain=net
 	// netGrads are persistent per-net Elmore gradient buffers reused by
-	// BackwardInto; netGradUsed marks nets touched this pass.
+	// BackwardInto; netGradUsed marks nets whose buffers hold this pass's
+	// gradients.
 	netGrads    []*rctree.Grad //dtgp:index domain=net
 	netGradUsed []bool         //dtgp:index domain=net
+	// pruneAbs is the adjoint deadband of the current reverse sweep: a pin
+	// adjoint component with magnitude <= pruneAbs does not propagate. It
+	// is 0 in the full pass, so only exact zeros stop there, and ConePrune
+	// times the largest seeded adjoint in a sparse pass.
+	pruneAbs float64
+	// Touched-net tracking: the reverse kernels flag the nets whose Elmore
+	// accumulators they wrote (sink side and driver side have distinct
+	// single-writer groups, hence two flag arrays); touchedNets lists them
+	// for the Elmore backward and the Fig. 4 redistribution — in net order
+	// in the full pass, in cone order in a sparse pass.
+	netTouchedSink []bool  //dtgp:index domain=net
+	netTouchedDrv  []bool  //dtgp:index domain=net
+	touchedNets    []int32 //dtgp:index elem=net
 
 	// Outputs of Evaluate.
 	CellGradX, CellGradY []float64 //dtgp:index domain=cell
@@ -212,8 +225,6 @@ type Timer struct {
 	netGradSized bool
 
 	// Precomputed structure.
-	netOfSink []int32 //dtgp:index domain=pin elem=net
-	posOfSink []int32 //dtgp:index domain=pin elem=npin
 	// bwdGroups holds, per level, the single-writer units of the reverse
 	// sweep: net-sink pins grouped by net first, then cell-output pins
 	// grouped by cell (the write sets are disjoint: net groups update
@@ -246,6 +257,7 @@ type Timer struct {
 	bwdFn      func(i int)
 	elmoreFn   func(w, lo, hi int)
 	fwdNetsFn  func(w, lo, hi int)
+	fenceFn    func(w, lo, hi int)
 	resetTasks []func()
 
 	// Incremental-evaluation state. netMoved is the per-net movement flag
@@ -274,7 +286,7 @@ type Timer struct {
 	// over a subset with the same shifted form.
 	epStates []epState //dtgp:index domain=endp
 	sEps     []float64
-	epIdx    []int //dtgp:index elem=endp
+	epIdx    []int32 //dtgp:index elem=endp
 	wnsM     float64
 	wnsZ     float64
 
@@ -284,9 +296,6 @@ type Timer struct {
 	// Phase is the cumulative per-phase wall-clock split of Evaluate calls.
 	// Benchmarks may reset it between warm-up and measurement.
 	Phase PhaseTimes
-
-	clockSlew float64
-	period    float64
 }
 
 // NewTimer builds a differentiable timer over a timing graph.
@@ -326,54 +335,29 @@ func NewTimer(g *timing.Graph, opts Options) *Timer {
 	// heap by construction: the arena's type set rejects them.
 	a := opts.Arena
 	n2 := 2 * len(g.D.Pins)
+	nNets := len(g.D.Nets)
 	t := &Timer{
-		G:           g,
-		Opts:        opts,
-		AT:          arena.Make[float64](a, n2),
-		Slew:        arena.Make[float64](a, n2),
-		Valid:       arena.Make[bool](a, n2),
-		HardAT:      arena.Make[float64](a, n2),
-		atMax:       arena.Make[float64](a, n2),
-		atZ:         arena.Make[float64](a, n2),
-		slMax:       arena.Make[float64](a, n2),
-		slZ:         arena.Make[float64](a, n2),
-		gAT:         arena.Make[float64](a, n2),
-		gSlew:       arena.Make[float64](a, n2),
-		gLoadRoot:   arena.Make[float64](a, len(g.D.Nets)),
-		netGrads:    make([]*rctree.Grad, len(g.D.Nets)),
-		netGradUsed: arena.Make[bool](a, len(g.D.Nets)),
-		CellGradX:   arena.Make[float64](a, len(g.D.Cells)),
-		CellGradY:   arena.Make[float64](a, len(g.D.Cells)),
-		epStates:    make([]epState, len(g.Endpoints)),
-		clockSlew:   20,
-		period:      math.Inf(1),
-	}
-	if g.Con != nil {
-		t.clockSlew = g.Con.ClockSlew
-		if g.Con.Period > 0 {
-			t.period = g.Con.Period
-		}
-	}
-	t.netOfSink = arena.Make[int32](a, len(g.D.Pins))
-	t.posOfSink = arena.Make[int32](a, len(g.D.Pins))
-	for i := range t.netOfSink {
-		t.netOfSink[i] = -1
-	}
-	d := g.D
-	for ni := range d.Nets {
-		if g.IsClockNet[ni] {
-			continue
-		}
-		net := &d.Nets[ni]
-		if net.Driver < 0 || len(net.Pins) < 2 {
-			continue
-		}
-		for k, pid := range net.Pins {
-			if pid != net.Driver {
-				t.netOfSink[pid] = int32(ni)
-				t.posOfSink[pid] = int32(k)
-			}
-		}
+		G:              g,
+		Opts:           opts,
+		AT:             arena.Make[float64](a, n2),
+		Slew:           arena.Make[float64](a, n2),
+		Valid:          arena.Make[bool](a, n2),
+		HardAT:         arena.Make[float64](a, n2),
+		atMax:          arena.Make[float64](a, n2),
+		atZ:            arena.Make[float64](a, n2),
+		slMax:          arena.Make[float64](a, n2),
+		slZ:            arena.Make[float64](a, n2),
+		gAT:            arena.Make[float64](a, n2),
+		gSlew:          arena.Make[float64](a, n2),
+		gLoadRoot:      arena.Make[float64](a, nNets),
+		netGrads:       make([]*rctree.Grad, nNets),
+		netGradUsed:    arena.Make[bool](a, nNets),
+		netTouchedSink: arena.Make[bool](a, nNets),
+		netTouchedDrv:  arena.Make[bool](a, nNets),
+		touchedNets:    arena.MakeCap[int32](a, 0, nNets),
+		CellGradX:      arena.Make[float64](a, len(g.D.Cells)),
+		CellGradY:      arena.Make[float64](a, len(g.D.Cells)),
+		epStates:       make([]epState, len(g.Endpoints)),
 	}
 	t.buildGroups()
 	t.buildSchedule()
@@ -489,7 +473,7 @@ func (t *Timer) buildGroups() {
 			switch {
 			case g.IsStart[pid]:
 			case g.IsNetSink[pid]:
-				if ni := t.netOfSink[pid]; ni >= 0 {
+				if ni := g.NetOfSink[pid]; ni >= 0 {
 					if netEpoch[ni] != stamp {
 						netEpoch[ni] = stamp
 						netIdxOf[ni] = int32(len(netScratch))
@@ -542,7 +526,7 @@ func (t *Timer) buildGroups() {
 			switch {
 			case g.IsStart[pid]:
 			case g.IsNetSink[pid]:
-				if ni := t.netOfSink[pid]; ni >= 0 {
+				if ni := g.NetOfSink[pid]; ni >= 0 {
 					if netEpoch[ni] != stamp {
 						netEpoch[ni] = stamp
 						netIdxOf[ni] = int32(len(netScratch))
@@ -597,24 +581,12 @@ func (t *Timer) buildSchedule() {
 // placement-independent, so the forward pass only copies them.
 func (t *Timer) buildStartPins() {
 	g := t.G
-	d := g.D
-	for pi := range d.Pins {
+	for pi := range g.D.Pins {
 		pid := int32(pi)
 		if !g.IsStart[pid] {
 			continue
 		}
-		var at, slew float64
-		if g.IsClockPin[pid] {
-			at, slew = 0, t.clockSlew
-		} else {
-			cell := &d.Cells[d.Pins[pid].Cell]
-			if g.Con != nil {
-				at = g.Con.InputDelayOf(cell.Name)
-				slew = g.Con.InputSlewOf(cell.Name)
-			} else {
-				slew = 30
-			}
-		}
+		at, slew := g.StartArrival(pid)
 		t.startPins = append(t.startPins, pid)
 		t.startAT = append(t.startAT, at)
 		t.startSlew = append(t.startSlew, slew)
@@ -637,24 +609,18 @@ func (t *Timer) buildKernels() {
 			}
 		}
 	}
-	t.bwdFn = func(i int) {
-		grp := &t.curBwd[i]
-		if grp.isNet {
-			for _, pid := range grp.pins {
-				t.backwardNetSink(pid)
-			}
-		} else {
-			for _, pid := range grp.pins {
-				t.backwardCellOut(pid)
-			}
-		}
-	}
+	t.bwdFn = func(i int) { t.backwardGroup(&t.curBwd[i]) }
 	t.elmoreFn = t.elmoreBackward
 	t.fwdNetsFn = func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if t.Nets[i].RC != nil {
 				t.Nets[i].RC.Forward()
 			}
+		}
+	}
+	t.fenceFn = func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			timing.RebuildNetStateMoved(t.G, &t.Nets[i])
 		}
 	}
 	t.netMovedFn = func(_, lo, hi int) {
@@ -790,7 +756,7 @@ func (t *Timer) refreshNets() {
 		// would produce, so only changed nets are re-extracted (and
 		// forwarded inside the same sweep). Bit-identical to the full
 		// rebuild, but O(moved nets) in a converging placement.
-		timing.RebuildNetStatesMoved(t.G, t.Nets)
+		parallel.ForGuided(len(t.Nets), 8, parallel.CostHeavy, t.fenceFn)
 		t.evalCount++
 		t.fullPass = true
 		return
@@ -828,17 +794,6 @@ func (t *Timer) EvaluateValueOnly(t1, t2 float64) float64 {
 	t.forward()
 	f, _ := t.objective(t1, t2, false)
 	return f
-}
-
-// ExactResult runs the exact STA engine on the timer's current Steiner/RC
-// state (sharing the interconnect model, so exact and smoothed metrics are
-// directly comparable).
-func (t *Timer) ExactResult() *timing.Result {
-	if t.Nets == nil {
-		t.Nets = timing.BuildNetStates(t.G)
-		timing.ForwardAll(t.Nets)
-	}
-	return timing.AnalyzeWithNets(t.G, t.Nets)
 }
 
 // ---------------------------------------------------------------------------
@@ -900,16 +855,14 @@ func (t *Timer) forward() {
 //dtgp:nondiff(HardAT)
 //dtgp:index pid=pin
 func (t *Timer) forwardNetSink(pid int32) {
-	ni := t.netOfSink[pid]
-	if ni < 0 {
+	g := t.G
+	ni := g.NetOfSink[pid]
+	if ni < 0 || t.Nets[ni].Tree == nil {
 		return
 	}
 	ns := &t.Nets[ni]
-	if ns.Tree == nil {
-		return
-	}
-	driver := t.G.D.Nets[ni].Driver
-	k := int(t.posOfSink[pid])
+	driver := g.D.Nets[ni].Driver
+	k := int(g.PosOfSink[pid])
 	delay := ns.SinkDelay(k)
 	imp := ns.SinkImpulse(k)
 	for tr := timing.Rise; tr <= timing.Fall; tr++ {
@@ -944,8 +897,8 @@ func (t *Timer) forwardCellOut(pid int32, worker int) {
 		cu, cat, csl := sc.u[:0], sc.at[:0], sc.sl[:0]
 		for ai := range g.ArcsInto[pid] {
 			ar := &g.ArcsInto[pid][ai]
-			dl, tl := delayTables(ar.Arc, outTr)
-			for _, inTr := range inputTransitions(ar.Arc.Unate, outTr) {
+			dl, tl := timing.DelayTables(ar.Arc, outTr)
+			for _, inTr := range timing.InputTransitions(ar.Arc.Unate, outTr) {
 				if inTr < 0 {
 					continue
 				}
@@ -1130,26 +1083,6 @@ func (t *Timer) markFanouts(pid int32) {
 }
 
 //dtgp:hotpath
-func delayTables(arc *liberty.TimingArc, out timing.Transition) (delay, trans *liberty.LUT) {
-	if out == timing.Rise {
-		return arc.CellRise, arc.RiseTransition
-	}
-	return arc.CellFall, arc.FallTransition
-}
-
-//dtgp:hotpath
-func inputTransitions(u liberty.Unateness, out timing.Transition) [2]int8 {
-	switch u {
-	case liberty.PositiveUnate:
-		return [2]int8{int8(out), -1}
-	case liberty.NegativeUnate:
-		return [2]int8{int8(1 - out), -1}
-	default:
-		return [2]int8{0, 1}
-	}
-}
-
-//dtgp:hotpath
 //dtgp:index pid=pin
 func (t *Timer) driverLoadOf(pid int32) float64 {
 	net := t.G.D.Pins[pid].Net
@@ -1198,8 +1131,12 @@ func (t *Timer) objective(t1, t2 float64, seed bool) (float64, bool) {
 			if !t.Valid[ti] {
 				continue
 			}
-			rat, ok := t.requiredAt(ep, tr, ti)
-			if !ok {
+			// A register's setup requirement depends on the data slew
+			// through the constraint LUT, so the required time is a
+			// function of placement; seedEndpoints chains through it.
+			// +Inf marks an unconstrained endpoint.
+			rat := g.RequiredLate(ep, tr, t.Slew[ti])
+			if math.IsInf(rat, 1) {
 				continue
 			}
 			st.s[tr] = rat - t.AT[ti]
@@ -1232,7 +1169,7 @@ func (t *Timer) objective(t1, t2 float64, seed bool) (float64, bool) {
 		sn, _ := SoftNegGrad(gamma, st.sEp)
 		smTNS += sn
 		t.sEps = append(t.sEps, st.sEp)
-		t.epIdx = append(t.epIdx, ei)
+		t.epIdx = append(t.epIdx, int32(ei))
 		hardEp := math.Inf(1)
 		for tr := 0; tr < 2; tr++ {
 			if st.ok[tr] && st.hard[tr] < hardEp {
@@ -1269,94 +1206,57 @@ func (t *Timer) objective(t1, t2 float64, seed bool) (float64, bool) {
 
 	f := -t1*smTNS - t2*smWNS
 	if seed {
-		for _, ei := range t.epIdx {
-			st := &t.epStates[ei]
-			ep := &g.Endpoints[ei]
-			_, dTNS := SoftNegGrad(gamma, st.sEp)
-			wEp := math.Exp((-st.sEp-wnsM)/gamma) / wnsZ
-			dfdsEp := -t1*dTNS - t2*wEp
-			for tr := timing.Rise; tr <= timing.Fall; tr++ {
-				if !st.ok[tr] {
-					continue
-				}
-				ti := timing.TIdx(ep.Pin, tr)
-				dfds := dfdsEp * st.wTr[tr]
-				// slack = RAT − AT with RAT = T − setup(clockSlew, Slew).
-				t.gAT[ti] -= dfds
-				if ep.Kind == timing.EndFFData && ep.Setup != nil {
-					lut := constraintTable(ep.Setup.Arc, tr)
-					_, _, dRdSlew := lut.EvalGrad(t.clockSlew, t.Slew[ti])
-					t.gSlew[ti] -= dRdSlew * dfds
-				}
-			}
-		}
+		t.seedEndpoints(t.epIdx, wnsZ, t1, t2)
 	}
 	return f, true
 }
 
-// requiredAt returns the (differentiable) required arrival time of an
-// endpoint transition. For register endpoints the setup requirement depends
-// on the data slew through the constraint LUT, so the returned value is a
-// function of placement and the backward pass must chain through it.
+// seedEndpoints spreads ∂f/∂slack of the listed endpoints into gAT and
+// gSlew, the seeds of the reverse sweep, with the WNS softmin weights
+// normalised by z: the full partition value, or the sparse pass's value
+// renormalised over its selected endpoints. slack = RAT − AT with
+// RAT = T − setup(clockSlew, Slew), so register seeds chain through the
+// setup LUT's slew derivative. Returns the largest seeded |∂f/∂slack|.
 //
 //dtgp:hotpath
-//dtgp:index ti=tnode
-func (t *Timer) requiredAt(ep *timing.Endpoint, tr timing.Transition, ti int32) (float64, bool) {
-	switch ep.Kind {
-	case timing.EndFFData:
-		if ep.Setup == nil {
-			return 0, false
-		}
-		lut := constraintTable(ep.Setup.Arc, tr)
-		return t.period - lut.Eval(t.clockSlew, t.Slew[ti]), true
-	default:
-		od := 0.0
-		if t.G.Con != nil {
-			od = t.G.Con.OutputDelayOf(ep.PortName)
-		}
-		return t.period - od, true
-	}
-}
-
-//dtgp:hotpath
-func constraintTable(arc *liberty.TimingArc, dataTr timing.Transition) *liberty.LUT {
-	if dataTr == timing.Rise {
-		return arc.RiseConstraint
-	}
-	return arc.FallConstraint
-}
-
-// backward seeds endpoint gradients and sweeps the levels in reverse,
-// applying Eq. 12 (cell arcs), Eq. 10 (net arcs) and Eq. 8 (Elmore), then
-// maps Steiner-node gradients onto cells via pin attribution (Fig. 4).
-// elmoreBackward runs the Elmore backward pass (Eq. 8) for nets [lo, hi)
-// into persistent per-net gradient buffers. It is the batch adjoint of
-// timing.ForwardAll: nets whose seeded gradients are all zero are skipped,
-// matching the sparsity of the reverse level sweep. Bound once as
-// t.elmoreFn so the hot loop dispatches without a per-call method value.
-//
-//dtgp:hotpath
-//dtgp:hotpath
-//dtgp:backward(elmore-batch)
-func (t *Timer) elmoreBackward(_, lo, hi int) {
-	for ni := lo; ni < hi; ni++ {
-		ns := &t.Nets[ni]
-		if ns.Tree == nil {
+//dtgp:forward(ep-seed)
+//dtgp:backward(ep-seed)
+//dtgp:index eis=[]endp
+func (t *Timer) seedEndpoints(eis []int32, z, t1, t2 float64) float64 {
+	g := t.G
+	gamma := t.Opts.Gamma
+	seedMax := 0.0
+	for _, ei := range eis {
+		st := &t.epStates[ei]
+		if math.IsInf(st.sEp, 1) {
 			continue
 		}
-		if t.gLoadRoot[ni] == 0 && allZero(t.gDelayNode[ni]) && allZero(t.gImpSq[ni]) {
-			continue
+		ep := &g.Endpoints[ei]
+		_, dTNS := SoftNegGrad(gamma, st.sEp)
+		wEp := math.Exp((-st.sEp-t.wnsM)/gamma) / z
+		dfdsEp := -t1*dTNS - t2*wEp
+		for tr := timing.Rise; tr <= timing.Fall; tr++ {
+			if !st.ok[tr] {
+				continue
+			}
+			ti := timing.TIdx(ep.Pin, tr)
+			dfds := dfdsEp * st.wTr[tr]
+			t.gAT[ti] -= dfds
+			if m := math.Abs(dfds); m > seedMax {
+				seedMax = m
+			}
+			if ep.Kind == timing.EndFFData && ep.Setup != nil {
+				lut := timing.ConstraintTable(ep.Setup.Arc, tr)
+				_, _, dRdSlew := lut.EvalGrad(g.ClockSlew(), t.Slew[ti])
+				t.gSlew[ti] -= dRdSlew * dfds
+			}
 		}
-		if t.netGrads[ni] == nil {
-			t.netGrads[ni] = &rctree.Grad{}
-		}
-		ns.RC.BackwardInto(t.netGrads[ni], t.gDelayNode[ni], t.gImpSq[ni], t.gLoadRoot[ni])
-		t.netGradUsed[ni] = true
 	}
+	return seedMax
 }
 
-// backward dispatches between the sparse cone-restricted pass and the legacy
-// full pass, accounting wall-clock time to Phase.BackwardNS either way.
+// backward dispatches between the sparse cone-restricted pass and the full
+// pass, accounting wall-clock time to Phase.BackwardNS either way.
 //
 //dtgp:hotpath
 func (t *Timer) backward(t1, t2 float64) float64 {
@@ -1369,6 +1269,11 @@ func (t *Timer) backward(t1, t2 float64) float64 {
 	return f
 }
 
+// backwardFull is the exact backward pass: it seeds every constrained
+// endpoint, sweeps the levels in reverse applying Eq. 12 (cell arcs) and
+// Eq. 10 (net arcs) with a zero deadband, runs Eq. 8 (Elmore) over the
+// nets the sweep wrote, then maps Steiner-node gradients onto cells via pin
+// attribution (Fig. 4).
 func (t *Timer) backwardFull(t1, t2 float64) float64 {
 	g := t.G
 	d := g.D
@@ -1388,25 +1293,29 @@ func (t *Timer) backwardFull(t1, t2 float64) float64 {
 	// net groups write driver (cell-output) pins and per-net accumulators,
 	// cell groups write cell-input pins — disjoint sets, so both kinds run
 	// in one parallel phase per level.
+	t.pruneAbs = 0
 	for li := len(g.Levels) - 1; li >= 0; li-- {
 		t.curBwd = t.bwdGroups[li]
 		parallel.ForCost(len(t.curBwd), parallel.CostHeavy, t.bwdFn)
 	}
 
-	// Elmore backward per net (Eq. 8) into persistent per-net buffers;
-	// guided chunking balances the power-law net-size distribution.
-	parallel.ForGuided(len(t.Nets), 4, parallel.CostHeavy, t.elmoreFn)
-
-	// Fig. 4 redistribution: serial, preserving net-index accumulation
-	// order so results are schedule-independent.
+	// Elmore backward per touched net (Eq. 8) into persistent per-net
+	// buffers; guided chunking balances the power-law net-size
+	// distribution. The list is in net order, so the serial Fig. 4
+	// redistribution below accumulates in net-index order and its results
+	// are schedule-independent.
+	t.touchedNets = t.touchedNets[:0]
 	for ni := range t.Nets {
+		t.collectTouched(int32(ni))
+	}
+	parallel.ForGuided(len(t.touchedNets), 4, parallel.CostHeavy, t.elmoreFn)
+	for _, ni := range t.touchedNets {
 		if !t.netGradUsed[ni] {
 			continue
 		}
 		gr := t.netGrads[ni]
-		ns := &t.Nets[ni]
 		net := &d.Nets[ni]
-		tree := ns.Tree
+		tree := t.Nets[ni].Tree
 		for j := 0; j < tree.NumNodes(); j++ {
 			if gr.X[j] != 0 {
 				pid := net.Pins[tree.XPin[j]]
@@ -1424,58 +1333,115 @@ func (t *Timer) backwardFull(t1, t2 float64) float64 {
 	return f
 }
 
+// collectTouched appends net ni to touchedNets when a reverse kernel wrote
+// its accumulators, and clears its touch flags for the next pass.
+//
 //dtgp:hotpath
-func allZero(v []float64) bool {
-	for _, x := range v {
-		if x != 0 {
-			return false
-		}
+//dtgp:index ni=net
+func (t *Timer) collectTouched(ni int32) {
+	if t.netTouchedSink[ni] || t.netTouchedDrv[ni] {
+		t.netTouchedSink[ni], t.netTouchedDrv[ni] = false, false
+		t.touchedNets = append(t.touchedNets, ni)
 	}
-	return true
 }
 
-// backwardNetSink applies Eq. 10 for every sink transition of a pin.
+// elmoreBackward runs the Elmore backward pass (Eq. 8) for touchedNets[lo:hi]
+// into persistent per-net gradient buffers: the batch adjoint of
+// timing.ForwardAll, restricted to the nets the reverse sweep wrote. Bound
+// once as t.elmoreFn so the hot loop dispatches without a per-call method
+// value.
+//
+//dtgp:hotpath
+//dtgp:backward(elmore-batch)
+func (t *Timer) elmoreBackward(_, lo, hi int) {
+	for _, ni := range t.touchedNets[lo:hi] {
+		ns := &t.Nets[ni]
+		if ns.Tree == nil {
+			continue
+		}
+		if t.netGrads[ni] == nil {
+			t.netGrads[ni] = &rctree.Grad{}
+		}
+		ns.RC.BackwardInto(t.netGrads[ni], t.gDelayNode[ni], t.gImpSq[ni], t.gLoadRoot[ni])
+		t.netGradUsed[ni] = true
+	}
+}
+
+// backwardGroup runs the reverse kernel over the pins of one single-writer
+// group.
+//
+//dtgp:hotpath
+func (t *Timer) backwardGroup(grp *bwdGroup) {
+	if grp.isNet {
+		for _, pid := range grp.pins {
+			t.backwardNetSink(pid)
+		}
+	} else {
+		for _, pid := range grp.pins {
+			t.backwardCellOut(pid)
+		}
+	}
+}
+
+// backwardNetSink applies Eq. 10 for every sink transition of a pin. An
+// adjoint component within the deadband (|g| <= pruneAbs) does not
+// propagate: in the full pass only exact zeros stop, and a NaN adjoint
+// always propagates. Writing the sink-side touch flag is race-free because
+// a net's sinks form exactly one backward group.
 //
 //dtgp:hotpath
 //dtgp:backward(netprop)
 //dtgp:index pid=pin
 func (t *Timer) backwardNetSink(pid int32) {
-	ni := t.netOfSink[pid]
+	g := t.G
+	ni := g.NetOfSink[pid]
 	if ni < 0 || t.Nets[ni].Tree == nil {
 		return
 	}
 	ns := &t.Nets[ni]
-	driver := t.G.D.Nets[ni].Driver
-	node := ns.Node[t.posOfSink[pid]]
+	driver := g.D.Nets[ni].Driver
+	node := ns.Node[g.PosOfSink[pid]]
+	eps := t.pruneAbs
 	for tr := timing.Rise; tr <= timing.Fall; tr++ {
 		u, v := timing.TIdx(driver, tr), timing.TIdx(pid, tr)
 		if !t.Valid[v] || !t.Valid[u] {
 			continue
 		}
 		gat, gsl := t.gAT[v], t.gSlew[v]
-		if gat == 0 && gsl == 0 {
+		doAT, doSL := !(math.Abs(gat) <= eps), !(math.Abs(gsl) <= eps)
+		if !doAT && !doSL {
 			continue
 		}
-		// Eq. 10a/10b.
-		t.gAT[u] += gat
-		t.gDelayNode[ni][node] += gat
+		t.netTouchedSink[ni] = true
+		if doAT {
+			// Eq. 10a/10b.
+			t.gAT[u] += gat
+			t.gDelayNode[ni][node] += gat
+		}
 		// Eq. 10c/10d; Slew(v) ≥ Slew(u) > 0 for valid pins, but guard
 		// against a degenerate zero slew anyway.
-		if sv := t.Slew[v]; sv > 1e-9 {
+		if sv := t.Slew[v]; doSL && sv > 1e-9 {
 			t.gSlew[u] += t.Slew[u] / sv * gsl
 			t.gImpSq[ni][node] += gsl / (2 * sv)
 		}
 	}
 }
 
-// backwardCellOut applies Eq. 12 for every output transition of a pin.
+// backwardCellOut applies Eq. 12 for every output transition of a pin, with
+// backwardNetSink's deadband applied per component: an arrival adjoint
+// within it skips the delay-LUT gradient and a slew adjoint within it skips
+// the slew-LUT gradient, so one-sided pins cost half the table work.
+// Writing the driver-side touch flag is race-free because a net's driver
+// pin belongs to exactly one backward group.
 //
 //dtgp:hotpath
 //dtgp:backward(cellarc)
 //dtgp:index pid=pin
 func (t *Timer) backwardCellOut(pid int32) {
+	g := t.G
 	gamma := t.Opts.Gamma
-	netID := t.G.D.Pins[pid].Net
+	eps := t.pruneAbs
+	netID := g.D.Pins[pid].Net
 	load := t.driverLoadOf(pid)
 	for outTr := timing.Rise; outTr <= timing.Fall; outTr++ {
 		v := timing.TIdx(pid, outTr)
@@ -1483,7 +1449,8 @@ func (t *Timer) backwardCellOut(pid int32) {
 			continue
 		}
 		gat, gsl := t.gAT[v], t.gSlew[v]
-		if gat == 0 && gsl == 0 {
+		doAT, doSL := !(math.Abs(gat) <= eps), !(math.Abs(gsl) <= eps)
+		if !doAT && !doSL {
 			continue
 		}
 		atM, atZ := t.atMax[v], t.atZ[v]
@@ -1491,11 +1458,13 @@ func (t *Timer) backwardCellOut(pid int32) {
 		if atZ == 0 || slZ == 0 {
 			continue
 		}
-		g := t.G
+		if netID >= 0 {
+			t.netTouchedDrv[netID] = true
+		}
 		for ai := range g.ArcsInto[pid] {
 			ar := &g.ArcsInto[pid][ai]
-			dl, tl := delayTables(ar.Arc, outTr)
-			for _, inTr := range inputTransitions(ar.Arc.Unate, outTr) {
+			dl, tl := timing.DelayTables(ar.Arc, outTr)
+			for _, inTr := range timing.InputTransitions(ar.Arc.Unate, outTr) {
 				if inTr < 0 {
 					continue
 				}
@@ -1503,15 +1472,20 @@ func (t *Timer) backwardCellOut(pid int32) {
 				if !t.Valid[u] {
 					continue
 				}
-				dv, dDds, dDdl := dl.EvalGrad(t.Slew[u], load)
-				sv, dSds, dSdl := tl.EvalGrad(t.Slew[u], load)
-				wAT := math.Exp((t.AT[u]+dv-atM)/gamma) / atZ
-				wSL := math.Exp((sv-slM)/gamma) / slZ
-				// Eq. 12a/12b: arrival candidates.
-				gA := wAT * gat
-				t.gAT[u] += gA
-				// Eq. 12c: slew candidates.
-				gS := wSL * gsl
+				var gA, gS, dDds, dSds, dDdl, dSdl float64
+				if doAT {
+					var dv float64
+					dv, dDds, dDdl = dl.EvalGrad(t.Slew[u], load)
+					// Eq. 12a/12b: arrival candidates.
+					gA = math.Exp((t.AT[u]+dv-atM)/gamma) / atZ * gat
+					t.gAT[u] += gA
+				}
+				if doSL {
+					var sv float64
+					sv, dSds, dSdl = tl.EvalGrad(t.Slew[u], load)
+					// Eq. 12c: slew candidates.
+					gS = math.Exp((sv-slM)/gamma) / slZ * gsl
+				}
 				// Eq. 12d: input slew via both LUTs.
 				t.gSlew[u] += dDds*gA + dSds*gS
 				// Eq. 12e: output load via both LUTs.

@@ -29,7 +29,7 @@ func TestTimerSmoothedTracksExact(t *testing.T) {
 	opts.Gamma = 0.01
 	tm := NewTimer(g, opts)
 	tm.Evaluate(1, 1)
-	exact := tm.ExactResult()
+	exact := timing.AnalyzeWithNets(tm.G, tm.Nets)
 	if math.Abs(tm.EstWNS-exact.WNS) > 2 {
 		t.Errorf("hard-estimate WNS %v far from exact %v", tm.EstWNS, exact.WNS)
 	}

@@ -66,8 +66,6 @@ func Refine(d *netlist.Design, opts Options) (*Result, error) {
 
 type refiner struct {
 	d *netlist.Design
-	// weighted makes swap costs use net weights (timing-aware mode).
-	weighted bool
 	// rows[y-key] holds cell indices sorted by x.
 	rowOf   map[int64][]int32 //dtgp:index elem=cell
 	rowKeys []int64
@@ -116,11 +114,7 @@ func (r *refiner) netsCost(cells ...int32) float64 {
 				continue
 			}
 			seen[ni] = true
-			if r.weighted {
-				total += d.Nets[ni].Weight * d.NetHPWL(ni)
-			} else {
-				total += d.NetHPWL(ni)
-			}
+			total += d.NetHPWL(ni)
 		}
 	}
 	return total
@@ -310,56 +304,4 @@ func nearestCells(d *netlist.Design, cands []int32, p geom.Point, k int) []int32
 		out[i] = ds[i].ci
 	}
 	return out
-}
-
-// RefineTimingAware runs refinement with criticality-weighted wirelength:
-// net weights w_e = 1 + α·criticality(e)^2 from an exact STA make swaps
-// that shorten critical nets win even when raw HPWL would disagree — the
-// incremental timing-driven detailed placement setting of the ICCAD 2015
-// contest this paper evaluates on. Weights are restored afterwards.
-//
-//dtgp:index crit=net
-func RefineTimingAware(d *netlist.Design, crit []float64, alpha float64, opts Options) (*Result, error) {
-	if len(crit) != len(d.Nets) {
-		return nil, fmt.Errorf("detailed: criticality has %d entries, want %d", len(crit), len(d.Nets))
-	}
-	saved := make([]float64, len(d.Nets))
-	for ni := range d.Nets {
-		saved[ni] = d.Nets[ni].Weight
-		c := crit[ni]
-		d.Nets[ni].Weight = saved[ni] * (1 + alpha*c*c)
-	}
-	defer func() {
-		for ni := range d.Nets {
-			d.Nets[ni].Weight = saved[ni]
-		}
-	}()
-	return refineWeighted(d, opts)
-}
-
-// refineWeighted is Refine with net-weighted cost.
-func refineWeighted(d *netlist.Design, opts Options) (*Result, error) {
-	if opts.Passes <= 0 {
-		opts.Passes = 3
-	}
-	if opts.GlobalSwapCandidates <= 0 {
-		opts.GlobalSwapCandidates = 6
-	}
-	r := &refiner{d: d, weighted: true}
-	if err := r.init(); err != nil {
-		return nil, err
-	}
-	res := &Result{HPWLBefore: d.HPWL()}
-	for pass := 0; pass < opts.Passes; pass++ {
-		adj := r.adjacentSwapPass()
-		glob := r.globalSwapPass(opts.GlobalSwapCandidates)
-		res.AdjacentSwaps += adj
-		res.GlobalSwaps += glob
-		res.Passes++
-		if adj+glob == 0 {
-			break
-		}
-	}
-	res.HPWLAfter = d.HPWL()
-	return res, nil
 }

@@ -5,7 +5,6 @@ import (
 
 	"dtgp/internal/gen"
 	"dtgp/internal/legalize"
-	"dtgp/internal/netweight"
 	"dtgp/internal/timing"
 )
 
@@ -109,65 +108,6 @@ func TestRefineDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Errorf("nondeterministic refinement: %v vs %v", a, b)
-	}
-}
-
-func TestRefineTimingAware(t *testing.T) {
-	d, con, err := gen.Generate(gen.DefaultParams("dp", 600, 17))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := legalize.Legalize(d); err != nil {
-		t.Fatal(err)
-	}
-	g, err := timing.NewGraph(d, con)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res0 := timing.Analyze(g)
-	con.Period = 0.8 * res0.CriticalDelay()
-	g, err = timing.NewGraph(d, con)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sta := timing.Analyze(g)
-	crit := netweight.Criticality(d, sta)
-
-	savedWeights := make([]float64, len(d.Nets))
-	for ni := range d.Nets {
-		savedWeights[ni] = d.Nets[ni].Weight
-	}
-	res, err := RefineTimingAware(d, crit, 4, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Weights restored.
-	for ni := range d.Nets {
-		if d.Nets[ni].Weight != savedWeights[ni] {
-			t.Fatal("net weights not restored")
-		}
-	}
-	// Legality preserved, some swaps happened.
-	if err := legalize.Check(d); err != nil {
-		t.Fatalf("timing-aware refinement broke legality: %v", err)
-	}
-	if res.AdjacentSwaps+res.GlobalSwaps == 0 {
-		t.Error("no swaps found")
-	}
-	// Timing must not regress badly (usually improves; bound the change).
-	sta2 := timing.Analyze(g)
-	if sta2.WNS < sta.WNS-100 {
-		t.Errorf("timing-aware refinement regressed WNS: %v → %v", sta.WNS, sta2.WNS)
-	}
-}
-
-func TestRefineTimingAwareValidation(t *testing.T) {
-	d, _, err := gen.Generate(gen.DefaultParams("dp", 100, 18))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RefineTimingAware(d, []float64{1}, 4, DefaultOptions()); err == nil {
-		t.Error("wrong criticality length accepted")
 	}
 }
 

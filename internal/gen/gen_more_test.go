@@ -101,6 +101,24 @@ func TestGeneratedDesignIsAnalyzable(t *testing.T) {
 	}
 }
 
+// TestTimingGraphIsDeep: the timing graph is deep (§3.1). Scaled designs are
+// shallower than the paper's >300 levels but must still be clearly
+// multi-level.
+func TestTimingGraphIsDeep(t *testing.T) {
+	pre, _ := PresetByName("superblue4")
+	d, con, err := Generate(pre.Params(2048))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := timing.NewGraph(d, con)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if depth := g.MaxLevel(); depth < 20 {
+		t.Errorf("graph depth %d suspiciously shallow", depth)
+	}
+}
+
 func TestPortsOnBoundary(t *testing.T) {
 	d, _, err := Generate(DefaultParams("b", 400, 6))
 	if err != nil {

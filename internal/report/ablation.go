@@ -7,7 +7,6 @@ import (
 
 	"dtgp/internal/gen"
 	"dtgp/internal/place"
-	"dtgp/internal/timing"
 )
 
 // AblationRow is one configuration's outcome on the ablation design.
@@ -113,23 +112,4 @@ func RunAblationObjectiveWeights(opts SuiteOptions) ([]AblationRow, error) {
 			po.Mode = place.ModeWirelength
 		}
 	}, labels)
-}
-
-// GraphDepth reports the timing-graph depth of a preset — the ">300
-// layers" observation of §3.1 scaled to our suite.
-func GraphDepth(design string, opts SuiteOptions) (int, error) {
-	opts.normalize()
-	pre, ok := gen.PresetByName(design)
-	if !ok {
-		return 0, fmt.Errorf("report: unknown preset %q", design)
-	}
-	d, con, err := gen.Generate(pre.Params(opts.Scale))
-	if err != nil {
-		return 0, err
-	}
-	g, err := timing.NewGraph(d, con)
-	if err != nil {
-		return 0, err
-	}
-	return g.MaxLevel(), nil
 }

@@ -106,18 +106,6 @@ func TestRunFigure8Quick(t *testing.T) {
 	}
 }
 
-func TestGraphDepth(t *testing.T) {
-	depth, err := GraphDepth("superblue4", quickSuite())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The §3.1 observation: the timing graph is deep (scaled designs are
-	// shallower than >300, but must still be clearly multi-level).
-	if depth < 20 {
-		t.Errorf("graph depth %d suspiciously shallow", depth)
-	}
-}
-
 func TestAblationWeightsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multiple placement runs")
@@ -180,8 +168,5 @@ func TestUnknownPresetErrors(t *testing.T) {
 	}
 	if _, err := RunFigure8("bogus", quickSuite()); err == nil {
 		t.Error("bogus figure preset accepted")
-	}
-	if _, err := GraphDepth("bogus", quickSuite()); err == nil {
-		t.Error("bogus depth preset accepted")
 	}
 }

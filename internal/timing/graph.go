@@ -95,6 +95,13 @@ type Graph struct {
 	IsNetSink []bool //dtgp:index domain=pin
 	// IsCellOut marks pins whose arrival comes through cell arcs.
 	IsCellOut []bool //dtgp:index domain=pin
+	// NetOfSink[p] is the net a net-sink pin p sinks, or -1; PosOfSink[p]
+	// is p's position in that net's pin list (the index of its Elmore
+	// delay and impulse).
+	NetOfSink []int32 //dtgp:index domain=pin elem=net
+	PosOfSink []int32 //dtgp:index domain=pin elem=npin
+	// EndpointOf[p] is the index of the endpoint at pin p, or -1.
+	EndpointOf []int32 //dtgp:index domain=pin elem=endp
 
 	// Level[p] is the topological level of pin p (-1 for pins outside the
 	// timing universe); Levels groups pins by level in ascending order.
@@ -121,8 +128,14 @@ func NewGraph(d *netlist.Design, con *sdc.Constraints) (*Graph, error) {
 		IsStart:    make([]bool, nPins),
 		IsNetSink:  make([]bool, nPins),
 		IsCellOut:  make([]bool, nPins),
+		NetOfSink:  make([]int32, nPins),
+		PosOfSink:  make([]int32, nPins),
+		EndpointOf: make([]int32, nPins),
 		Level:      make([]int32, nPins),
 		SinkCap:    make([]float64, nPins),
+	}
+	for pi := range d.Pins {
+		g.NetOfSink[pi], g.EndpointOf[pi] = -1, -1
 	}
 
 	// Classify pins.
@@ -230,28 +243,29 @@ func NewGraph(d *netlist.Design, con *sdc.Constraints) (*Graph, error) {
 		if net.Driver < 0 {
 			continue
 		}
-		for _, pid := range net.Pins {
+		for k, pid := range net.Pins {
 			if pid != net.Driver {
 				g.IsNetSink[pid] = true
+				g.NetOfSink[pid] = int32(ni)
+				g.PosOfSink[pid] = int32(k)
 			}
 		}
 	}
 
 	// Endpoints: FF data pins with setup checks, and PO ports.
-	endpointSeen := make(map[int32]int, len(g.Checks))
 	for i := range g.Checks {
 		chk := &g.Checks[i]
-		idx, ok := endpointSeen[chk.DataPin]
-		if !ok {
-			idx = len(g.Endpoints)
-			endpointSeen[chk.DataPin] = idx
+		ei := g.EndpointOf[chk.DataPin]
+		if ei < 0 {
+			ei = int32(len(g.Endpoints))
+			g.EndpointOf[chk.DataPin] = ei
 			g.Endpoints = append(g.Endpoints, Endpoint{Pin: chk.DataPin, Kind: EndFFData})
 		}
 		switch chk.Arc.Kind {
 		case liberty.ArcSetup:
-			g.Endpoints[idx].Setup = chk
+			g.Endpoints[ei].Setup = chk
 		case liberty.ArcHold:
-			g.Endpoints[idx].Hold = chk
+			g.Endpoints[ei].Hold = chk
 		}
 	}
 	for ci := range d.Cells {
@@ -261,6 +275,7 @@ func NewGraph(d *netlist.Design, con *sdc.Constraints) (*Graph, error) {
 		}
 		pid := cell.Pins[0]
 		if d.Pins[pid].Dir == netlist.PinInput && d.Pins[pid].Net >= 0 && !g.IsClockNet[d.Pins[pid].Net] {
+			g.EndpointOf[pid] = int32(len(g.Endpoints))
 			g.Endpoints = append(g.Endpoints, Endpoint{Pin: pid, Kind: EndPort, PortName: cell.Name})
 		}
 	}
@@ -364,9 +379,105 @@ func countStuck(indeg []int32) int {
 func (g *Graph) MaxLevel() int { return len(g.Levels) - 1 }
 
 // Period returns the clock period, or +Inf when unconstrained.
+//
+//dtgp:hotpath
 func (g *Graph) Period() float64 {
 	if g.Con == nil || g.Con.Period <= 0 {
 		return inf
 	}
 	return g.Con.Period
+}
+
+// ClockSlew returns the slew of the ideal clock at register clock pins.
+//
+//dtgp:hotpath
+func (g *Graph) ClockSlew() float64 {
+	if g.Con == nil {
+		return 20
+	}
+	return g.Con.ClockSlew
+}
+
+// StartArrival returns the fixed arrival and slew of a start pin: the ideal
+// clock at register clock pins, the SDC input delay and slew at primary
+// inputs.
+//
+//dtgp:index pid=pin
+func (g *Graph) StartArrival(pid int32) (at, slew float64) {
+	if g.IsClockPin[pid] {
+		return 0, g.ClockSlew()
+	}
+	if g.Con == nil {
+		return 0, 30
+	}
+	name := g.D.Cells[g.D.Pins[pid].Cell].Name
+	return g.Con.InputDelayOf(name), g.Con.InputSlewOf(name)
+}
+
+// RequiredLate returns the setup required time of endpoint ep's tr
+// transition arriving with the given data slew: the period minus the setup
+// constraint at register data pins, minus the output delay at ports, and
+// +Inf at registers without a setup check.
+//
+//dtgp:hotpath
+func (g *Graph) RequiredLate(ep *Endpoint, tr Transition, slew float64) float64 {
+	switch {
+	case ep.Kind == EndPort:
+		od := 0.0
+		if g.Con != nil {
+			od = g.Con.OutputDelayOf(ep.PortName)
+		}
+		return g.Period() - od
+	case ep.Setup != nil:
+		return g.Period() - ConstraintTable(ep.Setup.Arc, tr).Eval(g.ClockSlew(), slew)
+	}
+	return inf
+}
+
+// maxTransition returns the library's max-transition design rule, which
+// caps propagated slews, or +Inf without one.
+//
+//dtgp:hotpath
+func (g *Graph) maxTransition() float64 {
+	if mt := g.D.Lib.DefaultMaxTransition; mt > 0 {
+		return mt
+	}
+	return inf
+}
+
+// DelayTables returns the delay and output-transition LUTs of a cell arc
+// producing the given output transition.
+//
+//dtgp:hotpath
+func DelayTables(arc *liberty.TimingArc, out Transition) (delay, trans *liberty.LUT) {
+	if out == Rise {
+		return arc.CellRise, arc.RiseTransition
+	}
+	return arc.CellFall, arc.FallTransition
+}
+
+// InputTransitions returns the input transitions that feed an output
+// transition under the arc's unateness; -1 marks an unused slot.
+//
+//dtgp:hotpath
+func InputTransitions(u liberty.Unateness, out Transition) [2]int8 {
+	switch u {
+	case liberty.PositiveUnate:
+		return [2]int8{int8(out), -1}
+	case liberty.NegativeUnate:
+		return [2]int8{int8(1 - out), -1}
+	default:
+		return [2]int8{0, 1}
+	}
+}
+
+// ConstraintTable returns a setup or hold check's constraint LUT for the
+// given data transition.
+//
+//dtgp:hotpath
+func ConstraintTable(arc *liberty.TimingArc, dataTr Transition) *liberty.LUT {
+	if dataTr == Rise {
+		return arc.RiseConstraint
+	}
+	return arc.FallConstraint
 }

@@ -1,12 +1,10 @@
 package timing
 
 import (
-	"math"
 	"slices"
 	"sort"
 
 	"dtgp/internal/bitset"
-	"dtgp/internal/netlist"
 	"dtgp/internal/parallel"
 )
 
@@ -14,33 +12,18 @@ import (
 // TAU 2015 contest (the paper's reference [30]): after a set of cells move,
 // only the affected timing cone is re-evaluated — incident nets get fresh
 // Elmore state, and arrival/slew changes propagate forward level by level
-// until they damp out. Endpoint setup slacks (and WNS/TNS) stay current
-// because required times at endpoints are local functions of period and
-// data slew.
+// until they damp out, required-time changes backward. Endpoint setup
+// slacks and WNS/TNS stay current after every MoveCells batch.
 //
-// It maintains late/setup analysis only, which is what placement-loop
-// clients (swap evaluation in timing-driven detailed placement) need.
+// It maintains the late/setup analysis only (LateState, evaluated with the
+// same kernels as Analyze), which is what placement-loop clients (net
+// weighting, swap evaluation in timing-driven detailed placement) need.
 type Incremental struct {
-	G    *Graph
-	Nets []NetState //dtgp:index domain=net
+	LateState
 
-	// AT and Slew are the late arrival state (exact max aggregation).
-	AT, Slew []float64 //dtgp:index domain=tnode
-	Valid    []bool    //dtgp:index domain=tnode
-	// RATLate is the maintained late required-time state, min-pulled from
-	// endpoint seeds exactly as Result.propagateRequired computes it, so
-	// per-pin slacks (PinSlack) stay current after every MoveCells batch.
-	RATLate []float64 //dtgp:index domain=tnode
+	// Epsilon below which an AT/slew/RAT change does not propagate further.
+	Epsilon float64
 
-	// EndpointSlack per endpoint index (min over transitions).
-	EndpointSlack []float64 //dtgp:index domain=endp
-	// WNS and TNS over endpoints.
-	WNS, TNS float64
-
-	netOfSink []int32 //dtgp:index domain=pin elem=net
-	posOfSink []int32 //dtgp:index domain=pin elem=npin
-	// endpointOf maps a pin to its endpoint index, or -1.
-	endpointOf []int32 //dtgp:index domain=pin elem=endp
 	// Pending propagation state: work holds dirty pins sorted by
 	// (level, pid), inDirty is their membership bitset. An explicit
 	// worklist instead of a map keyed set makes the drain order
@@ -56,10 +39,6 @@ type Incremental struct {
 	// first-touched order.
 	netWork    []int32 //dtgp:index elem=net
 	netTouched bitset.Set
-	derate     float64
-	clkSlew    float64
-	// Epsilon below which an AT/slew/RAT change does not propagate further.
-	Epsilon float64
 
 	fwdSorter workSorter
 	ratSorter workSorter
@@ -97,23 +76,9 @@ func (s *workSorter) less(i, j int) bool {
 
 // NewIncremental builds the engine and runs the initial full analysis.
 func NewIncremental(g *Graph) *Incremental {
-	n2 := 2 * len(g.D.Pins)
-	inc := &Incremental{
-		G:       g,
-		AT:      make([]float64, n2),
-		Slew:    make([]float64, n2),
-		Valid:   make([]bool, n2),
-		RATLate: make([]float64, n2),
-		derate:  1,
-		clkSlew: 20,
-		Epsilon: 1e-6,
-	}
-	if g.Con != nil {
-		if g.Con.DerateLate > 0 {
-			inc.derate = g.Con.DerateLate
-		}
-		inc.clkSlew = g.Con.ClockSlew
-	}
+	nets := BuildNetStates(g)
+	ForwardAll(nets)
+	inc := &Incremental{Epsilon: 1e-6}
 	inc.fwdSorter.level = g.Level
 	inc.ratSorter.level = g.Level
 	inc.ratSorter.desc = true
@@ -132,348 +97,11 @@ func NewIncremental(g *Graph) *Incremental {
 			ns.RC.Forward()
 		}
 	}
-	inc.endpointOf = make([]int32, len(g.D.Pins))
-	for i := range inc.endpointOf {
-		inc.endpointOf[i] = -1
-	}
-	for ei := range g.Endpoints {
-		inc.endpointOf[g.Endpoints[ei].Pin] = int32(ei)
-	}
 	inc.inDirty.Grow(len(g.D.Pins))
 	inc.inRatDirty.Grow(len(g.D.Pins))
 	inc.netTouched.Grow(len(g.D.Nets))
-	inc.netOfSink = make([]int32, len(g.D.Pins))
-	inc.posOfSink = make([]int32, len(g.D.Pins))
-	for i := range inc.netOfSink {
-		inc.netOfSink[i] = -1
-	}
-	for ni := range g.D.Nets {
-		if g.IsClockNet[ni] {
-			continue
-		}
-		net := &g.D.Nets[ni]
-		if net.Driver < 0 || len(net.Pins) < 2 {
-			continue
-		}
-		for k, pid := range net.Pins {
-			if pid != net.Driver {
-				inc.netOfSink[pid] = int32(ni)
-				inc.posOfSink[pid] = int32(k)
-			}
-		}
-	}
-	inc.Nets = BuildNetStates(g)
-	ForwardAll(inc.Nets)
-	inc.fullForward()
-	inc.fullRequired()
-	inc.recomputeMetrics()
+	inc.analyze(g, nets)
 	return inc
-}
-
-// Graph returns the timing graph (netweight.SlackSource).
-func (inc *Incremental) Graph() *Graph { return inc.G }
-
-// WorstSlack returns the maintained WNS (netweight.SlackSource).
-func (inc *Incremental) WorstSlack() float64 { return inc.WNS }
-
-// PinSlack returns the late (setup) slack at a (pin, transition), +Inf when
-// the pin carries no constrained arrival — arithmetically identical to
-// Result.PinSlack on the maintained state.
-//
-//dtgp:hotpath
-//dtgp:index pid=pin
-func (inc *Incremental) PinSlack(pid int32, tr Transition) float64 {
-	t := TIdx(pid, tr)
-	if !inc.Valid[t] || math.IsInf(inc.RATLate[t], 1) {
-		return inf
-	}
-	return inc.RATLate[t] - inc.AT[t]
-}
-
-// fullForward runs the complete late propagation from scratch.
-//
-//dtgp:hotpath
-func (inc *Incremental) fullForward() {
-	g := inc.G
-	ninf := math.Inf(-1)
-	for i := range inc.AT {
-		inc.AT[i] = ninf
-		inc.Slew[i] = 0
-		inc.Valid[i] = false
-	}
-	for pi := range g.D.Pins {
-		pid := int32(pi)
-		if g.IsStart[pid] {
-			inc.initStart(pid)
-		}
-	}
-	for _, level := range g.Levels {
-		for _, pid := range level {
-			switch {
-			case g.IsStart[pid]:
-			case g.IsNetSink[pid]:
-				inc.evalNetSink(pid)
-			case g.IsCellOut[pid]:
-				inc.evalCellOut(pid)
-			}
-		}
-	}
-}
-
-//dtgp:hotpath
-//dtgp:index pid=pin
-func (inc *Incremental) initStart(pid int32) {
-	g := inc.G
-	var at, slew float64
-	if g.IsClockPin[pid] {
-		at, slew = 0, 20
-		if g.Con != nil {
-			slew = g.Con.ClockSlew
-		}
-	} else {
-		cell := &g.D.Cells[g.D.Pins[pid].Cell]
-		if g.Con != nil {
-			at = g.Con.InputDelayOf(cell.Name)
-			slew = g.Con.InputSlewOf(cell.Name)
-		} else {
-			slew = 30
-		}
-	}
-	for tr := Rise; tr <= Fall; tr++ {
-		t := TIdx(pid, tr)
-		inc.AT[t] = at
-		inc.Slew[t] = slew
-		inc.Valid[t] = true
-	}
-}
-
-// evalNetSink recomputes a sink pin; returns true when its AT/slew moved by
-// more than Epsilon.
-//
-//dtgp:hotpath
-//dtgp:index pid=pin
-func (inc *Incremental) evalNetSink(pid int32) bool {
-	ni := inc.netOfSink[pid]
-	if ni < 0 || inc.Nets[ni].Tree == nil {
-		return false
-	}
-	ns := &inc.Nets[ni]
-	driver := inc.G.D.Nets[ni].Driver
-	k := int(inc.posOfSink[pid])
-	delay := ns.SinkDelay(k) * inc.derate
-	imp := ns.SinkImpulse(k)
-	changed := false
-	for tr := Rise; tr <= Fall; tr++ {
-		u, v := TIdx(driver, tr), TIdx(pid, tr)
-		if !inc.Valid[u] {
-			continue
-		}
-		at := inc.AT[u] + delay
-		slew := math.Sqrt(inc.Slew[u]*inc.Slew[u] + imp*imp)
-		if !inc.Valid[v] || math.Abs(at-inc.AT[v]) > inc.Epsilon ||
-			math.Abs(slew-inc.Slew[v]) > inc.Epsilon {
-			changed = true
-		}
-		inc.AT[v], inc.Slew[v] = at, slew
-		inc.Valid[v] = true
-	}
-	return changed
-}
-
-// evalCellOut recomputes a cell output pin (exact max aggregation).
-//
-//dtgp:hotpath
-//dtgp:index pid=pin
-func (inc *Incremental) evalCellOut(pid int32) bool {
-	g := inc.G
-	load := 0.0
-	if net := g.D.Pins[pid].Net; net >= 0 && inc.Nets[net].Tree != nil {
-		load = inc.Nets[net].DriverLoad()
-	}
-	maxTr := math.Inf(1)
-	if mt := g.D.Lib.DefaultMaxTransition; mt > 0 {
-		maxTr = mt
-	}
-	changed := false
-	for outTr := Rise; outTr <= Fall; outTr++ {
-		v := TIdx(pid, outTr)
-		bestAT, bestSlew := math.Inf(-1), math.Inf(-1)
-		any := false
-		for ai := range g.ArcsInto[pid] {
-			ar := &g.ArcsInto[pid][ai]
-			dl, tl := delayTable(ar.Arc, outTr)
-			for _, inTrRaw := range arcCombos(ar.Arc.Unate, outTr) {
-				if inTrRaw < 0 {
-					continue
-				}
-				u := TIdx(ar.FromPin, Transition(inTrRaw))
-				if !inc.Valid[u] {
-					continue
-				}
-				any = true
-				if at := inc.AT[u] + dl.Eval(inc.Slew[u], load)*inc.derate; at > bestAT {
-					bestAT = at
-				}
-				if s := tl.Eval(inc.Slew[u], load); s > bestSlew {
-					bestSlew = s
-				}
-			}
-		}
-		if !any {
-			continue
-		}
-		if bestSlew > maxTr {
-			bestSlew = maxTr
-		}
-		if !inc.Valid[v] || math.Abs(bestAT-inc.AT[v]) > inc.Epsilon ||
-			math.Abs(bestSlew-inc.Slew[v]) > inc.Epsilon {
-			changed = true
-		}
-		inc.AT[v], inc.Slew[v] = bestAT, bestSlew
-		inc.Valid[v] = true
-	}
-	return changed
-}
-
-//dtgp:hotpath
-//dtgp:index pid=pin
-func (inc *Incremental) driverLoadOf(pid int32) float64 {
-	if net := inc.G.D.Pins[pid].Net; net >= 0 && inc.Nets[net].Tree != nil {
-		return inc.Nets[net].DriverLoad()
-	}
-	return 0
-}
-
-// seedRAT returns the endpoint required time of (pid, tr), or +Inf when pid
-// is not a constrained endpoint — the seed Result.propagateRequired writes
-// before the backward pull.
-//
-//dtgp:hotpath
-//dtgp:index pid=pin
-func (inc *Incremental) seedRAT(pid int32, tr Transition) float64 {
-	ei := inc.endpointOf[pid]
-	if ei < 0 {
-		return inf
-	}
-	g := inc.G
-	ep := &g.Endpoints[ei]
-	t := TIdx(pid, tr)
-	if !inc.Valid[t] {
-		return inf
-	}
-	switch {
-	case ep.Kind == EndFFData && ep.Setup != nil:
-		return g.Period() - constraintTable(ep.Setup.Arc, tr).Eval(inc.clkSlew, inc.Slew[t])
-	case ep.Kind == EndPort:
-		od := 0.0
-		if g.Con != nil {
-			od = g.Con.OutputDelayOf(ep.PortName)
-		}
-		return g.Period() - od
-	}
-	return inf
-}
-
-// evalRAT recomputes the late required time of one pin from its endpoint
-// seed and its fanout pulls — the same min-aggregation as
-// Result.pullRequired, term by term, so maintained and from-scratch RATs
-// agree bitwise (exact min is insensitive to pull order). Returns true when
-// either transition moved by more than Epsilon.
-//
-//dtgp:hotpath
-//dtgp:index pid=pin
-func (inc *Incremental) evalRAT(pid int32) bool {
-	g := inc.G
-	d := g.D
-	pin := &d.Pins[pid]
-	var rat [2]float64
-	for tr := Rise; tr <= Fall; tr++ {
-		rat[tr] = inc.seedRAT(pid, tr)
-	}
-
-	// Fanout via net (pid is a driver).
-	if pin.Dir == netlist.PinOutput && pin.Net >= 0 && !g.IsClockNet[pin.Net] {
-		ns := &inc.Nets[pin.Net]
-		if ns.Tree != nil {
-			for k, q := range d.Nets[pin.Net].Pins {
-				if q == pid {
-					continue
-				}
-				delay := ns.SinkDelay(k)
-				for tr := Rise; tr <= Fall; tr++ {
-					vt := TIdx(q, tr)
-					if !inc.Valid[vt] {
-						continue
-					}
-					if v := inc.RATLate[vt] - delay*inc.derate; v < rat[tr] {
-						rat[tr] = v
-					}
-				}
-			}
-		}
-	}
-
-	// Fanout via cell arcs (pid is a cell input).
-	cell := &d.Cells[pin.Cell]
-	if cell.Lib >= 0 {
-		lc := &d.Lib.Cells[cell.Lib]
-		for ai := range lc.Arcs {
-			arc := &lc.Arcs[ai]
-			if arc.IsCheck() || cell.Pins[arc.From] != pid {
-				continue
-			}
-			vPin := cell.Pins[arc.To]
-			load := inc.driverLoadOf(vPin)
-			for outTr := Rise; outTr <= Fall; outTr++ {
-				vt := TIdx(vPin, outTr)
-				if !inc.Valid[vt] {
-					continue
-				}
-				dl, _ := delayTable(arc, outTr)
-				for _, inTrRaw := range arcCombos(arc.Unate, outTr) {
-					if inTrRaw < 0 {
-						continue
-					}
-					ut := TIdx(pid, Transition(inTrRaw))
-					if !inc.Valid[ut] {
-						continue
-					}
-					if v := inc.RATLate[vt] - dl.Eval(inc.Slew[ut], load)*inc.derate; v < rat[inTrRaw] {
-						rat[inTrRaw] = v
-					}
-				}
-			}
-		}
-	}
-
-	changed := false
-	for tr := Rise; tr <= Fall; tr++ {
-		t := TIdx(pid, tr)
-		if math.Abs(rat[tr]-inc.RATLate[t]) > inc.Epsilon {
-			// Inf→Inf compares as NaN and reads unchanged; Inf→finite (or
-			// back) is +Inf and propagates — exactly the wanted contract.
-			changed = true
-		}
-		inc.RATLate[t] = rat[tr]
-	}
-	return changed
-}
-
-// fullRequired recomputes every pin's required time from scratch, highest
-// level first (a pin's fanouts are strictly deeper, so their RATs are final
-// when the pin is evaluated).
-//
-//dtgp:hotpath
-func (inc *Incremental) fullRequired() {
-	for i := range inc.RATLate {
-		inc.RATLate[i] = inf
-	}
-	g := inc.G
-	for li := len(g.Levels) - 1; li >= 0; li-- {
-		for _, pid := range g.Levels[li] {
-			inc.evalRAT(pid)
-		}
-	}
 }
 
 // MoveCells informs the engine that the given cells changed position. The
@@ -524,7 +152,7 @@ func (inc *Incremental) MoveCells(cells []int32) {
 	}
 	inc.propagate()
 	inc.propagateRAT()
-	inc.recomputeMetrics()
+	inc.setupSlacks()
 }
 
 // markDirty appends pid to the worklist unless it is already pending.
@@ -555,11 +183,10 @@ func (inc *Incremental) propagate() {
 		switch {
 		case g.IsStart[pid]:
 			// Start values never change with placement.
-			changed = false
 		case g.IsNetSink[pid]:
-			changed = inc.evalNetSink(pid)
+			changed = inc.arriveNetSink(pid, inc.Epsilon)
 		case g.IsCellOut[pid]:
-			changed = inc.evalCellOut(pid)
+			changed = inc.arriveCellOut(pid, inc.Epsilon)
 		}
 		if !changed {
 			continue
@@ -611,7 +238,7 @@ func (inc *Incremental) markRATDirty(pid int32) {
 // deepest pins first, because a pin's RAT reads only its fanouts' RATs,
 // which sit at strictly greater levels. Fanins discovered on a change are
 // strictly shallower, so insertion always lands beyond head and the pending
-// tail stays sorted. Runs after the forward drain (evalRAT reads final
+// tail stays sorted. Runs after the forward drain (require reads final
 // slews).
 //
 //dtgp:hotpath
@@ -625,13 +252,13 @@ func (inc *Incremental) propagateRAT() {
 	for head := 0; head < len(inc.ratWork); head++ {
 		pid := inc.ratWork[head]
 		inc.inRatDirty.Remove(pid)
-		if !inc.evalRAT(pid) {
+		if !inc.require(pid, inc.Epsilon) {
 			continue
 		}
 		// Fanins whose pulls read pid's RAT: the driver of pid's net when
 		// pid is a sink, and the From pins of the cell arcs into pid when
 		// pid is a cell output.
-		if ni := inc.netOfSink[pid]; ni >= 0 {
+		if ni := g.NetOfSink[pid]; ni >= 0 {
 			if q := g.D.Nets[ni].Driver; inc.inRatDirty.TryAdd(q) {
 				inc.insertRatPending(head+1, q)
 			}
@@ -762,46 +389,4 @@ func (inc *Incremental) insertPending(from int, pid int32) {
 	inc.work = append(inc.work, 0)
 	copy(inc.work[i+1:], inc.work[i:])
 	inc.work[i] = pid
-}
-
-// recomputeMetrics refreshes endpoint slacks and WNS/TNS from the
-// maintained arrival and required-time state, mirroring
-// Result.computeSlacks's setup side bitwise.
-//
-//dtgp:hotpath
-func (inc *Incremental) recomputeMetrics() {
-	g := inc.G
-	if inc.EndpointSlack == nil {
-		inc.EndpointSlack = make([]float64, len(g.Endpoints))
-	}
-	inc.WNS, inc.TNS = inf, 0
-	any := false
-	for ei := range g.Endpoints {
-		ep := &g.Endpoints[ei]
-		slack := inf
-		for tr := Rise; tr <= Fall; tr++ {
-			t := TIdx(ep.Pin, tr)
-			if !inc.Valid[t] {
-				continue
-			}
-			if !math.IsInf(inc.RATLate[t], 1) {
-				if s := inc.RATLate[t] - inc.AT[t]; s < slack {
-					slack = s
-				}
-			}
-		}
-		inc.EndpointSlack[ei] = slack
-		if !math.IsInf(slack, 1) {
-			any = true
-			if slack < inc.WNS {
-				inc.WNS = slack
-			}
-			if slack < 0 {
-				inc.TNS += slack
-			}
-		}
-	}
-	if !any {
-		inc.WNS = 0
-	}
 }

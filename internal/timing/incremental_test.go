@@ -37,12 +37,12 @@ func TestIncrementalMatchesFullInitially(t *testing.T) {
 	if math.Abs(inc.TNS-full.TNS) > 1e-6 {
 		t.Errorf("initial TNS %v vs full %v", inc.TNS, full.TNS)
 	}
-	for i := range inc.AT {
+	for i := range inc.ATLate {
 		if inc.Valid[i] != full.Valid[i] {
 			t.Fatalf("validity mismatch at %d", i)
 		}
-		if inc.Valid[i] && math.Abs(inc.AT[i]-full.ATLate[i]) > 1e-6 {
-			t.Fatalf("AT mismatch at %d: %v vs %v", i, inc.AT[i], full.ATLate[i])
+		if inc.Valid[i] && math.Abs(inc.ATLate[i]-full.ATLate[i]) > 1e-6 {
+			t.Fatalf("AT mismatch at %d: %v vs %v", i, inc.ATLate[i], full.ATLate[i])
 		}
 	}
 }
@@ -136,8 +136,8 @@ func TestIncrementalRATMatchesFull(t *testing.T) {
 		inc.MoveCells(moved)
 		full := AnalyzeWithNets(g, inc.Nets)
 		for i := range inc.RATLate {
-			if inc.AT[i] != full.ATLate[i] && inc.Valid[i] {
-				t.Fatalf("round %d: AT mismatch at %d: %v vs %v", round, i, inc.AT[i], full.ATLate[i])
+			if inc.ATLate[i] != full.ATLate[i] && inc.Valid[i] {
+				t.Fatalf("round %d: AT mismatch at %d: %v vs %v", round, i, inc.ATLate[i], full.ATLate[i])
 			}
 			if inc.RATLate[i] != full.RATLate[i] && !(math.IsInf(inc.RATLate[i], 1) && math.IsInf(full.RATLate[i], 1)) {
 				t.Fatalf("round %d: RAT mismatch at %d: %v vs %v", round, i, inc.RATLate[i], full.RATLate[i])
@@ -214,11 +214,11 @@ func TestIncrementalEpsilonDriftBounded(t *testing.T) {
 		}
 		inc.MoveCells(moved)
 		full := AnalyzeWithNets(g, inc.Nets)
-		for i := range inc.AT {
+		for i := range inc.ATLate {
 			if !inc.Valid[i] || !full.Valid[i] {
 				continue
 			}
-			if dr := math.Abs(inc.AT[i] - full.ATLate[i]); dr > maxPinDrift {
+			if dr := math.Abs(inc.ATLate[i] - full.ATLate[i]); dr > maxPinDrift {
 				maxPinDrift = dr
 			}
 		}

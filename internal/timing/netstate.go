@@ -46,7 +46,7 @@ type NetState struct {
 	// buildNetStateInto applied to the px/py snapshot (a full topology
 	// extraction, not a geometry slide). Extraction is deterministic, so a
 	// net with fromBuild set whose pins are bitwise unchanged since the
-	// snapshot would rebuild to the identical state — RebuildNetStatesMoved
+	// snapshot would rebuild to the identical state — RebuildNetStateMoved
 	// exploits this to skip it.
 	//dtgp:cached by=buildNetStateInto,RefreshNetState
 	fromBuild bool
@@ -163,34 +163,29 @@ func buildNetStateInto(g *Graph, ni int32, ns *NetState) {
 	}
 }
 
-// RebuildNetStatesMoved is the fence variant of RebuildNetStates: it
-// re-extracts only nets whose state could differ from a fresh build —
-// nets whose pins moved bitwise since their px/py snapshot, or whose
-// topology was slid (RefreshNetState) rather than rebuilt since then.
-// Skipped nets already hold exactly the state a rebuild would produce
-// (extraction is deterministic), so the result is bit-identical to
-// RebuildNetStates. Rebuilt nets also get their Elmore forward pass here;
-// skipped nets keep their (identical) forward results, so the caller must
-// NOT run another forward sweep.
+// RebuildNetStateMoved is the per-net fence variant of RebuildNetStates: it
+// re-extracts ns only if its state could differ from a fresh build — its
+// pins moved bitwise since the px/py snapshot, or its topology was slid
+// (RefreshNetState) rather than rebuilt since then. A skipped net already
+// holds exactly the state a rebuild would produce (extraction is
+// deterministic), so a fence over every net is bit-identical to
+// RebuildNetStates. A rebuilt net also gets its Elmore forward pass here; a
+// skipped one keeps its (identical) forward results, so the caller must NOT
+// run another forward sweep.
 //
 //dtgp:hotpath
-func RebuildNetStatesMoved(g *Graph, states []NetState) {
-	parallel.ForGuided(len(states), 8, parallel.CostHeavy, func(_, lo, hi int) {
-		for ni := lo; ni < hi; ni++ {
-			ns := &states[ni]
-			// Tree == nil nets always fall through: NetMoved cannot see
-			// their movement and a defensively-untimed net could become
-			// timeable at new geometry. buildNetStateInto early-returns
-			// for the structurally untimed ones, so the retry is cheap.
-			if ns.fromBuild && ns.Tree != nil && !NetMoved(g, ns, 0) {
-				continue
-			}
-			buildNetStateInto(g, int32(ni), ns)
-			if ns.RC != nil {
-				ns.RC.Forward()
-			}
-		}
-	})
+func RebuildNetStateMoved(g *Graph, ns *NetState) {
+	// Tree == nil nets always fall through: NetMoved cannot see their
+	// movement and a defensively-untimed net could become timeable at new
+	// geometry. buildNetStateInto early-returns for the structurally
+	// untimed ones, so the retry is cheap.
+	if ns.fromBuild && ns.Tree != nil && !NetMoved(g, ns, 0) {
+		return
+	}
+	buildNetStateInto(g, ns.Net, ns)
+	if ns.RC != nil {
+		ns.RC.Forward()
+	}
 }
 
 // RefreshNetState updates one net's node coordinates and RC values from

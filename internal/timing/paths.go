@@ -22,6 +22,51 @@ type candidate struct {
 	delay   float64
 }
 
+// candidates returns the fan-in candidates of late node t, reusing buf's
+// storage, sorted by arrival descending. The sort is stable, so ties keep
+// fan-in order and the first candidate is the one the arrival kernels'
+// strict max kept: the canonical worst predecessor every path tracer
+// follows.
+//
+//dtgp:index t=tnode
+func (s *LateState) candidates(t int32, buf []candidate) []candidate {
+	g := s.G
+	pid := t / 2
+	tr := Transition(t % 2)
+	cs := buf[:0]
+	switch {
+	case g.IsStart[pid]:
+		// no fan-in
+	case g.IsNetSink[pid]:
+		if ni := g.NetOfSink[pid]; ni >= 0 && s.Nets[ni].Tree != nil {
+			u := TIdx(g.D.Nets[ni].Driver, tr)
+			if s.Valid[u] {
+				d := s.Nets[ni].SinkDelay(int(g.PosOfSink[pid])) * s.derate
+				cs = append(cs, candidate{pred: u, arrival: s.ATLate[u] + d, delay: d})
+			}
+		}
+	case g.IsCellOut[pid]:
+		load := s.driverLoad(pid)
+		for ai := range g.ArcsInto[pid] {
+			ar := &g.ArcsInto[pid][ai]
+			dl, _ := DelayTables(ar.Arc, tr)
+			for _, inTr := range InputTransitions(ar.Arc.Unate, tr) {
+				if inTr < 0 {
+					continue
+				}
+				u := TIdx(ar.FromPin, Transition(inTr))
+				if !s.Valid[u] {
+					continue
+				}
+				d := dl.Eval(s.SlewLate[u], load) * s.derate
+				cs = append(cs, candidate{pred: u, arrival: s.ATLate[u] + d, delay: d})
+			}
+		}
+	}
+	sort.SliceStable(cs, func(i, j int) bool { return cs[i].arrival > cs[j].arrival })
+	return cs
+}
+
 // pathEnum holds enumeration state over one analysis result. All per-node
 // state is slice-indexed by TIdx: maps here would make candidate-cache
 // population (and with it the tie order of equal-arrival paths) depend on
@@ -36,72 +81,29 @@ type pathEnum struct {
 	// being materialised; 0 (the canonical worst predecessor) when the
 	// entry carries no deviation for that node. Reset after each use.
 	devIdx []int32 //dtgp:index domain=tnode
-	// netOf/posOf locate each sink pin's net state (computed once).
-	netOf []int32 //dtgp:index domain=pin elem=net
-	posOf []int32 //dtgp:index domain=pin elem=npin
 }
 
 // newPathEnum sizes the slice-indexed enumeration state for one result.
 func newPathEnum(r *Result) *pathEnum {
 	n2 := len(r.ATLate)
-	pe := &pathEnum{
+	return &pathEnum{
 		r:         r,
 		cands:     make([][]candidate, n2),
 		haveCands: make([]bool, n2),
 		devIdx:    make([]int32, n2),
 	}
-	pe.netOf, pe.posOf = r.sinkLocator()
-	return pe
 }
 
-// candidatesOf returns the fan-in candidates of node t, sorted by arrival
-// descending (index 0 = the canonical worst predecessor).
+// candidatesOf returns the cached fan-in candidates of node t (index 0 =
+// the canonical worst predecessor).
 //
 //dtgp:index t=tnode
 func (pe *pathEnum) candidatesOf(t int32) []candidate {
-	if pe.haveCands[t] {
-		return pe.cands[t]
+	if !pe.haveCands[t] {
+		pe.cands[t] = pe.r.candidates(t, nil)
+		pe.haveCands[t] = true
 	}
-	r := pe.r
-	g := r.G
-	pid := t / 2
-	tr := Transition(t % 2)
-	var cs []candidate
-	switch {
-	case g.IsStart[pid]:
-		// no fan-in
-	case g.IsNetSink[pid]:
-		if ni := pe.netOf[pid]; ni >= 0 {
-			ns := &r.Nets[ni]
-			driver := g.D.Nets[ni].Driver
-			u := TIdx(driver, tr)
-			if r.Valid[u] {
-				d := ns.SinkDelay(int(pe.posOf[pid])) * r.derateLate
-				cs = append(cs, candidate{pred: u, arrival: r.ATLate[u] + d, delay: d})
-			}
-		}
-	case g.IsCellOut[pid]:
-		load := r.driverLoadOf(pid)
-		for ai := range g.ArcsInto[pid] {
-			ar := &g.ArcsInto[pid][ai]
-			dl, _ := delayTable(ar.Arc, tr)
-			for _, inTrRaw := range arcCombos(ar.Arc.Unate, tr) {
-				if inTrRaw < 0 {
-					continue
-				}
-				u := TIdx(ar.FromPin, Transition(inTrRaw))
-				if !r.Valid[u] {
-					continue
-				}
-				d := dl.Eval(r.SlewLate[u], load) * r.derateLate
-				cs = append(cs, candidate{pred: u, arrival: r.ATLate[u] + d, delay: d})
-			}
-		}
-	}
-	sort.Slice(cs, func(i, j int) bool { return cs[i].arrival > cs[j].arrival })
-	pe.cands[t] = cs
-	pe.haveCands[t] = true
-	return cs
+	return pe.cands[t]
 }
 
 // setDevs installs an entry's deviations into devIdx; clearDevs undoes it.

@@ -3,6 +3,7 @@ package timing
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -61,21 +62,19 @@ func (r *Result) EndpointPath(ei int) Path {
 	if t < 0 {
 		return Path{}
 	}
-	var rev []PathStep
-	for cur := t; cur >= 0; cur = r.PredLate[cur] {
-		rev = append(rev, PathStep{
-			Pin:        cur / 2,
-			Transition: Transition(cur % 2),
-			AT:         r.ATLate[cur],
-			Slew:       r.SlewLate[cur],
-			Incr:       r.PredDelayLate[cur],
-		})
+	// Follow the canonical candidate back to a start pin, which has none.
+	var steps []PathStep
+	var cs []candidate
+	for t >= 0 {
+		st := PathStep{Pin: t / 2, Transition: Transition(t % 2), AT: r.ATLate[t], Slew: r.SlewLate[t]}
+		cs = r.candidates(t, cs)
+		t = -1
+		if len(cs) > 0 {
+			st.Incr, t = cs[0].delay, cs[0].pred
+		}
+		steps = append(steps, st)
 	}
-	steps := make([]PathStep, len(rev))
-	for i := range rev {
-		steps[i] = rev[len(rev)-1-i]
-	}
-	steps[0].Incr = 0
+	slices.Reverse(steps)
 	return Path{Steps: steps, Slack: slack}
 }
 

@@ -3,44 +3,31 @@ package timing
 import (
 	"math"
 
-	"dtgp/internal/liberty"
 	"dtgp/internal/netlist"
 	"dtgp/internal/parallel"
 )
 
 var inf = math.Inf(1)
 
-// Result holds a full exact STA of one placement snapshot.
+// Result holds a full exact STA of one placement snapshot: the late
+// (setup) analysis shared with Incremental, plus the early (hold) analysis
+// that only a from-scratch analysis maintains.
 type Result struct {
-	G    *Graph
-	Nets []NetState //dtgp:index domain=net
+	LateState
 
-	// Per (pin, transition) arrays, indexed with TIdx.
-	ATLate, SlewLate   []float64 //dtgp:index domain=tnode
+	// Early arrival and slew per (pin, transition), over the late pass's
+	// reachability (Valid), and the hold required times.
 	ATEarly, SlewEarly []float64 //dtgp:index domain=tnode
-	Valid              []bool    //dtgp:index domain=tnode
+	RATEarly           []float64 //dtgp:index domain=tnode
 
-	// Required arrival times (setup uses late, hold uses early).
-	RATLate, RATEarly []float64 //dtgp:index domain=tnode
-
-	// PredLate[t] is the worst late predecessor of t (a TIdx), -1 at
-	// starts; PredDelayLate is the arc delay taken.
-	PredLate      []int32   //dtgp:index domain=tnode elem=tnode
-	PredDelayLate []float64 //dtgp:index domain=tnode
-
-	// Per-endpoint setup and hold slacks (min over transitions); hold is
-	// +Inf for endpoints without hold checks.
-	EndpointSetup []float64 //dtgp:index domain=endp
-	EndpointHold  []float64 //dtgp:index domain=endp
-
-	// derateLate and derateEarly scale arc delays per set_timing_derate.
-	derateLate, derateEarly float64
-
-	// Setup metrics (the paper's WNS/TNS, Eq. 2): WNS is the minimum
-	// endpoint slack, TNS sums negative endpoint slacks.
-	WNS, TNS float64
-	// Hold metrics.
+	// EndpointHold is the hold slack per endpoint (min over transitions),
+	// +Inf for endpoints without hold checks; WNSHold and TNSHold are the
+	// hold metrics.
+	EndpointHold     []float64 //dtgp:index domain=endp
 	WNSHold, TNSHold float64
+
+	// derateEarly scales arc delays per set_timing_derate -early.
+	derateEarly float64
 }
 
 // Analyze runs exact STA: Steiner/RC construction, Elmore forward passes,
@@ -57,357 +44,157 @@ func Analyze(g *Graph) *Result {
 func AnalyzeWithNets(g *Graph, nets []NetState) *Result {
 	n2 := 2 * len(g.D.Pins)
 	r := &Result{
-		G:             g,
-		Nets:          nets,
-		ATLate:        make([]float64, n2),
-		SlewLate:      make([]float64, n2),
-		ATEarly:       make([]float64, n2),
-		SlewEarly:     make([]float64, n2),
-		Valid:         make([]bool, n2),
-		RATLate:       make([]float64, n2),
-		RATEarly:      make([]float64, n2),
-		PredLate:      make([]int32, n2),
-		PredDelayLate: make([]float64, n2),
-		derateLate:    1,
-		derateEarly:   1,
+		ATEarly:      make([]float64, n2),
+		SlewEarly:    make([]float64, n2),
+		RATEarly:     make([]float64, n2),
+		EndpointHold: make([]float64, len(g.Endpoints)),
+		derateEarly:  1,
 	}
-	if g.Con != nil {
-		if g.Con.DerateLate > 0 {
-			r.derateLate = g.Con.DerateLate
-		}
-		if g.Con.DerateEarly > 0 {
-			r.derateEarly = g.Con.DerateEarly
-		}
+	if g.Con != nil && g.Con.DerateEarly > 0 {
+		r.derateEarly = g.Con.DerateEarly
 	}
-	for i := 0; i < n2; i++ {
-		r.ATLate[i] = -inf
-		r.ATEarly[i] = inf
-		r.RATLate[i] = inf
-		r.RATEarly[i] = -inf
-		r.PredLate[i] = -1
-	}
-	r.propagateArrival()
-	r.propagateRequired()
-	r.computeSlacks()
+	r.analyze(g, nets)
+	r.analyzeEarly()
 	return r
 }
 
-// sinkLocator precomputes, for every net-sink pin, its net state index and
-// its position within the net's pin list.
-//
-//dtgp:index return=pin[]net return2=pin[]npin
-func (r *Result) sinkLocator() (netOf, posOf []int32) {
-	d := r.G.D
-	netOf = make([]int32, len(d.Pins))
-	posOf = make([]int32, len(d.Pins))
-	for i := range netOf {
-		netOf[i] = -1
-	}
-	for ni := range r.Nets {
-		ns := &r.Nets[ni]
-		if ns.Tree == nil {
-			continue
-		}
-		for k, pid := range d.Nets[ni].Pins {
-			if pid != d.Nets[ni].Driver {
-				netOf[pid] = int32(ni)
-				posOf[pid] = int32(k)
-			}
-		}
-	}
-	return netOf, posOf
-}
-
-func (r *Result) propagateArrival() {
+// analyzeEarly runs the early (hold) analysis after the late one: min
+// arrival and slew level by level, hold required times max-pulled from the
+// deepest level up, then the hold slacks.
+func (r *Result) analyzeEarly() {
 	g := r.G
-	d := g.D
-	con := g.Con
-	netOf, posOf := r.sinkLocator()
-
-	// Starts: primary inputs and (ideal) clock pins.
-	for pi := range d.Pins {
-		pid := int32(pi)
-		if !g.IsStart[pid] {
-			continue
-		}
-		var at, slew float64
-		if g.IsClockPin[pid] {
-			at = 0
-			slew = 20
-			if con != nil {
-				slew = con.ClockSlew
+	for i := range r.ATEarly {
+		r.ATEarly[i] = inf
+		r.RATEarly[i] = -inf
+	}
+	for pi := range g.D.Pins {
+		if pid := int32(pi); g.IsStart[pid] {
+			at, slew := g.StartArrival(pid)
+			for tr := Rise; tr <= Fall; tr++ {
+				r.ATEarly[TIdx(pid, tr)], r.SlewEarly[TIdx(pid, tr)] = at, slew
 			}
-		} else {
-			cell := &d.Cells[d.Pins[pid].Cell]
-			if con != nil {
-				at = con.InputDelayOf(cell.Name)
-				slew = con.InputSlewOf(cell.Name)
-			} else {
-				slew = 30
-			}
-		}
-		for tr := Rise; tr <= Fall; tr++ {
-			t := TIdx(pid, tr)
-			r.ATLate[t], r.ATEarly[t] = at, at
-			r.SlewLate[t], r.SlewEarly[t] = slew, slew
-			r.Valid[t] = true
 		}
 	}
-
-	// Each pin evaluates multiple LUT lookups, so even short levels are
-	// worth fanning out (CostHeavy in the dispatch cost model).
 	for _, level := range g.Levels {
-		level := level
 		parallel.ForCost(len(level), parallel.CostHeavy, func(i int) {
-			pid := level[i]
-			switch {
+			switch pid := level[i]; {
 			case g.IsStart[pid]:
-				// already initialised
 			case g.IsNetSink[pid]:
-				r.propNetSink(pid, netOf[pid], posOf[pid])
+				r.arriveNetSinkEarly(pid)
 			case g.IsCellOut[pid]:
-				r.propCellOut(pid)
+				r.arriveCellOutEarly(pid)
 			}
 		})
 	}
+	for li := len(g.Levels) - 1; li >= 0; li-- {
+		level := g.Levels[li]
+		parallel.ForCost(len(level), parallel.CostHeavy, func(i int) { r.requireEarly(level[i]) })
+	}
+	r.holdSlacks()
 }
 
-// propNetSink applies the net arc (Eq. 9): AT(v) = AT(u) + Delay(v),
-// Slew(v) = sqrt(Slew(u)² + Impulse(v)²).
+// arriveNetSinkEarly is arriveNetSink for the early arrival.
 //
 //dtgp:hotpath
-//dtgp:index pid=pin ni=net pos=npin
-func (r *Result) propNetSink(pid, ni, pos int32) {
-	if ni < 0 {
+//dtgp:index pid=pin
+func (r *Result) arriveNetSinkEarly(pid int32) {
+	g := r.G
+	ni := g.NetOfSink[pid]
+	if ni < 0 || r.Nets[ni].Tree == nil {
 		return
 	}
 	ns := &r.Nets[ni]
-	driver := r.G.D.Nets[ni].Driver
-	delay := ns.SinkDelay(int(pos))
-	imp := ns.SinkImpulse(int(pos))
-	dLate := delay * r.derateLate
-	dEarly := delay * r.derateEarly
+	driver := g.D.Nets[ni].Driver
+	k := int(g.PosOfSink[pid])
+	delay := ns.SinkDelay(k) * r.derateEarly
+	imp := ns.SinkImpulse(k)
 	for tr := Rise; tr <= Fall; tr++ {
 		u, v := TIdx(driver, tr), TIdx(pid, tr)
 		if !r.Valid[u] {
 			continue
 		}
-		r.ATLate[v] = r.ATLate[u] + dLate
-		r.ATEarly[v] = r.ATEarly[u] + dEarly
-		r.SlewLate[v] = math.Sqrt(r.SlewLate[u]*r.SlewLate[u] + imp*imp)
+		r.ATEarly[v] = r.ATEarly[u] + delay
 		r.SlewEarly[v] = math.Sqrt(r.SlewEarly[u]*r.SlewEarly[u] + imp*imp)
-		r.Valid[v] = true
-		r.PredLate[v] = u
-		r.PredDelayLate[v] = dLate
 	}
 }
 
-// arcCombos returns the input transitions feeding an output transition
-// under the arc's unateness.
-//
-//dtgp:hotpath
-func arcCombos(u liberty.Unateness, out Transition) [2]int8 {
-	// Returned entries are input transitions; -1 marks unused slots.
-	switch u {
-	case liberty.PositiveUnate:
-		return [2]int8{int8(out), -1}
-	case liberty.NegativeUnate:
-		return [2]int8{int8(1 - out), -1}
-	default:
-		return [2]int8{0, 1}
-	}
-}
-
-// delayTable returns the delay and transition LUTs producing the given
-// output transition.
-//
-//dtgp:hotpath
-func delayTable(arc *liberty.TimingArc, out Transition) (delay, trans *liberty.LUT) {
-	if out == Rise {
-		return arc.CellRise, arc.RiseTransition
-	}
-	return arc.CellFall, arc.FallTransition
-}
-
-// driverLoadOf returns the capacitive load on an output pin's net.
+// arriveCellOutEarly is arriveCellOut for the early arrival: the exact min
+// over the arc candidates.
 //
 //dtgp:hotpath
 //dtgp:index pid=pin
-func (r *Result) driverLoadOf(pid int32) float64 {
-	net := r.G.D.Pins[pid].Net
-	if net < 0 || r.Nets[net].Tree == nil {
-		return 0
-	}
-	return r.Nets[net].DriverLoad()
-}
-
-// propCellOut applies all cell arcs into an output pin (Eq. 11 with exact
-// max/min instead of LSE).
-//
-//dtgp:hotpath
-//dtgp:index pid=pin
-func (r *Result) propCellOut(pid int32) {
+func (r *Result) arriveCellOutEarly(pid int32) {
 	g := r.G
-	load := r.driverLoadOf(pid)
+	load := r.driverLoad(pid)
 	for outTr := Rise; outTr <= Fall; outTr++ {
-		v := TIdx(pid, outTr)
-		bestLate, bestEarly := -inf, inf
-		slewLate, slewEarly := -inf, inf
-		var pred int32 = -1
-		var predDelay float64
+		at, slew := inf, inf
+		reached := false
 		for ai := range g.ArcsInto[pid] {
 			ar := &g.ArcsInto[pid][ai]
-			dl, tl := delayTable(ar.Arc, outTr)
-			for _, inTrRaw := range arcCombos(ar.Arc.Unate, outTr) {
-				if inTrRaw < 0 {
+			dl, tl := DelayTables(ar.Arc, outTr)
+			for _, inTr := range InputTransitions(ar.Arc.Unate, outTr) {
+				if inTr < 0 {
 					continue
 				}
-				u := TIdx(ar.FromPin, Transition(inTrRaw))
+				u := TIdx(ar.FromPin, Transition(inTr))
 				if !r.Valid[u] {
 					continue
 				}
-				dLate := dl.Eval(r.SlewLate[u], load) * r.derateLate
-				dEarly := dl.Eval(r.SlewEarly[u], load) * r.derateEarly
-				if at := r.ATLate[u] + dLate; at > bestLate {
-					bestLate = at
-					pred = u
-					predDelay = dLate
+				reached = true
+				if a := r.ATEarly[u] + dl.Eval(r.SlewEarly[u], load)*r.derateEarly; a < at {
+					at = a
 				}
-				if at := r.ATEarly[u] + dEarly; at < bestEarly {
-					bestEarly = at
-				}
-				if s := tl.Eval(r.SlewLate[u], load); s > slewLate {
-					slewLate = s
-				}
-				if s := tl.Eval(r.SlewEarly[u], load); s < slewEarly {
-					slewEarly = s
+				if sl := tl.Eval(r.SlewEarly[u], load); sl < slew {
+					slew = sl
 				}
 			}
 		}
-		if pred < 0 {
+		if !reached {
 			continue
 		}
-		// The library's max-transition design rule caps propagated slews in
-		// both modes.
-		if maxTr := r.maxTransition(); slewLate > maxTr {
-			slewLate = maxTr
+		if maxTr := g.maxTransition(); slew > maxTr {
+			slew = maxTr
 		}
-		if maxTr := r.maxTransition(); slewEarly > maxTr {
-			slewEarly = maxTr
-		}
-		r.ATLate[v], r.ATEarly[v] = bestLate, bestEarly
-		r.SlewLate[v], r.SlewEarly[v] = slewLate, slewEarly
-		r.Valid[v] = true
-		r.PredLate[v] = pred
-		r.PredDelayLate[v] = predDelay
+		r.ATEarly[TIdx(pid, outTr)], r.SlewEarly[TIdx(pid, outTr)] = at, slew
 	}
 }
 
-func (r *Result) maxTransition() float64 {
-	if mt := r.G.D.Lib.DefaultMaxTransition; mt > 0 {
-		return mt
-	}
-	return inf
-}
-
-// propagateRequired seeds endpoint required times and pulls them backward
-// level by level (setup/late uses min-aggregation, hold/early uses max).
-func (r *Result) propagateRequired() {
-	g := r.G
-	period := g.Period()
-
-	for ei := range g.Endpoints {
-		ep := &g.Endpoints[ei]
-		switch ep.Kind {
-		case EndFFData:
-			if ep.Setup != nil {
-				clkSlew := 20.0
-				if g.Con != nil {
-					clkSlew = g.Con.ClockSlew
-				}
-				for tr := Rise; tr <= Fall; tr++ {
-					t := TIdx(ep.Pin, tr)
-					if !r.Valid[t] {
-						continue
-					}
-					con := constraintTable(ep.Setup.Arc, tr)
-					r.RATLate[t] = period - con.Eval(clkSlew, r.SlewLate[t])
-				}
-			}
-			if ep.Hold != nil {
-				clkSlew := 20.0
-				if g.Con != nil {
-					clkSlew = g.Con.ClockSlew
-				}
-				for tr := Rise; tr <= Fall; tr++ {
-					t := TIdx(ep.Pin, tr)
-					if !r.Valid[t] {
-						continue
-					}
-					con := constraintTable(ep.Hold.Arc, tr)
-					r.RATEarly[t] = con.Eval(clkSlew, r.SlewEarly[t])
-				}
-			}
-		case EndPort:
-			od := 0.0
-			if g.Con != nil {
-				od = g.Con.OutputDelayOf(ep.PortName)
-			}
-			for tr := Rise; tr <= Fall; tr++ {
-				t := TIdx(ep.Pin, tr)
-				if r.Valid[t] {
-					r.RATLate[t] = period - od
-				}
-			}
-		}
-	}
-
-	// Backward pull, highest level first: a pin's fanouts all sit at
-	// strictly greater levels, so their RATs are final by the time the pin
-	// is processed, and pins within one level are independent.
-	for li := len(g.Levels) - 1; li >= 0; li-- {
-		level := g.Levels[li]
-		parallel.ForCost(len(level), parallel.CostHeavy, func(i int) {
-			r.pullRequired(level[i])
-		})
-	}
-}
-
-// pullRequired updates RAT of pin u from its fanouts.
+// requireEarly is require for the hold required time: the hold-check seed,
+// then the max over the fanouts' pulls.
 //
 //dtgp:hotpath
 //dtgp:index u=pin
-func (r *Result) pullRequired(u int32) {
+func (r *Result) requireEarly(u int32) {
 	g := r.G
 	d := g.D
-	pin := &d.Pins[u]
+	if ei := g.EndpointOf[u]; ei >= 0 && g.Endpoints[ei].Hold != nil {
+		for tr := Rise; tr <= Fall; tr++ {
+			if t := TIdx(u, tr); r.Valid[t] {
+				r.RATEarly[t] = ConstraintTable(g.Endpoints[ei].Hold.Arc, tr).Eval(g.ClockSlew(), r.SlewEarly[t])
+			}
+		}
+	}
 
-	// Fanout via net (u is a driver).
-	if pin.Dir == netlist.PinOutput && pin.Net >= 0 && !g.IsClockNet[pin.Net] {
+	pin := &d.Pins[u]
+	if pin.Dir == netlist.PinOutput && pin.Net >= 0 && !g.IsClockNet[pin.Net] && r.Nets[pin.Net].Tree != nil {
 		ns := &r.Nets[pin.Net]
-		if ns.Tree != nil {
-			for k, pid := range d.Nets[pin.Net].Pins {
-				if pid == u {
+		for k, q := range d.Nets[pin.Net].Pins {
+			if q == u {
+				continue
+			}
+			delay := ns.SinkDelay(k)
+			for tr := Rise; tr <= Fall; tr++ {
+				ut, vt := TIdx(u, tr), TIdx(q, tr)
+				if !r.Valid[vt] {
 					continue
 				}
-				delay := ns.SinkDelay(k)
-				for tr := Rise; tr <= Fall; tr++ {
-					ut, vt := TIdx(u, tr), TIdx(pid, tr)
-					if !r.Valid[vt] {
-						continue
-					}
-					if v := r.RATLate[vt] - delay*r.derateLate; v < r.RATLate[ut] {
-						r.RATLate[ut] = v
-					}
-					if v := r.RATEarly[vt] - delay*r.derateEarly; v > r.RATEarly[ut] {
-						r.RATEarly[ut] = v
-					}
+				if v := r.RATEarly[vt] - delay*r.derateEarly; v > r.RATEarly[ut] {
+					r.RATEarly[ut] = v
 				}
 			}
 		}
 	}
 
-	// Fanout via cell arcs (u is a cell input).
 	cell := &d.Cells[pin.Cell]
 	if cell.Lib < 0 {
 		return
@@ -419,23 +206,20 @@ func (r *Result) pullRequired(u int32) {
 			continue
 		}
 		vPin := cell.Pins[arc.To]
-		load := r.driverLoadOf(vPin)
+		load := r.driverLoad(vPin)
 		for outTr := Rise; outTr <= Fall; outTr++ {
 			vt := TIdx(vPin, outTr)
 			if !r.Valid[vt] {
 				continue
 			}
-			dl, _ := delayTable(arc, outTr)
-			for _, inTrRaw := range arcCombos(arc.Unate, outTr) {
-				if inTrRaw < 0 {
+			dl, _ := DelayTables(arc, outTr)
+			for _, inTr := range InputTransitions(arc.Unate, outTr) {
+				if inTr < 0 {
 					continue
 				}
-				ut := TIdx(u, Transition(inTrRaw))
+				ut := TIdx(u, Transition(inTr))
 				if !r.Valid[ut] {
 					continue
-				}
-				if v := r.RATLate[vt] - dl.Eval(r.SlewLate[ut], load)*r.derateLate; v < r.RATLate[ut] {
-					r.RATLate[ut] = v
 				}
 				if v := r.RATEarly[vt] - dl.Eval(r.SlewEarly[ut], load)*r.derateEarly; v > r.RATEarly[ut] {
 					r.RATEarly[ut] = v
@@ -445,76 +229,32 @@ func (r *Result) pullRequired(u int32) {
 	}
 }
 
-//dtgp:hotpath
-func constraintTable(arc *liberty.TimingArc, dataTr Transition) *liberty.LUT {
-	if dataTr == Rise {
-		return arc.RiseConstraint
-	}
-	return arc.FallConstraint
-}
-
-// computeSlacks derives endpoint slacks and the WNS/TNS metrics (Eq. 2).
-func (r *Result) computeSlacks() {
+// holdSlacks derives the endpoint hold slacks and the hold WNS/TNS.
+func (r *Result) holdSlacks() {
 	g := r.G
-	r.EndpointSetup = make([]float64, len(g.Endpoints))
-	r.EndpointHold = make([]float64, len(g.Endpoints))
-	r.WNS, r.TNS = inf, 0
-	r.WNSHold, r.TNSHold = inf, 0
-	anySetup, anyHold := false, false
 	for ei := range g.Endpoints {
-		ep := &g.Endpoints[ei]
-		setup, hold := inf, inf
+		hold := inf
 		for tr := Rise; tr <= Fall; tr++ {
-			t := TIdx(ep.Pin, tr)
-			if !r.Valid[t] {
-				continue
-			}
-			if !math.IsInf(r.RATLate[t], 1) {
-				if s := r.RATLate[t] - r.ATLate[t]; s < setup {
-					setup = s
-				}
-			}
-			if !math.IsInf(r.RATEarly[t], -1) {
+			t := TIdx(g.Endpoints[ei].Pin, tr)
+			if r.Valid[t] && !math.IsInf(r.RATEarly[t], -1) {
 				if s := r.ATEarly[t] - r.RATEarly[t]; s < hold {
 					hold = s
 				}
 			}
 		}
-		r.EndpointSetup[ei] = setup
 		r.EndpointHold[ei] = hold
-		if !math.IsInf(setup, 1) {
-			anySetup = true
-			if setup < r.WNS {
-				r.WNS = setup
-			}
-			if setup < 0 {
-				r.TNS += setup
-			}
-		}
-		if !math.IsInf(hold, 1) {
-			anyHold = true
-			if hold < r.WNSHold {
-				r.WNSHold = hold
-			}
-			if hold < 0 {
-				r.TNSHold += hold
-			}
-		}
 	}
-	if !anySetup {
-		r.WNS = 0
-	}
-	if !anyHold {
-		r.WNSHold = 0
-	}
+	r.WNSHold, r.TNSHold = worstAndTotal(r.EndpointHold)
 }
 
-// Finite reports whether the analysis produced only finite summary metrics.
-// WNS/TNS (setup and hold) are finite by construction on healthy inputs —
-// endpointless designs reset them to 0 — so a NaN or Inf here means the
-// netlist carried non-finite positions or a degenerate library value
-// through the propagation; callers (dtgp-sta, the run supervisor) must
-// treat the result as poisoned rather than report it.
+// Finite reports whether the setup and hold WNS/TNS are all finite (a design
+// without constrained endpoints reports 0). A NaN or Inf here means a
+// non-finite value — a degenerate library table or constraint, say —
+// reached an endpoint slack; callers (dtgp-sta, the run supervisor) must
+// treat the result as poisoned rather than report it. It is not a general
+// input check: a net whose pins have non-finite coordinates gets no Steiner
+// tree and is left untimed, so its poison never reaches a slack. The
+// Bookshelf loaders reject such coordinates instead.
 func (r *Result) Finite() bool {
 	for _, x := range [...]float64{r.WNS, r.TNS, r.WNSHold, r.TNSHold} {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
@@ -522,23 +262,4 @@ func (r *Result) Finite() bool {
 		}
 	}
 	return true
-}
-
-// Graph returns the timing graph the result was computed over
-// (netweight.SlackSource).
-func (r *Result) Graph() *Graph { return r.G }
-
-// WorstSlack returns the setup WNS (netweight.SlackSource).
-func (r *Result) WorstSlack() float64 { return r.WNS }
-
-// PinSlack returns the late (setup) slack at a (pin, transition), +Inf when
-// the pin carries no constrained arrival.
-//
-//dtgp:index pid=pin
-func (r *Result) PinSlack(pid int32, tr Transition) float64 {
-	t := TIdx(pid, tr)
-	if !r.Valid[t] || math.IsInf(r.RATLate[t], 1) {
-		return inf
-	}
-	return r.RATLate[t] - r.ATLate[t]
 }
