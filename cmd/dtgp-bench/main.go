@@ -1,10 +1,12 @@
 // Command dtgp-bench reproduces the paper's evaluation artifacts on the
 // scaled synthetic superblue suite and writes Markdown tables / CSV series.
 //
-// Usage:
+// Usage (-scale and -factor default to EXPERIMENTS.md's 256 and 0.6, from
+// report.DefaultSuiteOptions):
 //
 //	dtgp-bench -experiment table2
-//	dtgp-bench -experiment table3 -scale 256 -factor 0.7
+//	dtgp-bench -experiment table3
+//	dtgp-bench -experiment table3 -scale 512 -factor 0.7
 //	dtgp-bench -experiment figure8 -out figure8.csv
 //	dtgp-bench -experiment ablation-steiner
 //	dtgp-bench -experiment ablation-gamma
@@ -24,10 +26,11 @@ import (
 )
 
 func main() {
+	def := report.DefaultSuiteOptions()
 	var (
 		experiment = flag.String("experiment", "table3", "table2 | table3 | figure8 | ablation-steiner | ablation-gamma | ablation-weights | scale | all")
-		scale      = flag.Int("scale", 256, "preset scale divisor")
-		factor     = flag.Float64("factor", 0.7, "clock period as a fraction of the WL flow's critical delay")
+		scale      = flag.Int("scale", def.Scale, "preset scale divisor")
+		factor     = flag.Float64("factor", def.PeriodFactor, "clock period as a fraction of the WL flow's critical delay")
 		presets    = flag.String("presets", "", "comma-separated subset of benchmarks (default all)")
 		out        = flag.String("out", "", "output file for figure8 CSV / scale JSON (default stdout)")
 		quiet      = flag.Bool("q", false, "suppress progress output")
@@ -37,7 +40,7 @@ func main() {
 	)
 	flag.Parse()
 
-	opts := report.DefaultSuiteOptions()
+	opts := def
 	opts.Scale = *scale
 	opts.PeriodFactor = *factor
 	if *presets != "" {

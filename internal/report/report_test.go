@@ -11,6 +11,7 @@ import (
 func quickSuite() SuiteOptions {
 	opts := DefaultSuiteOptions()
 	opts.Scale = 2048
+	opts.PeriodFactor = 0.8
 	opts.Presets = []string{"superblue4", "superblue18"}
 	opts.Place = func(mode place.Mode) place.Options {
 		po := place.DefaultOptions(mode)
@@ -106,6 +107,21 @@ func TestRunFigure8Quick(t *testing.T) {
 	}
 }
 
+// requireRowsDiffer fails when every ablation row reads the same WNS, TNS
+// and HPWL: the swept option then no longer reaches the placer.
+func requireRowsDiffer(t *testing.T, rows []AblationRow, swept string) {
+	t.Helper()
+	for _, r := range rows[1:] {
+		if r.WNS != rows[0].WNS || r.TNS != rows[0].TNS || r.HPWL != rows[0].HPWL {
+			return
+		}
+	}
+	t.Errorf("all %d rows equal (WNS %v, TNS %v, HPWL %v): the swept %s does not reach the placer",
+		len(rows), rows[0].WNS, rows[0].TNS, rows[0].HPWL, swept)
+}
+
+// TestAblationWeightsQuick: A3 toggles the terms of Eq. 6, so its rows
+// cannot all be equal, and the full objective must beat "no timing" on WNS.
 func TestAblationWeightsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multiple placement runs")
@@ -118,11 +134,11 @@ func TestAblationWeightsQuick(t *testing.T) {
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
+	requireRowsDiffer(t, rows, "objective weights")
 	md := AblationMarkdown("test", rows)
 	if !strings.Contains(md, "no timing") {
 		t.Error("markdown broken")
 	}
-	// The full objective must beat "no timing" on WNS.
 	var full, none float64
 	for _, r := range rows {
 		switch r.Label {
@@ -137,9 +153,24 @@ func TestAblationWeightsQuick(t *testing.T) {
 	}
 }
 
+// TestAblationGammaQuick: A2 sweeps the LSE smoothing strength γ, so its
+// rows cannot all be equal.
+func TestAblationGammaQuick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multiple placement runs")
+	}
+	rows, err := RunAblationGamma(quickSuite())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 5 {
+		t.Fatalf("rows = %d", len(rows))
+	}
+	requireRowsDiffer(t, rows, "γ")
+}
+
 // TestAblationSteinerQuick: A1 sweeps the timer's fence cadence, so its
-// rows cannot all be equal; equal rows mean the swept option no longer
-// reaches the timer.
+// rows cannot all be equal.
 func TestAblationSteinerQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multiple placement runs")
@@ -151,13 +182,7 @@ func TestAblationSteinerQuick(t *testing.T) {
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	for _, r := range rows[1:] {
-		if r.WNS != rows[0].WNS || r.TNS != rows[0].TNS || r.HPWL != rows[0].HPWL {
-			return
-		}
-	}
-	t.Errorf("all %d rows equal (WNS %v, TNS %v, HPWL %v): the swept period does not reach the timer",
-		len(rows), rows[0].WNS, rows[0].TNS, rows[0].HPWL)
+	requireRowsDiffer(t, rows, "fence period")
 }
 
 func TestUnknownPresetErrors(t *testing.T) {

@@ -12,14 +12,11 @@ func TestSuiteShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full eight-design suite (minutes)")
 	}
-	// The official configuration of EXPERIMENTS.md (scale 256, factor
-	// 0.6). At smaller scales the exact-STA-per-iteration baseline is
-	// relatively stronger and the paper's shape does not fully emerge, so
-	// the assertion is only meaningful here.
-	opts := DefaultSuiteOptions()
-	opts.Scale = 256
-	opts.PeriodFactor = 0.6
-	t3, err := RunTable3(opts)
+	// The configuration of EXPERIMENTS.md (DefaultSuiteOptions: scale 256,
+	// factor 0.6). At smaller scales the exact-STA-per-iteration baseline
+	// is relatively stronger and the paper's shape does not fully emerge,
+	// so the assertion is only meaningful here.
+	t3, err := RunTable3(DefaultSuiteOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
