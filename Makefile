@@ -18,15 +18,16 @@ fmt-check:
 	fi
 
 # Static-analysis suite: dirtymark, errflow, floatdet, gradpair, hotalloc,
-# indexspace, mapiter, parsafe, scratchlife (see internal/analysis and
-# DESIGN.md §6, §10, §12). Fails on any unsuppressed finding; stale
-# //dtgp:allow annotations and hotalloc.allow entries are hard errors too.
+# indexspace, mapiter, parsafe (see internal/analysis and DESIGN.md §6, §10,
+# §12). Fails on any unsuppressed finding; stale //dtgp:allow annotations
+# and hotalloc.allow entries are hard errors too.
 vet: build
 	$(GO) run ./cmd/dtgp-vet ./...
 
 # vet-budget is the CI time gate: per-analyzer wall time must stay under 2x
-# the committed baseline in internal/analysis/vet-budget.json. The baselines
-# are generous — the gate is for complexity regressions, not machine noise.
+# the committed baseline in internal/analysis/vet-budget.json, and every
+# baseline must name an analyzer or a driver phase. The baselines are
+# generous — the gate is for complexity regressions, not machine noise.
 vet-budget: build
 	$(GO) run ./cmd/dtgp-vet -q -stats -strict-budget ./...
 
@@ -74,15 +75,18 @@ chaos-smoke:
 # change is caught pre-merge without paying for a real measurement sweep.
 # The sparse-vs-full backward pair then runs at a real (small) iteration
 # count so a regression that only shows up warm is still exercised, and
-# BENCH_backward.json is checked against the live benchmark names: renaming
-# or dropping a sub-benchmark without refreshing the committed record fails
-# loudly here instead of silently orphaning the recorded numbers.
+# BENCH_backward.json and BENCH_incremental.json are checked against the
+# live benchmark names: renaming or dropping a sub-benchmark without
+# refreshing the committed record fails loudly here instead of silently
+# orphaning the recorded numbers.
 bench-smoke:
-	$(GO) test -bench . -benchtime=1x -run '^$$' ./...
-	$(GO) test -bench 'BenchmarkDiffTimerForwardBackward$$|BenchmarkDiffTimerSparseBackward' -benchtime=20x -run '^$$' . | tee /tmp/bench_backward_smoke.txt
-	@for name in $$(grep -o '"name": "Benchmark[^"]*"' BENCH_backward.json | sed -e 's/"name": "//' -e 's/"$$//'); do \
-		grep -q "^$$name\b" /tmp/bench_backward_smoke.txt /dev/null || \
-			{ echo "bench-smoke: BENCH_backward.json is stale: recorded benchmark $$name no longer runs" >&2; exit 1; }; \
+	$(GO) test -bench . -benchtime=1x -run '^$$' ./... | tee /tmp/bench_smoke.txt
+	$(GO) test -bench 'BenchmarkDiffTimerForwardBackward$$|BenchmarkDiffTimerSparseBackward' -benchtime=20x -run '^$$' .
+	@for f in BENCH_backward.json BENCH_incremental.json; do \
+		for name in $$(grep -o '"name": "Benchmark[^"]*"' $$f | sed -e 's/"name": "//' -e 's/"$$//'); do \
+			grep -q "^$$name\b" /tmp/bench_smoke.txt /dev/null || \
+				{ echo "bench-smoke: $$f is stale: recorded benchmark $$name no longer runs" >&2; exit 1; }; \
+		done; \
 	done
 
 # Scale smoke: run the harness end-to-end at a toy size (proves gen → arena

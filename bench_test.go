@@ -474,11 +474,11 @@ func BenchmarkSteinerRebuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	nets := timing.BuildNetStates(g)
+	nets, scratch := timing.BuildNetStates(g), timing.NewBuildScratch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		timing.RebuildNetStates(g, nets)
+		timing.RebuildNetStates(g, nets, scratch)
 	}
 }
 

@@ -1,9 +1,9 @@
-// Command dtgp-vet runs the repo's static-analysis suite: nine analyzers
-// (mapiter, parsafe, hotalloc, floatdet, gradpair, scratchlife, errflow,
-// dirtymark, indexspace) that enforce the determinism, parallel-safety,
-// zero-allocation, gradient-pairing, scratch-lifetime, error-handling,
-// incremental-state coherence and index-domain invariants of the placement
-// and timing hot paths. See internal/analysis for the checks and DESIGN.md
+// Command dtgp-vet runs the repo's static-analysis suite: eight analyzers
+// (mapiter, parsafe, hotalloc, floatdet, gradpair, errflow, dirtymark,
+// indexspace) that enforce the determinism, parallel-safety,
+// zero-allocation, gradient-pairing, error-handling, incremental-state
+// coherence and index-domain invariants of the placement and timing hot
+// paths. See internal/analysis for the checks and DESIGN.md
 // §6, §10 and §12 for why each invariant exists.
 //
 // parsafe, hotalloc and dirtymark are interprocedural: a call graph over the
@@ -81,7 +81,8 @@
 // is compared against the committed per-analyzer baseline in
 // internal/analysis/vet-budget.json: exceeding 2× baseline prints a soft
 // warning on stderr, and under -strict-budget (the CI budget gate) it also
-// fails the run with exit code 1.
+// fails the run with exit code 1. A baseline key that names no analyzer and
+// no driver phase (a deleted analyzer's leftover) is reported the same way.
 package main
 
 import (
@@ -133,6 +134,7 @@ func main() {
 	// Budget check: compare measured analyzer times against the committed
 	// baseline. Soft warning by default; a hard failure under -strict-budget.
 	var overBudget []analysis.BudgetViolation
+	var staleKeys []string
 	if *stats {
 		path := *budgetF
 		if path == "" {
@@ -149,8 +151,9 @@ func main() {
 			os.Exit(2)
 		}
 		overBudget = analysis.OverBudget(rep.Stats, budget)
+		staleKeys = budget.UnknownKeys()
 	}
-	fail := len(rep.Diagnostics) > 0 || (*strict && len(overBudget) > 0)
+	fail := len(rep.Diagnostics) > 0 || (*strict && len(overBudget)+len(staleKeys) > 0)
 
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -176,7 +179,7 @@ func main() {
 				}
 			}
 		}
-		warnBudget(overBudget, *strict)
+		warnBudget(overBudget, staleKeys, *strict)
 		if fail {
 			os.Exit(1)
 		}
@@ -193,7 +196,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "dtgp-vet: stat %-12s %8.1fms\n", s.Name, s.Millis)
 		}
 	}
-	warnBudget(overBudget, *strict)
+	warnBudget(overBudget, staleKeys, *strict)
 	if fail {
 		os.Exit(1)
 	}
@@ -202,16 +205,19 @@ func main() {
 	}
 }
 
-// warnBudget reports budget violations on stderr. Under -strict-budget the
-// caller turns them into a failing exit code (the CI gate); otherwise they
-// are advisory.
-func warnBudget(over []analysis.BudgetViolation, strict bool) {
+// warnBudget reports budget violations and stale baseline keys on stderr.
+// Under -strict-budget the caller turns them into a failing exit code (the
+// CI gate); otherwise they are advisory.
+func warnBudget(over []analysis.BudgetViolation, staleKeys []string, strict bool) {
 	severity := "warning"
 	if strict {
 		severity = "error"
 	}
 	for _, v := range over {
 		fmt.Fprintf(os.Stderr, "dtgp-vet: budget %s: %s\n", severity, v)
+	}
+	for _, k := range staleKeys {
+		fmt.Fprintf(os.Stderr, "dtgp-vet: budget %s: baseline %q names no analyzer and no driver phase (delete it from internal/analysis/vet-budget.json)\n", severity, k)
 	}
 }
 

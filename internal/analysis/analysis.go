@@ -1,6 +1,6 @@
 // Package analysis is dtgp's in-tree static-analysis framework: a small
 // go/ast + go/types driver (stdlib only — no golang.org/x/tools) with a
-// go/analysis-style Analyzer interface, plus the nine project analyzers
+// go/analysis-style Analyzer interface, plus the eight project analyzers
 // that turn the repo's determinism, parallel-safety, zero-allocation,
 // gradient-correctness, cache-coherence and index-domain conventions into
 // build failures:
@@ -21,8 +21,6 @@
 //     complete, signature-consistent, and — for adjoint-style pairs —
 //     accumulate an adjoint for every differentiable input the forward
 //     reads (flow-sensitively, over the function CFG).
-//   - scratchlife: sync.Pool scratch must be Put on every path, never
-//     escape the function, and never be read after Put.
 //   - errflow: no error value assigned from a call may be dead at its
 //     definition (dropped or silently overwritten).
 //   - dirtymark: every write to a //dtgp:cached struct field — direct or
@@ -37,12 +35,11 @@
 //     of values with no capacity bound, and index arithmetic that can
 //     overflow int32 at 1.9M cells. Unannotated code is never flagged.
 //
-// gradpair, scratchlife, errflow and indexspace are flow-sensitive, built
-// on the in-package dataflow
-// engine (cfg.go, dataflow.go, cells.go): a per-function CFG with
-// short-circuit decomposition and defer/panic modelling, plus a generic
-// gen/kill worklist solver instantiated as reaching-definitions and
-// liveness.
+// gradpair, errflow, dirtymark and indexspace are flow-sensitive, built on
+// the in-package dataflow engine (cfg.go, dataflow.go, cells.go): a
+// per-function CFG with short-circuit decomposition and defer/panic
+// modelling, plus a generic gen/kill worklist solver instantiated as
+// reaching-definitions and liveness.
 //
 // Diagnostics are position-accurate and individually suppressible with a
 // trailing or preceding `//dtgp:allow(<check>)` comment.

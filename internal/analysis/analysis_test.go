@@ -70,12 +70,11 @@ func runGoldenFixture(t *testing.T, name string, a *Analyzer) {
 	checkGolden(t, name, formatDiags(dir, diags))
 }
 
-func TestMapIterGolden(t *testing.T)     { runGoldenFixture(t, "mapiter", MapIter) }
-func TestFloatDetGolden(t *testing.T)    { runGoldenFixture(t, "floatdet", FloatDet) }
-func TestParSafeGolden(t *testing.T)     { runGoldenFixture(t, "parsafe", ParSafe) }
-func TestGradPairGolden(t *testing.T)    { runGoldenFixture(t, "gradpair", GradPair) }
-func TestScratchLifeGolden(t *testing.T) { runGoldenFixture(t, "scratchlife", ScratchLife) }
-func TestErrFlowGolden(t *testing.T)     { runGoldenFixture(t, "errflow", ErrFlow) }
+func TestMapIterGolden(t *testing.T)  { runGoldenFixture(t, "mapiter", MapIter) }
+func TestFloatDetGolden(t *testing.T) { runGoldenFixture(t, "floatdet", FloatDet) }
+func TestParSafeGolden(t *testing.T)  { runGoldenFixture(t, "parsafe", ParSafe) }
+func TestGradPairGolden(t *testing.T) { runGoldenFixture(t, "gradpair", GradPair) }
+func TestErrFlowGolden(t *testing.T)  { runGoldenFixture(t, "errflow", ErrFlow) }
 
 // TestGradPairCatchesDeletedAdjoint pins the acceptance case for the
 // dataflow engine: the gradpair fixture's "mut" backward has its gRes
@@ -104,7 +103,6 @@ func TestSuppressedAudit(t *testing.T) {
 		wantMin int
 	}{
 		{"gradpair", GradPair, 1},
-		{"scratchlife", ScratchLife, 2},
 		{"errflow", ErrFlow, 1},
 		{"parsafe", ParSafe, 1},
 	} {

@@ -52,6 +52,27 @@ func LoadBudget(path string) (Budget, error) {
 	return b, nil
 }
 
+// UnknownKeys returns, sorted, the budget keys that name neither an
+// analyzer in All nor a driver phase ("load", "facts", "escapes"). Such a
+// key is the baseline of a deleted or renamed analyzer: no stat ever meets
+// it, so it would linger unchecked. dtgp-vet -stats reports each one, and
+// -strict-budget fails on them, as the allow audits do for stale
+// suppressions.
+func (b Budget) UnknownKeys() []string {
+	known := map[string]bool{"load": true, "facts": true, "escapes": true}
+	for _, a := range All {
+		known[a.Name] = true
+	}
+	var out []string
+	for k := range b {
+		if !known[k] {
+			out = append(out, k)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 // OverBudget returns the stats that exceed BudgetSlack × their committed
 // baseline, with the baseline attached for the report. Stats with no
 // baseline entry are skipped: new analyzers get a free first run and the

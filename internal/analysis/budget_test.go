@@ -3,6 +3,7 @@ package analysis
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -59,6 +60,22 @@ func TestOverBudget(t *testing.T) {
 	// Nil budget (no committed file): nothing is over.
 	if over := OverBudget(stats, nil); over != nil {
 		t.Errorf("nil budget: got %v, want nil", over)
+	}
+}
+
+// TestUnknownBudgetKeys: a baseline naming no analyzer and no driver phase
+// is reported, and the committed file has none.
+func TestUnknownBudgetKeys(t *testing.T) {
+	b := Budget{"load": 1, "facts": 1, "escapes": 1, "indexspace": 1, "scratchlife": 1, "bogus": 1}
+	if got := b.UnknownKeys(); !slices.Equal(got, []string{"bogus", "scratchlife"}) {
+		t.Errorf("UnknownKeys = %v, want [bogus scratchlife]", got)
+	}
+	committed, err := LoadBudget("vet-budget.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := committed.UnknownKeys(); len(got) > 0 {
+		t.Errorf("vet-budget.json has stale keys %v", got)
 	}
 }
 

@@ -6,12 +6,13 @@ import (
 )
 
 // This file implements the per-function control-flow graph underlying the
-// flow-sensitive analyzers (gradpair, scratchlife, errflow). The builder
-// covers the statement forms that actually occur in placement code —
-// if/else, three-clause and range for loops, switch/type-switch (including
-// fallthrough), select, labeled break/continue, goto, defer, panic and
-// short-circuit && / || / ! in branch conditions — and stays stdlib-only
-// (go/ast); no golang.org/x/tools dependency.
+// flow-sensitive analyzers (gradpair, errflow, indexspace and dirtymark's
+// summaries). The builder covers the statement forms that actually occur
+// in placement code — if/else, three-clause and range for loops,
+// switch/type-switch (including fallthrough), select, labeled
+// break/continue, goto, defer, panic and short-circuit && / || / ! in
+// branch conditions — and stays stdlib-only (go/ast); no
+// golang.org/x/tools dependency.
 //
 // Granularity: each block holds a sequence of "atoms" in execution order.
 // An atom is either a simple statement (assignment, expression statement,

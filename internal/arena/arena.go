@@ -13,8 +13,6 @@
 // (slices, strings, structs containing them) must stay on the GC heap via
 // plain make.
 //
-// A nil *Arena is valid everywhere and falls back to plain make.
-//
 // An Arena is NOT safe for concurrent use. The placer does all carving in
 // serial pre-size passes; the worker pool only reads/writes the resulting
 // slices, never allocates from the arena.
@@ -25,10 +23,15 @@ import (
 	"unsafe"
 )
 
-// DefaultChunkSize is the slab size used by the placer: large enough that a
-// paper-scale design needs only tens of slabs, small enough that a 3k-cell
-// test design does not hold megabytes hostage.
+// DefaultChunkSize is the slab size New picks for chunkSize <= 0.
 const DefaultChunkSize = 1 << 24 // 16 MiB
+
+// ChunkSize picks the slab size for a design of the given cell count:
+// roughly 1/16th of the expected total SoA footprint (~4 KB per cell across
+// netlist, timer and net states), clamped to [1 MiB, 64 MiB]. Small test
+// designs get small slabs; a 2M-cell design carves from tens of 64 MiB
+// slabs.
+func ChunkSize(cells int) int { return min(max(cells*256, 1<<20), 1<<26) }
 
 // align is the guaranteed alignment of every allocation. 8 covers every
 // type in the Plain constraint (float64/int64 need 8; the rest less).
@@ -71,9 +74,6 @@ type Stats struct {
 
 // Stats reports current usage.
 func (a *Arena) Stats() Stats {
-	if a == nil {
-		return Stats{}
-	}
 	return Stats{Chunks: len(a.chunks), HeldBytes: a.held, UsedBytes: a.used}
 }
 
@@ -113,8 +113,8 @@ func (a *Arena) bytes(n int) []byte {
 	}
 }
 
-// Make returns a zeroed []T of length n carved from the arena. A nil arena
-// falls back to plain make. The returned slice has capacity exactly n:
+// Make returns a zeroed []T of length n carved from the arena. The returned
+// slice has capacity exactly n:
 // appending beyond it reallocates onto the GC heap rather than clobbering a
 // neighbouring allocation.
 func Make[T Plain](a *Arena, n int) []T {
@@ -122,13 +122,10 @@ func Make[T Plain](a *Arena, n int) []T {
 }
 
 // MakeCap returns a zeroed []T with the given length and capacity carved
-// from the arena (nil arena: plain make). Capacity is exact — see Make.
+// from the arena. Capacity is exact — see Make.
 func MakeCap[T Plain](a *Arena, length, capacity int) []T {
 	if length < 0 || capacity < length {
 		panic(fmt.Sprintf("arena: MakeCap(%d, %d)", length, capacity))
-	}
-	if a == nil {
-		return make([]T, length, capacity)
 	}
 	if capacity == 0 {
 		return []T{}

@@ -82,24 +82,6 @@ func TestOversizeAllocation(t *testing.T) {
 	}
 }
 
-// TestNilArenaFallback: a nil arena must behave exactly like plain make.
-func TestNilArenaFallback(t *testing.T) {
-	var a *Arena
-	s := Make[int32](a, 5)
-	if len(s) != 5 || cap(s) != 5 {
-		t.Fatalf("nil Make: len=%d cap=%d", len(s), cap(s))
-	}
-	sc := MakeCap[float64](a, 2, 9)
-	if len(sc) != 2 || cap(sc) != 9 {
-		t.Fatalf("nil MakeCap: len=%d cap=%d", len(sc), cap(sc))
-	}
-	s = append(s, 1) // must not panic; plain heap slice semantics
-	_ = s
-	if st := a.Stats(); st != (Stats{}) {
-		t.Fatalf("nil Stats = %+v", st)
-	}
-}
-
 // TestAppendPastCapReallocates: appending beyond an arena slice's exact
 // capacity must reallocate onto the GC heap, never bleed into the
 // neighbouring allocation.

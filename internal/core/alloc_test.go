@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"dtgp/internal/arena"
@@ -50,11 +51,10 @@ func TestEvaluateValueOnlySteadyStateAllocFree(t *testing.T) {
 // placements, so every rebuilt tree fits buffers an earlier build grew, and
 // the arena pre-sizes the per-net gradient accumulators. A longer period
 // would hide a per-fence allocation: AllocsPerRun rounds the per-call
-// average down.
+// average down. Two garbage collections run before every call: the rebuilds
+// take their scratch from the timer's per-worker slice, so a collection has
+// nothing to empty, and scratch brought back into a pool would fail here.
 func TestEvaluateFenceAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector drops pooled Steiner scratch, so net rebuilds allocate")
-	}
 	d, con, err := gen.Generate(gen.DefaultParams("core-fence", 400, 33))
 	if err != nil {
 		t.Fatal(err)
@@ -74,6 +74,8 @@ func TestEvaluateFenceAllocFree(t *testing.T) {
 	x1, y1 := d.Positions()
 	flip := false
 	eval := func() {
+		runtime.GC()
+		runtime.GC()
 		if flip = !flip; flip {
 			d.SetPositions(x0, y0)
 		} else {

@@ -142,10 +142,9 @@ func (t *Timer) buildSparseState() {
 		k := g.Endpoints[ei].Kind
 		sb.domains[k] = append(sb.domains[k], int32(ei))
 	}
-	// All fixed-size sparse-state arrays carve from the arena when one is
-	// configured (construction is serial; nil arena = plain make). The
-	// per-level buckets and group lists are windows into two slabs, like
-	// the timer's levelBuckets.
+	// All fixed-size sparse-state arrays carve from the arena
+	// (construction is serial). The per-level buckets and group lists are
+	// windows into two slabs, like the timer's levelBuckets.
 	a := t.Opts.Arena
 	nEps := len(g.Endpoints)
 	sb.selFlags = arena.Make[bool](a, nEps)
@@ -246,13 +245,6 @@ func (t *Timer) buildSparseState() {
 	}
 	sb.staleX = arena.Make[float64](a, len(d.Cells))
 	sb.staleY = arena.Make[float64](a, len(d.Cells))
-
-	// The per-net accumulator outer arrays must exist before the first
-	// cone marking (resetTasks builds them lazily otherwise).
-	if t.gDelayNode == nil {
-		t.gDelayNode = make([][]float64, len(d.Nets))
-		t.gImpSq = make([][]float64, len(d.Nets))
-	}
 
 	sb.sweepFn = func(i int) { t.backwardGroup(&sb.curGroups[sb.curList[i]]) }
 	sb.scatterFn = t.scatterNetGrads
@@ -445,9 +437,10 @@ func int32SliceEqual(a, b []int32) bool {
 }
 
 // ensureConeNetAccums sizes each cone net's Elmore accumulators to its
-// current tree (trees rebuild between passes while the cone is cached).
-// Content stays zero: grown regions are zeroed here, live regions were
-// zeroed by the previous pass's touched-net reset.
+// current tree (trees rebuild between passes while the cone is cached),
+// within the capacity NewTimer carved. Content stays zero: grown regions
+// are zeroed here, live regions were zeroed by the previous pass's
+// touched-net reset.
 //
 //dtgp:hotpath
 func (t *Timer) ensureConeNetAccums() {
@@ -460,11 +453,6 @@ func (t *Timer) ensureConeNetAccums() {
 		n := ns.Tree.NumNodes()
 		cur := len(t.gDelayNode[ni])
 		if cur == n {
-			continue
-		}
-		if cap(t.gDelayNode[ni]) < n {
-			t.gDelayNode[ni] = make([]float64, n)
-			t.gImpSq[ni] = make([]float64, n)
 			continue
 		}
 		t.gDelayNode[ni] = t.gDelayNode[ni][:n]

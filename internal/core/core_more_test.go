@@ -56,19 +56,50 @@ func TestObjectiveWeightsScale(t *testing.T) {
 	}
 }
 
-// TestExactResultSharesInterconnect: exact STA over the timer's net states
-// must agree with a fresh timing.Analyze when trees were just rebuilt.
+// TestExactResultSharesInterconnect: the timer's arena-backed net states
+// hold the same bits as the heap-built ones of a fresh timing.Analyze
+// whenever the trees were just rebuilt, and exact STA over either agrees
+// bitwise: storage never changes a value. FencePeriod 1 rebuilds every
+// moved net on each evaluation, so the later rounds compare trees rebuilt
+// inside the capacity the arena carved.
 func TestExactResultSharesInterconnect(t *testing.T) {
 	g := makeTestBed(t, 300, 84)
-	tm := NewTimer(g, DefaultOptions())
-	tm.Evaluate(0.01, 0.001) // first call rebuilds trees
-	fromTimer := timing.AnalyzeWithNets(tm.G, tm.Nets)
-	scratch := timing.Analyze(g)
-	if math.Abs(fromTimer.WNS-scratch.WNS) > 1e-6 {
-		t.Errorf("timer-state WNS %v vs scratch %v", fromTimer.WNS, scratch.WNS)
+	opts := DefaultOptions()
+	opts.FencePeriod = 1
+	tm := NewTimer(g, opts)
+	same := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
 	}
-	if math.Abs(fromTimer.TNS-scratch.TNS) > 1e-6 {
-		t.Errorf("timer-state TNS %v vs scratch %v", fromTimer.TNS, scratch.TNS)
+	for round := 0; round < 3; round++ {
+		tm.Evaluate(0.01, 0.001)
+		fromTimer := timing.AnalyzeWithNets(tm.G, tm.Nets)
+		scratch := timing.Analyze(g)
+		if math.Float64bits(fromTimer.WNS) != math.Float64bits(scratch.WNS) ||
+			math.Float64bits(fromTimer.TNS) != math.Float64bits(scratch.TNS) {
+			t.Errorf("round %d: timer-state WNS/TNS %v/%v vs scratch %v/%v",
+				round, fromTimer.WNS, fromTimer.TNS, scratch.WNS, scratch.TNS)
+		}
+		if !same(fromTimer.ATLate, scratch.ATLate) || !same(fromTimer.SlewLate, scratch.SlewLate) {
+			t.Errorf("round %d: arrival or slew differs from the scratch analysis", round)
+		}
+		for ni := range scratch.Nets {
+			a, b := tm.Nets[ni].RC, scratch.Nets[ni].RC
+			if (a == nil) != (b == nil) {
+				t.Fatalf("round %d net %d: timed in one state only", round, ni)
+			}
+			if a != nil && !(same(a.Delay, b.Delay) && same(a.Impulse, b.Impulse) && same(a.Load, b.Load)) {
+				t.Fatalf("round %d net %d: Elmore state differs from the scratch build", round, ni)
+			}
+		}
+		moveCells(g.D, round)
 	}
 }
 

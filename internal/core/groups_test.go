@@ -3,35 +3,8 @@ package core
 import (
 	"testing"
 
-	"dtgp/internal/arena"
-	"dtgp/internal/gen"
 	"dtgp/internal/netlist"
-	"dtgp/internal/timing"
 )
-
-// arenaTestBed builds two timers over independently generated copies of the
-// same design — one arena-backed (with a compacted netlist, as the placer
-// wires it), one on the nil-arena heap path.
-func arenaTestBed(t *testing.T, cells int, seed int64, opts Options) (withArena, noArena *Timer) {
-	t.Helper()
-	build := func(a *arena.Arena) *Timer {
-		d, con, err := gen.Generate(gen.DefaultParams("core-arena", cells, seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != nil {
-			d.Compact(a)
-		}
-		g, err := timing.NewGraph(d, con)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o := opts
-		o.Arena = a
-		return NewTimer(g, o)
-	}
-	return build(arena.New(1 << 20)), build(nil)
-}
 
 // moveCells perturbs every movable cell deterministically so incremental
 // refresh, per-net rebuilds and the sparse backward all get exercised.
@@ -43,47 +16,6 @@ func moveCells(d *netlist.Design, step int) {
 		}
 		c.Pos.X += float64((ci+step)%7) - 3
 		c.Pos.Y += float64((ci*3+step)%5) - 2
-	}
-}
-
-// TestArenaBitIdentity: the arena changes only backing storage, never
-// values. Run several evaluations with identical movement on both sides and
-// demand bitwise equality of objective, gradients and reported metrics
-// every iteration, under the defaults and under exact thresholds with the
-// full backward.
-func TestArenaBitIdentity(t *testing.T) {
-	exactFull := DefaultOptions()
-	exactFull.RefreshEps = 0
-	exactFull.PropagateEps = 0
-	exactFull.SparseBackward = false
-	for _, mode := range []struct {
-		name string
-		opts Options
-	}{
-		{"default", DefaultOptions()},
-		{"exact-full", exactFull},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			ta, tn := arenaTestBed(t, 300, 41, mode.opts)
-			for it := 0; it < 12; it++ {
-				fa := ta.Evaluate(0.01, 0.0001)
-				fn := tn.Evaluate(0.01, 0.0001)
-				if fa != fn {
-					t.Fatalf("iter %d: objective %v (arena) vs %v (heap)", it, fa, fn)
-				}
-				if ta.SmTNS != tn.SmTNS || ta.SmWNS != tn.SmWNS ||
-					ta.EstTNS != tn.EstTNS || ta.EstWNS != tn.EstWNS {
-					t.Fatalf("iter %d: metrics diverge", it)
-				}
-				for i := range ta.CellGradX {
-					if ta.CellGradX[i] != tn.CellGradX[i] || ta.CellGradY[i] != tn.CellGradY[i] {
-						t.Fatalf("iter %d: gradient differs at cell %d", it, i)
-					}
-				}
-				moveCells(ta.G.D, it)
-				moveCells(tn.G.D, it)
-			}
-		})
 	}
 }
 

@@ -72,12 +72,12 @@ type Options struct {
 	// Ignored by the full pass, which stays exact.
 	ConePrune float64
 
-	// Arena, when non-nil, backs the timer's large SoA buffers (forward
-	// state, cell-arc tape, gradients, CSR group storage, level buckets)
-	// and the per-net Steiner/RC buffers with chunked slab storage
-	// (DESIGN.md §13). All
-	// values are bit-identical to the heap path — only the backing storage
-	// differs. nil allocates with plain make.
+	// Arena backs the timer's large SoA buffers (forward state, cell-arc
+	// tape, gradients and their per-net accumulators, CSR group storage,
+	// level buckets) and the per-net Steiner/RC buffers with chunked slab
+	// storage (DESIGN.md §13). The placer passes the arena its netlist was
+	// compacted into; nil makes NewTimer carve its own, sized by
+	// arena.ChunkSize.
 	Arena *arena.Arena
 }
 
@@ -221,10 +221,6 @@ type Timer struct {
 	EstTNS, EstWNS float64
 
 	evalCount int
-	// netGradSized records that preSizeNetGrad already carved the per-net
-	// accumulators from the arena (the lazy heap growth in resetTasks
-	// remains as the nil-arena path and the fallback for grown nets).
-	netGradSized bool
 
 	// Precomputed structure.
 	// bwdGroups holds, per level, the single-writer units of the reverse
@@ -280,6 +276,9 @@ type Timer struct {
 	netMovedFn    func(w, lo, hi int)
 	refreshLazyFn func(w, lo, hi int)
 	fwdIncFn      func(w, lo, hi int)
+	// scratch is the per-worker Steiner/RC build scratch of fenceFn and
+	// refreshLazyFn, indexed by the worker id the pool passes them.
+	scratch []timing.BuildScratch
 
 	// Objective scratch. wnsM/wnsZ are the shift and partition value of the
 	// inline endpoint softmin, stored so the sparse seeding can renormalise
@@ -329,10 +328,12 @@ func NewTimer(g *timing.Graph, opts Options) *Timer {
 			opts.ConePrune = 0.1
 		}
 	}
-	// The big per-tnode/per-net/per-cell SoA arrays carve from the arena
-	// when one is configured (a nil arena is plain make).
+	// The big per-tnode/per-net/per-cell SoA arrays carve from the arena.
 	// Slices of pointer-bearing types (netGrads, epStates) stay on the GC
 	// heap by construction: the arena's type set rejects them.
+	if opts.Arena == nil {
+		opts.Arena = arena.New(arena.ChunkSize(len(g.D.Cells)))
+	}
 	a := opts.Arena
 	n2 := 2 * len(g.D.Pins)
 	nNets := len(g.D.Nets)
@@ -356,6 +357,7 @@ func NewTimer(g *timing.Graph, opts Options) *Timer {
 		epStates:       make([]epState, len(g.Endpoints)),
 	}
 	t.buildTape()
+	t.buildNetAccums()
 	t.buildGroups()
 	t.buildSchedule()
 	t.buildStartPins()
@@ -411,13 +413,14 @@ func (t *Timer) buildIncState() {
 	t.pinDirty.Grow(len(g.D.Pins))
 	t.buildLevelBuckets()
 	t.compactor = parallel.NewCompactor(4 * parallel.Workers())
+	t.scratch = timing.NewBuildScratch()
 }
 
 // buildLevelBuckets carves every level's dirty bucket out of one slab sized
 // by the levelisation in a single pass: bucket k is a zero-length window of
 // capacity len(Levels[k]) (a bucket can never exceed its level), so the
-// per-level make calls of the old build collapse to two allocations on the
-// heap path and zero steady-state growth either way. Pinned by an
+// per-level make calls of the old build collapse to one slab carve plus the
+// outer slice of windows, with zero steady-state growth. Pinned by an
 // AllocsPerRun guard in timer_alloc_test.go.
 func (t *Timer) buildLevelBuckets() {
 	g := t.G
@@ -463,6 +466,22 @@ func (t *Timer) buildTape() {
 	t.slotDelayDL = arena.Make[float64](a, int(n))
 	t.slotSlewDS = arena.Make[float64](a, int(n))
 	t.slotSlewDL = arena.Make[float64](a, int(n))
+}
+
+// buildNetAccums carves the per-net backward accumulators (gDelayNode,
+// gImpSq) from the arena at each net's Steiner-node bound, so no tree a
+// later rebuild produces outgrows them; nets that cannot carry a tree get
+// none.
+func (t *Timer) buildNetAccums() {
+	g := t.G
+	t.gDelayNode = make([][]float64, len(g.D.Nets))
+	t.gImpSq = make([][]float64, len(g.D.Nets))
+	for ni := range g.D.Nets {
+		if m := g.MaxTreeNodes(int32(ni)); m > 0 {
+			t.gDelayNode[ni] = arena.MakeCap[float64](t.Opts.Arena, 0, m)
+			t.gImpSq[ni] = arena.MakeCap[float64](t.Opts.Arena, 0, m)
+		}
+	}
 }
 
 // buildGroups lays the reverse-sweep groups out in CSR form: one global
@@ -653,9 +672,9 @@ func (t *Timer) buildKernels() {
 			}
 		}
 	}
-	t.fenceFn = func(_, lo, hi int) {
+	t.fenceFn = func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			timing.RebuildNetStateMoved(t.G, &t.Nets[i])
+			timing.RebuildNetStateMoved(t.G, &t.Nets[i], &t.scratch[w])
 		}
 	}
 	t.netMovedFn = func(_, lo, hi int) {
@@ -663,10 +682,10 @@ func (t *Timer) buildKernels() {
 			t.netMoved[i] = timing.NetMoved(t.G, &t.Nets[i], t.Opts.RefreshEps)
 		}
 	}
-	t.refreshLazyFn = func(_, lo, hi int) {
+	t.refreshLazyFn = func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ns := &t.Nets[t.dirtyNets[i]]
-			timing.RefreshNetStateLazy(t.G, ns, t.Opts.DistortionLimit)
+			timing.RefreshNetStateLazy(t.G, ns, t.Opts.DistortionLimit, &t.scratch[w])
 			if ns.RC != nil {
 				ns.RC.Forward()
 			}
@@ -703,57 +722,19 @@ func (t *Timer) buildKernels() {
 			}
 		},
 		func() {
-			if t.gDelayNode == nil {
-				t.gDelayNode = make([][]float64, len(t.G.D.Nets))
-				t.gImpSq = make([][]float64, len(t.G.D.Nets))
-			}
 			for ni := range t.Nets {
-				ns := &t.Nets[ni]
-				if ns.Tree == nil {
-					t.gDelayNode[ni] = nil
-					t.gImpSq[ni] = nil
-					continue
+				n := 0
+				if tree := t.Nets[ni].Tree; tree != nil {
+					n = tree.NumNodes()
 				}
-				n := ns.Tree.NumNodes()
-				if cap(t.gDelayNode[ni]) < n {
-					t.gDelayNode[ni] = make([]float64, n)
-					t.gImpSq[ni] = make([]float64, n)
-				} else {
-					t.gDelayNode[ni] = t.gDelayNode[ni][:n]
-					t.gImpSq[ni] = t.gImpSq[ni][:n]
-					for j := 0; j < n; j++ {
-						t.gDelayNode[ni][j] = 0
-						t.gImpSq[ni][j] = 0
-					}
+				t.gDelayNode[ni] = t.gDelayNode[ni][:n]
+				t.gImpSq[ni] = t.gImpSq[ni][:n]
+				for j := 0; j < n; j++ {
+					t.gDelayNode[ni][j] = 0
+					t.gImpSq[ni][j] = 0
 				}
 			}
 		},
-	}
-}
-
-// preSizeNetGrad carves the per-net backward accumulators (gDelayNode,
-// gImpSq) from the arena at each net's Steiner-node capacity bound, so the
-// cap checks in resetTasks never allocate. Called serially right after the
-// first net-state build (the arena is not thread-safe); a nil arena keeps
-// the lazy heap growth in resetTasks.
-func (t *Timer) preSizeNetGrad() {
-	a := t.Opts.Arena
-	if a == nil || t.netGradSized {
-		return
-	}
-	t.netGradSized = true
-	d := t.G.D
-	if t.gDelayNode == nil { // buildSparseState may have made the outers
-		t.gDelayNode = make([][]float64, len(d.Nets))
-		t.gImpSq = make([][]float64, len(d.Nets))
-	}
-	for ni := range d.Nets {
-		if t.Nets[ni].Tree == nil {
-			continue
-		}
-		m := 2*len(d.Nets[ni].Pins) - 2
-		t.gDelayNode[ni] = arena.MakeCap[float64](a, 0, m)
-		t.gImpSq[ni] = arena.MakeCap[float64](a, 0, m)
 	}
 }
 
@@ -769,7 +750,6 @@ func (t *Timer) preSizeNetGrad() {
 func (t *Timer) refreshNets() {
 	if t.Nets == nil {
 		t.Nets = timing.BuildNetStatesArena(t.G, t.Opts.Arena)
-		t.preSizeNetGrad()
 		t.evalCount++
 		parallel.ForGuided(len(t.Nets), 16, parallel.CostDefault, t.fwdNetsFn)
 		t.fullPass = true

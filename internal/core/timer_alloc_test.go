@@ -4,10 +4,10 @@ import (
 	"testing"
 )
 
-// TestLevelBucketsAllocsPinned guards the one-pass level-bucket build: on
-// the heap path it is exactly two allocations (the int32 slab and the outer
-// slice of windows), regardless of level count — the old build did one make
-// per level.
+// TestLevelBucketsAllocsPinned guards the one-pass level-bucket build: at
+// most two allocations (the outer slice of windows, and a fresh arena slab
+// when the carve does not fit the current one), regardless of level count —
+// the old build did one make per level.
 func TestLevelBucketsAllocsPinned(t *testing.T) {
 	g := makeTestBed(t, 400, 46)
 	tm := NewTimer(g, DefaultOptions())

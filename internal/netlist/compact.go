@@ -15,8 +15,7 @@ import "dtgp/internal/arena"
 // of clobbering the neighbouring list.
 //
 // Compact is idempotent: a second call is a no-op, so a design placed again
-// keeps the slab of its first compaction. A nil arena compacts into a plain
-// heap slab.
+// keeps the slab of its first compaction.
 func (d *Design) Compact(a *arena.Arena) {
 	if d.compacted {
 		return

@@ -81,15 +81,6 @@ func TestCompactIdempotent(t *testing.T) {
 	}
 }
 
-// TestCompactNilArena: the heap-slab fallback must work too.
-func TestCompactNilArena(t *testing.T) {
-	d := buildToy(t)
-	d.Compact(nil)
-	if err := d.Validate(); err != nil {
-		t.Fatalf("Validate after nil-arena Compact: %v", err)
-	}
-}
-
 // TestCloneAfterCompact: a clone of a compacted design owns fresh heap
 // slices and must survive the original's slab being overwritten.
 func TestCloneAfterCompact(t *testing.T) {

@@ -338,21 +338,6 @@ type engine struct {
 	stopFlag atomic.Bool
 }
 
-// arenaChunkSize picks the slab size from the design size: roughly 1/16th
-// of the expected total SoA footprint (~4 KB per cell across netlist,
-// timer and net states), clamped to [1 MiB, 64 MiB]. Small test designs get
-// small slabs; a 2M-cell design carves from tens of 64 MiB slabs.
-func arenaChunkSize(cells int) int {
-	size := cells * 256
-	if size < 1<<20 {
-		return 1 << 20
-	}
-	if size > 1<<26 {
-		return 1 << 26
-	}
-	return size
-}
-
 func newEngine(d *netlist.Design, con *sdc.Constraints, opts Options) (*engine, error) {
 	if len(d.Cells) == 0 {
 		return nil, fmt.Errorf("place: empty design")
@@ -366,7 +351,7 @@ func newEngine(d *netlist.Design, con *sdc.Constraints, opts Options) (*engine, 
 	// Slab storage for the big SoA surfaces (netlist pin lists, timer
 	// state, per-net Steiner/RC buffers). Compact is idempotent, so a
 	// design re-placed with its pin lists already flat keeps them.
-	e.arena = arena.New(arenaChunkSize(e.nReal))
+	e.arena = arena.New(arena.ChunkSize(e.nReal))
 	d.Compact(e.arena)
 
 	// Fillers occupy the whitespace so the density system has a

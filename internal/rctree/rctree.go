@@ -10,7 +10,6 @@ package rctree
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"dtgp/internal/rsmt"
 )
@@ -74,14 +73,13 @@ type Grad struct {
 	X, Y []float64 //dtgp:index domain=rcnode
 }
 
-// buildScratch holds the CSR adjacency buffers used while orienting the
-// Steiner tree; a pooled instance makes Rebuild allocation-free once the
-// target Tree's own slices are warm.
-type buildScratch struct {
+// Scratch holds the CSR adjacency buffers used while orienting the Steiner
+// tree. Its owner keeps it across rebuilds (one per worker), so a warm
+// scratch makes Rebuild allocation-free once the target Tree's own slices
+// are warm. The zero value is ready.
+type Scratch struct {
 	off, cur, adj []int32
 }
-
-var buildPool = sync.Pool{New: func() any { return new(buildScratch) }}
 
 // Build roots the Steiner tree st at the node carrying the driver pin and
 // extracts RC values. pinCap[i] is the attached pin capacitance of Steiner
@@ -91,7 +89,7 @@ var buildPool = sync.Pool{New: func() any { return new(buildScratch) }}
 //dtgp:index root=rcnode pinCap=rcnode
 func Build(st *rsmt.Tree, root int32, pinCap []float64, rPerUnit, cPerUnit float64) (*Tree, error) {
 	t := &Tree{}
-	if err := t.Rebuild(st, root, pinCap, rPerUnit, cPerUnit); err != nil {
+	if err := t.Rebuild(st, root, pinCap, rPerUnit, cPerUnit, new(Scratch)); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -122,13 +120,13 @@ func (t *Tree) PreSize(m int, parent, order []int32, f []float64) {
 	t.edgeLen = f[7*m : 8*m : 8*m]
 }
 
-// Rebuild re-extracts the RC tree in place (new topology, reused slices).
-// Steady-state periodic Steiner rebuilds reuse the previous extraction's
-// memory entirely.
+// Rebuild re-extracts the RC tree in place (new topology, reused slices),
+// orienting the edges in the caller's scratch s. Steady-state periodic
+// Steiner rebuilds reuse the previous extraction's memory entirely.
 //
 //dtgp:hotpath
 //dtgp:index root=rcnode pinCap=rcnode
-func (t *Tree) Rebuild(st *rsmt.Tree, root int32, pinCap []float64, rPerUnit, cPerUnit float64) error {
+func (t *Tree) Rebuild(st *rsmt.Tree, root int32, pinCap []float64, rPerUnit, cPerUnit float64, s *Scratch) error {
 	n := st.NumNodes()
 	if n == 0 {
 		return fmt.Errorf("rctree: empty Steiner tree")
@@ -175,7 +173,6 @@ func (t *Tree) Rebuild(st *rsmt.Tree, root int32, pinCap []float64, rPerUnit, cP
 	copy(t.Cap, pinCap)
 	// CSR adjacency (neighbor order matches edge iteration order), then BFS
 	// from root to orient edges; Order doubles as the BFS queue.
-	s := buildPool.Get().(*buildScratch)
 	if cap(s.off) < n+1 {
 		s.off = make([]int32, n+1)
 		s.cur = make([]int32, n+1)
@@ -224,7 +221,6 @@ func (t *Tree) Rebuild(st *rsmt.Tree, root int32, pinCap []float64, rPerUnit, cP
 			t.Order = append(t.Order, v)
 		}
 	}
-	buildPool.Put(s)
 	if len(t.Order) != n {
 		return fmt.Errorf("rctree: Steiner tree is disconnected (%d of %d nodes reachable)", len(t.Order), n)
 	}

@@ -12,10 +12,7 @@
 // that point's branch along.
 package rsmt
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // Tree is a rectilinear Steiner tree over a net's pins.
 //
@@ -73,11 +70,13 @@ type hanan struct {
 	xPin, yPin int32
 }
 
-// buildScratch bundles every working buffer the construction path needs, so
-// a pooled instance makes Build allocation-free apart from the returned Tree
-// itself. Trees outlive the call (the timer keeps them across iterations),
-// so anything stored into the Tree is copied out of the scratch first.
-type buildScratch struct {
+// Scratch bundles every working buffer the construction path needs. Its
+// owner keeps it across builds (one per worker: builds running at the same
+// time need separate scratch), so a warm scratch makes BuildInto
+// allocation-free apart from growth of the Tree itself. Trees outlive the
+// call (the timer keeps them across iterations), so anything stored into
+// the Tree is copied out of the scratch first. The zero value is ready.
+type Scratch struct {
 	mst       mstScratch
 	cands     []hanan
 	bestEdges [][2]int32
@@ -86,20 +85,18 @@ type buildScratch struct {
 	adj       [][]int32
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
-
 // Build constructs a Steiner tree over the given pin coordinates.
 func Build(px, py []float64) *Tree {
-	return BuildInto(&Tree{}, px, py)
+	return BuildInto(&Tree{}, px, py, new(Scratch))
 }
 
 // BuildInto rebuilds t in place over new pin coordinates, reusing its slice
-// capacity. With a warm tree and the pooled construction scratch, a rebuild
-// allocates nothing in steady state. Returns t.
+// capacity and the caller's construction scratch s. With a warm tree and a
+// warm scratch, a rebuild allocates nothing. Returns t.
 //
 //dtgp:hotpath
 //dtgp:index px=npin py=npin
-func BuildInto(t *Tree, px, py []float64) *Tree {
+func BuildInto(t *Tree, px, py []float64, s *Scratch) *Tree {
 	n := len(px)
 	// The previous Edges backing is owned by t; keep it aside so the final
 	// copy out of scratch can reuse it.
@@ -122,7 +119,6 @@ func BuildInto(t *Tree, px, py []float64) *Tree {
 		t.Edges = append(owned, [2]int32{0, 1})
 		return t
 	}
-	s := scratchPool.Get().(*buildScratch)
 	if n <= 4 {
 		buildExact(t, s)
 	} else {
@@ -130,7 +126,6 @@ func BuildInto(t *Tree, px, py []float64) *Tree {
 	}
 	// The edge list aliases scratch buffers; copy into the owned backing.
 	t.Edges = append(owned, t.Edges...)
-	scratchPool.Put(s)
 	return t
 }
 
@@ -217,7 +212,7 @@ func mstEdges(t *Tree, n int, s *mstScratch) [][2]int32 {
 // candidates are avoided). Nodes are rolled back before returning.
 //
 //dtgp:hotpath
-func tryExact(t *Tree, s *buildScratch, pts []hanan, bestLen *float64) {
+func tryExact(t *Tree, s *Scratch, pts []hanan, bestLen *float64) {
 	base := len(t.X)
 	for _, h := range pts {
 		t.X = append(t.X, h.x)
@@ -291,7 +286,7 @@ func middle4(v []float64) (second, third float64, lowest uint8) {
 // pins ∪ subset with minimum length.
 //
 //dtgp:hotpath
-func buildExact(t *Tree, s *buildScratch) {
+func buildExact(t *Tree, s *Scratch) {
 	n := t.NumPins
 	cands := s.cands[:0]
 	for i := 0; i < n; i++ {
@@ -342,7 +337,7 @@ func buildExact(t *Tree, s *buildScratch) {
 // adds, so the write index never catches the read index.
 //
 //dtgp:hotpath
-func pruneDegenerate(t *Tree, edges [][2]int32, s *buildScratch) [][2]int32 {
+func pruneDegenerate(t *Tree, edges [][2]int32, s *Scratch) [][2]int32 {
 	for {
 		if cap(s.deg) < len(t.X) {
 			s.deg = make([]int, len(t.X))
@@ -405,7 +400,7 @@ func pruneDegenerate(t *Tree, edges [][2]int32, s *buildScratch) [][2]int32 {
 // insertion with the largest positive gain is applied repeatedly.
 //
 //dtgp:hotpath
-func buildHeuristic(t *Tree, s *buildScratch) {
+func buildHeuristic(t *Tree, s *Scratch) {
 	n := t.NumPins
 	t.Edges = mstEdges(t, n, &s.mst)
 
@@ -416,7 +411,7 @@ func buildHeuristic(t *Tree, s *buildScratch) {
 
 	for pass := 0; pass < len(t.X)+8; pass++ {
 		// Rebuild adjacency in reused buffers (inner slices keep their
-		// capacity across passes and across pooled Build calls).
+		// capacity across passes and across builds into one scratch).
 		if cap(s.adj) < len(t.X) {
 			s.adj = append(s.adj[:cap(s.adj)], make([][]int32, len(t.X)-cap(s.adj))...)
 		}

@@ -272,7 +272,7 @@ func oracleBuild(px, py []float64) *Tree {
 		t.XPin = append(t.XPin, int32(i))
 		t.YPin = append(t.YPin, int32(i))
 	}
-	s := new(buildScratch)
+	s := new(Scratch)
 	var cands []hanan
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -427,7 +427,7 @@ func TestFourPinMatchesOracle(t *testing.T) {
 	if testing.Short() {
 		nets = 10_000
 	}
-	tr := &Tree{}
+	tr, s := &Tree{}, new(Scratch)
 	px, py := make([]float64, 4), make([]float64, 4)
 	for ri, regime := range fourPinRegimes {
 		rng := rand.New(rand.NewSource(int64(101 + ri)))
@@ -435,7 +435,7 @@ func TestFourPinMatchesOracle(t *testing.T) {
 			for i := range px {
 				px[i], py[i] = regime.coord(rng), regime.coord(rng)
 			}
-			BuildInto(tr, px, py)
+			BuildInto(tr, px, py, s)
 			want := closedForm(px, py)
 			if got := tr.Length(); math.Abs(got-want) > 1e-12*want {
 				t.Fatalf("%s net %d (%v, %v): length %v, closed form %v", regime.name, k, px, py, got, want)
@@ -498,11 +498,11 @@ func BenchmarkBuildInto(b *testing.B) {
 		{"8pin", px8, py8},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			tr := Build(bc.px, bc.py)
+			tr, s := Build(bc.px, bc.py), new(Scratch)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				BuildInto(tr, bc.px, bc.py)
+				BuildInto(tr, bc.px, bc.py, s)
 			}
 		})
 	}

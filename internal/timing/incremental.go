@@ -43,9 +43,11 @@ type Incremental struct {
 	fwdSorter workSorter
 	ratSorter workSorter
 
-	// rebuildFn re-extracts netWork[lo:hi] on the worker pool; stored once
-	// so MoveCells stays allocation-free in steady state.
+	// rebuildFn re-extracts netWork[lo:hi] on the worker pool, worker w in
+	// scratch[w]; stored once so MoveCells stays allocation-free in steady
+	// state.
 	rebuildFn func(w, lo, hi int)
+	scratch   []BuildScratch
 }
 
 // workSorter sorts a pin worklist by (level, pid), optionally with levels
@@ -78,7 +80,7 @@ func (s *workSorter) less(i, j int) bool {
 func NewIncremental(g *Graph) *Incremental {
 	nets := BuildNetStates(g)
 	ForwardAll(nets)
-	inc := &Incremental{Epsilon: 1e-6}
+	inc := &Incremental{Epsilon: 1e-6, scratch: NewBuildScratch()}
 	inc.fwdSorter.level = g.Level
 	inc.ratSorter.level = g.Level
 	inc.ratSorter.desc = true
@@ -87,13 +89,13 @@ func NewIncremental(g *Graph) *Incremental {
 		s.starts = make([]int32, len(g.Levels))
 		s.scratch = make([]int32, len(g.D.Pins))
 	}
-	inc.rebuildFn = func(_, lo, hi int) {
+	inc.rebuildFn = func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ns := &inc.Nets[inc.netWork[i]]
 			if ns.Tree == nil {
 				continue
 			}
-			buildNetStateInto(inc.G, ns.Net, ns)
+			buildNetStateInto(inc.G, ns.Net, ns, &inc.scratch[w])
 			ns.RC.Forward()
 		}
 	}

@@ -3,6 +3,7 @@ package timing
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"dtgp/internal/gen"
@@ -235,4 +236,43 @@ func TestIncrementalEpsilonDriftBounded(t *testing.T) {
 	}
 	t.Logf("eps=%v maxLevel=%d bound=%v: max pin drift %v, max WNS drift %v",
 		eps, maxLevel, bound, maxPinDrift, maxWNSDrift)
+}
+
+// TestMoveCellsAllocFree: MoveCells re-extracts the nets of the moved cells
+// in scratch its engine owns, so a warm engine allocates nothing even when
+// garbage collections run between calls (they would empty any pooled
+// scratch). 40 cells of a 400-cell bed move back and forth between two
+// placements, so every rebuilt tree fits buffers an earlier build grew.
+func TestMoveCellsAllocFree(t *testing.T) {
+	g, inc := incBed(t, 400, 55)
+	d := g.D
+	var cells []int32
+	for ci := range d.Cells {
+		if d.Cells[ci].Movable() && len(cells) < 40 {
+			cells = append(cells, int32(ci))
+		}
+	}
+	x0, y0 := d.Positions()
+	for k, ci := range cells {
+		d.Cells[ci].Pos.X += float64(5 + k%7)
+		d.Cells[ci].Pos.Y -= float64(3 + k%5)
+	}
+	x1, y1 := d.Positions()
+	flip := false
+	move := func() {
+		runtime.GC()
+		runtime.GC()
+		if flip = !flip; flip {
+			d.SetPositions(x0, y0)
+		} else {
+			d.SetPositions(x1, y1)
+		}
+		inc.MoveCells(cells)
+	}
+	for i := 0; i < 4; i++ {
+		move()
+	}
+	if allocs := testing.AllocsPerRun(10, move); allocs != 0 {
+		t.Errorf("MoveCells allocated %v objects/op in steady state, want 0", allocs)
+	}
 }

@@ -69,6 +69,22 @@ func (ns *NetState) SinkImpulse(k int) float64 { return ns.RC.Impulse[ns.Node[k]
 //dtgp:hotpath
 func (ns *NetState) DriverLoad() float64 { return ns.RC.Load[ns.RC.Root] }
 
+// BuildScratch is one worker's Steiner and RC construction scratch. An
+// engine that re-extracts nets owns one per pool worker (NewBuildScratch)
+// and hands a kernel the entry of the worker id the pool passes it, so
+// scratch is never shared between concurrent builds or between engines,
+// and it stays warm for the engine's lifetime.
+type BuildScratch struct {
+	steiner rsmt.Scratch
+	rc      rctree.Scratch
+}
+
+// NewBuildScratch returns one BuildScratch per worker of the default pool,
+// indexed by the worker id parallel.ForGuided passes its kernels.
+func NewBuildScratch() []BuildScratch {
+	return make([]BuildScratch, parallel.Workers())
+}
+
 // BuildNetStates constructs Steiner and RC trees for every timed net, in
 // parallel. This is the "FLUTE + Elmore" stage of Fig. 3/7; the forward
 // Elmore passes are left to the caller (ForwardAll) so that the reuse path
@@ -76,35 +92,36 @@ func (ns *NetState) DriverLoad() float64 { return ns.RC.Load[ns.RC.Root] }
 // distributed with guided chunking rather than static splits.
 func BuildNetStates(g *Graph) []NetState {
 	states := make([]NetState, len(g.D.Nets))
-	RebuildNetStates(g, states)
+	RebuildNetStates(g, states, NewBuildScratch())
 	return states
 }
 
 // RebuildNetStates re-extracts every net's Steiner and RC trees in place,
 // reusing each NetState's buffers (coordinate scratch, node maps, RC
-// storage). The periodic topology rebuild is allocation-free once warm.
-// states must have one entry per design net.
+// storage) and the per-worker scratch (one entry per pool worker, see
+// NewBuildScratch). The periodic topology rebuild is allocation-free once
+// warm. states must have one entry per design net.
 //
 //dtgp:hotpath
-func RebuildNetStates(g *Graph, states []NetState) {
-	parallel.ForGuided(len(states), 8, parallel.CostHeavy, func(_, lo, hi int) {
+func RebuildNetStates(g *Graph, states []NetState, scratch []BuildScratch) {
+	parallel.ForGuided(len(states), 8, parallel.CostHeavy, func(w, lo, hi int) {
 		for ni := lo; ni < hi; ni++ {
-			buildNetStateInto(g, int32(ni), &states[ni])
+			buildNetStateInto(g, int32(ni), &states[ni], &scratch[w])
 		}
 	})
 }
 
 //dtgp:hotpath
 //dtgp:index ni=net
-func buildNetStateInto(g *Graph, ni int32, ns *NetState) {
+func buildNetStateInto(g *Graph, ni int32, ns *NetState, s *BuildScratch) {
 	d := g.D
 	ns.Net = ni
 	ns.fromBuild = true
-	net := &d.Nets[ni]
-	if g.IsClockNet[ni] || net.Driver < 0 || len(net.Pins) < 2 {
+	if g.MaxTreeNodes(ni) == 0 {
 		ns.Tree, ns.RC = nil, nil
 		return
 	}
+	net := &d.Nets[ni]
 	np := len(net.Pins)
 	if cap(ns.px) < np {
 		ns.px = make([]float64, np)
@@ -128,7 +145,7 @@ func buildNetStateInto(g *Graph, ni int32, ns *NetState) {
 	if ns.Tree == nil {
 		ns.Tree = &rsmt.Tree{}
 	}
-	tree := rsmt.BuildInto(ns.Tree, px, py)
+	tree := rsmt.BuildInto(ns.Tree, px, py, &s.steiner)
 	nn := tree.NumNodes()
 	if cap(ns.pinCap) < nn {
 		ns.pinCap = make([]float64, nn)
@@ -156,7 +173,7 @@ func buildNetStateInto(g *Graph, ni int32, ns *NetState) {
 	if ns.RC == nil {
 		ns.RC = &rctree.Tree{}
 	}
-	if err := ns.RC.Rebuild(tree, rootIdx, pinCap, d.Lib.WireResPerDBU, d.Lib.WireCapPerDBU); err != nil {
+	if err := ns.RC.Rebuild(tree, rootIdx, pinCap, d.Lib.WireResPerDBU, d.Lib.WireCapPerDBU, &s.rc); err != nil {
 		// A disconnected Steiner tree cannot happen by construction; treat
 		// defensively as an untimed net.
 		ns.Tree, ns.RC = nil, nil
@@ -171,10 +188,10 @@ func buildNetStateInto(g *Graph, ni int32, ns *NetState) {
 // deterministic), so a fence over every net is bit-identical to
 // RebuildNetStates. A rebuilt net also gets its Elmore forward pass here; a
 // skipped one keeps its (identical) forward results, so the caller must NOT
-// run another forward sweep.
+// run another forward sweep. s is the calling worker's scratch.
 //
 //dtgp:hotpath
-func RebuildNetStateMoved(g *Graph, ns *NetState) {
+func RebuildNetStateMoved(g *Graph, ns *NetState, s *BuildScratch) {
 	// Tree == nil nets always fall through: NetMoved cannot see their
 	// movement and a defensively-untimed net could become timeable at new
 	// geometry. buildNetStateInto early-returns for the structurally
@@ -182,7 +199,7 @@ func RebuildNetStateMoved(g *Graph, ns *NetState) {
 	if ns.fromBuild && ns.Tree != nil && !NetMoved(g, ns, 0) {
 		return
 	}
-	buildNetStateInto(g, ns.Net, ns)
+	buildNetStateInto(g, ns.Net, ns, s)
 	if ns.RC != nil {
 		ns.RC.Forward()
 	}
@@ -250,10 +267,11 @@ func NetMoved(g *Graph, ns *NetState, eps float64) bool {
 // current bbox half-perimeter deviates from TopoHP (the value at the last
 // build) by more than distortionLimit relatively, the topology is rebuilt.
 // distortionLimit = +Inf disables per-net rebuilds (geometry slide only).
-// Allocation-free after the first call on a given NetState.
+// A rebuild runs in s, the calling worker's scratch. Allocation-free after
+// the first call on a given NetState.
 //
 //dtgp:hotpath
-func RefreshNetStateLazy(g *Graph, ns *NetState, distortionLimit float64) {
+func RefreshNetStateLazy(g *Graph, ns *NetState, distortionLimit float64, s *BuildScratch) {
 	if ns.Tree == nil {
 		return
 	}
@@ -271,7 +289,7 @@ func RefreshNetStateLazy(g *Graph, ns *NetState, distortionLimit float64) {
 		// Note: a degenerate reference bbox (TopoHP == 0) rebuilds on any
 		// growth, and distortionLimit = +Inf never rebuilds (Inf*0 = NaN and
 		// any comparison with NaN is false, which is the wanted behaviour).
-		buildNetStateInto(g, ns.Net, ns)
+		buildNetStateInto(g, ns.Net, ns, s)
 		return
 	}
 	RefreshNetState(g, ns)

@@ -6,15 +6,23 @@ import (
 	"dtgp/internal/rsmt"
 )
 
-// maxSteinerNodes bounds the Steiner-tree node count of a net with np pins:
-// a rectilinear Steiner minimum tree has at most np−2 Steiner points, so at
-// most 2·np−2 nodes total. Every per-node buffer pre-sized at this bound
-// survives any later topology rebuild without growing. (If the heuristic
-// ever exceeded the bound, the cap-checked builders would fall back to a
-// plain heap allocation for that net — graceful, not corrupting.)
+// MaxTreeNodes bounds the Steiner-tree node count of net ni. It is 0 for a
+// net that cannot carry a tree (a clock net, an undriven net, or one with
+// fewer than 2 pins). For np pins it is 2·np−2: a rectilinear Steiner
+// minimum tree has at most np−2 Steiner points. Every per-node buffer
+// pre-sized at this bound survives any later topology rebuild without
+// growing. (If the heuristic ever exceeded the bound, the cap-checked
+// builders would fall back to a plain heap allocation for that net —
+// graceful, not corrupting.)
 //
-//dtgp:index np=npin return=snode
-func maxSteinerNodes(np int) int { return 2*np - 2 }
+//dtgp:index ni=net return=snode
+func (g *Graph) MaxTreeNodes(ni int32) int {
+	net := &g.D.Nets[ni]
+	if g.IsClockNet[ni] || net.Driver < 0 || len(net.Pins) < 2 {
+		return 0
+	}
+	return 2*len(net.Pins) - 2
+}
 
 // PreSizeNetStates carves every timed net's Steiner/RC buffers from the
 // arena at their capacity bounds, in one serial pass (the arena is not
@@ -22,19 +30,14 @@ func maxSteinerNodes(np int) int { return 2*np - 2 }
 // parallel fills in RebuildNetStates then run entirely inside these
 // capacities — their cap checks never trigger — so a 2M-net design's
 // interconnect state is a handful of slabs instead of ~20M small slices.
-// A nil arena is a no-op: the builders keep their lazy heap allocation.
 func PreSizeNetStates(g *Graph, a *arena.Arena, states []NetState) {
-	if a == nil {
-		return
-	}
 	d := g.D
 	for ni := range d.Nets {
-		net := &d.Nets[ni]
-		if g.IsClockNet[ni] || net.Driver < 0 || len(net.Pins) < 2 {
+		m := g.MaxTreeNodes(int32(ni))
+		if m == 0 {
 			continue
 		}
-		np := len(net.Pins)
-		m := maxSteinerNodes(np)
+		np := len(d.Nets[ni].Pins)
 		ns := &states[ni]
 		ns.px = arena.Make[float64](a, np)
 		ns.py = arena.Make[float64](a, np)
@@ -59,11 +62,10 @@ func PreSizeNetStates(g *Graph, a *arena.Arena, states []NetState) {
 // BuildNetStatesArena is BuildNetStates with arena-backed per-net buffers:
 // a serial pre-size pass carves capacity-bounded storage, then the regular
 // parallel extraction fills it. Results are bit-identical to
-// BuildNetStates; only the backing storage differs. nil arena degrades to
-// exactly BuildNetStates.
+// BuildNetStates; only the backing storage differs.
 func BuildNetStatesArena(g *Graph, a *arena.Arena) []NetState {
 	states := make([]NetState, len(g.D.Nets))
 	PreSizeNetStates(g, a, states)
-	RebuildNetStates(g, states)
+	RebuildNetStates(g, states, NewBuildScratch())
 	return states
 }
