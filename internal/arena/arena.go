@@ -114,9 +114,8 @@ func (a *Arena) bytes(n int) []byte {
 }
 
 // Make returns a zeroed []T of length n carved from the arena. The returned
-// slice has capacity exactly n:
-// appending beyond it reallocates onto the GC heap rather than clobbering a
-// neighbouring allocation.
+// slice has capacity exactly n: appending beyond it reallocates onto the GC
+// heap rather than clobbering a neighbouring allocation.
 func Make[T Plain](a *Arena, n int) []T {
 	return MakeCap[T](a, n, n)
 }
