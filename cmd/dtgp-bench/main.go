@@ -12,13 +12,18 @@
 //	dtgp-bench -experiment ablation-gamma
 //	dtgp-bench -experiment ablation-weights
 //	dtgp-bench -experiment scale -cells 50000,superblue-1.9M -iters 10 -out BENCH_scale.json
+//	dtgp-bench -experiment scale -cells 200000 -iters 20 -cpuprofile scale.pprof
 //	dtgp-bench -experiment all
+//
+// -cpuprofile writes a CPU profile of the whole run (every experiment it
+// runs) for `go tool pprof`.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"strings"
 
 	"dtgp/internal/report"
@@ -37,6 +42,7 @@ func main() {
 		cells      = flag.String("cells", report.DefaultScaleSpec, "scale sweep points: cell counts (50000, 200k) and/or preset names")
 		iters      = flag.Int("iters", 10, "timing-driven iterations per scale point")
 		list       = flag.Bool("list", false, "print the scale sweep's canonical point names and exit")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	)
 	flag.Parse()
 
@@ -151,10 +157,37 @@ func main() {
 	} else {
 		experiments = []string{*experiment}
 	}
-	for _, name := range experiments {
-		if err := run(name); err != nil {
-			fmt.Fprintln(os.Stderr, "dtgp-bench:", err)
-			os.Exit(1)
+	if err := profiled(*cpuprofile, func() error {
+		for _, name := range experiments {
+			if err := run(name); err != nil {
+				return err
+			}
 		}
+		return nil
+	}); err != nil {
+		fmt.Fprintln(os.Stderr, "dtgp-bench:", err)
+		os.Exit(1)
 	}
+}
+
+// profiled runs fn under a CPU profile written to path, or plainly when
+// path is empty.
+func profiled(path string, fn func() error) error {
+	if path == "" {
+		return fn()
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	err = fn()
+	pprof.StopCPUProfile()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

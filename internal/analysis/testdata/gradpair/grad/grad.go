@@ -209,3 +209,49 @@ func (o *ConeOp) ConeDropBackward(g float64) {
 		o.gCap[i] += g * o.Res[i]
 	}
 }
+
+// Wires is a pin-indexed view of per-net results that Timer holds as a
+// nested field, so a kernel reads a column two field steps deep
+// (t.w.Delay[pid]); the adjoints are top-level columns named after the
+// view's columns.
+type Wires struct {
+	Delay, ImpulseSq []float64
+}
+
+type Timer struct {
+	w                       Wires
+	AT                      []float64
+	gAT, gDelay, gImpulseSq []float64
+}
+
+// ViewForward reads both view columns through the nested field, and
+// ViewBackward accumulates both adjoints at the same pin. Clean.
+//
+//dtgp:forward(view)
+func (t *Timer) ViewForward(pid, u int) {
+	t.AT[pid] = t.AT[u] + t.w.Delay[pid] + t.w.ImpulseSq[pid]
+}
+
+//dtgp:backward(view)
+func (t *Timer) ViewBackward(pid, u int) {
+	g := t.gAT[pid]
+	t.gAT[u] += g
+	t.gDelay[pid] += g
+	t.gImpulseSq[pid] += g
+}
+
+// ViewDropForward/Backward is the seeded view mutation: the backward
+// dropped the gDelay accumulation, so gradpair must flag the nested
+// t.w.Delay read.
+//
+//dtgp:forward(viewdrop)
+func (t *Timer) ViewDropForward(pid, u int) {
+	t.AT[pid] = t.AT[u] + t.w.Delay[pid] + t.w.ImpulseSq[pid]
+}
+
+//dtgp:backward(viewdrop)
+func (t *Timer) ViewDropBackward(pid, u int) {
+	g := t.gAT[pid]
+	t.gAT[u] += g
+	t.gImpulseSq[pid] += g
+}

@@ -58,21 +58,24 @@ func TestObjectiveWeightsScale(t *testing.T) {
 
 // TestExactResultSharesInterconnect: the timer's arena-backed net states
 // hold the same bits as the heap-built ones of a fresh timing.Analyze
-// whenever the trees were just rebuilt, and exact STA over either agrees
-// bitwise: storage never changes a value. FencePeriod 1 rebuilds every
-// moved net on each evaluation, so the later rounds compare trees rebuilt
-// inside the capacity the arena carved.
+// whenever the trees were just rebuilt, so do the two pin-indexed views of
+// their Elmore results, and exact STA over either agrees bitwise: storage
+// never changes a value. FencePeriod 1 rebuilds every moved net on each
+// evaluation, so the later rounds compare trees rebuilt inside the
+// capacity the arena carved, and views in which unmoved nets kept what
+// they published earlier.
 func TestExactResultSharesInterconnect(t *testing.T) {
 	g := makeTestBed(t, 300, 84)
 	opts := DefaultOptions()
 	opts.FencePeriod = 1
 	tm := NewTimer(g, opts)
+	bits := math.Float64bits
 	same := func(a, b []float64) bool {
 		if len(a) != len(b) {
 			return false
 		}
 		for i := range a {
-			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			if bits(a[i]) != bits(b[i]) {
 				return false
 			}
 		}
@@ -80,10 +83,16 @@ func TestExactResultSharesInterconnect(t *testing.T) {
 	}
 	for round := 0; round < 3; round++ {
 		tm.Evaluate(0.01, 0.001)
-		fromTimer := timing.AnalyzeWithNets(tm.G, tm.Nets)
 		scratch := timing.Analyze(g)
-		if math.Float64bits(fromTimer.WNS) != math.Float64bits(scratch.WNS) ||
-			math.Float64bits(fromTimer.TNS) != math.Float64bits(scratch.TNS) {
+		w, ws := &tm.Wires, &scratch.Wires
+		for p := range ws.Driver {
+			if w.Driver[p] != ws.Driver[p] || bits(w.Load[p]) != bits(ws.Load[p]) ||
+				w.Driver[p] >= 0 && (bits(w.Delay[p]) != bits(ws.Delay[p]) || bits(w.ImpulseSq[p]) != bits(ws.ImpulseSq[p])) {
+				t.Fatalf("round %d pin %d: the timer's view differs from the scratch analysis'", round, p)
+			}
+		}
+		fromTimer := timing.AnalyzeWithNets(tm.G, tm.Nets)
+		if bits(fromTimer.WNS) != bits(scratch.WNS) || bits(fromTimer.TNS) != bits(scratch.TNS) {
 			t.Errorf("round %d: timer-state WNS/TNS %v/%v vs scratch %v/%v",
 				round, fromTimer.WNS, fromTimer.TNS, scratch.WNS, scratch.TNS)
 		}

@@ -33,7 +33,8 @@ func lutSlots(tm *Timer, pid int32, outTr timing.Transition) []tapeSlot {
 	g := tm.G
 	load := 0.0
 	if net := g.D.Pins[pid].Net; net >= 0 && tm.Nets[net].Tree != nil {
-		load = tm.Nets[net].DriverLoad()
+		rc := tm.Nets[net].RC
+		load = rc.Load[rc.Root]
 	}
 	var out []tapeSlot
 	var cat, csl []float64

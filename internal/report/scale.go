@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -111,14 +112,40 @@ type ScaleRow struct {
 	ArenaMB float64 `json:"arena_mb"`
 }
 
-// ScaleReport is the committed BENCH_scale.json document.
+// ScaleReport is the committed BENCH_scale.json document. GOMAXPROCS is the
+// Go scheduler's CPU count the sweep ran with, and Revision the git commit
+// of the measured build (revisionStamp).
 type ScaleReport struct {
 	Description string     `json:"description"`
 	Date        string     `json:"date"`
 	Go          string     `json:"go"`
 	CPUs        int        `json:"cpus"`
+	GOMAXPROCS  int        `json:"gomaxprocs"`
+	Revision    string     `json:"revision"`
 	Iters       int        `json:"iters"`
 	Benchmarks  []ScaleRow `json:"benchmarks"`
+}
+
+// revisionStamp returns the git revision the running binary was built
+// from, with "+modified" for a dirty tree, or "unknown" when the build
+// carries no version-control stamp (go run, or a build outside a git
+// checkout).
+func revisionStamp() string {
+	rev, modified := "unknown", false
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				rev = s.Value
+			case "vcs.modified":
+				modified = s.Value == "true"
+			}
+		}
+	}
+	if modified {
+		rev += "+modified"
+	}
+	return rev
 }
 
 // RunScalePoint generates the spec's design and times netlist build plus
@@ -179,10 +206,12 @@ func RunScaleSweep(specs []ScaleSpec, iters int, logf func(string, ...any)) (*Sc
 			"steady-state mean excluding iteration 0 (which pays the first net-state build and λ calibration). " +
 			"peak_rss_mb is the kernel VmHWM high-water mark; points run in ascending size order so each " +
 			"value reflects that point's own working set. Regenerate with `make bench-scale`.",
-		Date:  time.Now().Format("2006-01-02"),
-		Go:    runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
-		CPUs:  runtime.NumCPU(),
-		Iters: iters,
+		Date:       time.Now().Format("2006-01-02"),
+		Go:         runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
+		CPUs:       runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Revision:   revisionStamp(),
+		Iters:      iters,
 	}
 	for _, spec := range sorted {
 		row, err := RunScalePoint(spec, iters, logf)

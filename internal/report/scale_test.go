@@ -2,6 +2,7 @@ package report
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -49,6 +50,9 @@ func TestRunScaleSweepQuick(t *testing.T) {
 	}
 	if len(rep.Benchmarks) != 2 {
 		t.Fatalf("rows = %d", len(rep.Benchmarks))
+	}
+	if rep.GOMAXPROCS != runtime.GOMAXPROCS(0) || rep.Revision == "" {
+		t.Fatalf("report records GOMAXPROCS %d and revision %q", rep.GOMAXPROCS, rep.Revision)
 	}
 	// Ascending size order regardless of spec order (VmHWM monotonicity).
 	if rep.Benchmarks[0].Name != "cells-400" || rep.Benchmarks[1].Name != "cells-900" {

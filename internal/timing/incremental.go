@@ -78,8 +78,6 @@ func (s *workSorter) less(i, j int) bool {
 
 // NewIncremental builds the engine and runs the initial full analysis.
 func NewIncremental(g *Graph) *Incremental {
-	nets := BuildNetStates(g)
-	ForwardAll(nets)
 	inc := &Incremental{Epsilon: 1e-6, scratch: NewBuildScratch()}
 	inc.fwdSorter.level = g.Level
 	inc.ratSorter.level = g.Level
@@ -89,20 +87,21 @@ func NewIncremental(g *Graph) *Incremental {
 		s.starts = make([]int32, len(g.Levels))
 		s.scratch = make([]int32, len(g.D.Pins))
 	}
+	// Every touched net is re-extracted, including one left untimed (a
+	// non-finite pin disconnects its Steiner tree) so that it is timed
+	// again once its pins are finite; buildNetStateInto returns at once
+	// for the structurally untimed ones.
 	inc.rebuildFn = func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ns := &inc.Nets[inc.netWork[i]]
-			if ns.Tree == nil {
-				continue
-			}
 			buildNetStateInto(inc.G, ns.Net, ns, &inc.scratch[w])
-			ns.RC.Forward()
+			ForwardNet(inc.G, ns, &inc.Wires)
 		}
 	}
 	inc.inDirty.Grow(len(g.D.Pins))
 	inc.inRatDirty.Grow(len(g.D.Pins))
 	inc.netTouched.Grow(len(g.D.Nets))
-	inc.analyze(g, nets)
+	inc.analyze(g, BuildNetStates(g))
 	return inc
 }
 

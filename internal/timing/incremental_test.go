@@ -276,3 +276,54 @@ func TestMoveCellsAllocFree(t *testing.T) {
 		t.Errorf("MoveCells allocated %v objects/op in steady state, want 0", allocs)
 	}
 }
+
+// TestMoveCellsNonFiniteRecovers: a cell moved to a non-finite position
+// disconnects the Steiner tree of each of its nets with 3 or more pins, so
+// those nets lose their trees. MoveCells must survive that, and once the
+// cell is back every such net must be timed again: with Epsilon 0 the
+// maintained state then equals a from-scratch analysis bit for bit.
+func TestMoveCellsNonFiniteRecovers(t *testing.T) {
+	g, inc := incBed(t, 400, 58)
+	inc.Epsilon = 0
+	d := g.D
+	ci, ni := int32(-1), int32(-1)
+	for c := range d.Cells {
+		if !d.Cells[c].Movable() {
+			continue
+		}
+		for _, pid := range d.Cells[c].Pins {
+			if n := d.Pins[pid].Net; n >= 0 && !g.IsClockNet[n] && len(d.Nets[n].Pins) >= 3 {
+				ci, ni = int32(c), n
+			}
+		}
+		if ci >= 0 {
+			break
+		}
+	}
+	if ci < 0 {
+		t.Fatal("no movable cell on a net of 3 or more pins")
+	}
+	pos := d.Cells[ci].Pos
+	d.Cells[ci].Pos.X = math.NaN()
+	inc.MoveCells([]int32{ci})
+	if inc.Nets[ni].Tree != nil {
+		t.Fatalf("net %d kept its Steiner tree at a NaN pin", ni)
+	}
+	d.Cells[ci].Pos = pos
+	inc.MoveCells([]int32{ci})
+	if inc.Nets[ni].Tree == nil {
+		t.Fatalf("net %d is still untimed after its pins are finite again", ni)
+	}
+	full := Analyze(g)
+	diffs := 0
+	for i := range full.ATLate {
+		if inc.Valid[i] != full.Valid[i] ||
+			math.Float64bits(inc.ATLate[i]) != math.Float64bits(full.ATLate[i]) ||
+			math.Float64bits(inc.SlewLate[i]) != math.Float64bits(full.SlewLate[i]) {
+			diffs++
+		}
+	}
+	if diffs > 0 {
+		t.Errorf("%d of %d timing nodes differ from a from-scratch analysis after the round trip", diffs, len(full.ATLate))
+	}
+}

@@ -17,6 +17,9 @@ import (
 type LateState struct {
 	G    *Graph
 	Nets []NetState //dtgp:index domain=net
+	// Wires is the pin-indexed view of the Nets' Elmore results that the
+	// kernels read.
+	Wires Wires
 
 	// ATLate and SlewLate are the late arrival and slew, indexed with TIdx;
 	// Valid marks the nodes an arrival reaches.
@@ -37,16 +40,20 @@ type LateState struct {
 	derate float64
 }
 
-// analyze allocates the state over the given net states and runs the late
-// analysis from scratch: start arrivals, the arrival kernels level by
-// level, the required-time kernel from the deepest level up, then the
-// endpoint slacks. Pins within one level read only shallower arrivals and
-// deeper required times, so each level runs on the worker pool.
+// analyze allocates the state over the given net states, runs their Elmore
+// forward passes into its view, and runs the late analysis from scratch:
+// start arrivals, the arrival kernels level by level, the required-time
+// kernel from the deepest level up, then the endpoint slacks. Pins within
+// one level read only shallower arrivals and deeper required times, so
+// each level runs on the worker pool.
 func (s *LateState) analyze(g *Graph, nets []NetState) {
-	n2 := 2 * len(g.D.Pins)
+	nPins := len(g.D.Pins)
+	n2 := 2 * nPins
 	*s = LateState{
-		G:             g,
-		Nets:          nets,
+		G:    g,
+		Nets: nets,
+		Wires: NewWires(make([]int32, nPins), make([]float64, nPins),
+			make([]float64, nPins), make([]float64, nPins)),
 		ATLate:        make([]float64, n2),
 		SlewLate:      make([]float64, n2),
 		Valid:         make([]bool, n2),
@@ -57,6 +64,7 @@ func (s *LateState) analyze(g *Graph, nets []NetState) {
 	if g.Con != nil && g.Con.DerateLate > 0 {
 		s.derate = g.Con.DerateLate
 	}
+	ForwardAll(g, nets, &s.Wires)
 	for i := range s.ATLate {
 		s.ATLate[i] = -inf
 		s.RATLate[i] = inf
@@ -107,23 +115,20 @@ func (s *LateState) set(v int32, at, slew, eps float64) bool {
 //dtgp:hotpath
 //dtgp:index pid=pin
 func (s *LateState) arriveNetSink(pid int32, eps float64) bool {
-	g := s.G
-	ni := g.NetOfSink[pid]
-	if ni < 0 || s.Nets[ni].Tree == nil {
+	w := &s.Wires
+	driver := w.Driver[pid]
+	if driver < 0 {
 		return false
 	}
-	ns := &s.Nets[ni]
-	driver := g.D.Nets[ni].Driver
-	k := int(g.PosOfSink[pid])
-	delay := ns.SinkDelay(k) * s.derate
-	imp := ns.SinkImpulse(k)
+	delay := w.Delay[pid] * s.derate
+	impSq := w.ImpulseSq[pid]
 	changed := false
 	for tr := Rise; tr <= Fall; tr++ {
 		u := TIdx(driver, tr)
 		if !s.Valid[u] {
 			continue
 		}
-		slew := math.Sqrt(s.SlewLate[u]*s.SlewLate[u] + imp*imp)
+		slew := math.Sqrt(s.SlewLate[u]*s.SlewLate[u] + impSq)
 		changed = s.set(TIdx(pid, tr), s.ATLate[u]+delay, slew, eps) || changed
 	}
 	return changed
@@ -137,7 +142,7 @@ func (s *LateState) arriveNetSink(pid int32, eps float64) bool {
 //dtgp:index pid=pin
 func (s *LateState) arriveCellOut(pid int32, eps float64) bool {
 	g := s.G
-	load := s.driverLoad(pid)
+	load := s.Wires.Load[pid]
 	maxTr := g.maxTransition()
 	changed := false
 	for outTr := Rise; outTr <= Fall; outTr++ {
@@ -174,17 +179,6 @@ func (s *LateState) arriveCellOut(pid int32, eps float64) bool {
 	return changed
 }
 
-// driverLoad returns the capacitive load on an output pin's net.
-//
-//dtgp:hotpath
-//dtgp:index pid=pin
-func (s *LateState) driverLoad(pid int32) float64 {
-	if net := s.G.D.Pins[pid].Net; net >= 0 && s.Nets[net].Tree != nil {
-		return s.Nets[net].DriverLoad()
-	}
-	return 0
-}
-
 // require re-evaluates the setup required time of pid: its endpoint seed
 // (Graph.RequiredLate), then the min over its fanouts' pulls, across the
 // Elmore delays when pid drives a net and across the arc delays when pid
@@ -206,14 +200,14 @@ func (s *LateState) require(pid int32, eps float64) bool {
 		}
 	}
 
+	w := &s.Wires
 	pin := &d.Pins[pid]
-	if pin.Dir == netlist.PinOutput && pin.Net >= 0 && !g.IsClockNet[pin.Net] && s.Nets[pin.Net].Tree != nil {
-		ns := &s.Nets[pin.Net]
-		for k, q := range d.Nets[pin.Net].Pins {
-			if q == pid {
-				continue
+	if pin.Dir == netlist.PinOutput && pin.Net >= 0 {
+		for _, q := range d.Nets[pin.Net].Pins {
+			if w.Driver[q] != pid {
+				continue // pid itself, or the net is untimed
 			}
-			delay := ns.SinkDelay(k)
+			delay := w.Delay[q]
 			for tr := Rise; tr <= Fall; tr++ {
 				vt := TIdx(q, tr)
 				if !s.Valid[vt] {
@@ -234,7 +228,7 @@ func (s *LateState) require(pid int32, eps float64) bool {
 				continue
 			}
 			vPin := cell.Pins[arc.To]
-			load := s.driverLoad(vPin)
+			load := w.Load[vPin]
 			for outTr := Rise; outTr <= Fall; outTr++ {
 				vt := TIdx(vPin, outTr)
 				if !s.Valid[vt] {

@@ -20,14 +20,6 @@ type NetState struct {
 	// RC is the rooted RC tree with Elmore state; nil when Tree is nil.
 	//dtgp:cached by=buildNetStateInto
 	RC *rctree.Tree
-	// Node[k] is the Steiner-tree node of net pin k (net.Pins[k]); the
-	// driver's node is the RC root.
-	//dtgp:cached by=buildNetStateInto
-	Node []int32 //dtgp:index domain=npin elem=snode
-	// PinOfNode[j] maps tree node j back to the design pin id, or -1 for
-	// Steiner points.
-	//dtgp:cached by=buildNetStateInto
-	PinOfNode []int32 //dtgp:index domain=snode elem=pin
 	// px, py are scratch coordinate buffers reused by RefreshNetState so
 	// the steady-state geometry update is allocation-free; pinCap is the
 	// per-node capacitance scratch for RC re-extraction. Between refreshes
@@ -52,22 +44,65 @@ type NetState struct {
 	fromBuild bool
 }
 
-// SinkDelay returns the Elmore delay from the driver to net pin k.
-//
-//dtgp:hotpath
-//dtgp:index k=npin
-func (ns *NetState) SinkDelay(k int) float64 { return ns.RC.Delay[ns.Node[k]] }
+// Wires is the pin-indexed view of the interconnect results that the level
+// sweeps of both timing engines read (§3.3): each net's Elmore results land
+// at its own pins, so a kernel reads one column entry instead of walking
+// from the pin through its NetState and RC tree. ForwardNet is the one
+// writer; it runs right after each Elmore forward pass.
+type Wires struct {
+	// Driver[p] is the driver of the timed net that pin p sinks, or -1
+	// (p is a driver, sinks an untimed net, or is on no net). A timed
+	// net's sinks are exactly its non-driver pins.
+	//dtgp:cached by=ForwardNet
+	Driver []int32 //dtgp:index domain=pin elem=pin
+	// Delay[p] and ImpulseSq[p] are the Elmore delay and the squared slew
+	// impulse from the driver to sink p (Eq. 7), valid where Driver[p] >= 0.
+	//dtgp:cached by=ForwardNet
+	Delay, ImpulseSq []float64 //dtgp:index domain=pin
+	// Load[p] is the total capacitance the net driven by p presents, 0 when
+	// p drives no timed net.
+	//dtgp:cached by=ForwardNet
+	Load []float64 //dtgp:index domain=pin
+}
 
-// SinkImpulse returns the slew impulse at net pin k.
-//
-//dtgp:hotpath
-//dtgp:index k=npin
-func (ns *NetState) SinkImpulse(k int) float64 { return ns.RC.Impulse[ns.Node[k]] }
+// NewWires wraps four zeroed columns of one entry per design pin (an arena
+// carve or heap slices) as a view in which no pin sinks a timed net yet.
+func NewWires(driver []int32, delay, impulseSq, load []float64) Wires {
+	for i := range driver {
+		driver[i] = -1
+	}
+	return Wires{Driver: driver, Delay: delay, ImpulseSq: impulseSq, Load: load}
+}
 
-// DriverLoad returns the total capacitive load seen by the driver.
+// ForwardNet runs net ns's Elmore forward pass (Eq. 7) and publishes the
+// results at the net's pins in w. An untimed net (no RC tree) is published
+// as Driver -1 at its pins and Load 0 at its driver, so readers skip it.
+// Each net writes only its own pins, so nets publish concurrently.
 //
 //dtgp:hotpath
-func (ns *NetState) DriverLoad() float64 { return ns.RC.Load[ns.RC.Root] }
+func ForwardNet(g *Graph, ns *NetState, w *Wires) {
+	net := &g.D.Nets[ns.Net]
+	rc := ns.RC
+	if rc == nil {
+		for _, pid := range net.Pins {
+			w.Driver[pid] = -1
+		}
+		if net.Driver >= 0 {
+			w.Load[net.Driver] = 0
+		}
+		return
+	}
+	rc.Forward()
+	for k, pid := range net.Pins {
+		if pid == net.Driver {
+			w.Driver[pid] = -1
+			w.Load[pid] = rc.Load[rc.Root]
+			continue
+		}
+		w.Driver[pid] = net.Driver
+		w.Delay[pid], w.ImpulseSq[pid] = rc.Delay[k], rc.Impulse[k]*rc.Impulse[k] //dtgp:allow(indexspace) rsmt keeps pins as nodes 0..NumPins-1 in order, so net pin k IS Steiner/RC node k
+	}
+}
 
 // BuildScratch is one worker's Steiner and RC construction scratch. An
 // engine that re-extracts nets owns one per pool worker (NewBuildScratch)
@@ -87,7 +122,7 @@ func NewBuildScratch() []BuildScratch {
 
 // BuildNetStates constructs Steiner and RC trees for every timed net, in
 // parallel. This is the "FLUTE + Elmore" stage of Fig. 3/7; the forward
-// Elmore passes are left to the caller (ForwardAll) so that the reuse path
+// Elmore passes are left to the caller (ForwardNet) so that the reuse path
 // can skip tree construction. Net sizes follow a power law, so the work is
 // distributed with guided chunking rather than static splits.
 func BuildNetStates(g *Graph) []NetState {
@@ -97,7 +132,7 @@ func BuildNetStates(g *Graph) []NetState {
 }
 
 // RebuildNetStates re-extracts every net's Steiner and RC trees in place,
-// reusing each NetState's buffers (coordinate scratch, node maps, RC
+// reusing each NetState's buffers (coordinate scratch, pin caps, RC
 // storage) and the per-worker scratch (one entry per pool worker, see
 // NewBuildScratch). The periodic topology rebuild is allocation-free once
 // warm. states must have one entry per design net.
@@ -149,23 +184,14 @@ func buildNetStateInto(g *Graph, ni int32, ns *NetState, s *BuildScratch) {
 	nn := tree.NumNodes()
 	if cap(ns.pinCap) < nn {
 		ns.pinCap = make([]float64, nn)
-		ns.PinOfNode = make([]int32, nn)
 	}
 	pinCap := ns.pinCap[:nn]
-	pinOfNode := ns.PinOfNode[:nn]
-	ns.pinCap, ns.PinOfNode = pinCap, pinOfNode
-	for j := 0; j < nn; j++ {
+	ns.pinCap = pinCap
+	for j := range pinCap {
 		pinCap[j] = 0
-		pinOfNode[j] = -1
 	}
-	if cap(ns.Node) < np {
-		ns.Node = make([]int32, np)
-	}
-	node := ns.Node[:np]
-	ns.Node = node
+	// rsmt keeps the pins as nodes 0..np-1 in order, so net pin k is node k.
 	for k, pid := range net.Pins {
-		node[k] = int32(k) //dtgp:allow(indexspace) rsmt keeps pins as nodes 0..NumPins-1 in order, so a net-pin position IS its Steiner node id
-		pinOfNode[k] = pid //dtgp:allow(indexspace) same pin-position/node-id embedding as the line above
 		if pid != net.Driver {
 			pinCap[k] = g.SinkCap[pid]
 		}
@@ -174,8 +200,10 @@ func buildNetStateInto(g *Graph, ni int32, ns *NetState, s *BuildScratch) {
 		ns.RC = &rctree.Tree{}
 	}
 	if err := ns.RC.Rebuild(tree, rootIdx, pinCap, d.Lib.WireResPerDBU, d.Lib.WireCapPerDBU, &s.rc); err != nil {
-		// A disconnected Steiner tree cannot happen by construction; treat
-		// defensively as an untimed net.
+		// A non-finite pin coordinate disconnects the Steiner tree of a net
+		// of 3 or more pins (no NaN distance wins rsmt's spanning-tree
+		// search). The net stays untimed until a rebuild at finite
+		// coordinates succeeds.
 		ns.Tree, ns.RC = nil, nil
 	}
 }
@@ -186,23 +214,22 @@ func buildNetStateInto(g *Graph, ni int32, ns *NetState, s *BuildScratch) {
 // (RefreshNetState) rather than rebuilt since then. A skipped net already
 // holds exactly the state a rebuild would produce (extraction is
 // deterministic), so a fence over every net is bit-identical to
-// RebuildNetStates. A rebuilt net also gets its Elmore forward pass here; a
-// skipped one keeps its (identical) forward results, so the caller must NOT
-// run another forward sweep. s is the calling worker's scratch.
+// RebuildNetStates. A rebuilt net also gets its Elmore forward pass and is
+// published in w here; a skipped one keeps its (identical) forward results,
+// so the caller must NOT run another forward sweep. s is the calling
+// worker's scratch.
 //
 //dtgp:hotpath
-func RebuildNetStateMoved(g *Graph, ns *NetState, s *BuildScratch) {
+func RebuildNetStateMoved(g *Graph, ns *NetState, w *Wires, s *BuildScratch) {
 	// Tree == nil nets always fall through: NetMoved cannot see their
-	// movement and a defensively-untimed net could become timeable at new
-	// geometry. buildNetStateInto early-returns for the structurally
-	// untimed ones, so the retry is cheap.
+	// movement and an untimed net could become timeable at new geometry.
+	// buildNetStateInto early-returns for the structurally untimed ones,
+	// so the retry is cheap.
 	if ns.fromBuild && ns.Tree != nil && !NetMoved(g, ns, 0) {
 		return
 	}
 	buildNetStateInto(g, ns.Net, ns, s)
-	if ns.RC != nil {
-		ns.RC.Forward()
-	}
+	ForwardNet(g, ns, w)
 }
 
 // RefreshNetState updates one net's node coordinates and RC values from
@@ -295,17 +322,16 @@ func RefreshNetStateLazy(g *Graph, ns *NetState, distortionLimit float64, s *Bui
 	RefreshNetState(g, ns)
 }
 
-// ForwardAll runs the Elmore forward passes on every net, in parallel. Its
-// batch adjoint is the core timer's elmoreBackward sweep.
+// ForwardAll runs the Elmore forward passes on every net, in parallel, and
+// publishes them in w (ForwardNet). Its batch adjoint is the core timer's
+// elmoreBackward sweep.
 //
 //dtgp:hotpath
 //dtgp:forward(elmore-batch)
-func ForwardAll(states []NetState) {
+func ForwardAll(g *Graph, states []NetState, w *Wires) {
 	parallel.ForGuided(len(states), 16, parallel.CostDefault, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if states[i].RC != nil {
-				states[i].RC.Forward()
-			}
+			ForwardNet(g, &states[i], w)
 		}
 	})
 }

@@ -38,15 +38,15 @@ func (s *LateState) candidates(t int32, buf []candidate) []candidate {
 	case g.IsStart[pid]:
 		// no fan-in
 	case g.IsNetSink[pid]:
-		if ni := g.NetOfSink[pid]; ni >= 0 && s.Nets[ni].Tree != nil {
-			u := TIdx(g.D.Nets[ni].Driver, tr)
+		if driver := s.Wires.Driver[pid]; driver >= 0 {
+			u := TIdx(driver, tr)
 			if s.Valid[u] {
-				d := s.Nets[ni].SinkDelay(int(g.PosOfSink[pid])) * s.derate
+				d := s.Wires.Delay[pid] * s.derate
 				cs = append(cs, candidate{pred: u, arrival: s.ATLate[u] + d, delay: d})
 			}
 		}
 	case g.IsCellOut[pid]:
-		load := s.driverLoad(pid)
+		load := s.Wires.Load[pid]
 		for ai := range g.ArcsInto[pid] {
 			ar := &g.ArcsInto[pid][ai]
 			dl, _ := DelayTables(ar.Arc, tr)

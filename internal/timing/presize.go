@@ -42,8 +42,6 @@ func PreSizeNetStates(g *Graph, a *arena.Arena, states []NetState) {
 		ns.px = arena.Make[float64](a, np)
 		ns.py = arena.Make[float64](a, np)
 		ns.pinCap = arena.MakeCap[float64](a, 0, m)
-		ns.PinOfNode = arena.MakeCap[int32](a, 0, m)
-		ns.Node = arena.MakeCap[int32](a, 0, np)
 		ns.Tree = &rsmt.Tree{
 			X:     arena.MakeCap[float64](a, 0, m),
 			Y:     arena.MakeCap[float64](a, 0, m),

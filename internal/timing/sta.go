@@ -33,14 +33,13 @@ type Result struct {
 // Analyze runs exact STA: Steiner/RC construction, Elmore forward passes,
 // level-by-level arrival propagation, required times and slacks.
 func Analyze(g *Graph) *Result {
-	nets := BuildNetStates(g)
-	ForwardAll(nets)
-	return AnalyzeWithNets(g, nets)
+	return AnalyzeWithNets(g, BuildNetStates(g))
 }
 
-// AnalyzeWithNets runs exact STA on pre-built (and already Forward-ed) net
-// states, so callers that maintain Steiner trees incrementally can reuse
-// them.
+// AnalyzeWithNets runs exact STA on pre-built net states, so callers that
+// maintain Steiner trees incrementally can reuse them. It runs their Elmore
+// forward passes (a pure function of each RC tree, so forward results the
+// caller already holds are rewritten with the same bits).
 func AnalyzeWithNets(g *Graph, nets []NetState) *Result {
 	n2 := 2 * len(g.D.Pins)
 	r := &Result{
@@ -98,23 +97,20 @@ func (r *Result) analyzeEarly() {
 //dtgp:hotpath
 //dtgp:index pid=pin
 func (r *Result) arriveNetSinkEarly(pid int32) {
-	g := r.G
-	ni := g.NetOfSink[pid]
-	if ni < 0 || r.Nets[ni].Tree == nil {
+	w := &r.Wires
+	driver := w.Driver[pid]
+	if driver < 0 {
 		return
 	}
-	ns := &r.Nets[ni]
-	driver := g.D.Nets[ni].Driver
-	k := int(g.PosOfSink[pid])
-	delay := ns.SinkDelay(k) * r.derateEarly
-	imp := ns.SinkImpulse(k)
+	delay := w.Delay[pid] * r.derateEarly
+	impSq := w.ImpulseSq[pid]
 	for tr := Rise; tr <= Fall; tr++ {
 		u, v := TIdx(driver, tr), TIdx(pid, tr)
 		if !r.Valid[u] {
 			continue
 		}
 		r.ATEarly[v] = r.ATEarly[u] + delay
-		r.SlewEarly[v] = math.Sqrt(r.SlewEarly[u]*r.SlewEarly[u] + imp*imp)
+		r.SlewEarly[v] = math.Sqrt(r.SlewEarly[u]*r.SlewEarly[u] + impSq)
 	}
 }
 
@@ -125,7 +121,7 @@ func (r *Result) arriveNetSinkEarly(pid int32) {
 //dtgp:index pid=pin
 func (r *Result) arriveCellOutEarly(pid int32) {
 	g := r.G
-	load := r.driverLoad(pid)
+	load := r.Wires.Load[pid]
 	for outTr := Rise; outTr <= Fall; outTr++ {
 		at, slew := inf, inf
 		reached := false
@@ -175,14 +171,14 @@ func (r *Result) requireEarly(u int32) {
 		}
 	}
 
+	w := &r.Wires
 	pin := &d.Pins[u]
-	if pin.Dir == netlist.PinOutput && pin.Net >= 0 && !g.IsClockNet[pin.Net] && r.Nets[pin.Net].Tree != nil {
-		ns := &r.Nets[pin.Net]
-		for k, q := range d.Nets[pin.Net].Pins {
-			if q == u {
-				continue
+	if pin.Dir == netlist.PinOutput && pin.Net >= 0 {
+		for _, q := range d.Nets[pin.Net].Pins {
+			if w.Driver[q] != u {
+				continue // u itself, or the net is untimed
 			}
-			delay := ns.SinkDelay(k)
+			delay := w.Delay[q]
 			for tr := Rise; tr <= Fall; tr++ {
 				ut, vt := TIdx(u, tr), TIdx(q, tr)
 				if !r.Valid[vt] {
@@ -206,7 +202,7 @@ func (r *Result) requireEarly(u int32) {
 			continue
 		}
 		vPin := cell.Pins[arc.To]
-		load := r.driverLoad(vPin)
+		load := w.Load[vPin]
 		for outTr := Rise; outTr <= Fall; outTr++ {
 			vt := TIdx(vPin, outTr)
 			if !r.Valid[vt] {

@@ -241,7 +241,6 @@ func TestNetStateRefreshMatchesRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	nets := BuildNetStates(g)
-	ForwardAll(nets)
 	// Tiny perturbation: refresh in place.
 	for ci := range d.Cells {
 		if d.Cells[ci].Movable() {
@@ -251,12 +250,9 @@ func TestNetStateRefreshMatchesRebuild(t *testing.T) {
 	for i := range nets {
 		RefreshNetState(g, &nets[i])
 	}
-	ForwardAll(nets)
 	r1 := AnalyzeWithNets(g, nets)
 	// Reference: full rebuild.
-	nets2 := BuildNetStates(g)
-	ForwardAll(nets2)
-	r2 := AnalyzeWithNets(g, nets2)
+	r2 := Analyze(g)
 	// Same topology (a rigid-ish shift): results must agree closely. The
 	// topologies may legitimately differ for ties, so compare WNS loosely.
 	if math.Abs(r1.WNS-r2.WNS) > 1.0 {
@@ -301,10 +297,9 @@ func TestSinkCapIncludesPortLoad(t *testing.T) {
 	if g.SinkCap[pid] != 42 {
 		t.Errorf("port sink cap = %v, want 42", g.SinkCap[pid])
 	}
-	nets := BuildNetStates(g)
-	ForwardAll(nets)
+	nets := Analyze(g).Nets
 	qn := d.NetByName("qn")
-	if load := nets[qn].DriverLoad(); load < 42 {
+	if load := nets[qn].RC.Load[nets[qn].RC.Root]; load < 42 {
 		t.Errorf("driver load %v does not include the port load", load)
 	}
 }

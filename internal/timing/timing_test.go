@@ -166,9 +166,9 @@ func TestToyArrivalComposition(t *testing.T) {
 			posA = k
 		}
 	}
-	atA := con.InputDelay["in0"] + nsIn.SinkDelay(posA)
+	atA := con.InputDelay["in0"] + nsIn.RC.Delay[posA]
 	slewA := math.Sqrt(con.InputSlew["in0"]*con.InputSlew["in0"] +
-		nsIn.SinkImpulse(posA)*nsIn.SinkImpulse(posA))
+		nsIn.RC.Impulse[posA]*nsIn.RC.Impulse[posA])
 	if got := r.ATLate[TIdx(aPin, Rise)]; math.Abs(got-atA) > 1e-9 {
 		t.Errorf("AT(A,rise) = %v, want %v", got, atA)
 	}
@@ -178,7 +178,7 @@ func TestToyArrivalComposition(t *testing.T) {
 
 	// Cell arc A→Z, negative unate: Z rise comes from A fall.
 	nmid := d.NetByName("nmid")
-	load := r.Nets[nmid].DriverLoad()
+	load := r.Nets[nmid].RC.Load[r.Nets[nmid].RC.Root]
 	var arcAZ *liberty.TimingArc
 	for ai := range lc.Arcs {
 		arcAZ = &lc.Arcs[ai]
@@ -196,7 +196,7 @@ func TestToyArrivalComposition(t *testing.T) {
 			posD = k
 		}
 	}
-	atD := atZrise + nsMid.SinkDelay(posD)
+	atD := atZrise + nsMid.RC.Delay[posD]
 	if got := r.ATLate[TIdx(dPin, Rise)]; math.Abs(got-atD) > 1e-9 {
 		t.Errorf("AT(D,rise) = %v, want %v", got, atD)
 	}
