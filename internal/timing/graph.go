@@ -95,11 +95,8 @@ type Graph struct {
 	IsNetSink []bool //dtgp:index domain=pin
 	// IsCellOut marks pins whose arrival comes through cell arcs.
 	IsCellOut []bool //dtgp:index domain=pin
-	// NetOfSink[p] is the net a net-sink pin p sinks, or -1; PosOfSink[p]
-	// is p's position in that net's pin list (the index of its Elmore
-	// delay and impulse).
+	// NetOfSink[p] is the net a net-sink pin p sinks, or -1.
 	NetOfSink []int32 //dtgp:index domain=pin elem=net
-	PosOfSink []int32 //dtgp:index domain=pin elem=npin
 	// EndpointOf[p] is the index of the endpoint at pin p, or -1.
 	EndpointOf []int32 //dtgp:index domain=pin elem=endp
 
@@ -129,7 +126,6 @@ func NewGraph(d *netlist.Design, con *sdc.Constraints) (*Graph, error) {
 		IsNetSink:  make([]bool, nPins),
 		IsCellOut:  make([]bool, nPins),
 		NetOfSink:  make([]int32, nPins),
-		PosOfSink:  make([]int32, nPins),
 		EndpointOf: make([]int32, nPins),
 		Level:      make([]int32, nPins),
 		SinkCap:    make([]float64, nPins),
@@ -243,11 +239,10 @@ func NewGraph(d *netlist.Design, con *sdc.Constraints) (*Graph, error) {
 		if net.Driver < 0 {
 			continue
 		}
-		for k, pid := range net.Pins {
+		for _, pid := range net.Pins {
 			if pid != net.Driver {
 				g.IsNetSink[pid] = true
 				g.NetOfSink[pid] = int32(ni)
-				g.PosOfSink[pid] = int32(k)
 			}
 		}
 	}
