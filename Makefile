@@ -18,16 +18,17 @@ fmt-check:
 	fi
 
 # Static-analysis suite: dirtymark, errflow, floatdet, gradpair, hotalloc,
-# indexspace, mapiter, parsafe (see internal/analysis and DESIGN.md §6, §10,
-# §12). Fails on any unsuppressed finding; stale //dtgp:allow annotations
-# and hotalloc.allow entries are hard errors too.
+# indexspace, mapiter, parsafe, unreached (see internal/analysis and
+# DESIGN.md §6, §10, §12, §20). Fails on any unsuppressed finding; stale
+# //dtgp:allow annotations and hotalloc.allow entries are hard errors too.
 vet: build
 	$(GO) run ./cmd/dtgp-vet ./...
 
 # vet-budget is the CI time gate: per-analyzer wall time must stay under 2x
-# the committed baseline in internal/analysis/vet-budget.json, and every
-# baseline must name an analyzer or a driver phase. The baselines are
-# generous — the gate is for complexity regressions, not machine noise.
+# the committed baseline in internal/analysis/vet-budget.json, every
+# baseline must name an analyzer or a driver phase, and every analyzer and
+# phase must have a baseline. The baselines are generous — the gate is for
+# complexity regressions, not machine noise.
 vet-budget: build
 	$(GO) run ./cmd/dtgp-vet -q -stats -strict-budget ./...
 

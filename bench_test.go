@@ -34,7 +34,7 @@ func benchDesign(b *testing.B, preset string) (*Design, *Constraints) {
 // statistics for the whole suite.
 func BenchmarkTable2Stats(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, name := range BenchmarkNames() {
+		for _, name := range gen.PresetNames() {
 			d, _, err := GenerateBenchmark(name, benchScale)
 			if err != nil {
 				b.Fatal(err)

@@ -18,7 +18,7 @@ import (
 func main() {
 	var (
 		preset = flag.String("preset", "", "superblue preset name or paper-scale alias like superblue-1.9M (overrides -cells)")
-		scale  = flag.Int("scale", 256, "preset scale divisor")
+		scale  = flag.Int("scale", 256, "preset scale divisor, ≥ 1 (the paper-scale aliases ignore it)")
 		cells  = flag.Int("cells", 4000, "target cell count for custom designs")
 		seed   = flag.Int64("seed", 1, "generator seed for custom designs")
 		name   = flag.String("name", "design", "design name for custom designs")

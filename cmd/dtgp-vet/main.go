@@ -1,10 +1,11 @@
-// Command dtgp-vet runs the repo's static-analysis suite: eight analyzers
+// Command dtgp-vet runs the repo's static-analysis suite: nine analyzers
 // (mapiter, parsafe, hotalloc, floatdet, gradpair, errflow, dirtymark,
-// indexspace) that enforce the determinism, parallel-safety,
+// indexspace, unreached) that enforce the determinism, parallel-safety,
 // zero-allocation, gradient-pairing, error-handling, incremental-state
 // coherence and index-domain invariants of the placement and timing hot
-// paths. See internal/analysis for the checks and DESIGN.md
-// §6, §10 and §12 for why each invariant exists.
+// paths, and that every function of the module is reached from a program.
+// See internal/analysis for the checks and DESIGN.md §6, §10, §12 and §20
+// for why each invariant exists.
 //
 // parsafe, hotalloc and dirtymark are interprocedural: a call graph over the
 // whole module (direct calls, method calls, method values, closures handed
@@ -82,7 +83,9 @@
 // internal/analysis/vet-budget.json: exceeding 2× baseline prints a soft
 // warning on stderr, and under -strict-budget (the CI budget gate) it also
 // fails the run with exit code 1. A baseline key that names no analyzer and
-// no driver phase (a deleted analyzer's leftover) is reported the same way.
+// no driver phase (a deleted analyzer's leftover), and an analyzer or phase
+// with no baseline (a new analyzer's missing budget), are reported the same
+// way.
 package main
 
 import (
@@ -134,7 +137,7 @@ func main() {
 	// Budget check: compare measured analyzer times against the committed
 	// baseline. Soft warning by default; a hard failure under -strict-budget.
 	var overBudget []analysis.BudgetViolation
-	var staleKeys []string
+	var staleKeys, missingKeys []string
 	if *stats {
 		path := *budgetF
 		if path == "" {
@@ -152,8 +155,9 @@ func main() {
 		}
 		overBudget = analysis.OverBudget(rep.Stats, budget)
 		staleKeys = budget.UnknownKeys()
+		missingKeys = budget.MissingKeys()
 	}
-	fail := len(rep.Diagnostics) > 0 || (*strict && len(overBudget)+len(staleKeys) > 0)
+	fail := len(rep.Diagnostics) > 0 || (*strict && len(overBudget)+len(staleKeys)+len(missingKeys) > 0)
 
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -179,7 +183,7 @@ func main() {
 				}
 			}
 		}
-		warnBudget(overBudget, staleKeys, *strict)
+		warnBudget(overBudget, staleKeys, missingKeys, *strict)
 		if fail {
 			os.Exit(1)
 		}
@@ -196,7 +200,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "dtgp-vet: stat %-12s %8.1fms\n", s.Name, s.Millis)
 		}
 	}
-	warnBudget(overBudget, staleKeys, *strict)
+	warnBudget(overBudget, staleKeys, missingKeys, *strict)
 	if fail {
 		os.Exit(1)
 	}
@@ -205,10 +209,11 @@ func main() {
 	}
 }
 
-// warnBudget reports budget violations and stale baseline keys on stderr.
-// Under -strict-budget the caller turns them into a failing exit code (the
-// CI gate); otherwise they are advisory.
-func warnBudget(over []analysis.BudgetViolation, staleKeys []string, strict bool) {
+// warnBudget reports budget violations, stale baseline keys and analyzers
+// or phases with no baseline on stderr. Under -strict-budget the caller
+// turns them into a failing exit code (the CI gate); otherwise they are
+// advisory.
+func warnBudget(over []analysis.BudgetViolation, staleKeys, missingKeys []string, strict bool) {
 	severity := "warning"
 	if strict {
 		severity = "error"
@@ -218,6 +223,9 @@ func warnBudget(over []analysis.BudgetViolation, staleKeys []string, strict bool
 	}
 	for _, k := range staleKeys {
 		fmt.Fprintf(os.Stderr, "dtgp-vet: budget %s: baseline %q names no analyzer and no driver phase (delete it from internal/analysis/vet-budget.json)\n", severity, k)
+	}
+	for _, k := range missingKeys {
+		fmt.Fprintf(os.Stderr, "dtgp-vet: budget %s: %q has no baseline (add one to internal/analysis/vet-budget.json at several times a measured run)\n", severity, k)
 	}
 }
 

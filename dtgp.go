@@ -23,7 +23,6 @@ import (
 	"dtgp/internal/bookshelf"
 	"dtgp/internal/core"
 	"dtgp/internal/defio"
-	"dtgp/internal/detailed"
 	"dtgp/internal/gen"
 	"dtgp/internal/guard"
 	"dtgp/internal/legalize"
@@ -59,8 +58,6 @@ type (
 	DiffTimerOptions = core.Options
 	// LegalizeResult reports legalization quality.
 	LegalizeResult = legalize.Result
-	// DetailedResult reports detailed-placement refinement.
-	DetailedResult = detailed.Result
 	// Checkpoint is one durable optimizer snapshot (see CheckpointStore).
 	Checkpoint = guard.Checkpoint
 	// CheckpointStore is the crash-consistent durable checkpoint store a
@@ -107,20 +104,21 @@ const (
 )
 
 // GenerateBenchmark synthesises a scaled superblue-like benchmark by preset
-// name ("superblue1" … "superblue18"); scale divides the paper's cell count
-// (256 ⇒ superblue1 ≈ 4.7k cells). Paper-scale aliases ("superblue-0.8M",
-// "superblue-1.9M") generate the named size regardless of scale.
+// name ("superblue1" … "superblue18"); scale ≥ 1 divides the paper's cell
+// count (256 ⇒ superblue1 ≈ 4.7k cells). Paper-scale aliases
+// ("superblue-0.8M", "superblue-1.9M") generate the named size regardless
+// of scale.
 func GenerateBenchmark(preset string, scale int) (*Design, *Constraints, error) {
 	p, sc, ok := gen.ResolvePresetSpec(preset, scale)
 	if !ok {
 		return nil, nil, fmt.Errorf("dtgp: unknown preset %q (have %v and aliases %v)",
 			preset, gen.PresetNames(), gen.PaperScaleAliasNames())
 	}
+	if sc < 1 {
+		return nil, nil, fmt.Errorf("dtgp: scale %d for preset %q: the divisor must be at least 1", scale, preset)
+	}
 	return gen.Generate(p.Params(sc))
 }
-
-// BenchmarkNames lists the available superblue presets in paper order.
-func BenchmarkNames() []string { return gen.PresetNames() }
 
 // GenerateCustom synthesises a benchmark from explicit parameters.
 func GenerateCustom(name string, cells int, seed int64) (*Design, *Constraints, error) {
@@ -187,9 +185,6 @@ func CalibratePeriod(d *Design, con *Constraints, factor float64) error {
 	return nil
 }
 
-// Legalize snaps movable cells onto rows/sites; CheckLegal verifies.
-func Legalize(d *Design) (*LegalizeResult, error) { return legalize.Legalize(d) }
-
 // CheckLegal reports the first legality violation, or nil.
 func CheckLegal(d *Design) error { return legalize.Check(d) }
 
@@ -210,22 +205,9 @@ func WriteTimingReport(w io.Writer, res *TimingResult, k int) error {
 	return err
 }
 
-// RefineDetailed runs detailed-placement refinement (intra-row and global
-// swaps) on a legal placement, reducing HPWL without breaking legality.
-func RefineDetailed(d *Design, passes int) (*DetailedResult, error) {
-	o := detailed.DefaultOptions()
-	if passes > 0 {
-		o.Passes = passes
-	}
-	return detailed.Refine(d, o)
-}
-
-// WriteDEF / ReadDEF exchange placed designs in the DEF 5.8 subset the
-// paper's evaluation used.
+// WriteDEF writes the placed design in the DEF 5.8 subset the paper's
+// evaluation used.
 func WriteDEF(w io.Writer, d *Design) error { return defio.Write(w, d) }
-
-// ReadDEF reconstructs a placed design from DEF text and a library.
-func ReadDEF(src string, lib *Library) (*Design, error) { return defio.Read(src, lib) }
 
 // WritePlacementSVG renders the placement as SVG, optionally coloured by
 // slack (pass the result of AnalyzeTiming) and with flylines for small
@@ -237,18 +219,4 @@ func WritePlacementSVG(w io.Writer, d *Design, sta *TimingResult) error {
 // WriteTraceSVG renders two placement traces as Fig. 8-style curve panels.
 func WriteTraceSVG(w io.Writer, a, b []place.TracePoint, nameA, nameB, title string) error {
 	return viz.WriteTraceSVG(w, a, b, nameA, nameB, viz.CurveOptions{Title: title})
-}
-
-// RefineTimingDriven runs incremental-timing-driven detailed placement (the
-// ICCAD 2015 contest setting): adjacent swaps on a legal placement accepted
-// or rejected by exact incremental STA over the affected cone.
-func RefineTimingDriven(d *Design, g *TimingGraph) (*detailed.TimingResult, error) {
-	return detailed.RefineTiming(d, g, detailed.DefaultTimingOptions())
-}
-
-// NewIncrementalSTA builds an incremental late-mode STA engine over the
-// design; call MoveCells after position changes to refresh WNS/TNS by
-// re-evaluating only the affected timing cone.
-func NewIncrementalSTA(g *TimingGraph) *timing.Incremental {
-	return timing.NewIncremental(g)
 }

@@ -1,9 +1,12 @@
 package dtgp
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+
+	"dtgp/internal/gen"
 )
 
 // TestEndToEndFlow is the integration test of the whole public API:
@@ -50,7 +53,7 @@ func TestEndToEndFlow(t *testing.T) {
 }
 
 func TestGenerateBenchmarkPresets(t *testing.T) {
-	names := BenchmarkNames()
+	names := gen.PresetNames()
 	if len(names) != 8 {
 		t.Fatalf("presets = %d", len(names))
 	}
@@ -63,6 +66,17 @@ func TestGenerateBenchmarkPresets(t *testing.T) {
 	}
 	if _, _, err := GenerateBenchmark("nope", 256); err == nil {
 		t.Error("unknown preset accepted")
+	}
+	// A divisor below 1 must be refused before anything is generated, not
+	// clamped to 1 (the paper-scale design).
+	for _, scale := range []int{0, -5} {
+		d, con, err := GenerateBenchmark("superblue4", scale)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(scale)) {
+			t.Errorf("scale %d: err = %v, want an error naming the scale", scale, err)
+		}
+		if d != nil || con != nil {
+			t.Errorf("scale %d: generated a design", scale)
+		}
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package analysis is dtgp's in-tree static-analysis framework: a small
 // go/ast + go/types driver (stdlib only — no golang.org/x/tools) with a
-// go/analysis-style Analyzer interface, plus the eight project analyzers
+// go/analysis-style Analyzer interface, plus the nine project analyzers
 // that turn the repo's determinism, parallel-safety, zero-allocation,
-// gradient-correctness, cache-coherence and index-domain conventions into
-// build failures:
+// gradient-correctness, cache-coherence, index-domain and reachability
+// conventions into build failures:
 //
 //   - mapiter:  no `range` over a map in any function reachable from a
 //     //dtgp:hotpath root — map iteration order is nondeterministic and
@@ -34,6 +34,11 @@
 //     flags domain-mismatched subscripts, unguarded int→int32 narrowing
 //     of values with no capacity bound, and index arithmetic that can
 //     overflow int32 at 1.9M cells. Unannotated code is never flagged.
+//   - unreached: every module function must be reached from the main
+//     function of some program (cmd/*, examples/*, benchmark/) through the
+//     call graph, an init, a package-level variable's initializer, or an
+//     interface method name; code only tests reach goes into a _test.go
+//     file or carries a //dtgp:allow(unreached) naming those tests.
 //
 // gradpair, errflow, dirtymark and indexspace are flow-sensitive, built on
 // the in-package dataflow engine (cfg.go, dataflow.go, cells.go): a

@@ -58,6 +58,21 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
+// RunAnalyzers runs the given analyzers over every loaded package whose
+// import path passes the filter, applies dtgp:allow suppressions, and
+// returns the surviving findings sorted by position.
+func RunAnalyzers(prog *Program, facts *Facts, analyzers []*Analyzer, match func(pkgPath string) bool) ([]Diagnostic, error) {
+	kept, _, err := runAnalyzersFull(prog, facts, analyzers, match)
+	return kept, err
+}
+
+// runAnalyzersFull is RunAnalyzers plus the suppressed findings (marked
+// and sorted), for audit output.
+func runAnalyzersFull(prog *Program, facts *Facts, analyzers []*Analyzer, match func(pkgPath string) bool) (kept, suppressed []Diagnostic, err error) {
+	kept, suppressed, _, _, err = runAnalyzersRecording(prog, facts, analyzers, match)
+	return kept, suppressed, err
+}
+
 func runGoldenFixture(t *testing.T, name string, a *Analyzer) {
 	prog, facts, dir := loadFixture(t, name)
 	diags, err := RunAnalyzers(prog, facts, []*Analyzer{a}, nil)
@@ -75,6 +90,11 @@ func TestFloatDetGolden(t *testing.T) { runGoldenFixture(t, "floatdet", FloatDet
 func TestParSafeGolden(t *testing.T)  { runGoldenFixture(t, "parsafe", ParSafe) }
 func TestGradPairGolden(t *testing.T) { runGoldenFixture(t, "gradpair", GradPair) }
 func TestErrFlowGolden(t *testing.T)  { runGoldenFixture(t, "errflow", ErrFlow) }
+
+// TestUnreachedGolden: exactly the two seeded dead functions are findings;
+// the String, Unwrap and package-level-variable cases are reached, and the
+// allowed dead function is suppressed (TestSuppressedAudit).
+func TestUnreachedGolden(t *testing.T) { runGoldenFixture(t, "unreached", Unreached) }
 
 // TestGradPairCatchesDeletedAdjoint pins the acceptance case for the
 // dataflow engine: the gradpair fixture's "mut" backward has its gRes
@@ -105,6 +125,7 @@ func TestSuppressedAudit(t *testing.T) {
 		{"gradpair", GradPair, 1},
 		{"errflow", ErrFlow, 1},
 		{"parsafe", ParSafe, 1},
+		{"unreached", Unreached, 1},
 	} {
 		prog, facts, _ := loadFixture(t, tc.fixture)
 		_, suppressed, err := runAnalyzersFull(prog, facts, []*Analyzer{tc.a}, nil)

@@ -52,16 +52,25 @@ func LoadBudget(path string) (Budget, error) {
 	return b, nil
 }
 
-// UnknownKeys returns, sorted, the budget keys that name neither an
-// analyzer in All nor a driver phase ("load", "facts", "escapes"). Such a
-// key is the baseline of a deleted or renamed analyzer: no stat ever meets
-// it, so it would linger unchecked. dtgp-vet -stats reports each one, and
-// -strict-budget fails on them, as the allow audits do for stale
-// suppressions.
-func (b Budget) UnknownKeys() []string {
-	known := map[string]bool{"load": true, "facts": true, "escapes": true}
+// budgetNames lists every name a baseline may carry: the driver phases
+// ("load", "facts", "escapes") and then the analyzers of All.
+func budgetNames() []string {
+	names := []string{"load", "facts", "escapes"}
 	for _, a := range All {
-		known[a.Name] = true
+		names = append(names, a.Name)
+	}
+	return names
+}
+
+// UnknownKeys returns, sorted, the budget keys that name neither an
+// analyzer in All nor a driver phase. Such a key is the baseline of a
+// deleted or renamed analyzer: no stat ever meets it, so it would linger
+// unchecked. dtgp-vet -stats reports each one, and -strict-budget fails on
+// them, as the allow audits do for stale suppressions.
+func (b Budget) UnknownKeys() []string {
+	known := map[string]bool{}
+	for _, name := range budgetNames() {
+		known[name] = true
 	}
 	var out []string
 	for k := range b {
@@ -73,10 +82,24 @@ func (b Budget) UnknownKeys() []string {
 	return out
 }
 
+// MissingKeys is the reverse of UnknownKeys: the driver phases and
+// analyzers of All, in that order, that have no positive baseline.
+// OverBudget cannot gate their time, so a new analyzer would run with no
+// budget and nobody would notice; dtgp-vet -stats reports each one, and
+// -strict-budget fails on them.
+func (b Budget) MissingKeys() []string {
+	var out []string
+	for _, name := range budgetNames() {
+		if b[name] <= 0 {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
 // OverBudget returns the stats that exceed BudgetSlack × their committed
 // baseline, with the baseline attached for the report. Stats with no
-// baseline entry are skipped: new analyzers get a free first run and the
-// baseline file is updated alongside them.
+// positive baseline are skipped here; MissingKeys reports them.
 func OverBudget(stats []AnalyzerStat, budget Budget) []BudgetViolation {
 	var out []BudgetViolation
 	for _, s := range stats {

@@ -46,7 +46,7 @@ func TestOverBudget(t *testing.T) {
 	stats := []AnalyzerStat{
 		{Name: "fast", Millis: 150},        // 1.5× — within the 2× slack
 		{Name: "slow", Millis: 50},         // 5× — over
-		{Name: "unbudgeted", Millis: 9999}, // no baseline — skipped
+		{Name: "unbudgeted", Millis: 9999}, // no baseline — skipped (MissingKeys reports it)
 		{Name: "zero", Millis: 1},          // zero baseline — skipped
 	}
 	over := OverBudget(stats, budget)
@@ -64,11 +64,21 @@ func TestOverBudget(t *testing.T) {
 }
 
 // TestUnknownBudgetKeys: a baseline naming no analyzer and no driver phase
-// is reported, and the committed file has none.
+// is reported, and so is an analyzer or phase with no baseline; the
+// committed file has neither.
 func TestUnknownBudgetKeys(t *testing.T) {
 	b := Budget{"load": 1, "facts": 1, "escapes": 1, "indexspace": 1, "scratchlife": 1, "bogus": 1}
 	if got := b.UnknownKeys(); !slices.Equal(got, []string{"bogus", "scratchlife"}) {
 		t.Errorf("UnknownKeys = %v, want [bogus scratchlife]", got)
+	}
+	full := Budget{}
+	for _, name := range budgetNames() {
+		full[name] = 1
+	}
+	delete(full, "facts")
+	full["unreached"] = 0
+	if got := full.MissingKeys(); !slices.Equal(got, []string{"facts", "unreached"}) {
+		t.Errorf("MissingKeys = %v, want [facts unreached]", got)
 	}
 	committed, err := LoadBudget("vet-budget.json")
 	if err != nil {
@@ -76,6 +86,9 @@ func TestUnknownBudgetKeys(t *testing.T) {
 	}
 	if got := committed.UnknownKeys(); len(got) > 0 {
 		t.Errorf("vet-budget.json has stale keys %v", got)
+	}
+	if got := committed.MissingKeys(); len(got) > 0 {
+		t.Errorf("vet-budget.json has no baseline for %v", got)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // All is the dtgp analyzer suite in report order.
-var All = []*Analyzer{DirtyMark, ErrFlow, FloatDet, GradPair, HotAlloc, IndexSpace, MapIter, ParSafe}
+var All = []*Analyzer{DirtyMark, ErrFlow, FloatDet, GradPair, HotAlloc, IndexSpace, MapIter, ParSafe, Unreached}
 
 // Options configure one Vet run.
 type Options struct {
@@ -153,27 +153,15 @@ func Vet(opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// RunAnalyzers runs the given analyzers over every loaded package whose
-// import path passes the filter, applies dtgp:allow suppressions, and
-// returns the surviving findings sorted by position.
-func RunAnalyzers(prog *Program, facts *Facts, analyzers []*Analyzer, match func(pkgPath string) bool) ([]Diagnostic, error) {
-	kept, _, err := runAnalyzersFull(prog, facts, analyzers, match)
-	return kept, err
-}
-
-// runAnalyzersFull is RunAnalyzers plus the suppressed findings (marked
-// and sorted), for audit output.
-func runAnalyzersFull(prog *Program, facts *Facts, analyzers []*Analyzer, match func(pkgPath string) bool) (kept, suppressed []Diagnostic, err error) {
-	kept, suppressed, _, _, err = runAnalyzersRecording(prog, facts, analyzers, match)
-	return kept, suppressed, err
-}
-
-// runAnalyzersRecording additionally returns the allow-annotation set with
-// per-entry usage recorded, so the driver can promote stale suppressions to
-// findings, and the per-analyzer wall times (summed across packages, in
-// analyzer run order) for the -stats budget report. Identical findings are
-// deduplicated: a named kernel dispatched from several call sites, or an
-// operator pair cross-checked from both halves' packages, must report once.
+// runAnalyzersRecording runs the given analyzers over every loaded package
+// whose import path passes the filter and applies dtgp:allow suppressions.
+// It returns the surviving and the suppressed findings, each sorted by
+// position; the allow-annotation set with per-entry usage recorded, so the
+// driver can promote stale suppressions to findings; and the per-analyzer
+// wall times (summed across packages, in analyzer run order) for the -stats
+// budget report. Identical findings are deduplicated: a named kernel
+// dispatched from several call sites, or an operator pair cross-checked
+// from both halves' packages, must report once.
 func runAnalyzersRecording(prog *Program, facts *Facts, analyzers []*Analyzer, match func(pkgPath string) bool) (kept, suppressed []Diagnostic, allows *allowSet, timings []AnalyzerStat, err error) {
 	var diags []Diagnostic
 	collect := func(d Diagnostic) { diags = append(diags, d) }

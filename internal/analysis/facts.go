@@ -85,6 +85,9 @@ type Facts struct {
 	// idx is the memoised indexspace analysis (domain declarations,
 	// annotations, flow results), built on first use via Facts.indexSpace.
 	idx *indexState
+	// reach is the memoised set of functions some program reaches, built
+	// on first use via Facts.reached.
+	reach map[*types.Func]bool
 }
 
 // All returns every function record in declaration order.

@@ -605,23 +605,6 @@ func isContainer(t types.Type) bool {
 	return false
 }
 
-// containerValueType returns the type produced by subscripting t once.
-func containerValueType(t types.Type) types.Type {
-	switch u := t.Underlying().(type) {
-	case *types.Slice:
-		return u.Elem()
-	case *types.Array:
-		return u.Elem()
-	case *types.Map:
-		return u.Elem()
-	case *types.Pointer:
-		if a, ok := u.Elem().Underlying().(*types.Array); ok {
-			return a.Elem()
-		}
-	}
-	return nil
-}
-
 // intTypeMax returns the maximum value of a basic integer type and whether
 // it is a sized type of at most 32 bits (the narrowing/overflow targets).
 func intTypeMax(t types.Type) (int64, bool) {

@@ -67,7 +67,8 @@ func TestStaleAllowPromotion(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module fxstale\n\ngo 1.22\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	src := `package p
+	// A program, so that unreached has nothing to report.
+	src := `package main
 
 import "errors"
 
@@ -88,6 +89,8 @@ func Stale() int {
 func Hot() int {
 	return 2 //dtgp:allow(hotalloc)
 }
+
+func main() { Used(); Stale(); Hot() }
 `
 	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)

@@ -28,13 +28,9 @@ type Package struct {
 // A Program is the whole loaded module: every package, in dependency
 // order, sharing one FileSet and one type universe.
 type Program struct {
-	Fset   *token.FileSet
-	Pkgs   []*Package
-	byPath map[string]*Package
+	Fset *token.FileSet
+	Pkgs []*Package
 }
-
-// PackageOf returns the loaded package with the given import path, or nil.
-func (p *Program) PackageOf(path string) *Package { return p.byPath[path] }
 
 // A Mapping routes an import-path prefix to a source directory, the way a
 // go.mod module line does. The loader resolves any import under Prefix to
@@ -108,8 +104,7 @@ func Load(mappings ...Mapping) (*Program, error) {
 			return nil, err
 		}
 	}
-	prog := &Program{Fset: fset, Pkgs: ld.order, byPath: ld.pkgs}
-	return prog, nil
+	return &Program{Fset: fset, Pkgs: ld.order}, nil
 }
 
 func hasGoFiles(dir string) bool {

@@ -7,9 +7,10 @@ import (
 )
 
 // ParSafe inspects every kernel passed to a parallel dispatch primitive
-// (parallel.For / ForCost / ForChunked / ForWorker / ForGuided / Run,
-// package-level or Pool method) — function literals, named functions and
-// method values alike — and flags three classes of kernel-body bug:
+// (parallel.ForCost / ForWorker / ForGuided / Run, package-level or Pool
+// method, and For, which the parsafe fixture's stub pool declares) —
+// function literals, named functions and method values alike — and flags
+// three classes of kernel-body bug:
 //
 //   - writes to captured variables that are not index-disjoint: the pool
 //     runs the literal concurrently on several lanes, so a plain captured
@@ -32,8 +33,7 @@ var ParSafe = &Analyzer{
 // dispatchNames are the parallel primitives that execute a kernel body on
 // multiple lanes.
 var dispatchNames = map[string]bool{
-	"For": true, "ForCost": true, "ForChunked": true,
-	"ForWorker": true, "ForGuided": true, "Run": true,
+	"For": true, "ForCost": true, "ForWorker": true, "ForGuided": true, "Run": true,
 }
 
 // parallelPkgSuffix identifies the pool package by import-path suffix, so

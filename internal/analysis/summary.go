@@ -165,13 +165,6 @@ func BuildInterproc(prog *Program, facts *Facts) *Interproc {
 	return ip
 }
 
-// FieldOf returns the cached-field record for a struct field object, or
-// nil when the field is not annotated.
-func (ip *Interproc) FieldOf(v *types.Var) *CachedField { return ip.fieldOf[v] }
-
-// SummaryOf returns the summary of an arbitrary unit.
-func (ip *Interproc) SummaryOf(u *Unit) *Summary { return ip.Summaries[u.Index] }
-
 // ---------------------------------------------------------------------------
 // Annotation collection and marker resolution.
 

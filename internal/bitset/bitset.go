@@ -21,18 +21,6 @@ func (s *Set) Grow(n int) {
 	}
 }
 
-// Has reports whether i is in the set.
-func (s *Set) Has(i int32) bool {
-	w := int(i >> 6)
-	return w < len(s.words) && s.words[w]&(1<<uint(i&63)) != 0
-}
-
-// Add inserts i, growing the set as needed.
-func (s *Set) Add(i int32) {
-	s.Grow(int(i) + 1)
-	s.words[i>>6] |= 1 << uint(i&63)
-}
-
 // TryAdd inserts i and reports whether it was newly added (false when i was
 // already a member). It grows the set as needed.
 func (s *Set) TryAdd(i int32) bool {
@@ -53,32 +41,14 @@ func (s *Set) Remove(i int32) {
 	}
 }
 
-// Clear empties the set, keeping its capacity.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
 // ClearMembers removes every listed member. For a set whose members are
-// tracked in a side list this is O(len(members)) instead of the O(capacity)
-// word sweep of Clear, which is what keeps clearing a sparse cone cheap when
-// the universe is large.
+// tracked in a side list this is O(len(members)) instead of an O(capacity)
+// sweep of every word, which is what keeps clearing a sparse cone cheap
+// when the universe is large.
 func (s *Set) ClearMembers(members []int32) {
 	for _, i := range members {
 		if w := int(i >> 6); w < len(s.words) {
 			s.words[w] &^= 1 << uint(i&63)
 		}
 	}
-}
-
-// Count returns the number of members.
-func (s *Set) Count() int {
-	n := 0
-	for _, w := range s.words {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
-	}
-	return n
 }

@@ -2,6 +2,24 @@ package bitset
 
 import "testing"
 
+// Has reports whether i is in the set: the membership oracle of these tests
+// (production code tests membership through TryAdd).
+func (s *Set) Has(i int32) bool {
+	w := int(i >> 6)
+	return w < len(s.words) && s.words[w]&(1<<uint(i&63)) != 0
+}
+
+// Count returns the number of members.
+func (s *Set) Count() int {
+	n := 0
+	for _, w := range s.words {
+		for ; w != 0; w &= w - 1 {
+			n++
+		}
+	}
+	return n
+}
+
 func TestBasicOps(t *testing.T) {
 	var s Set
 	if s.Has(0) || s.Has(1000) {
@@ -16,8 +34,8 @@ func TestBasicOps(t *testing.T) {
 	if !s.Has(5) || s.Count() != 1 {
 		t.Fatalf("expected {5}, count=%d", s.Count())
 	}
-	s.Add(64) // word boundary
-	s.Add(65)
+	s.TryAdd(64) // word boundary
+	s.TryAdd(65)
 	if !s.Has(64) || !s.Has(65) || s.Count() != 3 {
 		t.Fatalf("word-boundary members missing, count=%d", s.Count())
 	}
@@ -26,13 +44,8 @@ func TestBasicOps(t *testing.T) {
 		t.Fatal("Remove(64) removed the wrong bit")
 	}
 	s.Remove(4096) // absent, beyond capacity: no-op
-	s.Clear()
-	if s.Count() != 0 || s.Has(5) || s.Has(65) {
-		t.Fatal("Clear must empty the set")
-	}
-	// Capacity survives Clear.
-	if s.TryAdd(65) != true {
-		t.Fatal("re-adding after Clear must succeed")
+	if s.Count() != 2 {
+		t.Fatalf("expected {5, 65}, count=%d", s.Count())
 	}
 }
 
@@ -42,9 +55,9 @@ func TestGrow(t *testing.T) {
 	if len(s.words) != 3 {
 		t.Fatalf("Grow(129): want 3 words, got %d", len(s.words))
 	}
-	s.Add(1 << 14)
+	s.TryAdd(1 << 14)
 	if !s.Has(1 << 14) {
-		t.Fatal("Add must grow the set")
+		t.Fatal("TryAdd must grow the set")
 	}
 }
 
@@ -68,7 +81,7 @@ func TestGrowPreserves(t *testing.T) {
 	var s Set
 	members := []int32{0, 63, 64, 127, 128, 1000}
 	for _, m := range members {
-		s.Add(m)
+		s.TryAdd(m)
 	}
 	s.Grow(1 << 16) // reallocate
 	for _, m := range members {
@@ -123,7 +136,7 @@ func TestClearMembers(t *testing.T) {
 	kept := []int32{1, 64, 200}
 	cleared := []int32{0, 63, 65, 128}
 	for _, m := range append(append([]int32{}, kept...), cleared...) {
-		s.Add(m)
+		s.TryAdd(m)
 	}
 	// Duplicates and ids beyond capacity must be harmless no-ops.
 	list := append(append([]int32{}, cleared...), cleared[0], 1<<20)
@@ -147,7 +160,7 @@ func TestClearMembers(t *testing.T) {
 func TestCountMultiWord(t *testing.T) {
 	var s Set
 	for i := int32(0); i < 130; i++ {
-		s.Add(i)
+		s.TryAdd(i)
 	}
 	if s.Count() != 130 {
 		t.Fatalf("Count = %d, want 130", s.Count())

@@ -31,9 +31,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d2.NumCells() != d.NumCells() || d2.NumNets() != d.NumNets() || d2.NumPins() != d.NumPins() {
+	if s2, s := d2.Stats(), d.Stats(); s2.Cells != s.Cells || s2.Nets != s.Nets || s2.Pins != s.Pins {
 		t.Fatalf("size changed: %d/%d/%d vs %d/%d/%d",
-			d2.NumCells(), d2.NumNets(), d2.NumPins(), d.NumCells(), d.NumNets(), d.NumPins())
+			s2.Cells, s2.Nets, s2.Pins, s.Cells, s.Nets, s.Pins)
 	}
 	// Positions survive.
 	for ci := range d.Cells {
@@ -182,7 +182,7 @@ func TestLoadRejectsNonFinitePlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	name := d.Cells[d.NumCells()-1].Name
+	name := d.Cells[d.Stats().Cells-1].Name
 	lines := strings.Split(string(src), "\n")
 	poisoned := false
 	for i, line := range lines {

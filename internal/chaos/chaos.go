@@ -80,6 +80,8 @@ type Injector struct {
 // [0, maxIter) faults with probability rate, drawing its kind uniformly
 // from kinds and its target index from the same stream. The schedule is a
 // pure function of the arguments.
+//
+//dtgp:allow(unreached) place's TestChaosMatrixRecoversOrSurrenders and TestChaosMatrixDeterministic
 func NewInjector(seed int64, maxIter int, rate float64, kinds ...Kind) *Injector {
 	rng := rand.New(rand.NewSource(seed))
 	in := &Injector{seed: seed, faults: make(map[int]Fault)}
@@ -100,12 +102,16 @@ func NewInjector(seed int64, maxIter int, rate float64, kinds ...Kind) *Injector
 }
 
 // At returns the fault scheduled for iter, if any.
+//
+//dtgp:allow(unreached) place's TestChaosMatrixRecoversOrSurrenders and TestChaosMatrixDeterministic
 func (in *Injector) At(iter int) (Fault, bool) {
 	f, ok := in.faults[iter]
 	return f, ok
 }
 
 // Faults returns the full schedule in iteration order.
+//
+//dtgp:allow(unreached) place's TestChaosMatrixRecoversOrSurrenders and TestChaosMatrixDeterministic
 func (in *Injector) Faults() []Fault {
 	out := make([]Fault, 0, len(in.faults))
 	for _, f := range in.faults {

@@ -8,6 +8,10 @@ import (
 	"dtgp/internal/guard"
 )
 
+// CrashNextWrite arms a one-shot torn-write fault: the next Create returns
+// a file that fails after budget bytes, leaving a partial temp file behind.
+func (f *FaultFS) CrashNextWrite(budget int) { f.crashBudget = budget }
+
 func TestInjectorDeterministic(t *testing.T) {
 	kinds := []Kind{KindPanic, KindNaN, KindInf, KindIOErr, KindStall}
 	a := NewInjector(12345, 500, 0.1, kinds...)

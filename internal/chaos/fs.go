@@ -39,16 +39,14 @@ type FaultFS struct {
 
 // NewFaultFS wraps inner with fault probability prob per eligible
 // operation, deterministic in seed.
+//
+//dtgp:allow(unreached) place's TestChaosMatrix* tests and TestCheckpointIOFaultsDoNotPerturbTrajectory
 func NewFaultFS(inner guard.FS, seed int64, prob float64) *FaultFS {
 	if inner == nil {
 		inner = guard.OSFS
 	}
 	return &FaultFS{inner: inner, rng: rand.New(rand.NewSource(seed)), prob: prob, crashBudget: -1}
 }
-
-// CrashNextWrite arms a one-shot torn-write fault: the next Create returns
-// a file that fails after budget bytes, leaving a partial temp file behind.
-func (f *FaultFS) CrashNextWrite(budget int) { f.crashBudget = budget }
 
 // roll consumes one RNG draw and decides whether this operation faults.
 func (f *FaultFS) roll() bool {

@@ -1,16 +1,20 @@
 package defio
 
 import (
-	"math"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
 	"dtgp/internal/gen"
-	"dtgp/internal/timing"
+	"dtgp/internal/netlist"
 )
 
-func TestWriteReadRoundTrip(t *testing.T) {
-	d, con, err := gen.Generate(gen.DefaultParams("defrt", 400, 41))
+// TestWriteEmitsDesign checks Write's text against the design it came from:
+// the die, one ROW per row, every component and pin at its position in DEF
+// units, and the COMPONENTS, PINS and NETS counts.
+func TestWriteEmitsDesign(t *testing.T) {
+	d, _, err := gen.Generate(gen.DefaultParams("defrt", 400, 41))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,146 +22,73 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err := Write(&sb, d); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := Read(sb.String(), d.Lib)
-	if err != nil {
-		t.Fatal(err)
+	text := sb.String()
+
+	die := fmt.Sprintf("DIEAREA ( %d %d ) ( %d %d ) ;",
+		toUnits(d.Die.Lo.X), toUnits(d.Die.Lo.Y), toUnits(d.Die.Hi.X), toUnits(d.Die.Hi.Y))
+	if !strings.Contains(text, die) {
+		t.Errorf("missing %q", die)
 	}
-	if d2.NumCells() != d.NumCells() || d2.NumNets() != d.NumNets() || d2.NumPins() != d.NumPins() {
-		t.Fatalf("sizes changed: %d/%d/%d vs %d/%d/%d",
-			d2.NumCells(), d2.NumNets(), d2.NumPins(), d.NumCells(), d.NumNets(), d.NumPins())
+
+	rows := 0
+	declared := map[string]int{} // section → count on its header line
+	entries := map[string]int{}  // section → "- name …" lines in it
+	placed := map[string][2]int64{}
+	section := ""
+	for _, line := range strings.Split(text, "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) == 0:
+		case f[0] == "ROW":
+			rows++
+		case len(f) == 3 && f[2] == ";" && (f[0] == "COMPONENTS" || f[0] == "PINS" || f[0] == "NETS"):
+			n, err := strconv.Atoi(f[1])
+			if err != nil {
+				t.Fatalf("bad header %q", line)
+			}
+			section, declared[f[0]] = f[0], n
+		case f[0] == "END":
+			section = ""
+		case f[0] == "-" && section != "":
+			entries[section]++
+			for i, w := range f {
+				if (w == "PLACED" || w == "FIXED") && i+3 < len(f) {
+					x, errX := strconv.ParseInt(f[i+2], 10, 64)
+					y, errY := strconv.ParseInt(f[i+3], 10, 64)
+					if errX != nil || errY != nil {
+						t.Fatalf("bad coordinate in %q", line)
+					}
+					placed[f[1]] = [2]int64{x, y}
+				}
+			}
+		}
 	}
-	// Positions survive to DEF precision (1e-3 DBU).
+	if rows != len(d.Rows) {
+		t.Errorf("%d ROW lines, want %d", rows, len(d.Rows))
+	}
+
+	comps, ports := 0, 0
 	for ci := range d.Cells {
 		c := &d.Cells[ci]
-		c2i := d2.CellByName(c.Name)
-		if c2i < 0 {
-			t.Fatalf("cell %s lost", c.Name)
+		switch c.Class {
+		case netlist.ClassFiller:
+			continue
+		case netlist.ClassPort:
+			ports++
+		default:
+			comps++
 		}
-		c2 := &d2.Cells[c2i]
-		if math.Abs(c.Pos.X-c2.Pos.X) > 1e-3 || math.Abs(c.Pos.Y-c2.Pos.Y) > 1e-3 {
-			t.Fatalf("cell %s moved: %v vs %v", c.Name, c.Pos, c2.Pos)
-		}
-		if c.Class != c2.Class {
-			t.Fatalf("cell %s class %v → %v", c.Name, c.Class, c2.Class)
-		}
-	}
-	// Rows and die survive.
-	if len(d2.Rows) != len(d.Rows) {
-		t.Fatalf("rows %d vs %d", len(d2.Rows), len(d.Rows))
-	}
-	if math.Abs(d2.Die.W()-d.Die.W()) > 1e-3 {
-		t.Fatal("die changed")
-	}
-	// Timing of the reconstructed design matches (same library, same
-	// connectivity, near-identical positions).
-	g1, err := timing.NewGraph(d, con)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := timing.NewGraph(d2, con)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, r2 := timing.Analyze(g1), timing.Analyze(g2)
-	if math.Abs(r1.WNS-r2.WNS) > 0.5 {
-		t.Fatalf("WNS changed: %v vs %v", r1.WNS, r2.WNS)
-	}
-}
-
-func TestReadHandWritten(t *testing.T) {
-	lib := gen.DefaultParams("x", 64, 1) // only for the library
-	_ = lib
-	d, _, err := gen.Generate(gen.DefaultParams("tiny", 64, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := `
-VERSION 5.8 ;
-DESIGN hand ;
-UNITS DISTANCE MICRONS 1000 ;
-DIEAREA ( 0 0 ) ( 240000 240000 ) ;
-ROW r0 CoreSite 0 0 N DO 240 BY 1 STEP 1000 0 ;
-COMPONENTS 2 ;
-  - u1 INV_X1 + PLACED ( 10000 0 ) N ;
-  - u2 BUF_X1 + FIXED ( 50000 12000 ) N ;
-END COMPONENTS
-PINS 2 ;
-  - a + NET n_in + DIRECTION INPUT + FIXED ( 0 0 ) N ;
-  - y + NET n_out + DIRECTION OUTPUT + FIXED ( 240000 0 ) N ;
-END PINS
-NETS 3 ;
-  - n_in ( PIN a ) ( u1 A ) ;
-  - n_mid ( u1 Z ) ( u2 A ) ;
-  - n_out ( u2 Z ) ( PIN y ) ;
-END NETS
-END DESIGN
-`
-	got, err := Read(src, d.Lib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != "hand" {
-		t.Errorf("name %q", got.Name)
-	}
-	if got.NumCells() != 4 || got.NumNets() != 3 {
-		t.Errorf("sizes: %d cells, %d nets", got.NumCells(), got.NumNets())
-	}
-	u1 := got.CellByName("u1")
-	if got.Cells[u1].Pos.X != 10 || got.Cells[u1].Pos.Y != 0 {
-		t.Errorf("u1 at %v", got.Cells[u1].Pos)
-	}
-	u2 := got.CellByName("u2")
-	if !got.Cells[u2].Fixed() {
-		t.Error("u2 not fixed")
-	}
-	if len(got.Rows) != 1 || got.Rows[0].NumSites != 240 {
-		t.Errorf("rows: %+v", got.Rows)
-	}
-	if got.Die.Hi.X != 240 {
-		t.Errorf("die: %v", got.Die)
-	}
-}
-
-func TestReadErrors(t *testing.T) {
-	d, _, err := gen.Generate(gen.DefaultParams("tiny", 64, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name, src string
-	}{
-		{"no design", "VERSION 5.8 ;\n"},
-		{"bad units", "DESIGN d ;\nUNITS DISTANCE MICRONS abc ;\n"},
-		{"unknown component in net", `DESIGN d ;
-NETS 1 ;
-  - n1 ( nosuch A ) ;
-END NETS
-END DESIGN`},
-		{"unknown pin in net", `DESIGN d ;
-NETS 1 ;
-  - n1 ( PIN nosuch ) ;
-END NETS
-END DESIGN`},
-		{"unterminated components", "DESIGN d ;\nCOMPONENTS 1 ;\n  - u1 INV_X1"},
-	}
-	for _, c := range cases {
-		if _, err := Read(c.src, d.Lib); err == nil {
-			t.Errorf("%s: error expected", c.name)
+		want := [2]int64{toUnits(c.Pos.X), toUnits(c.Pos.Y)}
+		if got, ok := placed[c.Name]; !ok || got != want {
+			t.Fatalf("%s at %v in DEF, want %v", c.Name, got, want)
 		}
 	}
-}
-
-func TestCommentsIgnored(t *testing.T) {
-	d, _, err := gen.Generate(gen.DefaultParams("tiny", 64, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := "# full line comment\nDESIGN c ; # trailing comment\nEND DESIGN\n"
-	got, err := Read(src, d.Lib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != "c" {
-		t.Errorf("name %q", got.Name)
+	for _, s := range []struct {
+		name string
+		want int
+	}{{"COMPONENTS", comps}, {"PINS", ports}, {"NETS", len(d.Nets)}} {
+		if declared[s.name] != s.want || entries[s.name] != s.want {
+			t.Errorf("%s: header says %d, %d entries, want %d", s.name, declared[s.name], entries[s.name], s.want)
+		}
 	}
 }

@@ -1,12 +1,12 @@
-// Package defio reads and writes a DEF 5.8 subset — the interchange format
-// the paper's evaluation used ("We acquired the DEF result from authors of
+// Package defio writes a DEF 5.8 subset — the interchange format the
+// paper's evaluation used ("We acquired the DEF result from authors of
 // [24]"). The subset covers DIEAREA, ROW, COMPONENTS with placement state,
-// PINS and NETS, which together with a Liberty library fully reconstruct a
-// placed design.
+// PINS and NETS, which together with a Liberty library describe a placed
+// design.
 //
 // DEF coordinates are integers; this implementation writes 1000 DEF units
 // per DBU (UNITS DISTANCE MICRONS 1000 with one micron ≡ one DBU), so
-// sub-DBU positions survive a round trip to 1e-3 DBU.
+// positions are kept to 1e-3 DBU.
 package defio
 
 import (
@@ -22,8 +22,6 @@ import (
 const unitsPerDBU = 1000
 
 func toUnits(v float64) int64 { return int64(math.Round(v * unitsPerDBU)) }
-
-func fromUnits(v int64) float64 { return float64(v) / unitsPerDBU }
 
 // Write emits the design as DEF.
 func Write(w io.Writer, d *netlist.Design) error {

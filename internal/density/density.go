@@ -35,7 +35,6 @@ type Grid struct {
 
 	planX, planY *fft.DCTPlan
 	psi          []float64 // potential coefficients ψ̂ of the latest Solve
-	potential    []float64 // Potential's output, allocated on first use
 	wu, wv       []float64 // spatial frequencies πu/(M·BinW), πv/(N·BinH)
 	// movableArea of the last BuildDensity call (for overflow).
 	movableArea float64
@@ -212,8 +211,8 @@ func (g *Grid) BuildDensity(x, y, w, h []float64) {
 
 // Solve computes the field from the current Density via the spectral
 // Poisson solution and returns the total electrostatic energy
-// ½·Σ ρψ·binArea. It keeps the potential coefficients for Potential but
-// does not transform them: the placer needs only the field.
+// ½·Σ ρψ·binArea. It keeps the potential coefficients in psi but does
+// not transform them: the placer needs only the field.
 //
 //dtgp:hotpath
 //dtgp:forward(density, explicit-grad)
@@ -284,19 +283,6 @@ func (g *Grid) Solve() float64 {
 	g.cols(g.FieldY, dst3)
 	binArea := g.BinW * g.BinH
 	return e * binArea / 2
-}
-
-// Potential returns ψ for the density of the latest Solve, row-major like
-// Density, by the inverse 2-D DCT (DCT-III both dims) of the coefficients
-// Solve kept. The slice is reused by the next call.
-func (g *Grid) Potential() []float64 {
-	if g.potential == nil {
-		g.potential = make([]float64, g.M*g.N)
-	}
-	copy(g.potential, g.psi)
-	g.rows(g.potential, dct3)
-	g.cols(g.potential, dct3)
-	return g.potential
 }
 
 // lineOp is the 1-D transform of a line pass.

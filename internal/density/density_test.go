@@ -8,6 +8,17 @@ import (
 	"dtgp/internal/geom"
 )
 
+// Potential returns ψ for the density of the latest Solve, row-major like
+// Density, by the inverse 2-D DCT (DCT-III both dims) of the coefficients
+// Solve kept. The tests' oracle for the field and the energy: the placer
+// needs only the field.
+func (g *Grid) Potential() []float64 {
+	pot := append([]float64(nil), g.psi...)
+	g.rows(pot, dct3)
+	g.cols(pot, dct3)
+	return pot
+}
+
 func newTestGrid(t *testing.T, m, n int) *Grid {
 	t.Helper()
 	g, err := NewGrid(geom.NewRect(0, 0, 1000, 1000), m, n, 1.0)

@@ -99,11 +99,3 @@ func (p Preset) Params(scale int) Params {
 func (p Preset) String() string {
 	return fmt.Sprintf("%-12s %9d %9d %9d", p.Name, p.PaperCells, p.PaperNets, p.PaperPins)
 }
-
-// SortedBySize returns preset names ordered by cell count, smallest first —
-// convenient for smoke-testing the suite incrementally.
-func SortedBySize() []Preset {
-	out := append([]Preset(nil), Presets...)
-	sort.Slice(out, func(i, j int) bool { return out[i].PaperCells < out[j].PaperCells })
-	return out
-}

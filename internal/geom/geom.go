@@ -14,18 +14,8 @@ type Point struct {
 	X, Y float64
 }
 
-// Add returns p translated by q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
 // Sub returns p minus q.
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
-// ManhattanDist returns the rectilinear (L1) distance between p and q.
-// Wirelength and RC extraction use rectilinear distance exclusively because
-// routed wires are axis-parallel.
-func (p Point) ManhattanDist(q Point) float64 {
-	return math.Abs(p.X-q.X) + math.Abs(p.Y-q.Y)
-}
 
 func (p Point) String() string { return fmt.Sprintf("(%g, %g)", p.X, p.Y) }
 
@@ -62,11 +52,6 @@ func (r Rect) Center() Point {
 // HalfPerimeter returns width plus height, the HPWL of the rectangle.
 func (r Rect) HalfPerimeter() float64 { return r.W() + r.H() }
 
-// Contains reports whether p lies inside r (low-inclusive, high-exclusive).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.Lo.X && p.X < r.Hi.X && p.Y >= r.Lo.Y && p.Y < r.Hi.Y
-}
-
 // Intersect returns the overlap of r and s; the second result is false when
 // they do not overlap.
 func (r Rect) Intersect(s Rect) (Rect, bool) {
@@ -88,14 +73,6 @@ func (r Rect) OverlapArea(s Rect) float64 {
 	return w * h
 }
 
-// Union returns the bounding box of r and s.
-func (r Rect) Union(s Rect) Rect {
-	return Rect{
-		Point{math.Min(r.Lo.X, s.Lo.X), math.Min(r.Lo.Y, s.Lo.Y)},
-		Point{math.Max(r.Hi.X, s.Hi.X), math.Max(r.Hi.Y, s.Hi.Y)},
-	}
-}
-
 // ExpandToInclude grows r so that it contains p.
 func (r Rect) ExpandToInclude(p Point) Rect {
 	return Rect{
@@ -106,19 +83,6 @@ func (r Rect) ExpandToInclude(p Point) Rect {
 
 func (r Rect) String() string {
 	return fmt.Sprintf("[%g,%g %g,%g]", r.Lo.X, r.Lo.Y, r.Hi.X, r.Hi.Y)
-}
-
-// BoundingBox returns the smallest rectangle covering all points. It returns
-// a degenerate rectangle at the origin when pts is empty.
-func BoundingBox(pts []Point) Rect {
-	if len(pts) == 0 {
-		return Rect{}
-	}
-	r := Rect{pts[0], pts[0]}
-	for _, p := range pts[1:] {
-		r = r.ExpandToInclude(p)
-	}
-	return r
 }
 
 // Clamp limits v to [lo, hi].

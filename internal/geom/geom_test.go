@@ -9,35 +9,8 @@ import (
 func TestPointArithmetic(t *testing.T) {
 	p := Point{1, 2}
 	q := Point{3, 5}
-	if got := p.Add(q); got != (Point{4, 7}) {
-		t.Errorf("Add = %v", got)
-	}
 	if got := q.Sub(p); got != (Point{2, 3}) {
 		t.Errorf("Sub = %v", got)
-	}
-	if got := p.ManhattanDist(q); got != 5 {
-		t.Errorf("ManhattanDist = %v", got)
-	}
-}
-
-func TestManhattanDistProperties(t *testing.T) {
-	symmetric := func(ax, ay, bx, by float64) bool {
-		a, b := Point{ax, ay}, Point{bx, by}
-		return a.ManhattanDist(b) == b.ManhattanDist(a)
-	}
-	if err := quick.Check(symmetric, nil); err != nil {
-		t.Error(err)
-	}
-	triangle := func(ax, ay, bx, by, cx, cy float64) bool {
-		// Use bounded values to avoid overflow-driven false failures.
-		clampAll := func(v float64) float64 { return math.Mod(v, 1e6) }
-		a := Point{clampAll(ax), clampAll(ay)}
-		b := Point{clampAll(bx), clampAll(by)}
-		c := Point{clampAll(cx), clampAll(cy)}
-		return a.ManhattanDist(c) <= a.ManhattanDist(b)+b.ManhattanDist(c)+1e-6
-	}
-	if err := quick.Check(triangle, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -54,25 +27,6 @@ func TestNewRectNormalizes(t *testing.T) {
 	}
 	if r.Center() != (Point{3, 4.5}) {
 		t.Errorf("Center = %v", r.Center())
-	}
-}
-
-func TestRectContains(t *testing.T) {
-	r := NewRect(0, 0, 10, 10)
-	cases := []struct {
-		p    Point
-		want bool
-	}{
-		{Point{0, 0}, true},
-		{Point{5, 5}, true},
-		{Point{10, 10}, false}, // high-exclusive
-		{Point{-1, 5}, false},
-		{Point{5, 10}, false},
-	}
-	for _, c := range cases {
-		if got := r.Contains(c.p); got != c.want {
-			t.Errorf("Contains(%v) = %v, want %v", c.p, got, c.want)
-		}
 	}
 }
 
@@ -121,32 +75,13 @@ func TestOverlapAreaMatchesIntersect(t *testing.T) {
 	}
 }
 
-func TestUnionAndExpand(t *testing.T) {
+func TestExpandToInclude(t *testing.T) {
 	a := NewRect(0, 0, 1, 1)
-	b := NewRect(5, 5, 6, 7)
-	u := a.Union(b)
-	if u != NewRect(0, 0, 6, 7) {
-		t.Errorf("Union = %v", u)
-	}
-	e := a.ExpandToInclude(Point{-2, 3})
-	if e != NewRect(-2, 0, 1, 3) {
+	if e := a.ExpandToInclude(Point{-2, 3}); e != NewRect(-2, 0, 1, 3) {
 		t.Errorf("ExpandToInclude = %v", e)
 	}
-}
-
-func TestBoundingBox(t *testing.T) {
-	if bb := BoundingBox(nil); bb != (Rect{}) {
-		t.Errorf("empty BoundingBox = %v", bb)
-	}
-	pts := []Point{{1, 5}, {-3, 2}, {4, -1}}
-	bb := BoundingBox(pts)
-	if bb != NewRect(-3, -1, 4, 5) {
-		t.Errorf("BoundingBox = %v", bb)
-	}
-	for _, p := range pts {
-		if p.X < bb.Lo.X || p.X > bb.Hi.X || p.Y < bb.Lo.Y || p.Y > bb.Hi.Y {
-			t.Errorf("point %v outside bounding box %v", p, bb)
-		}
+	if e := a.ExpandToInclude(Point{0.5, 0.5}); e != a {
+		t.Errorf("ExpandToInclude of an inside point = %v", e)
 	}
 }
 

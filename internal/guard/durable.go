@@ -191,14 +191,10 @@ func (d *decoder) need(section string, n int) error {
 	return nil
 }
 
-// DecodeCheckpoint strictly decodes a version-1 durable checkpoint. On any
-// failure it returns a nil Checkpoint and a *DecodeError wrapping one of
-// ErrBadMagic, ErrVersionSkew, ErrTruncated or ErrCorrupt — a checkpoint is
-// never partially loaded.
-func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	return decodeCheckpoint(data, "")
-}
-
+// decodeCheckpoint strictly decodes a version-1 durable checkpoint read from
+// path. On any failure it returns a nil Checkpoint and a *DecodeError
+// wrapping one of ErrBadMagic, ErrVersionSkew, ErrTruncated or ErrCorrupt —
+// a checkpoint is never partially loaded.
 func decodeCheckpoint(data []byte, path string) (*Checkpoint, error) {
 	d := &decoder{data: data, path: path}
 	if err := d.need("header", 16); err != nil {
@@ -384,9 +380,6 @@ func NewStore(fs FS, dir string, keep int) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // fileName returns the committed name for a checkpoint at iter.
 func fileName(iter int) string {
 	return fmt.Sprintf("%s%010d%s", ckptPrefix, iter, ckptSuffix)
@@ -485,6 +478,8 @@ func (s *Store) list() ([]int, error) {
 
 // Iters returns the committed checkpoint iterations, ascending (empty when
 // none). Tests use it to sample kill points.
+//
+//dtgp:allow(unreached) place's TestKillResumeBitIdentity and guard's TestStoreSaveLoadRetention
 func (s *Store) Iters() ([]int, error) { return s.list() }
 
 // LoadLatest reads and strictly decodes the newest committed checkpoint,

@@ -96,7 +96,7 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 	for _, dims := range [][2]int{{16, 5}, {1, 0}, {0, 0}, {7, 1}} {
 		want := testCheckpoint(42, dims[0], dims[1])
 		data := AppendCheckpoint(nil, want)
-		got, err := DecodeCheckpoint(data)
+		got, err := decodeCheckpoint(data, "")
 		if err != nil {
 			t.Fatalf("decode(%v): %v", dims, err)
 		}
@@ -131,7 +131,7 @@ func TestDecodeTruncationAtEveryBoundary(t *testing.T) {
 			if cut >= len(data) {
 				continue
 			}
-			cp, err := DecodeCheckpoint(data[:cut])
+			cp, err := decodeCheckpoint(data[:cut], "")
 			if cp != nil {
 				t.Fatalf("truncation at %d returned a checkpoint", cut)
 			}
@@ -156,7 +156,7 @@ func TestDecodeSingleBitFlips(t *testing.T) {
 	for pos := 0; pos < len(orig); pos++ {
 		copy(data, orig)
 		data[pos] ^= 1 << (pos % 8)
-		cp, err := DecodeCheckpoint(data)
+		cp, err := decodeCheckpoint(data, "")
 		if err == nil {
 			t.Fatalf("bit flip at byte %d decoded successfully", pos)
 		}
@@ -173,23 +173,23 @@ func TestDecodeSingleBitFlips(t *testing.T) {
 func TestDecodeVersionSkew(t *testing.T) {
 	data := AppendCheckpoint(nil, testCheckpoint(3, 4, 1))
 	binary.LittleEndian.PutUint16(data[8:], CheckpointVersion+1)
-	_, err := DecodeCheckpoint(data)
+	_, err := decodeCheckpoint(data, "")
 	if !errors.Is(err, ErrVersionSkew) {
 		t.Fatalf("version skew: got %v, want ErrVersionSkew", err)
 	}
 }
 
 func TestDecodeBadMagicAndGarbage(t *testing.T) {
-	if _, err := DecodeCheckpoint([]byte("HELLO, WORLD — not a checkpoint")); !errors.Is(err, ErrBadMagic) {
+	if _, err := decodeCheckpoint([]byte("HELLO, WORLD — not a checkpoint"), ""); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("bad magic: got %v", err)
 	}
-	if _, err := DecodeCheckpoint(nil); !errors.Is(err, ErrTruncated) {
+	if _, err := decodeCheckpoint(nil, ""); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("empty input: got %v", err)
 	}
 	// Trailing garbage after a valid file is corruption, not slack.
 	data := AppendCheckpoint(nil, testCheckpoint(3, 4, 1))
 	data = append(data, 0xAB)
-	if _, err := DecodeCheckpoint(data); !errors.Is(err, ErrCorrupt) {
+	if _, err := decodeCheckpoint(data, ""); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("trailing garbage: got %v", err)
 	}
 }

@@ -53,7 +53,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add([]byte("DTGPCKPT"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cp, err := DecodeCheckpoint(data)
+		cp, err := decodeCheckpoint(data, "")
 		if err != nil {
 			if cp != nil {
 				t.Fatal("decoder returned both a checkpoint and an error")

@@ -5,6 +5,16 @@ import (
 	"testing"
 )
 
+// libText renders the library with Write.
+func libText(t *testing.T, lib *Library) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := Write(&sb, lib); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
 func TestDefaultLibraryValid(t *testing.T) {
 	lib := DefaultLibrary(DefaultSynthParams())
 	if err := lib.Validate(); err != nil {
@@ -22,8 +32,8 @@ func TestDefaultLibraryValid(t *testing.T) {
 }
 
 func TestDefaultLibraryDeterministic(t *testing.T) {
-	a := String(DefaultLibrary(DefaultSynthParams()))
-	b := String(DefaultLibrary(DefaultSynthParams()))
+	a := libText(t, DefaultLibrary(DefaultSynthParams()))
+	b := libText(t, DefaultLibrary(DefaultSynthParams()))
 	if a != b {
 		t.Fatal("DefaultLibrary is not deterministic")
 	}
@@ -35,7 +45,7 @@ func TestCellAccessors(t *testing.T) {
 	if got := inv.PinByName("A"); got < 0 || inv.Pins[got].Dir != DirInput {
 		t.Errorf("INV_X1 pin A lookup failed: %d", got)
 	}
-	if out := inv.Output(); out < 0 || inv.Pins[out].Name != "Z" {
+	if out := inv.PinByName("Z"); out < 0 || inv.Pins[out].Dir != DirOutput {
 		t.Errorf("INV_X1 output lookup failed")
 	}
 	if inv.ClockPin() != -1 {
@@ -99,7 +109,7 @@ func TestDelayIncreasesWithDrive(t *testing.T) {
 
 func TestWriteParseRoundTrip(t *testing.T) {
 	lib := DefaultLibrary(DefaultSynthParams())
-	text := String(lib)
+	text := libText(t, lib)
 	got, err := Parse(text)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)

@@ -166,18 +166,6 @@ func (c *Cell) buildIndex() {
 	}
 }
 
-// Output returns the index of the first output pin, or -1.
-//
-//dtgp:index return=lpin
-func (c *Cell) Output() int {
-	for i := range c.Pins {
-		if c.Pins[i].Dir == DirOutput {
-			return i
-		}
-	}
-	return -1
-}
-
 // ClockPin returns the index of the clock pin, or -1.
 //
 //dtgp:index return=lpin

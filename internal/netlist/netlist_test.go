@@ -47,14 +47,15 @@ func buildToy(t *testing.T) *Design {
 
 func TestBuilderToy(t *testing.T) {
 	d := buildToy(t)
-	if got := d.NumCells(); got != 5 {
-		t.Errorf("NumCells = %d, want 5", got)
+	s := d.Stats()
+	if s.Cells != 5 {
+		t.Errorf("Stats.Cells = %d, want 5", s.Cells)
 	}
-	if got := d.NumMovable(); got != 2 {
-		t.Errorf("NumMovable = %d, want 2", got)
+	if s.Movable != 2 {
+		t.Errorf("Stats.Movable = %d, want 2", s.Movable)
 	}
-	if got := d.NumNets(); got != 4 {
-		t.Errorf("NumNets = %d, want 4", got)
+	if s.Nets != 4 {
+		t.Errorf("Stats.Nets = %d, want 4", s.Nets)
 	}
 	if d.CellByName("ff0") < 0 || d.NetByName("nmid") < 0 {
 		t.Error("name lookups failed")
@@ -114,14 +115,6 @@ func TestHPWL(t *testing.T) {
 	}
 	if got := d.HPWL(); math.Abs(got-total) > 1e-9 {
 		t.Errorf("HPWL = %v, want %v", got, total)
-	}
-	// Weighted HPWL with unit weights equals HPWL.
-	if math.Abs(d.WeightedHPWL()-d.HPWL()) > 1e-9 {
-		t.Error("unit-weight WeightedHPWL != HPWL")
-	}
-	d.Nets[nmid].Weight = 3
-	if math.Abs(d.WeightedHPWL()-(total+2*want)) > 1e-9 {
-		t.Error("WeightedHPWL does not scale with weight")
 	}
 }
 

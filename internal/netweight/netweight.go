@@ -61,10 +61,10 @@ func NewUpdater(d *netlist.Design, opts Options) *Updater {
 	}
 }
 
-// SlackSource is the slack view Criticality consumes: either a from-scratch
-// timing.Result or the maintained state of a timing.Incremental engine. The
-// two agree bitwise on identical interconnect state, so weight trajectories
-// are independent of which backs the interface.
+// SlackSource is the slack view CriticalityInto consumes: either a
+// from-scratch timing.Result or the maintained state of a timing.Incremental
+// engine. The two agree bitwise on identical interconnect state, so weight
+// trajectories are independent of which backs the interface.
 type SlackSource interface {
 	// Graph returns the timing graph the slacks were computed over.
 	Graph() *timing.Graph
@@ -75,18 +75,11 @@ type SlackSource interface {
 	PinSlack(pid int32, tr timing.Transition) float64
 }
 
-// Criticality returns each net's criticality in [0,1] from exact STA
-// results: c = clamp(−worstNetSlack/|WNS|, 0, 1), zero when the design has
-// no violations.
-//
-//dtgp:forward(netweight, explicit-grad)
-func Criticality(d *netlist.Design, res SlackSource) []float64 {
-	return CriticalityInto(make([]float64, len(d.Nets)), d, res)
-}
-
-// CriticalityInto is the allocation-free Criticality: it fills and returns
-// crit (len must equal #nets). Updater.Update uses it with a persistent
-// buffer so the periodic reweight allocates nothing once warm.
+// CriticalityInto fills crit (len must equal #nets) with each net's
+// criticality in [0,1] from exact STA results, returning it:
+// c = clamp(−worstNetSlack/|WNS|, 0, 1), zero when the design has no
+// violations. Updater.Update passes a persistent buffer so the periodic
+// reweight allocates nothing once warm.
 //
 //dtgp:hotpath
 //dtgp:index crit=net
@@ -126,11 +119,8 @@ func CriticalityInto(crit []float64, d *netlist.Design, res SlackSource) []float
 	return crit
 }
 
-// Update recomputes net weights from an exact STA result. It is the
-// weight-adaptation step driven by Criticality — the two form a
-// derivative-style pair over the same (design, STA result) inputs.
-//
-//dtgp:backward(netweight, explicit-grad)
+// Update recomputes net weights from an exact STA result: the
+// weight-adaptation step driven by CriticalityInto.
 func (u *Updater) Update(d *netlist.Design, res SlackSource) {
 	crit := CriticalityInto(u.crit, d, res)
 	o := u.Opts

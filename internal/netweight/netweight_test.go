@@ -33,7 +33,7 @@ func TestCriticalityRange(t *testing.T) {
 	if res.WNS >= 0 {
 		t.Fatal("test bed has no violations")
 	}
-	crit := Criticality(g.D, res)
+	crit := CriticalityInto(make([]float64, len(g.D.Nets)), g.D, res)
 	if len(crit) != len(g.D.Nets) {
 		t.Fatal("wrong length")
 	}
@@ -68,7 +68,7 @@ func TestCriticalityZeroWhenMet(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := timing.Analyze(g)
-	for ni, c := range Criticality(d, res) {
+	for ni, c := range CriticalityInto(make([]float64, len(d.Nets)), d, res) {
 		if c != 0 {
 			t.Fatalf("net %d criticality %v with relaxed clock", ni, c)
 		}
@@ -78,7 +78,7 @@ func TestCriticalityZeroWhenMet(t *testing.T) {
 func TestUpdateRaisesCriticalWeights(t *testing.T) {
 	g, res := bed(t)
 	u := NewUpdater(g.D, DefaultOptions())
-	crit := Criticality(g.D, res)
+	crit := CriticalityInto(make([]float64, len(g.D.Nets)), g.D, res)
 	u.Update(g.D, res)
 	if u.Updates != 1 {
 		t.Error("update count wrong")
@@ -128,7 +128,7 @@ func TestMomentumSmoothsDrops(t *testing.T) {
 	g, res := bed(t)
 	u := NewUpdater(g.D, DefaultOptions())
 	u.Update(g.D, res)
-	crit := Criticality(g.D, res)
+	crit := CriticalityInto(make([]float64, len(g.D.Nets)), g.D, res)
 	worst, worstC := -1, 0.0
 	for ni, c := range crit {
 		if c > worstC {

@@ -35,13 +35,10 @@ func TestCancelFlagStopsEveryKernel(t *testing.T) {
 
 	var ran atomic.Int64
 	count := func(i int) { ran.Add(1) }
-	countChunk := func(lo, hi int) { ran.Add(int64(hi - lo)) }
 	countWorker := func(w, lo, hi int) { ran.Add(int64(hi - lo)) }
 	const n = 1 << 16
 
 	expectCanceled(t, "ForCost", func() { p.ForCost(n, CostHeavy, count) }, &ran)
-	expectCanceled(t, "For", func() { p.For(n, count) }, &ran)
-	expectCanceled(t, "ForChunked", func() { p.ForChunked(n, countChunk) }, &ran)
 	expectCanceled(t, "ForWorker", func() { p.ForWorker(n, CostHeavy, countWorker) }, &ran)
 	expectCanceled(t, "ForGuided", func() { p.ForGuided(n, 64, CostHeavy, countWorker) }, &ran)
 	expectCanceled(t, "Run", func() { p.Run(func() { ran.Add(1) }, func() { ran.Add(1) }) }, &ran)
@@ -119,7 +116,7 @@ func TestCancelInsideNestedKernel(t *testing.T) {
 			t.Fatalf("KernelPanicError does not unwrap to ErrCanceled: %v", kp)
 		}
 	}()
-	p.ForChunked(1<<16, func(lo, hi int) {
+	p.ForWorker(1<<16, CostDefault, func(w, lo, hi int) {
 		flag.Store(true)
 		// Nested submission: serial fallback, but still cancellation-checked.
 		p.ForCost(hi-lo, CostTrivial, func(i int) {})

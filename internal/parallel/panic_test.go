@@ -100,13 +100,6 @@ func TestKernelPanicAllShapes(t *testing.T) {
 				}
 			})
 		}},
-		{"ForChunked", func() {
-			p.ForChunked(1<<16, func(lo, hi int) {
-				if lo == 0 {
-					panic("chunk")
-				}
-			})
-		}},
 		{"ForWorker", func() {
 			p.ForWorker(n, CostHeavy, func(w, lo, hi int) {
 				if lo == 0 {

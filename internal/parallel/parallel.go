@@ -1,7 +1,7 @@
 // Package parallel provides the data-parallel runtime used by the timing
 // and placement kernels. It stands in for the paper's CUDA kernel launches:
-// every GPU kernel over an index set becomes a For over the same index set,
-// executed by a persistent pool of workers.
+// every GPU kernel over an index set becomes a ForCost over the same index
+// set, executed by a persistent pool of workers.
 //
 // Unlike the usual fork/join idiom (spawn goroutines + WaitGroup per call),
 // the pool is created once and kept parked between kernels, so a placement
@@ -112,7 +112,6 @@ type jobKind int8
 const (
 	jobNone   jobKind = iota
 	jobIdx            // fn(i) over a static partition
-	jobChunk          // fn(lo, hi), one chunk per lane
 	jobWorker         // fn(worker, lo, hi), one chunk per lane
 	jobGuided         // fn(worker, lo, hi), dynamic guided chunks
 	jobTasks          // tasks[i](), dynamic
@@ -166,7 +165,6 @@ type Pool struct {
 	nLanes   int // lanes participating in the static split
 	grain    int
 	fnIdx    func(i int)
-	fnChunk  func(lo, hi int)
 	fnWorker func(worker, lo, hi int)
 	tasks    []func()
 	cursor   atomic.Int64
@@ -210,12 +208,9 @@ func (p *Pool) Close() {
 // ---------------------------------------------------------------------------
 // Public kernels.
 
-// For runs fn(i) for every i in [0, n) with the default cost hint. fn must
-// be safe to call concurrently for distinct i.
-func (p *Pool) For(n int, fn func(i int)) { p.ForCost(n, CostDefault, fn) }
-
 // ForCost runs fn(i) for every i in [0, n); cost is the approximate
-// per-element work (use the Cost* hints) driving the serial cutoff.
+// per-element work (use the Cost* hints) driving the serial cutoff. fn must
+// be safe to call concurrently for distinct i.
 func (p *Pool) ForCost(n, cost int, fn func(i int)) {
 	p.checkCanceled()
 	if n <= 0 {
@@ -229,23 +224,6 @@ func (p *Pool) ForCost(n, cost int, fn func(i int)) {
 	}
 	p.kind, p.n, p.fnIdx = jobIdx, n, fn
 	p.nLanes = p.laneCount(n, cost)
-	p.run()
-}
-
-// ForChunked runs fn(lo, hi) over contiguous chunks covering [0, n), one
-// chunk per participating lane. Use it when per-call setup should amortise
-// across a chunk.
-func (p *Pool) ForChunked(n int, fn func(lo, hi int)) {
-	p.checkCanceled()
-	if n <= 0 {
-		return
-	}
-	if !p.acquire(n, CostDefault) {
-		fn(0, n)
-		return
-	}
-	p.kind, p.n, p.fnChunk = jobChunk, n, fn
-	p.nLanes = p.laneCount(n, CostDefault)
 	p.run()
 }
 
@@ -372,7 +350,7 @@ func (p *Pool) run() {
 	p.safeLane(0)
 	p.await0()
 	// Drop references so completed kernels aren't pinned by the pool.
-	p.fnIdx, p.fnChunk, p.fnWorker, p.tasks = nil, nil, nil, nil
+	p.fnIdx, p.fnWorker, p.tasks = nil, nil, nil
 	p.kind = jobNone
 	pe := p.panicErr.Swap(nil)
 	p.mu.Unlock()
@@ -487,10 +465,6 @@ func (p *Pool) runLane(w int) {
 		for i := lo; i < hi; i++ {
 			fn(i)
 		}
-	case jobChunk:
-		if lo, hi := split(p.n, p.nLanes, w); lo < hi {
-			p.fnChunk(lo, hi)
-		}
 	case jobWorker:
 		if lo, hi := split(p.n, p.nLanes, w); lo < hi {
 			p.fnWorker(w, lo, hi)
@@ -564,9 +538,11 @@ func Default() *Pool {
 }
 
 // SetWorkers replaces the default pool with one of the given size and
-// returns the previous pool (which is closed). Intended for tests that need
-// real multi-lane execution regardless of GOMAXPROCS; not safe to call
-// while kernels are in flight.
+// closes the previous one. Intended for tests that need real multi-lane
+// execution regardless of GOMAXPROCS; not safe to call while kernels are in
+// flight.
+//
+//dtgp:allow(unreached) core's TestIncrementalTimerStress, TestDiffTimingFlowStress, TestSparseBackwardDeterministic; density's TestSolveDeterministicAcrossWorkers
 func SetWorkers(n int) {
 	old := defaultPool.Swap(NewPool(n))
 	if old != nil {
@@ -577,15 +553,10 @@ func SetWorkers(n int) {
 // Workers returns the lane count of the default pool.
 func Workers() int { return Default().Workers() }
 
-// For runs fn(i) for every i in [0, n) on the default pool. fn must be safe
-// to call concurrently for distinct i.
-func For(n int, fn func(i int)) { Default().For(n, fn) }
-
-// ForCost is For with an explicit per-element cost hint.
+// ForCost runs fn(i) for every i in [0, n) on the default pool; cost is the
+// per-element work hint. fn must be safe to call concurrently for distinct
+// i.
 func ForCost(n, cost int, fn func(i int)) { Default().ForCost(n, cost, fn) }
-
-// ForChunked runs fn(lo, hi) over contiguous chunks covering [0, n).
-func ForChunked(n int, fn func(lo, hi int)) { Default().ForChunked(n, fn) }
 
 // ForWorker runs fn(worker, lo, hi) over a static partition of [0, n).
 func ForWorker(n, cost int, fn func(worker, lo, hi int)) { Default().ForWorker(n, cost, fn) }

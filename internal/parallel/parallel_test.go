@@ -7,7 +7,7 @@ import (
 
 func TestForCoversRangeSmall(t *testing.T) {
 	seen := make([]int32, 100)
-	For(100, func(i int) { atomic.AddInt32(&seen[i], 1) })
+	ForCost(100, CostDefault, func(i int) { atomic.AddInt32(&seen[i], 1) })
 	for i, v := range seen {
 		if v != 1 {
 			t.Fatalf("index %d visited %d times", i, v)
@@ -18,7 +18,7 @@ func TestForCoversRangeSmall(t *testing.T) {
 func TestForCoversRangeLarge(t *testing.T) {
 	n := 100000
 	seen := make([]int32, n)
-	For(n, func(i int) { atomic.AddInt32(&seen[i], 1) })
+	ForCost(n, CostDefault, func(i int) { atomic.AddInt32(&seen[i], 1) })
 	for i, v := range seen {
 		if v != 1 {
 			t.Fatalf("index %d visited %d times", i, v)
@@ -28,30 +28,21 @@ func TestForCoversRangeLarge(t *testing.T) {
 
 func TestForZeroAndNegative(t *testing.T) {
 	called := false
-	For(0, func(int) { called = true })
-	For(-5, func(int) { called = true })
+	ForCost(0, CostDefault, func(int) { called = true })
+	ForCost(-5, CostDefault, func(int) { called = true })
 	if called {
 		t.Fatal("fn called for empty range")
 	}
 }
 
-func TestForChunkedCovers(t *testing.T) {
-	n := 50000
-	var total int64
-	ForChunked(n, func(lo, hi int) {
-		atomic.AddInt64(&total, int64(hi-lo))
-	})
-	if total != int64(n) {
-		t.Fatalf("chunks covered %d of %d", total, n)
-	}
-}
-
-func TestForChunkedSmallRunsOnce(t *testing.T) {
+// TestForWorkerSmallRunsOnce: below the cutoff a chunked kernel runs once,
+// inline, over the whole range as worker 0.
+func TestForWorkerSmallRunsOnce(t *testing.T) {
 	var calls int64
-	ForChunked(10, func(lo, hi int) {
+	ForWorker(10, CostDefault, func(w, lo, hi int) {
 		atomic.AddInt64(&calls, 1)
-		if lo != 0 || hi != 10 {
-			t.Errorf("small range split: [%d,%d)", lo, hi)
+		if w != 0 || lo != 0 || hi != 10 {
+			t.Errorf("small range split: worker %d [%d,%d)", w, lo, hi)
 		}
 	})
 	if calls != 1 {

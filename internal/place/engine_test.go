@@ -61,23 +61,6 @@ func TestAutoBinCount(t *testing.T) {
 	}
 }
 
-// TestExplicitBins is honoured.
-func TestExplicitBins(t *testing.T) {
-	d, con, err := gen.Generate(gen.DefaultParams("e", 300, 63))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions(ModeWirelength)
-	opts.Bins = 16
-	e, err := newEngine(d, con, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.grid.M != 16 || e.grid.N != 16 {
-		t.Errorf("grid %d×%d, want 16×16", e.grid.M, e.grid.N)
-	}
-}
-
 // TestGradientPreconditioning: fixed slots carry zero gradient and movable
 // gradients are finite.
 func TestGradientPreconditioning(t *testing.T) {

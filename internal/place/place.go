@@ -27,7 +27,6 @@ import (
 	"dtgp/internal/arena"
 	"dtgp/internal/core"
 	"dtgp/internal/density"
-	"dtgp/internal/detailed"
 	"dtgp/internal/geom"
 	"dtgp/internal/guard"
 	"dtgp/internal/legalize"
@@ -75,8 +74,6 @@ type Options struct {
 	StopOverflow float64
 	// TargetDensity per bin.
 	TargetDensity float64
-	// Bins per axis (power of two); 0 = auto from design size.
-	Bins int
 	// WLGammaFactor: wirelength smoothing γ = factor × bin size.
 	WLGammaFactor float64
 	// LambdaInitFactor scales the initial density weight relative to the
@@ -164,9 +161,6 @@ type Options struct {
 	Cancel *atomic.Bool
 	// SkipLegalize leaves the result as raw global placement.
 	SkipLegalize bool
-	// DetailedPasses > 0 runs detailed-placement refinement after
-	// legalization (intra-row + global swaps).
-	DetailedPasses int
 	// Logf receives progress output; nil discards it.
 	Logf func(format string, args ...any)
 }
@@ -215,7 +209,6 @@ type Result struct {
 	Runtime  time.Duration
 	Trace    []TracePoint
 	Legal    *legalize.Result
-	Detailed *detailed.Result
 	STA      *timing.Result
 	// GPIterationsPerSecond for quick efficiency comparisons.
 	GPIterationsPerSecond float64
@@ -251,15 +244,6 @@ func Run(d *netlist.Design, con *sdc.Constraints, opts Options) (*Result, error)
 			return nil, err
 		}
 		res.Legal = lg
-		if opts.DetailedPasses > 0 {
-			do := detailed.DefaultOptions()
-			do.Passes = opts.DetailedPasses
-			dres, err := detailed.Refine(d, do)
-			if err != nil {
-				return nil, err
-			}
-			res.Detailed = dres
-		}
 	}
 	res.HPWL = d.HPWL()
 	if e.timer != nil {
@@ -415,15 +399,12 @@ func newEngine(d *netlist.Design, con *sdc.Constraints, opts Options) (*engine, 
 	}
 
 	// Density grid.
-	bins := opts.Bins
-	if bins == 0 {
-		bins = 1
-		for bins*bins < nMov && bins < 512 {
-			bins *= 2
-		}
-		if bins < 16 {
-			bins = 16
-		}
+	bins := 1
+	for bins*bins < nMov && bins < 512 {
+		bins *= 2
+	}
+	if bins < 16 {
+		bins = 16
 	}
 	grid, err := density.NewGrid(d.Die, bins, bins, opts.TargetDensity)
 	if err != nil {

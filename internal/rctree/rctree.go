@@ -81,20 +81,6 @@ type Scratch struct {
 	off, cur, adj []int32
 }
 
-// Build roots the Steiner tree st at the node carrying the driver pin and
-// extracts RC values. pinCap[i] is the attached pin capacitance of Steiner
-// node i (input pin caps at sink nodes, 0 at the driver and pure Steiner
-// nodes). rPerUnit/cPerUnit are wire RC densities per DBU.
-//
-//dtgp:index root=rcnode pinCap=rcnode
-func Build(st *rsmt.Tree, root int32, pinCap []float64, rPerUnit, cPerUnit float64) (*Tree, error) {
-	t := &Tree{}
-	if err := t.Rebuild(st, root, pinCap, rPerUnit, cPerUnit, new(Scratch)); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // PreSize points the tree's per-node storage at caller-provided backing
 // with room for m nodes: parent and order must have capacity ≥ m and f
 // length 8*m (one backing array for all eight float64 slices, mirroring
@@ -120,9 +106,13 @@ func (t *Tree) PreSize(m int, parent, order []int32, f []float64) {
 	t.edgeLen = f[7*m : 8*m : 8*m]
 }
 
-// Rebuild re-extracts the RC tree in place (new topology, reused slices),
-// orienting the edges in the caller's scratch s. Steady-state periodic
-// Steiner rebuilds reuse the previous extraction's memory entirely.
+// Rebuild roots the Steiner tree st at the node carrying the driver pin and
+// re-extracts the RC tree in place (new topology, reused slices), orienting
+// the edges in the caller's scratch s. pinCap[i] is the attached pin
+// capacitance of Steiner node i (input pin caps at sink nodes, 0 at the
+// driver and pure Steiner nodes); rPerUnit/cPerUnit are wire RC densities
+// per DBU. Steady-state periodic Steiner rebuilds reuse the previous
+// extraction's memory entirely.
 //
 //dtgp:hotpath
 //dtgp:index root=rcnode pinCap=rcnode
@@ -306,7 +296,8 @@ func (t *Tree) Forward() {
 	}
 }
 
-// Backward runs the reverse sweep (Eq. 8) given upstream gradients:
+// BackwardInto runs the reverse sweep (Eq. 8) into a caller-owned Grad,
+// given upstream gradients:
 //
 //   - gradDelay[u]     = ∂f/∂Delay(u) arriving from arrival-time backprop
 //     (Eq. 10b), non-zero at sink nodes;
@@ -322,15 +313,10 @@ func (t *Tree) Forward() {
 //   - Eq. 8d/8f: the recursive terms are ∇Load(fa(u)) and
 //     LDelay(u)·∇Beta(u) — the printed ∇Delay(fa(u)) / Beta(u)·∇LDelay(u)
 //     do not follow from Eq. 7 by the chain rule.
-func (t *Tree) Backward(gradDelay, gradImpulseSq []float64, gradLoadRoot float64) *Grad {
-	g := &Grad{}
-	t.BackwardInto(g, gradDelay, gradImpulseSq, gradLoadRoot)
-	return g
-}
-
-// BackwardInto is Backward writing into a caller-owned Grad, growing its
-// slices on first use and reusing them afterwards. Steady-state callers
-// (the timer's per-net gradient buffers) pay zero allocations per sweep.
+//
+// g's slices grow on first use and are reused afterwards, so steady-state
+// callers (the timer's per-net gradient buffers) pay zero allocations per
+// sweep.
 //
 //dtgp:hotpath
 //dtgp:backward(elmore)
@@ -457,45 +443,4 @@ func sign(v float64) float64 {
 	default:
 		return 0
 	}
-}
-
-// DelayByPathFormula computes the Elmore delay to every node using the
-// O(n²) shared-path-resistance definition
-//
-//	Delay(u) = Σ_k R(root→u ∩ root→k) · Cap(k)
-//
-// It exists as an independent reference for testing the DP passes.
-func (t *Tree) DelayByPathFormula() []float64 {
-	n := t.N
-	depthRes := make([]float64, n) // cumulative resistance root→u
-	for _, u := range t.Order {
-		if p := t.Parent[u]; p >= 0 {
-			depthRes[u] = depthRes[p] + t.Res[u]
-		}
-	}
-	// ancestors of u (including u, excluding root edge-resistance handled
-	// via cumulative sums).
-	anc := func(u int32) map[int32]bool {
-		m := map[int32]bool{}
-		for v := u; v >= 0; v = t.Parent[v] {
-			m[v] = true
-		}
-		return m
-	}
-	out := make([]float64, n)
-	for u := 0; u < n; u++ {
-		au := anc(int32(u))
-		for k := 0; k < n; k++ {
-			// Find deepest common ancestor path resistance.
-			common := 0.0
-			for v := int32(k); v >= 0; v = t.Parent[v] {
-				if au[v] {
-					common = depthRes[v]
-					break
-				}
-			}
-			out[u] += common * t.Cap[k]
-		}
-	}
-	return out
 }

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"dtgp/internal/rsmt"
 )
 
 // TestElmoreScaling (property): scaling all geometry by k scales loads by
@@ -25,9 +23,9 @@ func TestElmoreScaling(t *testing.T) {
 			px[i] = math.Round(rng.Float64() * 100)
 			py[i] = math.Round(rng.Float64() * 100)
 		}
-		tr := rsmt.Build(px, py)
+		tr := steiner(px, py)
 		caps := make([]float64, tr.NumNodes())
-		rc, err := Build(tr, 0, caps, rUnit, cUnit)
+		rc, err := newTree(tr, 0, caps, rUnit, cUnit)
 		if err != nil {
 			return false
 		}
@@ -39,12 +37,12 @@ func TestElmoreScaling(t *testing.T) {
 			px[i] *= k
 			py[i] *= k
 		}
-		tr2 := rsmt.Build(px, py)
+		tr2 := steiner(px, py)
 		if tr2.NumNodes() != tr.NumNodes() {
 			return true // topology changed under scaling ties; skip
 		}
 		caps2 := make([]float64, tr2.NumNodes())
-		rc2, err := Build(tr2, 0, caps2, rUnit, cUnit)
+		rc2, err := newTree(tr2, 0, caps2, rUnit, cUnit)
 		if err != nil {
 			return false
 		}
@@ -66,12 +64,12 @@ func TestElmoreScaling(t *testing.T) {
 func TestSinkCapIncreasesUpstreamDelay(t *testing.T) {
 	px := []float64{0, 100, 50, 80}
 	py := []float64{0, 0, 60, 30}
-	tr := rsmt.Build(px, py)
+	tr := steiner(px, py)
 	base := make([]float64, tr.NumNodes())
 	for i := 1; i < 4; i++ {
 		base[i] = 1
 	}
-	rc1, err := Build(tr, 0, base, rUnit, cUnit)
+	rc1, err := newTree(tr, 0, base, rUnit, cUnit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +77,7 @@ func TestSinkCapIncreasesUpstreamDelay(t *testing.T) {
 
 	bumped := append([]float64(nil), base...)
 	bumped[2] += 10
-	rc2, err := Build(tr, 0, bumped, rUnit, cUnit)
+	rc2, err := newTree(tr, 0, bumped, rUnit, cUnit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,14 +101,15 @@ func TestSinkCapIncreasesUpstreamDelay(t *testing.T) {
 func TestBackwardZeroSeedsZeroGrad(t *testing.T) {
 	px := []float64{0, 40, 80}
 	py := []float64{0, 30, 0}
-	tr := rsmt.Build(px, py)
+	tr := steiner(px, py)
 	caps := make([]float64, tr.NumNodes())
-	rc, err := Build(tr, 0, caps, rUnit, cUnit)
+	rc, err := newTree(tr, 0, caps, rUnit, cUnit)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rc.Forward()
-	g := rc.Backward(make([]float64, rc.N), make([]float64, rc.N), 0)
+	g := new(Grad)
+	rc.BackwardInto(g, make([]float64, rc.N), make([]float64, rc.N), 0)
 	for i := 0; i < rc.N; i++ {
 		if g.X[i] != 0 || g.Y[i] != 0 {
 			t.Fatalf("non-zero gradient from zero seeds at node %d", i)
@@ -123,14 +122,15 @@ func TestBackwardZeroSeedsZeroGrad(t *testing.T) {
 func TestLoadGradientSign(t *testing.T) {
 	px := []float64{0, 100}
 	py := []float64{0, 0}
-	tr := rsmt.Build(px, py)
+	tr := steiner(px, py)
 	caps := []float64{0, 2}
-	rc, err := Build(tr, 0, caps, rUnit, cUnit)
+	rc, err := newTree(tr, 0, caps, rUnit, cUnit)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rc.Forward()
-	g := rc.Backward(make([]float64, rc.N), make([]float64, rc.N), 1 /* ∂f/∂Load(root) */)
+	g := new(Grad)
+	rc.BackwardInto(g, make([]float64, rc.N), make([]float64, rc.N), 1 /* ∂f/∂Load(root) */)
 	// Moving the sink (+x) lengthens the wire → load increases → gradient
 	// at the sink must be positive in x; at the driver negative.
 	if !(g.X[1] > 0 && g.X[0] < 0) {

@@ -13,6 +13,59 @@ const (
 	cUnit = 0.16 // fF/DBU
 )
 
+// steiner builds a Steiner tree over the pins with a fresh tree and scratch.
+func steiner(px, py []float64) *rsmt.Tree {
+	return rsmt.BuildInto(&rsmt.Tree{}, px, py, new(rsmt.Scratch))
+}
+
+// newTree roots st at root and extracts RC values through Rebuild with a
+// fresh scratch.
+func newTree(st *rsmt.Tree, root int32, pinCap []float64, rPerUnit, cPerUnit float64) (*Tree, error) {
+	t := &Tree{}
+	return t, t.Rebuild(st, root, pinCap, rPerUnit, cPerUnit, new(Scratch))
+}
+
+// DelayByPathFormula computes the Elmore delay to every node using the
+// O(n²) shared-path-resistance definition
+//
+//	Delay(u) = Σ_k R(root→u ∩ root→k) · Cap(k)
+//
+// It exists as an independent reference for testing the DP passes.
+func (t *Tree) DelayByPathFormula() []float64 {
+	n := t.N
+	depthRes := make([]float64, n) // cumulative resistance root→u
+	for _, u := range t.Order {
+		if p := t.Parent[u]; p >= 0 {
+			depthRes[u] = depthRes[p] + t.Res[u]
+		}
+	}
+	// ancestors of u (including u, excluding root edge-resistance handled
+	// via cumulative sums).
+	anc := func(u int32) map[int32]bool {
+		m := map[int32]bool{}
+		for v := u; v >= 0; v = t.Parent[v] {
+			m[v] = true
+		}
+		return m
+	}
+	out := make([]float64, n)
+	for u := 0; u < n; u++ {
+		au := anc(int32(u))
+		for k := 0; k < n; k++ {
+			// Find deepest common ancestor path resistance.
+			common := 0.0
+			for v := int32(k); v >= 0; v = t.Parent[v] {
+				if au[v] {
+					common = depthRes[v]
+					break
+				}
+			}
+			out[u] += common * t.Cap[k]
+		}
+	}
+	return out
+}
+
 func randomNet(rng *rand.Rand, n int) (*rsmt.Tree, []float64) {
 	px := make([]float64, n)
 	py := make([]float64, n)
@@ -20,7 +73,7 @@ func randomNet(rng *rand.Rand, n int) (*rsmt.Tree, []float64) {
 		px[i] = rng.Float64() * 200
 		py[i] = rng.Float64() * 200
 	}
-	tr := rsmt.Build(px, py)
+	tr := steiner(px, py)
 	pinCap := make([]float64, tr.NumNodes())
 	for i := 1; i < n; i++ { // node 0 is the driver
 		pinCap[i] = 1 + rng.Float64()*3
@@ -29,15 +82,15 @@ func randomNet(rng *rand.Rand, n int) (*rsmt.Tree, []float64) {
 }
 
 func TestBuildErrors(t *testing.T) {
-	tr := rsmt.Build([]float64{0, 10}, []float64{0, 0})
-	if _, err := Build(tr, 5, []float64{0, 0}, rUnit, cUnit); err == nil {
+	tr := steiner([]float64{0, 10}, []float64{0, 0})
+	if _, err := newTree(tr, 5, []float64{0, 0}, rUnit, cUnit); err == nil {
 		t.Error("out-of-range root accepted")
 	}
-	if _, err := Build(tr, 0, []float64{0}, rUnit, cUnit); err == nil {
+	if _, err := newTree(tr, 0, []float64{0}, rUnit, cUnit); err == nil {
 		t.Error("wrong pinCap length accepted")
 	}
-	empty := rsmt.Build(nil, nil)
-	if _, err := Build(empty, 0, nil, rUnit, cUnit); err == nil {
+	empty := steiner(nil, nil)
+	if _, err := newTree(empty, 0, nil, rUnit, cUnit); err == nil {
 		t.Error("empty tree accepted")
 	}
 }
@@ -48,8 +101,8 @@ func TestBuildErrors(t *testing.T) {
 func TestTwoPinElmoreByHand(t *testing.T) {
 	L := 100.0
 	Cs := 2.0
-	tr := rsmt.Build([]float64{0, L}, []float64{0, 0})
-	rc, err := Build(tr, 0, []float64{0, Cs}, rUnit, cUnit)
+	tr := steiner([]float64{0, L}, []float64{0, 0})
+	rc, err := newTree(tr, 0, []float64{0, Cs}, rUnit, cUnit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +131,7 @@ func TestDelayMatchesPathFormula(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + rng.Intn(10)
 		tr, pinCap := randomNet(rng, n)
-		rc, err := Build(tr, 0, pinCap, rUnit, cUnit)
+		rc, err := newTree(tr, 0, pinCap, rUnit, cUnit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +151,7 @@ func TestElmoreInvariants(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + rng.Intn(10)
 		tr, pinCap := randomNet(rng, n)
-		rc, err := Build(tr, 0, pinCap, rUnit, cUnit)
+		rc, err := newTree(tr, 0, pinCap, rUnit, cUnit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +195,7 @@ func elmoreScalarObjective(rc *Tree, wDelay, wImp, wLoad []float64, wRootLoad fl
 }
 
 // TestBackwardFiniteDifference is the core correctness check for Eq. 8
-// (with the sign corrections documented in Backward): the analytic gradient
+// (with the sign corrections documented in BackwardInto): the analytic gradient
 // of a mixed objective w.r.t. every node coordinate must match central
 // finite differences through a full rebuild.
 func TestBackwardFiniteDifference(t *testing.T) {
@@ -177,18 +230,18 @@ func TestBackwardFiniteDifference(t *testing.T) {
 				}
 				tr.UpdateFromPins(px, py)
 			} else {
-				tr = rsmt.Build(px, py)
+				tr = steiner(px, py)
 			}
 			caps := make([]float64, tr.NumNodes())
 			copy(caps, pinCap[:n])
-			rc, err := Build(tr, 0, caps, rUnit, cUnit)
+			rc, err := newTree(tr, 0, caps, rUnit, cUnit)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return rc
 		}
 
-		base := rsmt.Build(px, py)
+		base := steiner(px, py)
 		rc := build(px, py, base)
 		nn := rc.N
 		wDelay := make([]float64, nn)
@@ -201,7 +254,8 @@ func TestBackwardFiniteDifference(t *testing.T) {
 
 		f0 := elmoreScalarObjective(rc, wDelay, wImp, nil, wRootLoad)
 		_ = f0
-		g := rc.Backward(wDelay, wImp, wRootLoad)
+		g := new(Grad)
+		rc.BackwardInto(g, wDelay, wImp, wRootLoad)
 
 		// Redistribute node gradients onto pins via attribution.
 		gradPinX := make([]float64, n)
@@ -236,12 +290,12 @@ func TestRefreshGeometryMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	px := []float64{0, 120, 60, 80, 20}
 	py := []float64{0, 0, 90, 40, 70}
-	tr := rsmt.Build(px, py)
+	tr := steiner(px, py)
 	pinCap := make([]float64, tr.NumNodes())
 	for i := 1; i < 5; i++ {
 		pinCap[i] = 1.5
 	}
-	rc, err := Build(tr, 0, pinCap, rUnit, cUnit)
+	rc, err := newTree(tr, 0, pinCap, rUnit, cUnit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +319,7 @@ func TestRefreshGeometryMatchesRebuild(t *testing.T) {
 	for i := 1; i < 5; i++ {
 		caps2[i] = 1.5
 	}
-	rc2, err := Build(tr, 0, caps2, rUnit, cUnit)
+	rc2, err := newTree(tr, 0, caps2, rUnit, cUnit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,10 +339,10 @@ func TestStarTopologyLoads(t *testing.T) {
 	// half its wire; root load is everything.
 	px := []float64{50, 0, 100, 50}
 	py := []float64{50, 50, 50, 0}
-	tr := rsmt.Build(px, py)
+	tr := steiner(px, py)
 	pinCap := make([]float64, tr.NumNodes())
 	pinCap[1], pinCap[2], pinCap[3] = 2, 3, 4
-	rc, err := Build(tr, 0, pinCap, rUnit, cUnit)
+	rc, err := newTree(tr, 0, pinCap, rUnit, cUnit)
 	if err != nil {
 		t.Fatal(err)
 	}

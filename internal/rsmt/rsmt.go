@@ -39,17 +39,6 @@ type Tree struct {
 // NumNodes returns the node count including Steiner points.
 func (t *Tree) NumNodes() int { return len(t.X) }
 
-// Length returns the total rectilinear wirelength.
-//
-//dtgp:hotpath
-func (t *Tree) Length() float64 {
-	total := 0.0
-	for _, e := range t.Edges {
-		total += math.Abs(t.X[e[0]]-t.X[e[1]]) + math.Abs(t.Y[e[0]]-t.Y[e[1]])
-	}
-	return total
-}
-
 // UpdateFromPins refreshes all node coordinates from new pin locations
 // without rebuilding topology — the paper's Steiner-reuse strategy (§3.6):
 // Steiner points move along with the pins that own their branches.
@@ -83,11 +72,6 @@ type Scratch struct {
 	bestPts   []hanan
 	deg       []int
 	adj       [][]int32
-}
-
-// Build constructs a Steiner tree over the given pin coordinates.
-func Build(px, py []float64) *Tree {
-	return BuildInto(&Tree{}, px, py, new(Scratch))
 }
 
 // BuildInto rebuilds t in place over new pin coordinates, reusing its slice

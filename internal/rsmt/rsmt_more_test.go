@@ -19,7 +19,7 @@ func TestNoLowDegreeSteinerNodes(t *testing.T) {
 			px[i] = math.Round(rng.Float64() * 80)
 			py[i] = math.Round(rng.Float64() * 80)
 		}
-		tr := Build(px, py)
+		tr := build(px, py)
 		deg := make([]int, tr.NumNodes())
 		for _, e := range tr.Edges {
 			deg[e[0]]++
@@ -36,7 +36,7 @@ func TestNoLowDegreeSteinerNodes(t *testing.T) {
 // TestTwoPinIdenticalPoints: duplicate pin coordinates must not break
 // construction.
 func TestTwoPinIdenticalPoints(t *testing.T) {
-	tr := Build([]float64{5, 5}, []float64{7, 7})
+	tr := build([]float64{5, 5}, []float64{7, 7})
 	if len(tr.Edges) != 1 || tr.Length() != 0 {
 		t.Errorf("edges=%d len=%v", len(tr.Edges), tr.Length())
 	}
@@ -48,7 +48,7 @@ func TestLShape(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		x1, y1 := rng.Float64()*100, rng.Float64()*100
 		x2, y2 := rng.Float64()*100, rng.Float64()*100
-		tr := Build([]float64{x1, x2}, []float64{y1, y2})
+		tr := build([]float64{x1, x2}, []float64{y1, y2})
 		want := math.Abs(x1-x2) + math.Abs(y1-y2)
 		if math.Abs(tr.Length()-want) > 1e-9 {
 			t.Fatalf("2-pin length %v, want %v", tr.Length(), want)
@@ -72,7 +72,7 @@ func TestSpanningLengthDegenerate(t *testing.T) {
 // TestGridAlignedNet exercises the exact 4-pin solver against a known
 // optimum: unit square corners → RSMT length 3 (MST is also 3).
 func TestGridAlignedNet(t *testing.T) {
-	tr := Build([]float64{0, 1, 0, 1}, []float64{0, 0, 1, 1})
+	tr := build([]float64{0, 1, 0, 1}, []float64{0, 0, 1, 1})
 	if math.Abs(tr.Length()-3) > 1e-9 {
 		t.Errorf("unit square RSMT = %v, want 3", tr.Length())
 	}
@@ -87,12 +87,12 @@ func TestScalingInvariance(t *testing.T) {
 		px[i] = rng.Float64() * 10
 		py[i] = rng.Float64() * 10
 	}
-	l1 := Build(px, py).Length()
+	l1 := build(px, py).Length()
 	for i := range px {
 		px[i] *= 13
 		py[i] *= 13
 	}
-	l2 := Build(px, py).Length()
+	l2 := build(px, py).Length()
 	if math.Abs(l2-13*l1) > 1e-6*l2 {
 		t.Errorf("scaling broke length: %v vs 13×%v", l2, l1)
 	}

@@ -10,6 +10,21 @@ import (
 	"dtgp/internal/geom"
 )
 
+// build constructs a Steiner tree over the given pin coordinates with a
+// fresh tree and scratch.
+func build(px, py []float64) *Tree {
+	return BuildInto(&Tree{}, px, py, new(Scratch))
+}
+
+// Length returns the total rectilinear wirelength.
+func (t *Tree) Length() float64 {
+	total := 0.0
+	for _, e := range t.Edges {
+		total += math.Abs(t.X[e[0]]-t.X[e[1]]) + math.Abs(t.Y[e[0]]-t.Y[e[1]])
+	}
+	return total
+}
+
 func treeIsConnected(t *Tree) bool {
 	n := t.NumNodes()
 	if n == 0 {
@@ -39,14 +54,14 @@ func treeIsConnected(t *Tree) bool {
 }
 
 func TestDegenerateNets(t *testing.T) {
-	if tr := Build(nil, nil); tr.NumNodes() != 0 || len(tr.Edges) != 0 {
+	if tr := build(nil, nil); tr.NumNodes() != 0 || len(tr.Edges) != 0 {
 		t.Error("empty net mishandled")
 	}
-	tr := Build([]float64{5}, []float64{6})
+	tr := build([]float64{5}, []float64{6})
 	if tr.NumNodes() != 1 || len(tr.Edges) != 0 || tr.Length() != 0 {
 		t.Error("1-pin net mishandled")
 	}
-	tr = Build([]float64{0, 3}, []float64{0, 4})
+	tr = build([]float64{0, 3}, []float64{0, 4})
 	if len(tr.Edges) != 1 || tr.Length() != 7 {
 		t.Errorf("2-pin net: edges=%d length=%v", len(tr.Edges), tr.Length())
 	}
@@ -54,7 +69,7 @@ func TestDegenerateNets(t *testing.T) {
 
 func TestThreePinSteiner(t *testing.T) {
 	// Classic T: optimal length is HPWL = 20, MST would be 30.
-	tr := Build([]float64{0, 10, 5}, []float64{0, 0, 10})
+	tr := build([]float64{0, 10, 5}, []float64{0, 0, 10})
 	if !treeIsConnected(tr) {
 		t.Fatal("tree disconnected")
 	}
@@ -65,7 +80,7 @@ func TestThreePinSteiner(t *testing.T) {
 
 func TestFourPinCross(t *testing.T) {
 	// Plus-sign pins: RSMT length 20 via two Steiner points or one.
-	tr := Build([]float64{5, 5, 0, 10}, []float64{0, 10, 5, 5})
+	tr := build([]float64{5, 5, 0, 10}, []float64{0, 10, 5, 5})
 	if got := tr.Length(); math.Abs(got-20) > 1e-9 {
 		t.Errorf("cross length = %v, want 20", got)
 	}
@@ -84,7 +99,7 @@ func TestSteinerNeverWorseThanMST(t *testing.T) {
 			px[i] = math.Round(rng.Float64() * 100)
 			py[i] = math.Round(rng.Float64() * 100)
 		}
-		tr := Build(px, py)
+		tr := build(px, py)
 		mst := spanningLength(px, py)
 		hp := hpwl(px, py)
 		got := tr.Length()
@@ -116,7 +131,7 @@ func TestExactBeatsMSTOnAverage(t *testing.T) {
 			py[i] = rng.Float64() * 100
 		}
 		sumMST += spanningLength(px, py)
-		sumRSMT += Build(px, py).Length()
+		sumRSMT += build(px, py).Length()
 	}
 	if sumRSMT > 0.98*sumMST {
 		t.Errorf("exact RSMT only improved MST by %.2f%%, expected > 2%%",
@@ -137,7 +152,7 @@ func TestAttributionInvariant(t *testing.T) {
 			px[i] = math.Round(rng.Float64() * 50)
 			py[i] = math.Round(rng.Float64() * 50)
 		}
-		tr := Build(px, py)
+		tr := build(px, py)
 		for i := 0; i < tr.NumNodes(); i++ {
 			xp, yp := tr.XPin[i], tr.YPin[i]
 			if xp < 0 || int(xp) >= n || yp < 0 || int(yp) >= n {
@@ -165,7 +180,7 @@ func TestUpdateFromPins(t *testing.T) {
 		px[i] = rng.Float64() * 100
 		py[i] = rng.Float64() * 100
 	}
-	tr := Build(px, py)
+	tr := build(px, py)
 	// Shift all pins; the tree must follow rigidly.
 	for i := range px {
 		px[i] += 13
@@ -189,7 +204,7 @@ func TestUpdateFromPinsTracksPerturbation(t *testing.T) {
 	// their attributed coordinates (the §3.6 approximation).
 	px := []float64{0, 10, 5, 7, 2}
 	py := []float64{0, 0, 10, 4, 8}
-	tr := Build(px, py)
+	tr := build(px, py)
 	px[2] += 0.5
 	py[4] -= 0.25
 	tr.UpdateFromPins(px, py)
@@ -202,14 +217,14 @@ func TestUpdateFromPinsTracksPerturbation(t *testing.T) {
 
 func TestCollinearPins(t *testing.T) {
 	// All pins on a line: Steiner length equals the span.
-	tr := Build([]float64{0, 2, 5, 9}, []float64{3, 3, 3, 3})
+	tr := build([]float64{0, 2, 5, 9}, []float64{3, 3, 3, 3})
 	if got := tr.Length(); math.Abs(got-9) > 1e-9 {
 		t.Errorf("collinear length = %v, want 9", got)
 	}
 }
 
 func TestCoincidentPins(t *testing.T) {
-	tr := Build([]float64{1, 1, 1}, []float64{2, 2, 2})
+	tr := build([]float64{1, 1, 1}, []float64{2, 2, 2})
 	if got := tr.Length(); got != 0 {
 		t.Errorf("coincident pins length = %v, want 0", got)
 	}
@@ -227,7 +242,7 @@ func TestLargeNet(t *testing.T) {
 		px[i] = rng.Float64() * 1000
 		py[i] = rng.Float64() * 1000
 	}
-	tr := Build(px, py)
+	tr := build(px, py)
 	if !treeIsConnected(tr) {
 		t.Fatal("large net tree disconnected")
 	}
@@ -254,11 +269,11 @@ func hpwl(px, py []float64) float64 {
 	if len(px) == 0 {
 		return 0
 	}
-	pts := make([]geom.Point, len(px))
+	bb := geom.Rect{Lo: geom.Point{X: px[0], Y: py[0]}, Hi: geom.Point{X: px[0], Y: py[0]}}
 	for i := range px {
-		pts[i] = geom.Point{X: px[i], Y: py[i]}
+		bb = bb.ExpandToInclude(geom.Point{X: px[i], Y: py[i]})
 	}
-	return geom.BoundingBox(pts).HalfPerimeter()
+	return bb.HalfPerimeter()
 }
 
 // oracleBuild is BuildInto for 3–4 pins with the exact search bounded only
@@ -391,7 +406,7 @@ func TestFourPinRankPermutations(t *testing.T) {
 				want = hp
 				separable++
 			}
-			tr := Build(xs, py)
+			tr := build(xs, py)
 			if got := tr.Length(); got != want {
 				t.Errorf("y ranks %v: length %v, want %v", perm, got, want)
 			}
@@ -453,7 +468,7 @@ func TestFourPinMatchesOracle(t *testing.T) {
 func TestLongNetTieMatchesOracle(t *testing.T) {
 	px := []float64{4608, 2068.263091798188, 2259.7175565196258, 2234.015656415741}
 	py := []float64{4518.1664583854035, 2307.7349689427515, 2170.511666286241, 2724.161261514496}
-	sameTree(t, "long net", Build(px, py), oracleBuild(px, py))
+	sameTree(t, "long net", build(px, py), oracleBuild(px, py))
 }
 
 // TestNonFinitePinMatchesOracle: a NaN or infinite pin makes the bound
@@ -469,7 +484,7 @@ func TestNonFinitePinMatchesOracle(t *testing.T) {
 				} else {
 					py[k-n] = bad
 				}
-				tr := Build(px, py)
+				tr := build(px, py)
 				if l := stopLength(tr); !math.IsNaN(l) && !math.IsInf(l, 0) {
 					t.Errorf("pins %v, %v: finite bound %v", px, py, l)
 				}
@@ -498,7 +513,7 @@ func BenchmarkBuildInto(b *testing.B) {
 		{"8pin", px8, py8},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			tr, s := Build(bc.px, bc.py), new(Scratch)
+			tr, s := build(bc.px, bc.py), new(Scratch)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

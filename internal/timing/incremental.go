@@ -16,8 +16,7 @@ import (
 // slacks and WNS/TNS stay current after every MoveCells batch.
 //
 // It maintains the late/setup analysis only (LateState, evaluated with the
-// same kernels as Analyze), which is what placement-loop clients (net
-// weighting, swap evaluation in timing-driven detailed placement) need.
+// same kernels as Analyze), which is what the net-weighting flow needs.
 type Incremental struct {
 	LateState
 

@@ -24,23 +24,6 @@ type Path struct {
 	Slack float64
 }
 
-// WorstPath traces the most critical setup path. It returns the zero Path
-// when the design has no constrained endpoints.
-func (r *Result) WorstPath() Path {
-	worst := -1
-	worstSlack := inf
-	for ei, s := range r.EndpointSetup {
-		if s < worstSlack {
-			worstSlack = s
-			worst = ei
-		}
-	}
-	if worst < 0 || math.IsInf(worstSlack, 1) {
-		return Path{}
-	}
-	return r.EndpointPath(worst)
-}
-
 // EndpointPath traces the worst late path into endpoint ei.
 //
 //dtgp:index ei=endp

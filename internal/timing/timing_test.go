@@ -11,6 +11,24 @@ import (
 	"dtgp/internal/sdc"
 )
 
+// WorstPath traces the most critical setup path: the tests' single-path
+// oracle for KWorstPaths. It returns the zero Path when the design has no
+// constrained endpoints.
+func (r *Result) WorstPath() Path {
+	worst := -1
+	worstSlack := inf
+	for ei, s := range r.EndpointSetup {
+		if s < worstSlack {
+			worstSlack = s
+			worst = ei
+		}
+	}
+	if worst < 0 || math.IsInf(worstSlack, 1) {
+		return Path{}
+	}
+	return r.EndpointPath(worst)
+}
+
 // toyDesign: in0 → g0(INV) → ff0(DFF) → out0, with a clock port.
 func toyDesign(t *testing.T) (*netlist.Design, *sdc.Constraints) {
 	t.Helper()

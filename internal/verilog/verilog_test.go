@@ -25,14 +25,8 @@ func TestWriteParseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d2.NumCells() != d.NumCells() {
-		t.Errorf("cells %d != %d", d2.NumCells(), d.NumCells())
-	}
-	if d2.NumNets() != d.NumNets() {
-		t.Errorf("nets %d != %d", d2.NumNets(), d.NumNets())
-	}
-	if d2.NumPins() != d.NumPins() {
-		t.Errorf("pins %d != %d", d2.NumPins(), d.NumPins())
+	if s2, s := d2.Stats(), d.Stats(); s2.Cells != s.Cells || s2.Nets != s.Nets || s2.Pins != s.Pins {
+		t.Errorf("cells/nets/pins %d/%d/%d != %d/%d/%d", s2.Cells, s2.Nets, s2.Pins, s.Cells, s.Nets, s.Pins)
 	}
 	// Per-cell master and per-net degree must survive.
 	for ci := range d.Cells {
@@ -90,8 +84,8 @@ endmodule
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.NumCells() != 5 { // 3 ports + 2 gates
-		t.Errorf("cells = %d", d.NumCells())
+	if n := d.Stats().Cells; n != 5 { // 3 ports + 2 gates
+		t.Errorf("cells = %d", n)
 	}
 }
 

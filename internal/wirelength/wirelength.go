@@ -183,6 +183,3 @@ func (m *Model) axis(net *netlist.Net, isX bool, sc *wlScratch) float64 {
 	}
 	return wl
 }
-
-// HPWL returns the exact half-perimeter wirelength (unweighted).
-func HPWL(d *netlist.Design) float64 { return d.HPWL() }
