@@ -18,8 +18,8 @@ fmt-check:
 	fi
 
 # Static-analysis suite: dirtymark, errflow, floatdet, gradpair, hotalloc,
-# indexspace, mapiter, parsafe, unreached (see internal/analysis and
-# DESIGN.md §6, §10, §12, §20). Fails on any unsuppressed finding; stale
+# indexspace, mapiter, parsafe, unreached, unturned (see internal/analysis
+# and DESIGN.md §6, §10, §12, §20, §21). Fails on any unsuppressed finding; stale
 # //dtgp:allow annotations and hotalloc.allow entries are hard errors too.
 vet: build
 	$(GO) run ./cmd/dtgp-vet ./...
@@ -145,11 +145,13 @@ examples-smoke:
 	$(GO) run ./examples/stareport
 	$(GO) run ./examples/quickstart
 
-# check is the full pre-merge gate: compile, formatting, static analysis,
-# the whole test suite, the benchmark module's tests, the examples, the race
-# detector over the quick (-short) suite, the chaos/resume robustness
-# matrix, the benchmark smoke, and the parser+codec fuzz smoke.
+# check is the full pre-merge gate: compile, formatting, static analysis
+# and its time budget, the whole test suite, the benchmark module's tests,
+# the examples, the race detector over the quick (-short) suite, the
+# chaos/resume robustness matrix, the benchmark smoke, and the parser+codec
+# fuzz smoke.
 check: build fmt-check vet
+	$(MAKE) vet-budget
 	$(MAKE) vet-fixtures
 	$(GO) test ./...
 	$(MAKE) bench-module-test

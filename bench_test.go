@@ -402,7 +402,6 @@ func BenchmarkExactSTAIncremental(b *testing.B) {
 				var inc *timing.Incremental
 				if m.incremental {
 					inc = timing.NewIncremental(g)
-					inc.Epsilon = 0
 				}
 				rng := rand.New(rand.NewSource(11))
 				moved := make([]int32, 0, nMove)

@@ -113,7 +113,7 @@ func run() error {
 	if *iters > 0 {
 		opts.MaxIters = *iters
 	}
-	opts.Guard.Enabled = !*noGuard
+	opts.Guard = !*noGuard
 	opts.FullBackward = *fullBwd
 	opts.TimingTopK = *topk
 	opts.CheckpointDir = *ckptDir

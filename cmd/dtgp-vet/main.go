@@ -1,10 +1,11 @@
-// Command dtgp-vet runs the repo's static-analysis suite: nine analyzers
+// Command dtgp-vet runs the repo's static-analysis suite: ten analyzers
 // (mapiter, parsafe, hotalloc, floatdet, gradpair, errflow, dirtymark,
-// indexspace, unreached) that enforce the determinism, parallel-safety,
-// zero-allocation, gradient-pairing, error-handling, incremental-state
-// coherence and index-domain invariants of the placement and timing hot
-// paths, and that every function of the module is reached from a program.
-// See internal/analysis for the checks and DESIGN.md §6, §10, §12 and §20
+// indexspace, unreached, unturned) that enforce the determinism,
+// parallel-safety, zero-allocation, gradient-pairing, error-handling,
+// incremental-state coherence and index-domain invariants of the placement
+// and timing hot paths, that every function of the module is reached from
+// a program, and that some program sets every option field. See
+// internal/analysis for the checks and DESIGN.md §6, §10, §12, §20 and §21
 // for why each invariant exists.
 //
 // parsafe, hotalloc and dirtymark are interprocedural: a call graph over the

@@ -128,7 +128,7 @@ func GenerateCustom(name string, cells int, seed int64) (*Design, *Constraints, 
 // DefaultLibrary returns the synthetic Liberty library used by generated
 // benchmarks.
 func DefaultLibrary() *Library {
-	return liberty.DefaultLibrary(liberty.DefaultSynthParams())
+	return liberty.DefaultLibrary()
 }
 
 // Place runs global placement (+legalization) on the design in-place.
@@ -145,13 +145,16 @@ func Place(d *Design, con *Constraints, flow Flow, opts *PlaceOptions) (*PlaceRe
 // DefaultPlaceOptions exposes the tuned defaults for a flow.
 func DefaultPlaceOptions(flow Flow) PlaceOptions { return place.DefaultOptions(flow) }
 
-// AnalyzeTiming runs exact static timing analysis on the design as placed.
+// AnalyzeTiming runs exact static timing analysis on the design as placed:
+// setup and hold.
 func AnalyzeTiming(d *Design, con *Constraints) (*TimingResult, error) {
 	g, err := timing.NewGraph(d, con)
 	if err != nil {
 		return nil, err
 	}
-	return timing.Analyze(g), nil
+	res := timing.Analyze(g)
+	res.AnalyzeHold()
+	return res, nil
 }
 
 // NewTimingGraph builds the (placement-independent) timing graph.
@@ -177,11 +180,11 @@ func CalibratePeriod(d *Design, con *Constraints, factor float64) error {
 	if con.Period <= 0 {
 		con.Period = 1e9
 	}
-	res, err := AnalyzeTiming(d, con)
+	g, err := timing.NewGraph(d, con)
 	if err != nil {
 		return err
 	}
-	con.Period = factor * res.CriticalDelay()
+	con.Period = factor * timing.Analyze(g).CriticalDelay()
 	return nil
 }
 

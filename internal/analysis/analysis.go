@@ -1,9 +1,9 @@
 // Package analysis is dtgp's in-tree static-analysis framework: a small
 // go/ast + go/types driver (stdlib only — no golang.org/x/tools) with a
-// go/analysis-style Analyzer interface, plus the nine project analyzers
+// go/analysis-style Analyzer interface, plus the ten project analyzers
 // that turn the repo's determinism, parallel-safety, zero-allocation,
-// gradient-correctness, cache-coherence, index-domain and reachability
-// conventions into build failures:
+// gradient-correctness, cache-coherence, index-domain, reachability and
+// option-use conventions into build failures:
 //
 //   - mapiter:  no `range` over a map in any function reachable from a
 //     //dtgp:hotpath root — map iteration order is nondeterministic and
@@ -39,6 +39,11 @@
 //     call graph, an init, a package-level variable's initializer, or an
 //     interface method name; code only tests reach goes into a _test.go
 //     file or carries a //dtgp:allow(unreached) naming those tests.
+//   - unturned: some program must set every exported field of an options
+//     struct (a struct a Default… function of its package returns), other
+//     than in the Default… function itself or in a normalisation; a knob
+//     that nothing turns becomes a constant or carries a
+//     //dtgp:allow(unturned) naming who needs it.
 //
 // gradpair, errflow, dirtymark and indexspace are flow-sensitive, built on
 // the in-package dataflow engine (cfg.go, dataflow.go, cells.go): a

@@ -96,6 +96,12 @@ func TestErrFlowGolden(t *testing.T)  { runGoldenFixture(t, "errflow", ErrFlow) 
 // allowed dead function is suppressed (TestSuppressedAudit).
 func TestUnreachedGolden(t *testing.T) { runGoldenFixture(t, "unreached", Unreached) }
 
+// TestUnturnedGolden: exactly the two seeded unturned fields are findings,
+// one set by nothing and one set only by a normalisation; the fields set
+// through main's chained selector and from a Default… parameter are clean,
+// and the allowed field is suppressed (TestSuppressedAudit).
+func TestUnturnedGolden(t *testing.T) { runGoldenFixture(t, "unturned", Unturned) }
+
 // TestGradPairCatchesDeletedAdjoint pins the acceptance case for the
 // dataflow engine: the gradpair fixture's "mut" backward has its gRes
 // accumulation deleted — a seeded wrong-gradient mutation — and the
@@ -126,6 +132,7 @@ func TestSuppressedAudit(t *testing.T) {
 		{"errflow", ErrFlow, 1},
 		{"parsafe", ParSafe, 1},
 		{"unreached", Unreached, 1},
+		{"unturned", Unturned, 1},
 	} {
 		prog, facts, _ := loadFixture(t, tc.fixture)
 		_, suppressed, err := runAnalyzersFull(prog, facts, []*Analyzer{tc.a}, nil)

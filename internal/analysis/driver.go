@@ -11,7 +11,7 @@ import (
 )
 
 // All is the dtgp analyzer suite in report order.
-var All = []*Analyzer{DirtyMark, ErrFlow, FloatDet, GradPair, HotAlloc, IndexSpace, MapIter, ParSafe, Unreached}
+var All = []*Analyzer{DirtyMark, ErrFlow, FloatDet, GradPair, HotAlloc, IndexSpace, MapIter, ParSafe, Unreached, Unturned}
 
 // Options configure one Vet run.
 type Options struct {

@@ -88,6 +88,9 @@ type Facts struct {
 	// reach is the memoised set of functions some program reaches, built
 	// on first use via Facts.reached.
 	reach map[*types.Func]bool
+	// turned is the memoised set of struct fields some program sets,
+	// built on first use via Facts.turnedFields.
+	turned map[*types.Var]bool
 }
 
 // All returns every function record in declaration order.

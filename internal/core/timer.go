@@ -26,7 +26,7 @@ type Options struct {
 	// distance against the geometry of the net's last refresh) below which
 	// a net keeps its cached Steiner/RC state. 0 means any bitwise movement
 	// refreshes (exact).
-	RefreshEps float64
+	RefreshEps float64 //dtgp:allow(unturned) frozenOptions sets 0, the exact oracle of the incremental tests
 	// DistortionLimit is the relative pin-bbox half-perimeter change that
 	// triggers a per-net Steiner topology rebuild instead of the cheap
 	// geometry slide. +Inf disables per-net rebuilds; <= 0 selects the
@@ -44,7 +44,7 @@ type Options struct {
 	// PropagateEps is the forward change-damping threshold: a recomputed
 	// pin whose AT/slew/hard-AT all changed by at most PropagateEps does
 	// not dirty its fanout. 0 propagates any bitwise change (exact).
-	PropagateEps float64
+	PropagateEps float64 //dtgp:allow(unturned) frozenOptions sets 0, the exact oracle of the incremental and tape tests
 
 	// SparseBackward enables the cone-restricted backward pass: adjoints
 	// are seeded only at the TopK most critical endpoints (per-domain
@@ -61,7 +61,7 @@ type Options struct {
 	// as the next stale term, so non-cone endpoint contributions fade
 	// geometrically instead of vanishing abruptly. 0 uses pure cone
 	// gradients; values are clamped to 0.95.
-	ConeDecay float64
+	ConeDecay float64 //dtgp:allow(unturned) TestSparseConeGradientAlignsWithFull sets 0
 	// ConePrune is the relative adjoint deadband of the sparse sweep: a
 	// pin whose ∂f/∂AT and ∂f/∂slew are both below ConePrune times the
 	// largest seeded adjoint magnitude does not propagate further. The LSE
@@ -70,7 +70,7 @@ type Options struct {
 	// deadband confines the reverse sweep to the dominant sub-cone. 0
 	// disables pruning (pure structural cones); values are clamped to 0.1.
 	// Ignored by the full pass, which stays exact.
-	ConePrune float64
+	ConePrune float64 //dtgp:allow(unturned) bench_test.go's sparse-tuned rows (BENCH_backward.json) set 0.1
 
 	// Arena backs the timer's large SoA buffers (forward state, cell-arc
 	// tape, the wire view and its adjoints, gradients, CSR group storage,

@@ -24,13 +24,13 @@ type Params struct {
 	// NumCells is the target movable cell count (gates + registers).
 	NumCells int
 	// SeqFraction of cells are registers.
-	SeqFraction float64
+	SeqFraction float64 //dtgp:allow(unturned) TestSequentialFraction sets it
 	// NumInputs / NumOutputs primary IO counts.
 	NumInputs, NumOutputs int
 	// ClockPeriod in ps.
-	ClockPeriod float64
+	ClockPeriod float64 //dtgp:allow(unturned) TestPeriodOverride sets it
 	// Utilization is movable area / free die area.
-	Utilization float64
+	Utilization float64 //dtgp:allow(unturned) TestUtilizationTarget sets it
 	// HighFanoutNets is the number of control-style nets with large
 	// fanout.
 	HighFanoutNets int
@@ -61,7 +61,7 @@ func Generate(p Params) (*netlist.Design, *sdc.Constraints, error) {
 		return nil, nil, fmt.Errorf("gen: NumCells %d too small", p.NumCells)
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
-	lib := liberty.DefaultLibrary(liberty.DefaultSynthParams())
+	lib := liberty.DefaultLibrary()
 	b := netlist.NewBuilder(p.Name, lib)
 
 	numFF := int(float64(p.NumCells) * p.SeqFraction)

@@ -117,92 +117,6 @@ func (r Reason) String() string {
 	}
 }
 
-// Config tunes the supervisor. The zero value is a disabled supervisor;
-// DefaultConfig is the production setting. Zero thresholds are replaced by
-// the defaults, so Config{Enabled: true} is valid.
-type Config struct {
-	// Enabled turns supervision on.
-	Enabled bool
-	// CheckpointPeriod is the iteration stride between snapshots of a
-	// healthy run (default 10).
-	CheckpointPeriod int
-	// RingSize is how many snapshots are kept; repeated divergence walks
-	// back through progressively older ones (default 4).
-	RingSize int
-	// RetryBudget bounds rollback+retry attempts before the run
-	// surrenders the best-seen finite solution (default 3).
-	RetryBudget int
-	// ExplodeFactor is K in the "gradient norm > K × trailing median"
-	// explosion test (default 50).
-	ExplodeFactor float64
-	// Window is the trailing gradient-norm window the median is taken
-	// over (default 32).
-	Window int
-	// MinHistory is how many healthy samples the window needs before the
-	// explosion test arms (default 8).
-	MinHistory int
-	// OscWindow is the trailing overflow window of the oscillation test
-	// (default 12).
-	OscWindow int
-	// OscDelta is the overflow swing amplitude below which a direction
-	// change counts as noise, not oscillation (default 0.02).
-	OscDelta float64
-	// DegradeStreak is how many consecutive Degrading observations
-	// escalate to Diverged (default 3).
-	DegradeStreak int
-}
-
-// DefaultConfig returns the enabled production configuration.
-func DefaultConfig() Config {
-	return Config{
-		Enabled:          true,
-		CheckpointPeriod: 10,
-		RingSize:         4,
-		RetryBudget:      3,
-		ExplodeFactor:    50,
-		Window:           32,
-		MinHistory:       8,
-		OscWindow:        12,
-		OscDelta:         0.02,
-		DegradeStreak:    3,
-	}
-}
-
-// Normalized fills zero thresholds with the DefaultConfig values; Enabled
-// is left as-is. The engine and NewMonitor both apply it, so a sparse
-// Config{Enabled: true} behaves like the defaults.
-func (c Config) Normalized() Config {
-	d := DefaultConfig()
-	if c.CheckpointPeriod <= 0 {
-		c.CheckpointPeriod = d.CheckpointPeriod
-	}
-	if c.RingSize <= 0 {
-		c.RingSize = d.RingSize
-	}
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = d.RetryBudget
-	}
-	if c.ExplodeFactor <= 0 {
-		c.ExplodeFactor = d.ExplodeFactor
-	}
-	if c.Window <= 0 {
-		c.Window = d.Window
-	}
-	if c.MinHistory <= 0 {
-		c.MinHistory = d.MinHistory
-	}
-	if c.OscWindow <= 0 {
-		c.OscWindow = d.OscWindow
-	}
-	if c.OscDelta <= 0 {
-		c.OscDelta = d.OscDelta
-	}
-	if c.DegradeStreak <= 0 {
-		c.DegradeStreak = d.DegradeStreak
-	}
-	return c
-}
-
 // AsError converts a recovered panic value into an error. A typed
 // *parallel.KernelPanicError passes through unchanged so callers can
 // inspect the worker stack; any other value is wrapped.

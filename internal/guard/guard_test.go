@@ -26,7 +26,7 @@ func TestScanVec(t *testing.T) {
 }
 
 func TestMonitorNonFinite(t *testing.T) {
-	m := NewMonitor(DefaultConfig())
+	m := NewMonitor()
 	cases := []struct {
 		name string
 		o    Obs
@@ -48,8 +48,7 @@ func TestMonitorNonFinite(t *testing.T) {
 }
 
 func TestMonitorExplosion(t *testing.T) {
-	cfg := DefaultConfig()
-	m := NewMonitor(cfg)
+	m := NewMonitor()
 	// Feed a stable baseline…
 	for i := 0; i < 16; i++ {
 		if h, _ := m.Observe(Obs{Iter: i, GradNorm: 100, Overflow: 1 - 0.01*float64(i)}); h != Healthy {
@@ -60,9 +59,9 @@ func TestMonitorExplosion(t *testing.T) {
 	// streak.
 	var h Health
 	var r Reason
-	for i := 0; i < cfg.DegradeStreak; i++ {
-		h, r = m.Observe(Obs{Iter: 16 + i, GradNorm: 100 * cfg.ExplodeFactor * 2, Overflow: 0.8})
-		if i < cfg.DegradeStreak-1 && h != Degrading {
+	for i := 0; i < degradeStreak; i++ {
+		h, r = m.Observe(Obs{Iter: 16 + i, GradNorm: 100 * explodeFactor * 2, Overflow: 0.8})
+		if i < degradeStreak-1 && h != Degrading {
 			t.Fatalf("explosion sample %d: health %v, want degrading", i, h)
 		}
 	}
@@ -84,12 +83,11 @@ func TestMonitorExplosion(t *testing.T) {
 }
 
 func TestMonitorOscillation(t *testing.T) {
-	cfg := DefaultConfig()
-	m := NewMonitor(cfg)
+	m := NewMonitor()
 	// Overflow ping-ponging by ±0.2 every iteration: degrading within the
 	// streak after the window fills.
 	sawDegrading := false
-	for i := 0; i < cfg.OscWindow+cfg.DegradeStreak+2; i++ {
+	for i := 0; i < oscWindow+degradeStreak+2; i++ {
 		ov := 0.5
 		if i%2 == 0 {
 			ov = 0.7
@@ -107,7 +105,7 @@ func TestMonitorOscillation(t *testing.T) {
 	}
 	// Monotone decrease never trips it.
 	m.Reset()
-	for i := 0; i < 3*cfg.OscWindow; i++ {
+	for i := 0; i < 3*oscWindow; i++ {
 		if h, r := m.Observe(Obs{Iter: i, GradNorm: 100, Overflow: 1 - 0.02*float64(i)}); h != Healthy {
 			t.Fatalf("monotone overflow flagged (%v, %v)", h, r)
 		}
@@ -212,7 +210,7 @@ func TestReportRendering(t *testing.T) {
 // TestObserveAllocFree: the steady-state monitor path (scan + observe +
 // checkpoint slot bookkeeping) must not allocate.
 func TestObserveAllocFree(t *testing.T) {
-	m := NewMonitor(DefaultConfig())
+	m := NewMonitor()
 	v := make([]float64, 4096)
 	for i := range v {
 		v[i] = float64(i%17) - 8

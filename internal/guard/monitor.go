@@ -18,12 +18,24 @@ type Obs struct {
 	Alpha, Lambda, Overflow float64
 }
 
+// The monitor's thresholds. A gradient norm above explodeFactor × the
+// median of the last window healthy norms is an explosion, once minHistory
+// norms are in; a full oscWindow of overflow swings larger than oscDelta
+// that all flip direction is an oscillation; degradeStreak consecutive
+// degrading observations escalate to diverged.
+const (
+	explodeFactor = 50
+	window        = 32
+	minHistory    = 8
+	oscWindow     = 12
+	oscDelta      = 0.02
+	degradeStreak = 3
+)
+
 // Monitor is the zero-alloc numerical health monitor. All windows are
 // preallocated at construction; Observe performs only in-place ring-buffer
 // updates and an insertion sort into owned scratch.
 type Monitor struct {
-	cfg Config
-
 	// Trailing window of healthy gradient norms (ring) and the sort
 	// scratch the median is computed in.
 	normWin    []float64
@@ -39,14 +51,12 @@ type Monitor struct {
 	streak int
 }
 
-// NewMonitor builds a monitor; zero thresholds in cfg take defaults.
-func NewMonitor(cfg Config) *Monitor {
-	cfg = cfg.Normalized()
+// NewMonitor builds a monitor.
+func NewMonitor() *Monitor {
 	return &Monitor{
-		cfg:        cfg,
-		normWin:    make([]float64, cfg.Window),
-		normSorted: make([]float64, cfg.Window),
-		ovWin:      make([]float64, cfg.OscWindow),
+		normWin:    make([]float64, window),
+		normSorted: make([]float64, window),
+		ovWin:      make([]float64, oscWindow),
 	}
 }
 
@@ -92,8 +102,8 @@ func (m *Monitor) Observe(o Obs) (Health, Reason) {
 	}
 
 	h, reason := Healthy, ReasonNone
-	if m.normN >= m.cfg.MinHistory {
-		if med := m.median(); med > 0 && o.GradNorm > m.cfg.ExplodeFactor*med {
+	if m.normN >= minHistory {
+		if med := m.median(); med > 0 && o.GradNorm > explodeFactor*med {
 			h, reason = Degrading, ReasonGradExplosion
 		}
 	}
@@ -106,7 +116,7 @@ func (m *Monitor) Observe(o Obs) (Health, Reason) {
 		m.pushNorm(o.GradNorm)
 	} else {
 		m.streak++
-		if m.streak >= m.cfg.DegradeStreak {
+		if m.streak >= degradeStreak {
 			return Diverged, reason
 		}
 	}
@@ -164,7 +174,7 @@ func (m *Monitor) median() float64 {
 }
 
 // oscillating detects sustained overflow ping-pong: with the window full,
-// (nearly) every consecutive overflow delta larger than OscDelta must flip
+// (nearly) every consecutive overflow delta larger than oscDelta must flip
 // direction. The optimizer's own momentum restarts tolerate isolated
 // regressions; this only fires when the whole window alternates.
 //
@@ -181,7 +191,7 @@ func (m *Monitor) oscillating() bool {
 		a := m.ovWin[(m.ovIdx+k-1)%n]
 		b := m.ovWin[(m.ovIdx+k)%n]
 		d := b - a
-		if math.Abs(d) <= m.cfg.OscDelta {
+		if math.Abs(d) <= oscDelta {
 			continue
 		}
 		if havePrev && d*prevDelta < 0 {

@@ -30,7 +30,7 @@ func TestLegalizeGenerated(t *testing.T) {
 
 func TestLegalizeClusteredCells(t *testing.T) {
 	// All cells stacked at one spot (worst case for greedy legalizers).
-	lib := liberty.DefaultLibrary(liberty.DefaultSynthParams())
+	lib := liberty.DefaultLibrary()
 	b := netlist.NewBuilder("clump", lib)
 	b.SetDie(geom.NewRect(0, 0, 240, 240))
 	b.AddRowsFilling()
@@ -59,7 +59,7 @@ func name(i int) string {
 func TestLegalizeRightCrowding(t *testing.T) {
 	// Cells crowded at the right edge: the historical failure mode of a
 	// cursor-based Tetris. Interval-based placement must succeed.
-	lib := liberty.DefaultLibrary(liberty.DefaultSynthParams())
+	lib := liberty.DefaultLibrary()
 	b := netlist.NewBuilder("right", lib)
 	b.SetDie(geom.NewRect(0, 0, 120, 120))
 	b.AddRowsFilling()
@@ -83,7 +83,7 @@ func TestLegalizeRightCrowding(t *testing.T) {
 }
 
 func TestLegalizeRespectsBlockages(t *testing.T) {
-	lib := liberty.DefaultLibrary(liberty.DefaultSynthParams())
+	lib := liberty.DefaultLibrary()
 	b := netlist.NewBuilder("blk", lib)
 	b.SetDie(geom.NewRect(0, 0, 240, 240))
 	b.AddRowsFilling()
@@ -121,7 +121,7 @@ func TestLegalizeRespectsBlockages(t *testing.T) {
 }
 
 func TestLegalizeFailsWhenFull(t *testing.T) {
-	lib := liberty.DefaultLibrary(liberty.DefaultSynthParams())
+	lib := liberty.DefaultLibrary()
 	b := netlist.NewBuilder("full", lib)
 	b.SetDie(geom.NewRect(0, 0, 24, 24)) // 2 rows × 24 sites
 	b.AddRowsFilling()
@@ -138,7 +138,7 @@ func TestLegalizeFailsWhenFull(t *testing.T) {
 }
 
 func TestLegalizeNoRows(t *testing.T) {
-	lib := liberty.DefaultLibrary(liberty.DefaultSynthParams())
+	lib := liberty.DefaultLibrary()
 	b := netlist.NewBuilder("norows", lib)
 	b.SetDie(geom.NewRect(0, 0, 100, 100))
 	b.AddCell("c0", "INV_X1")
@@ -152,7 +152,7 @@ func TestLegalizeNoRows(t *testing.T) {
 }
 
 func TestCheckDetectsOverlap(t *testing.T) {
-	lib := liberty.DefaultLibrary(liberty.DefaultSynthParams())
+	lib := liberty.DefaultLibrary()
 	b := netlist.NewBuilder("ovl", lib)
 	b.SetDie(geom.NewRect(0, 0, 120, 120))
 	b.AddRowsFilling()

@@ -1,6 +1,7 @@
 package liberty
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -16,7 +17,7 @@ func libText(t *testing.T, lib *Library) string {
 }
 
 func TestDefaultLibraryValid(t *testing.T) {
-	lib := DefaultLibrary(DefaultSynthParams())
+	lib := DefaultLibrary()
 	if err := lib.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
@@ -32,15 +33,53 @@ func TestDefaultLibraryValid(t *testing.T) {
 }
 
 func TestDefaultLibraryDeterministic(t *testing.T) {
-	a := libText(t, DefaultLibrary(DefaultSynthParams()))
-	b := libText(t, DefaultLibrary(DefaultSynthParams()))
+	a := libText(t, DefaultLibrary())
+	b := libText(t, DefaultLibrary())
 	if a != b {
 		t.Fatal("DefaultLibrary is not deterministic")
 	}
 }
 
+// nonFiniteLib is a one-cell library whose area attribute and one
+// cell_rise table entry are filled in by TestParseRejectsNonFinite.
+const nonFiniteLib = `library (mini) {
+  cell (INV) {
+    area : %s;
+    pin (A) { direction : input; capacitance : 0.5; }
+    pin (Y) {
+      direction : output;
+      function : "!A";
+      timing () {
+        related_pin : "A";
+        timing_sense : negative_unate;
+        cell_rise (t) { index_1 ("1, 2"); index_2 ("1, 2"); values ("0.1, %s", "0.3, 0.4"); }
+        cell_fall (t) { index_1 ("1, 2"); index_2 ("1, 2"); values ("0.1, 0.2", "0.3, 0.4"); }
+        rise_transition (t) { index_1 ("1, 2"); index_2 ("1, 2"); values ("0.1, 0.2", "0.3, 0.4"); }
+        fall_transition (t) { index_1 ("1, 2"); index_2 ("1, 2"); values ("0.1, 0.2", "0.3, 0.4"); }
+      }
+    }
+  }
+}`
+
+// TestParseRejectsNonFinite: strconv accepts nan and inf, but a Liberty
+// number must be finite, in a table and in a numeric attribute alike; a
+// poisoned table would otherwise time as a design that meets its clock.
+func TestParseRejectsNonFinite(t *testing.T) {
+	if _, err := Parse(fmt.Sprintf(nonFiniteLib, "1.0", "0.2")); err != nil {
+		t.Fatalf("clean library: %v", err)
+	}
+	for _, bad := range []string{"nan", "inf", "-inf"} {
+		if _, err := Parse(fmt.Sprintf(nonFiniteLib, "1.0", bad)); err == nil {
+			t.Errorf("table value %s parsed", bad)
+		}
+		if _, err := Parse(fmt.Sprintf(nonFiniteLib, bad, "0.2")); err == nil {
+			t.Errorf("area %s parsed", bad)
+		}
+	}
+}
+
 func TestCellAccessors(t *testing.T) {
-	lib := DefaultLibrary(DefaultSynthParams())
+	lib := DefaultLibrary()
 	inv := &lib.Cells[lib.CellByName("INV_X1")]
 	if got := inv.PinByName("A"); got < 0 || inv.Pins[got].Dir != DirInput {
 		t.Errorf("INV_X1 pin A lookup failed: %d", got)
@@ -80,7 +119,7 @@ func TestCellAccessors(t *testing.T) {
 }
 
 func TestNANDUnateness(t *testing.T) {
-	lib := DefaultLibrary(DefaultSynthParams())
+	lib := DefaultLibrary()
 	nand := &lib.Cells[lib.CellByName("NAND2_X1")]
 	for i := range nand.Arcs {
 		if nand.Arcs[i].Unate != NegativeUnate {
@@ -96,7 +135,7 @@ func TestNANDUnateness(t *testing.T) {
 }
 
 func TestDelayIncreasesWithDrive(t *testing.T) {
-	lib := DefaultLibrary(DefaultSynthParams())
+	lib := DefaultLibrary()
 	x1 := &lib.Cells[lib.CellByName("INV_X1")]
 	x4 := &lib.Cells[lib.CellByName("INV_X4")]
 	load, slew := 30.0, 40.0
@@ -108,7 +147,7 @@ func TestDelayIncreasesWithDrive(t *testing.T) {
 }
 
 func TestWriteParseRoundTrip(t *testing.T) {
-	lib := DefaultLibrary(DefaultSynthParams())
+	lib := DefaultLibrary()
 	text := libText(t, lib)
 	got, err := Parse(text)
 	if err != nil {
@@ -241,7 +280,7 @@ library (mini) {
 }
 
 func TestValidateCatchesBrokenLibraries(t *testing.T) {
-	mk := func() *Library { return DefaultLibrary(DefaultSynthParams()) }
+	mk := func() *Library { return DefaultLibrary() }
 
 	lib := mk()
 	lib.Cells[0].Name = lib.Cells[1].Name

@@ -2,6 +2,7 @@ package liberty
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -53,11 +54,22 @@ func (g *Group) attrFloat(name string, def float64) (float64, error) {
 	if !ok {
 		return def, nil
 	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+	v, err := parseNumber(strings.TrimSpace(s))
 	if err != nil {
 		return 0, fmt.Errorf("liberty: attribute %s: %w", name, err)
 	}
 	return v, nil
+}
+
+// parseNumber parses one Liberty number. strconv also accepts nan and inf,
+// which no attribute or table may hold: the STA's max and min would drop a
+// poisoned arrival silently instead of reporting it.
+func parseNumber(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("non-finite value %v", v)
+	}
+	return v, err
 }
 
 type tokenKind uint8
@@ -568,7 +580,7 @@ func parseFloatList(raw []string) ([]float64, error) {
 		for _, f := range strings.FieldsFunc(chunk, func(r rune) bool {
 			return r == ',' || r == ' ' || r == '\t' || r == '\n' || r == '\\'
 		}) {
-			v, err := strconv.ParseFloat(f, 64)
+			v, err := parseNumber(f)
 			if err != nil {
 				return nil, fmt.Errorf("liberty: bad number %q: %w", f, err)
 			}

@@ -20,26 +20,14 @@ const RowHeight = 12.0
 // SiteWidth is the placement site width in DBU.
 const SiteWidth = 1.0
 
-// SynthParams parameterises DefaultLibrary.
-type SynthParams struct {
-	// WireResPerDBU / WireCapPerDBU: routed-wire RC density (kΩ/DBU,
-	// fF/DBU).
-	WireResPerDBU float64
-	WireCapPerDBU float64
-	// MaxTransition caps propagated slews (ps).
-	MaxTransition float64
-}
-
-// DefaultSynthParams returns the parameters used by the benchmark suite.
-// They are calibrated so that a 100-DBU net adds roughly one gate delay,
-// making placement genuinely timing-relevant.
-func DefaultSynthParams() SynthParams {
-	return SynthParams{
-		WireResPerDBU: 0.010, // 10 Ω per DBU
-		WireCapPerDBU: 0.16,  // 0.16 fF per DBU
-		MaxTransition: 640,
-	}
-}
+// The synthetic library's interconnect and slew limit. They are
+// calibrated so that a 100-DBU net adds roughly one gate delay, making
+// placement genuinely timing-relevant.
+const (
+	wireResPerDBU = 0.010 // kΩ per DBU: 10 Ω
+	wireCapPerDBU = 0.16  // fF per DBU
+	maxTransition = 640   // ps, the cap on propagated slews
+)
 
 var (
 	slewIndex = []float64{5, 10, 20, 40, 80, 160, 320}
@@ -102,14 +90,14 @@ type gateSpec struct {
 }
 
 // DefaultLibrary builds the synthetic standard-cell library used throughout
-// the benchmark suite. It is deterministic: the same parameters always
-// produce the identical library.
-func DefaultLibrary(p SynthParams) *Library {
+// the benchmark suite. It is deterministic: every call produces the
+// identical library.
+func DefaultLibrary() *Library {
 	lib := &Library{
 		Name:                 "dtgp_synth",
-		WireResPerDBU:        p.WireResPerDBU,
-		WireCapPerDBU:        p.WireCapPerDBU,
-		DefaultMaxTransition: p.MaxTransition,
+		WireResPerDBU:        wireResPerDBU,
+		WireCapPerDBU:        wireCapPerDBU,
+		DefaultMaxTransition: maxTransition,
 	}
 
 	gates := []gateSpec{

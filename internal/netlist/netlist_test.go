@@ -10,7 +10,7 @@ import (
 )
 
 func testLib() *liberty.Library {
-	return liberty.DefaultLibrary(liberty.DefaultSynthParams())
+	return liberty.DefaultLibrary()
 }
 
 // buildToy: in0 → INV g0 → DFF ff0 → out0, plus clock port.

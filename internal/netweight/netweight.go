@@ -13,26 +13,23 @@ import (
 	"dtgp/internal/timing"
 )
 
+// momentum is β of the EMA on weight increments (DREAMPlace 4.0 uses
+// ~0.5); exponent sharpens the criticality curve.
+const momentum, exponent = 0.5, 2.0
+
 // Options configure the weight updater.
 type Options struct {
-	// Momentum β of the EMA on weight increments (DREAMPlace 4.0 uses
-	// ~0.5).
-	Momentum float64
 	// MaxIncrease is the largest multiplicative bump per update for the
-	// most critical net (weight *= 1 + MaxIncrease·criticality^Exponent).
-	MaxIncrease float64
-	// Exponent sharpens the criticality curve.
-	Exponent float64
+	// most critical net (weight *= 1 + MaxIncrease·criticality^exponent).
+	MaxIncrease float64 //dtgp:allow(unturned) TestWeightsCapAtMax raises it to hit the cap fast
 	// MaxWeight caps net weights to avoid runaway.
-	MaxWeight float64
+	MaxWeight float64 //dtgp:allow(unturned) TestWeightsCapAtMax lowers it
 }
 
 // DefaultOptions mirrors the flavour of [24].
 func DefaultOptions() Options {
 	return Options{
-		Momentum:    0.5,
 		MaxIncrease: 0.03,
-		Exponent:    2.0,
 		MaxWeight:   10,
 	}
 }
@@ -125,11 +122,11 @@ func (u *Updater) Update(d *netlist.Design, res SlackSource) {
 	crit := CriticalityInto(u.crit, d, res)
 	o := u.Opts
 	for ni := range d.Nets {
-		inc := o.MaxIncrease * math.Pow(crit[ni], o.Exponent)
+		inc := o.MaxIncrease * math.Pow(crit[ni], exponent)
 		// Momentum: remember pressure on nets that were recently critical
 		// so weights don't oscillate when a net drops off the critical
 		// path for one update.
-		u.velocity[ni] = o.Momentum*u.velocity[ni] + (1-o.Momentum)*inc
+		u.velocity[ni] = momentum*u.velocity[ni] + (1-momentum)*inc
 		w := d.Nets[ni].Weight * (1 + u.velocity[ni])
 		if w > o.MaxWeight {
 			w = o.MaxWeight

@@ -159,7 +159,7 @@ func TestPersistentFaultSurrendersGracefully(t *testing.T) {
 func TestUnsupervisedKernelPanicReturnsError(t *testing.T) {
 	opts := quickOpts(ModeWirelength)
 	opts.MaxIters = 60
-	opts.Guard.Enabled = false
+	opts.Guard = false
 	e, _ := faultEngine(t, 300, opts)
 	pool := parallel.NewPool(4)
 	defer pool.Close()
@@ -198,7 +198,7 @@ func TestSupervisionBitIdentity(t *testing.T) {
 		opts := quickOpts(ModeDiffTiming)
 		opts.MaxIters = 150
 		opts.SkipLegalize = true
-		opts.Guard.Enabled = enabled
+		opts.Guard = enabled
 		if _, err := Run(d, con, opts); err != nil {
 			t.Fatal(err)
 		}
@@ -230,9 +230,8 @@ func TestObserveAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cfg := e.opts.Guard.Normalized()
-	mon := guard.NewMonitor(cfg)
-	ring := guard.NewRing(cfg.RingSize, len(st.u), len(e.d.Nets))
+	mon := guard.NewMonitor()
+	ring := guard.NewRing(ringSize, len(st.u), len(e.d.Nets))
 	iter := 0
 	if n := testing.AllocsPerRun(200, func() {
 		e.observe(mon, st, iter)

@@ -71,33 +71,36 @@ type Options struct {
 	MaxIters int
 	// StopOverflow is the density-overflow stop criterion shared by all
 	// flows (the paper: "the same stop criterion on density overflow").
-	StopOverflow float64
+	StopOverflow float64 //dtgp:allow(unturned) TestDeadlineSurrendersWithFinalCheckpoint sets 0
 	// TargetDensity per bin.
-	TargetDensity float64
+	TargetDensity float64 //dtgp:allow(unturned) benchmark/profile.go's replayer reads it until ROADMAP item 2 deletes it
 	// WLGammaFactor: wirelength smoothing γ = factor × bin size.
-	WLGammaFactor float64
-	// LambdaInitFactor scales the initial density weight relative to the
-	// wirelength/density gradient-norm ratio.
-	LambdaInitFactor float64
-	// LambdaGrowth multiplies λ each iteration.
-	LambdaGrowth float64
+	WLGammaFactor float64 //dtgp:allow(unturned) benchmark/profile.go's replayer reads it until ROADMAP item 2 deletes it
 	// Seed randomises the initial spread jitter.
-	Seed int64
+	Seed int64 //dtgp:allow(unturned) TestResumeMismatchRejected resumes under another seed
 
 	// TimingStartIter activates timing optimization (≈100 in the paper);
 	// timing also activates early once overflow < TimingStartOverflow.
-	TimingStartIter     int
-	TimingStartOverflow float64
-	// T1, T2 are the TNS and WNS objective weights (Eq. 6); they grow by
-	// TimingGrowth every iteration after activation (§4: "+1% after each
-	// iteration"). The absolute scale is auto-calibrated against the
-	// wirelength gradient at activation (the paper likewise tunes t1, t2
-	// per benchmark).
-	T1, T2       float64
-	TimingGrowth float64
-	// TimingScale is the calibration target: ‖timing grad‖₁ ≈
-	// TimingScale × ‖wirelength grad‖₁ at activation.
-	TimingScale float64
+	TimingStartIter     int     //dtgp:allow(unturned) benchmark/flow.go's timingFrom reads it until ROADMAP item 2 deletes it
+	TimingStartOverflow float64 //dtgp:allow(unturned) benchmark/flow.go's timingFrom reads it until ROADMAP item 2 deletes it
+	// T1 and T2 weight the TNS and WNS terms of Eq. 6. Only their ratio
+	// reaches the step: engine.gradient clips the timing gradient per
+	// component at 50× the mean wirelength component, then rescales it at
+	// every evaluation to a share of ‖∇WL‖₁ that TimingScale and
+	// TimingGrowth set. T1:T2 sets the mix of the two terms; their common
+	// scale acts only through the clip.
+	T1, T2 float64
+	// TimingGrowth multiplies tGrow, the growth factor of the timing
+	// term's share, once per iteration after activation (the paper grows
+	// t1 and t2 by 1% per iteration, §4). tGrow stops at 10, a cap that
+	// never binds at the default TimingScale: the share's own cap of 0.35
+	// binds from tGrow ≈ 2.33, about 85 iterations after activation.
+	TimingGrowth float64 //dtgp:allow(unturned) ROADMAP item 8's A4 sweeps it
+	// TimingScale sets the timing term's share of the wirelength gradient:
+	// each evaluation rescales the clipped timing gradient to
+	// min(TimingScale·tGrow, 0.35)·‖∇WL‖₁, backed off by exp(−WNS/γ) once
+	// WNS > 0.
+	TimingScale float64 //dtgp:allow(unturned) ROADMAP item 8's A4 sweeps it
 	// TimingGamma is the LSE smoothing γ of the differentiable timer.
 	TimingGamma float64
 	// FencePeriod is the Steiner-tree reuse period (§3.6, "every 10
@@ -105,9 +108,6 @@ type Options struct {
 	// re-extracts every moved net's topology once per FencePeriod
 	// evaluations (core.Options.FencePeriod).
 	FencePeriod int
-	// NetWeightPeriod is the STA/reweight cadence of ModeNetWeight, in
-	// iterations ([24] reweights every iteration on GPU).
-	NetWeightPeriod int
 	// FullBackward disables the cone-restricted sparse backward pass (the
 	// quality A/B baseline): every timer evaluation seeds all violating
 	// endpoints and runs the full reverse sweep. This changes the gradient
@@ -123,16 +123,15 @@ type Options struct {
 	TraceTiming bool
 	// TracePeriod is the iteration stride of exact-STA trace points.
 	TracePeriod int
-	// Guard configures the fault-tolerant run supervisor: per-iteration
+	// Guard enables the fault-tolerant run supervisor: per-iteration
 	// numerical health monitoring, checkpoint/rollback with damping on
-	// divergence, and panic-isolated kernel recovery. The zero value
-	// disables supervision; DefaultOptions enables guard.DefaultConfig().
-	// Supervision of a healthy run is strictly observational — the
+	// divergence, and panic-isolated kernel recovery. DefaultOptions sets
+	// it. Supervision of a healthy run is strictly observational — the
 	// trajectory is bit-identical with it on or off.
-	Guard guard.Config
+	Guard bool
 	// CheckpointDir, when non-empty, durably persists every healthy
 	// checkpoint (crash-consistent: temp file + fsync + atomic rename), so
-	// a killed run can resume. Requires Guard.Enabled. Durable
+	// a killed run can resume. Requires Guard. Durable
 	// checkpointing re-anchors the incremental timer at every save — a
 	// deterministic cadence change, so a durable run is bit-identical to
 	// its own resumed runs and re-runs, but not to a run without a
@@ -143,7 +142,7 @@ type Options struct {
 	// CheckpointFS overrides the filesystem the durable store writes
 	// through (nil = the real filesystem). The chaos harness injects
 	// deterministic I/O faults here.
-	CheckpointFS guard.FS
+	CheckpointFS guard.FS //dtgp:allow(unturned) the chaos tests and TestCheckpointIOFaultsDoNotPerturbTrajectory inject faults
 	// Resume, when set, restores the optimizer from a durable checkpoint
 	// (guard.Store.LoadLatest) instead of cold-starting: the run continues
 	// at Resume.Iter+1 and its final placement is bit-identical to the
@@ -158,12 +157,25 @@ type Options struct {
 	// Cancel, when non-nil, is an external cooperative stop flag with the
 	// same semantics as Deadline (set it from another goroutine or a
 	// signal handler to request graceful shutdown).
-	Cancel *atomic.Bool
+	Cancel *atomic.Bool //dtgp:allow(unturned) the TestCancel* tests and TestDurableRequiresSupervisor set it
 	// SkipLegalize leaves the result as raw global placement.
 	SkipLegalize bool
 	// Logf receives progress output; nil discards it.
 	Logf func(format string, args ...any)
 }
+
+// The optimizer's fixed schedule. λ starts at lambdaInitFactor times the
+// wirelength/density gradient-norm ratio and grows by lambdaGrowth per
+// iteration until the density force dominates. The supervisor snapshots a
+// healthy run every checkpointPeriod iterations into a ring of ringSize
+// and surrenders after retryBudget rollbacks.
+const (
+	lambdaInitFactor = 5e-4
+	lambdaGrowth     = 1.05
+	checkpointPeriod = 10
+	ringSize         = 4
+	retryBudget      = 3
+)
 
 // DefaultOptions returns the configuration used by the benchmark harness.
 func DefaultOptions(mode Mode) Options {
@@ -173,8 +185,6 @@ func DefaultOptions(mode Mode) Options {
 		StopOverflow:        0.08,
 		TargetDensity:       1.0,
 		WLGammaFactor:       0.5,
-		LambdaInitFactor:    5e-4,
-		LambdaGrowth:        1.05,
 		TimingStartIter:     100,
 		TimingStartOverflow: 0.45,
 		T1:                  0.01,
@@ -183,9 +193,8 @@ func DefaultOptions(mode Mode) Options {
 		TimingScale:         0.15,
 		TimingGamma:         100,
 		FencePeriod:         10,
-		NetWeightPeriod:     1,
 		TracePeriod:         10,
-		Guard:               guard.DefaultConfig(),
+		Guard:               true,
 	}
 }
 
@@ -210,8 +219,6 @@ type Result struct {
 	Trace    []TracePoint
 	Legal    *legalize.Result
 	STA      *timing.Result
-	// GPIterationsPerSecond for quick efficiency comparisons.
-	GPIterationsPerSecond float64
 	// Recovery is the supervisor's fault-tolerance record (nil when
 	// supervision was disabled); Recovery.Healthy() distinguishes a clean
 	// run from one that rolled back or surrendered.
@@ -255,9 +262,6 @@ func Run(d *netlist.Design, con *sdc.Constraints, opts Options) (*Result, error)
 		res.TNS = res.STA.TNS
 	}
 	res.Runtime = time.Since(start)
-	if res.Runtime > 0 {
-		res.GPIterationsPerSecond = float64(res.Iterations) / res.Runtime.Seconds()
-	}
 	return res, nil
 }
 
@@ -504,7 +508,6 @@ func (e *engine) incrementalSTA() *timing.Incremental {
 	d := e.d
 	if e.staInc == nil {
 		e.staInc = timing.NewIncremental(e.graph)
-		e.staInc.Epsilon = 0
 		e.staX = make([]float64, len(d.Cells))
 		e.staY = make([]float64, len(d.Cells))
 		e.staMoved = make([]int32, 0, len(d.Cells))
@@ -714,7 +717,7 @@ func (e *engine) step(st *optState, iter int, res *Result, quiet bool) (err erro
 	// Net-weighting hook: exact STA on the current major iterate, served
 	// by the maintained incremental engine (Epsilon 0, so its slacks equal
 	// a from-scratch timing.Analyze bitwise).
-	if e.nwUp != nil && e.timingActive && iter%max(1, opts.NetWeightPeriod) == 0 {
+	if e.nwUp != nil && e.timingActive {
 		e.writePositions(st.u)
 		e.nwUp.Update(e.d, e.incrementalSTA())
 	}
@@ -726,9 +729,9 @@ func (e *engine) step(st *optState, iter int, res *Result, quiet bool) (err erro
 
 	if iter == 0 {
 		if dNorm > 0 {
-			e.lambda = opts.LambdaInitFactor * wlNorm / dNorm
+			e.lambda = lambdaInitFactor * wlNorm / dNorm
 		} else {
-			e.lambda = opts.LambdaInitFactor
+			e.lambda = lambdaInitFactor
 		}
 		// λ was zero during the first gradient eval; recompute with
 		// the calibrated λ so the first step is balanced.
@@ -847,7 +850,7 @@ func (e *engine) step(st *optState, iter int, res *Result, quiet bool) (err erro
 	if st.freezeLambda > 0 {
 		st.freezeLambda--
 	} else if e.lambda*dNorm <= 20*wlNorm {
-		e.lambda *= opts.LambdaGrowth
+		e.lambda *= lambdaGrowth
 	}
 
 	if ov < opts.StopOverflow {
@@ -916,7 +919,7 @@ func (e *engine) checkpoint(ring *guard.Ring, st *optState, iter int) {
 // divergence walks further back) and applies damping: momentum reset, BB
 // steps halved for a stretch, λ growth frozen. Returns nil when the ring
 // is exhausted.
-func (e *engine) rollback(ring *guard.Ring, st *optState, cfg guard.Config) *guard.Checkpoint {
+func (e *engine) rollback(ring *guard.Ring, st *optState) *guard.Checkpoint {
 	cp := ring.Pop()
 	if cp == nil {
 		return nil
@@ -940,8 +943,8 @@ func (e *engine) rollback(ring *guard.Ring, st *optState, cfg guard.Config) *gua
 		e.nwUp.RestoreVelocity(cp.NetVelocity)
 	}
 	st.dampFactor *= 0.5
-	st.dampIters = 3 * cfg.CheckpointPeriod
-	st.freezeLambda = 3 * cfg.CheckpointPeriod
+	st.dampIters = 3 * checkpointPeriod
+	st.freezeLambda = 3 * checkpointPeriod
 	e.writePositions(st.u)
 	return cp
 }
@@ -1031,15 +1034,14 @@ func (e *engine) optimize(res *Result) error {
 	e.tGrow = 1
 	st := e.newOptState()
 
-	cfg := e.opts.Guard.Normalized()
 	var (
 		mon  *guard.Monitor
 		ring *guard.Ring
 		rep  *guard.Report
 	)
-	if cfg.Enabled {
-		mon = guard.NewMonitor(cfg)
-		ring = guard.NewRing(cfg.RingSize, len(st.u), len(e.d.Nets))
+	if e.opts.Guard {
+		mon = guard.NewMonitor()
+		ring = guard.NewRing(ringSize, len(st.u), len(e.d.Nets))
 		rep = &guard.Report{Enabled: true, CheckpointIter: -1, DurableIter: -1, ResumedFrom: -1}
 		res.Recovery = rep
 	}
@@ -1050,7 +1052,7 @@ func (e *engine) optimize(res *Result) error {
 	var store *guard.Store
 	if e.opts.CheckpointDir != "" {
 		if mon == nil {
-			return fmt.Errorf("place: CheckpointDir requires Guard.Enabled")
+			return fmt.Errorf("place: CheckpointDir requires Guard")
 		}
 		var err error
 		store, err = guard.NewStore(e.opts.CheckpointFS, e.opts.CheckpointDir, e.opts.CheckpointKeep)
@@ -1061,7 +1063,7 @@ func (e *engine) optimize(res *Result) error {
 	startIter := 0
 	if cp := e.opts.Resume; cp != nil {
 		if mon == nil {
-			return fmt.Errorf("place: Resume requires Guard.Enabled")
+			return fmt.Errorf("place: Resume requires Guard")
 		}
 		if err := e.applyResume(cp, st); err != nil {
 			return err
@@ -1073,7 +1075,7 @@ func (e *engine) optimize(res *Result) error {
 	}
 	if !e.opts.Deadline.IsZero() || e.opts.Cancel != nil {
 		if mon == nil {
-			return fmt.Errorf("place: Deadline/Cancel require Guard.Enabled")
+			return fmt.Errorf("place: Deadline/Cancel require Guard")
 		}
 		// Kernel submissions observe the flag at barrier boundaries;
 		// deregistered before legalization and the final STA, which must
@@ -1132,11 +1134,11 @@ func (e *engine) optimize(res *Result) error {
 				})
 			}
 			st.retries++
-			if st.retries > cfg.RetryBudget {
+			if st.retries > retryBudget {
 				e.surrender(st, rep, iter, reason, "retry budget exhausted")
 				break
 			}
-			cp := e.rollback(ring, st, cfg)
+			cp := e.rollback(ring, st)
 			if cp == nil {
 				e.surrender(st, rep, iter, reason, "no checkpoint to roll back to")
 				break
@@ -1146,11 +1148,11 @@ func (e *engine) optimize(res *Result) error {
 			rep.Record(guard.Incident{
 				Iter: iter, Health: guard.Diverged, Reason: reason,
 				Action: fmt.Sprintf("rollback to iter %d (retry %d/%d, step damped ×%.3g)",
-					cp.Iter, st.retries, cfg.RetryBudget, st.dampFactor),
+					cp.Iter, st.retries, retryBudget, st.dampFactor),
 				Detail: detail,
 			})
 			e.opts.Logf("[%v] %s at iter %d; rollback to iter %d (retry %d/%d)",
-				e.opts.Mode, reason, iter, cp.Iter, st.retries, cfg.RetryBudget)
+				e.opts.Mode, reason, iter, cp.Iter, st.retries, retryBudget)
 			continue
 		}
 
@@ -1164,7 +1166,7 @@ func (e *engine) optimize(res *Result) error {
 			st.inDegraded = health == guard.Degrading
 		}
 
-		if mon != nil && health == guard.Healthy && iter%cfg.CheckpointPeriod == 0 {
+		if mon != nil && health == guard.Healthy && iter%checkpointPeriod == 0 {
 			e.checkpoint(ring, st, iter)
 			rep.CheckpointIter = iter
 			if store != nil {

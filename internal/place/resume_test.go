@@ -319,7 +319,7 @@ func TestDurableRequiresSupervisor(t *testing.T) {
 	base := quickOpts(ModeWirelength)
 	base.MaxIters = 5
 	base.SkipLegalize = true
-	base.Guard.Enabled = false
+	base.Guard = false
 	for name, mutate := range map[string]func(*Options){
 		"checkpoint-dir": func(o *Options) { o.CheckpointDir = t.TempDir() },
 		"resume":         func(o *Options) { o.Resume = &guard.Checkpoint{} },
@@ -333,7 +333,7 @@ func TestDurableRequiresSupervisor(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := Run(d, con, opts); err == nil {
-			t.Errorf("%s without Guard.Enabled did not error", name)
+			t.Errorf("%s without Guard did not error", name)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"dtgp/internal/arena"
-	"dtgp/internal/guard"
 	"dtgp/internal/netlist"
 	"dtgp/internal/sdc"
 )
@@ -40,7 +39,7 @@ func RunScaleBench(d *netlist.Design, con *sdc.Constraints, opts Options, iters 
 		return nil, fmt.Errorf("place: RunScaleBench needs iters >= 1, got %d", iters)
 	}
 	opts.Mode = ModeDiffTiming
-	opts.Guard = guard.Config{}
+	opts.Guard = false
 	opts.SkipLegalize = true
 	opts.Logf = func(string, ...any) {}
 

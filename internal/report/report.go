@@ -30,7 +30,7 @@ type SuiteOptions struct {
 	// Logf receives progress lines; nil = silent.
 	Logf func(format string, args ...any)
 	// Place returns the options for a flow; nil = place.DefaultOptions.
-	Place func(mode place.Mode) place.Options
+	Place func(mode place.Mode) place.Options //dtgp:allow(unturned) the report tests shorten their runs (quickSuite)
 }
 
 // DefaultSuiteOptions is the configuration of EXPERIMENTS.md: scale 256,

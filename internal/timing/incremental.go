@@ -21,6 +21,8 @@ type Incremental struct {
 	LateState
 
 	// Epsilon below which an AT/slew/RAT change does not propagate further.
+	// NewIncremental starts at 0: every bitwise change propagates, so the
+	// state equals a from-scratch Analyze bitwise.
 	Epsilon float64
 
 	// Pending propagation state: work holds dirty pins sorted by
@@ -77,7 +79,7 @@ func (s *workSorter) less(i, j int) bool {
 
 // NewIncremental builds the engine and runs the initial full analysis.
 func NewIncremental(g *Graph) *Incremental {
-	inc := &Incremental{Epsilon: 1e-6, scratch: NewBuildScratch()}
+	inc := &Incremental{scratch: NewBuildScratch()}
 	inc.fwdSorter.level = g.Level
 	inc.ratSorter.level = g.Level
 	inc.ratSorter.desc = true

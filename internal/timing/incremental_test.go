@@ -114,13 +114,13 @@ func TestIncrementalNoMoveNoChange(t *testing.T) {
 	}
 }
 
-// TestIncrementalRATMatchesFull: with Epsilon 0 the maintained required
-// times, per-pin slacks and WNS/TNS must be bit-identical to a from-scratch
-// analysis over the same interconnect state after every move batch — the
-// contract the incremental net-weighting path in the placer relies on.
+// TestIncrementalRATMatchesFull: at NewIncremental's Epsilon 0 the
+// maintained required times, per-pin slacks and WNS/TNS must be
+// bit-identical to a from-scratch analysis over the same interconnect state
+// after every move batch — the contract the incremental net-weighting path
+// in the placer relies on.
 func TestIncrementalRATMatchesFull(t *testing.T) {
 	g, inc := incBed(t, 400, 56)
-	inc.Epsilon = 0
 	d := g.D
 	rng := rand.New(rand.NewSource(2))
 	for round := 0; round < 8; round++ {
@@ -280,11 +280,10 @@ func TestMoveCellsAllocFree(t *testing.T) {
 // TestMoveCellsNonFiniteRecovers: a cell moved to a non-finite position
 // disconnects the Steiner tree of each of its nets with 3 or more pins, so
 // those nets lose their trees. MoveCells must survive that, and once the
-// cell is back every such net must be timed again: with Epsilon 0 the
+// cell is back every such net must be timed again: at Epsilon 0 the
 // maintained state then equals a from-scratch analysis bit for bit.
 func TestMoveCellsNonFiniteRecovers(t *testing.T) {
 	g, inc := incBed(t, 400, 58)
-	inc.Epsilon = 0
 	d := g.D
 	ci, ni := int32(-1), int32(-1)
 	for c := range d.Cells {

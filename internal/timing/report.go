@@ -68,8 +68,10 @@ func (r *Result) Report(k int) string {
 	fmt.Fprintf(&b, "  endpoints : %d\n", len(r.G.Endpoints))
 	fmt.Fprintf(&b, "  WNS       : %.3f ps\n", r.WNS)
 	fmt.Fprintf(&b, "  TNS       : %.3f ps\n", r.TNS)
-	fmt.Fprintf(&b, "  hold WNS  : %.3f ps\n", r.WNSHold)
-	fmt.Fprintf(&b, "  hold TNS  : %.3f ps\n", r.TNSHold)
+	if r.EndpointHold != nil {
+		fmt.Fprintf(&b, "  hold WNS  : %.3f ps\n", r.WNSHold)
+		fmt.Fprintf(&b, "  hold TNS  : %.3f ps\n", r.TNSHold)
+	}
 	fmt.Fprintf(&b, "  graph depth: %d levels\n", r.G.MaxLevel())
 
 	type epSlack struct {

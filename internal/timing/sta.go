@@ -10,19 +10,21 @@ import (
 var inf = math.Inf(1)
 
 // Result holds a full exact STA of one placement snapshot: the late
-// (setup) analysis shared with Incremental, plus the early (hold) analysis
-// that only a from-scratch analysis maintains.
+// (setup) analysis shared with Incremental and, once a caller asks for it
+// with AnalyzeHold, the early (hold) analysis that only a from-scratch
+// analysis maintains.
 type Result struct {
 	LateState
 
 	// Early arrival and slew per (pin, transition), over the late pass's
-	// reachability (Valid), and the hold required times.
+	// reachability (Valid), and the hold required times. Nil until
+	// AnalyzeHold runs.
 	ATEarly, SlewEarly []float64 //dtgp:index domain=tnode
 	RATEarly           []float64 //dtgp:index domain=tnode
 
 	// EndpointHold is the hold slack per endpoint (min over transitions),
 	// +Inf for endpoints without hold checks; WNSHold and TNSHold are the
-	// hold metrics.
+	// hold metrics. EndpointHold is nil until AnalyzeHold runs.
 	EndpointHold     []float64 //dtgp:index domain=endp
 	WNSHold, TNSHold float64
 
@@ -30,38 +32,42 @@ type Result struct {
 	derateEarly float64
 }
 
-// Analyze runs exact STA: Steiner/RC construction, Elmore forward passes,
-// level-by-level arrival propagation, required times and slacks.
+// Analyze runs exact late-mode STA: Steiner/RC construction, Elmore
+// forward passes, level-by-level arrival propagation, required times and
+// setup slacks. Hold slacks are computed only on request (AnalyzeHold).
 func Analyze(g *Graph) *Result {
 	return AnalyzeWithNets(g, BuildNetStates(g))
 }
 
-// AnalyzeWithNets runs exact STA on pre-built net states, so callers that
-// maintain Steiner trees incrementally can reuse them. It runs their Elmore
-// forward passes (a pure function of each RC tree, so forward results the
-// caller already holds are rewritten with the same bits).
+// AnalyzeWithNets runs exact late-mode STA on pre-built net states, so
+// callers that maintain Steiner trees incrementally can reuse them. It runs
+// their Elmore forward passes (a pure function of each RC tree, so forward
+// results the caller already holds are rewritten with the same bits).
 func AnalyzeWithNets(g *Graph, nets []NetState) *Result {
-	n2 := 2 * len(g.D.Pins)
-	r := &Result{
-		ATEarly:      make([]float64, n2),
-		SlewEarly:    make([]float64, n2),
-		RATEarly:     make([]float64, n2),
-		EndpointHold: make([]float64, len(g.Endpoints)),
-		derateEarly:  1,
-	}
-	if g.Con != nil && g.Con.DerateEarly > 0 {
-		r.derateEarly = g.Con.DerateEarly
-	}
+	r := &Result{}
 	r.analyze(g, nets)
-	r.analyzeEarly()
 	return r
 }
 
-// analyzeEarly runs the early (hold) analysis after the late one: min
-// arrival and slew level by level, hold required times max-pulled from the
-// deepest level up, then the hold slacks.
-func (r *Result) analyzeEarly() {
+// AnalyzeHold runs the early (hold) analysis over the late one and fills
+// in the hold fields: min arrival and slew level by level, hold required
+// times max-pulled from the deepest level up, then the hold slacks. It
+// reads the graph's constraints as they are when it runs. A second call
+// does nothing.
+func (r *Result) AnalyzeHold() {
+	if r.EndpointHold != nil {
+		return
+	}
 	g := r.G
+	n2 := 2 * len(g.D.Pins)
+	r.ATEarly = make([]float64, n2)
+	r.SlewEarly = make([]float64, n2)
+	r.RATEarly = make([]float64, n2)
+	r.EndpointHold = make([]float64, len(g.Endpoints))
+	r.derateEarly = 1
+	if g.Con != nil && g.Con.DerateEarly > 0 {
+		r.derateEarly = g.Con.DerateEarly
+	}
 	for i := range r.ATEarly {
 		r.ATEarly[i] = inf
 		r.RATEarly[i] = -inf
@@ -243,8 +249,9 @@ func (r *Result) holdSlacks() {
 	r.WNSHold, r.TNSHold = worstAndTotal(r.EndpointHold)
 }
 
-// Finite reports whether the setup and hold WNS/TNS are all finite (a design
-// without constrained endpoints reports 0). A NaN or Inf here means a
+// Finite reports whether the setup WNS/TNS, and the hold WNS/TNS when
+// AnalyzeHold has run, are all finite (a design without constrained
+// endpoints reports 0). A NaN or Inf here means a
 // non-finite value — a degenerate library table or constraint, say —
 // reached an endpoint slack; callers (dtgp-sta, the run supervisor) must
 // treat the result as poisoned rather than report it. It is not a general
@@ -252,10 +259,7 @@ func (r *Result) holdSlacks() {
 // tree and is left untimed, so its poison never reaches a slack. The
 // Bookshelf loaders reject such coordinates instead.
 func (r *Result) Finite() bool {
-	for _, x := range [...]float64{r.WNS, r.TNS, r.WNSHold, r.TNSHold} {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return false
-		}
-	}
-	return true
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+	return finite(r.WNS) && finite(r.TNS) &&
+		(r.EndpointHold == nil || finite(r.WNSHold) && finite(r.TNSHold))
 }

@@ -15,7 +15,7 @@ import (
 // chainDesign builds port → g1 → g2 → … → DFF with the given masters.
 func chainDesign(t *testing.T, masters []string) (*netlist.Design, *sdc.Constraints, []int32) {
 	t.Helper()
-	lib := liberty.DefaultLibrary(liberty.DefaultSynthParams())
+	lib := liberty.DefaultLibrary()
 	b := netlist.NewBuilder("chain", lib)
 	b.SetDie(geom.NewRect(0, 0, 1200, 600))
 	b.AddRowsFilling()
@@ -316,6 +316,7 @@ func TestDerateShiftsSlacks(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := Analyze(g)
+	base.AnalyzeHold()
 
 	con.DerateLate = 1.1
 	derated := Analyze(g)
@@ -326,6 +327,7 @@ func TestDerateShiftsSlacks(t *testing.T) {
 
 	con.DerateEarly = 0.5
 	holdDer := Analyze(g)
+	holdDer.AnalyzeHold()
 	if holdDer.WNSHold >= base.WNSHold {
 		t.Errorf("early derate 0.5 did not worsen hold WNS: %v vs %v", holdDer.WNSHold, base.WNSHold)
 	}

@@ -32,7 +32,7 @@ func (r *Result) WorstPath() Path {
 // toyDesign: in0 → g0(INV) → ff0(DFF) → out0, with a clock port.
 func toyDesign(t *testing.T) (*netlist.Design, *sdc.Constraints) {
 	t.Helper()
-	lib := liberty.DefaultLibrary(liberty.DefaultSynthParams())
+	lib := liberty.DefaultLibrary()
 	b := netlist.NewBuilder("toy", lib)
 	b.SetDie(geom.NewRect(0, 0, 600, 600))
 	b.AddRowsFilling()
@@ -116,7 +116,7 @@ func TestGraphStructure(t *testing.T) {
 }
 
 func TestGraphRejectsMixedClockNet(t *testing.T) {
-	lib := liberty.DefaultLibrary(liberty.DefaultSynthParams())
+	lib := liberty.DefaultLibrary()
 	b := netlist.NewBuilder("bad", lib)
 	b.SetDie(geom.NewRect(0, 0, 200, 200))
 	clk := b.AddInputPort("clk", geom.Point{})
@@ -136,7 +136,7 @@ func TestGraphRejectsMixedClockNet(t *testing.T) {
 }
 
 func TestCombinationalLoopDetected(t *testing.T) {
-	lib := liberty.DefaultLibrary(liberty.DefaultSynthParams())
+	lib := liberty.DefaultLibrary()
 	b := netlist.NewBuilder("loop", lib)
 	b.SetDie(geom.NewRect(0, 0, 200, 200))
 	g1 := b.AddCell("g1", "INV_X1")
@@ -386,6 +386,7 @@ func TestHoldSlacksFinite(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := Analyze(g)
+	r.AnalyzeHold()
 	found := false
 	for ei := range g.Endpoints {
 		if g.Endpoints[ei].Kind == EndFFData {
@@ -400,6 +401,53 @@ func TestHoldSlacksFinite(t *testing.T) {
 	}
 }
 
+// TestAnalyzeLeavesHoldUnset: Analyze runs the late analysis only, so a
+// flow's STA pays for no early sweep; AnalyzeHold fills the hold fields
+// in when asked.
+func TestAnalyzeLeavesHoldUnset(t *testing.T) {
+	d, con := toyDesign(t)
+	g, err := NewGraph(d, con)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := Analyze(g)
+	if r.ATEarly != nil || r.SlewEarly != nil || r.RATEarly != nil || r.EndpointHold != nil {
+		t.Fatal("Analyze ran the early sweep")
+	}
+	r.AnalyzeHold()
+	if n2 := 2 * len(d.Pins); len(r.ATEarly) != n2 || len(r.SlewEarly) != n2 || len(r.RATEarly) != n2 ||
+		len(r.EndpointHold) != len(g.Endpoints) {
+		t.Fatal("AnalyzeHold left hold arrays unset")
+	}
+}
+
+// TestFinite: a non-finite setup WNS or TNS always fails the check; a
+// non-finite hold WNS or TNS fails it only once hold slacks were computed.
+func TestFinite(t *testing.T) {
+	nan := math.NaN()
+	for _, c := range []struct {
+		wns, tns, wnsHold, tnsHold float64
+		hold, want                 bool
+	}{
+		{0, 0, 0, 0, false, true},
+		{-5, -20, 3, 0, true, true},
+		{nan, 0, 0, 0, false, false},
+		{0, -inf, 0, 0, false, false},
+		{0, 0, nan, inf, false, true},
+		{0, 0, nan, 0, true, false},
+		{0, 0, 0, -inf, true, false},
+	} {
+		r := &Result{}
+		r.WNS, r.TNS, r.WNSHold, r.TNSHold = c.wns, c.tns, c.wnsHold, c.tnsHold
+		if c.hold {
+			r.EndpointHold = []float64{}
+		}
+		if got := r.Finite(); got != c.want {
+			t.Errorf("Finite(%+v) = %v, want %v", c, got, c.want)
+		}
+	}
+}
+
 func TestEarlyNotAfterLate(t *testing.T) {
 	d, con, err := gen.Generate(gen.DefaultParams("t", 500, 15))
 	if err != nil {
@@ -410,6 +458,7 @@ func TestEarlyNotAfterLate(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := Analyze(g)
+	r.AnalyzeHold()
 	for i := range r.ATLate {
 		if !r.Valid[i] {
 			continue
@@ -480,6 +529,13 @@ func TestReportRenders(t *testing.T) {
 		if !containsStr(rep, want) {
 			t.Errorf("report missing %q:\n%s", want, rep)
 		}
+	}
+	if containsStr(rep, "hold") {
+		t.Errorf("report prints hold slacks that were not computed:\n%s", rep)
+	}
+	r.AnalyzeHold()
+	if rep := r.Report(2); !containsStr(rep, "hold WNS") || !containsStr(rep, "hold TNS") {
+		t.Errorf("report missing the hold lines:\n%s", rep)
 	}
 }
 

@@ -79,7 +79,7 @@ endmodule
 	if nl.Instances[0].Master != "NAND2_X1" || nl.Instances[0].Conns["A"] != "a" {
 		t.Errorf("instance 0: %+v", nl.Instances[0])
 	}
-	lib := liberty.DefaultLibrary(liberty.DefaultSynthParams())
+	lib := liberty.DefaultLibrary()
 	d, err := nl.Build(lib)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ endmodule`
 	if err != nil {
 		t.Fatal(err)
 	}
-	lib := liberty.DefaultLibrary(liberty.DefaultSynthParams())
+	lib := liberty.DefaultLibrary()
 	d, err := nl.Build(lib)
 	if err != nil {
 		t.Fatal(err)

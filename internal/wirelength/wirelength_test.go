@@ -14,7 +14,7 @@ import (
 // degree 2-5.
 func randomDesign(t *testing.T, seed int64, cells, nets int) *netlist.Design {
 	t.Helper()
-	lib := liberty.DefaultLibrary(liberty.DefaultSynthParams())
+	lib := liberty.DefaultLibrary()
 	b := netlist.NewBuilder("wl", lib)
 	b.SetDie(geom.NewRect(0, 0, 1000, 1000))
 	rng := rand.New(rand.NewSource(seed))
@@ -165,7 +165,7 @@ func TestGradientDescentReducesWL(t *testing.T) {
 }
 
 func TestDegenerateNetsIgnored(t *testing.T) {
-	lib := liberty.DefaultLibrary(liberty.DefaultSynthParams())
+	lib := liberty.DefaultLibrary()
 	b := netlist.NewBuilder("deg", lib)
 	b.SetDie(geom.NewRect(0, 0, 100, 100))
 	c := b.AddCell("c0", "INV_X1")
