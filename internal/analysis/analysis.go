@@ -39,10 +39,9 @@
 //     call graph, an init, a package-level variable's initializer, or an
 //     interface method name; code only tests reach goes into a _test.go
 //     file or carries a //dtgp:allow(unreached) naming those tests.
-//   - unturned: some program must set every exported field of an options
-//     struct (a struct a Default… function of its package returns), other
-//     than in the Default… function itself or in a normalisation; a knob
-//     that nothing turns becomes a constant or carries a
+//   - unturned: some program sets every exported field of a Default…-built
+//     options struct outside that Default… function and outside a
+//     normalisation; a knob nothing turns becomes a constant or carries a
 //     //dtgp:allow(unturned) naming who needs it.
 //
 // gradpair, errflow, dirtymark and indexspace are flow-sensitive, built on

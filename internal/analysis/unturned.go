@@ -16,8 +16,8 @@ import (
 // Program code is every non-test file the loader sees: cmd/*, examples/*,
 // benchmark/, internal/* and the module root. It sets a field by assigning
 // through a selector chain (opts.Guard.Enabled = … sets both Guard and
-// Enabled), by naming the field as a composite-literal key, or by taking
-// the field's address. Two kinds of assignment do not count:
+// Enabled) or by naming the field as a composite-literal key. Two kinds of
+// assignment do not count:
 //
 //   - one in a builder's own body, unless the value reads one of the
 //     builder's parameters (DefaultParams(name, cells, seed) turns Name,
@@ -138,27 +138,10 @@ func computeTurned(prog *Program) map[*types.Var]bool {
 								set(f, n.Pos(), value)
 							}
 						}
-					case *ast.IncDecStmt:
-						for _, f := range chainFields(info, n.X) {
-							set(f, n.Pos(), nil)
-						}
-					case *ast.UnaryExpr:
-						if n.Op == token.AND {
-							for _, f := range chainFields(info, n.X) {
-								set(f, n.Pos(), nil)
-							}
-						}
-					case *ast.CompositeLit:
-						st, _ := derefUnder(info.TypeOf(n)).(*types.Struct)
-						for i, elt := range n.Elts {
-							if kv, ok := elt.(*ast.KeyValueExpr); ok {
-								if id, ok := kv.Key.(*ast.Ident); ok {
-									if f, ok := info.Uses[id].(*types.Var); ok && f.IsField() {
-										set(f, kv.Pos(), kv.Value)
-									}
-								}
-							} else if st != nil && i < st.NumFields() {
-								set(st.Field(i), elt.Pos(), elt)
+					case *ast.KeyValueExpr:
+						if id, ok := n.Key.(*ast.Ident); ok {
+							if f, ok := info.Uses[id].(*types.Var); ok && f.IsField() {
+								set(f, n.Pos(), n.Value)
 							}
 						}
 					}
@@ -171,27 +154,15 @@ func computeTurned(prog *Program) map[*types.Var]bool {
 }
 
 // chainFields returns the fields an assignment to e sets: every field
-// selected along its selector chain, through index, dereference and
-// parentheses.
+// selected along its selector chain.
 func chainFields(info *types.Info, e ast.Expr) []*types.Var {
 	var fields []*types.Var
-	for {
-		switch x := e.(type) {
-		case *ast.SelectorExpr:
-			if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
-				fields = append(fields, sel.Obj().(*types.Var))
-			}
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		default:
-			return fields
+	for sel, ok := e.(*ast.SelectorExpr); ok; sel, ok = sel.X.(*ast.SelectorExpr) {
+		if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+			fields = append(fields, s.Obj().(*types.Var))
 		}
 	}
+	return fields
 }
 
 // normalises reports whether the assignment at pos sits in the body or
@@ -204,8 +175,10 @@ func normalises(info *types.Info, stack []ast.Node, f *types.Var, pos token.Pos)
 		}
 		reads := false
 		ast.Inspect(ifs.Cond, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok && info.Selections[sel] != nil && info.Selections[sel].Obj() == f {
-				reads = true
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if s := info.Selections[sel]; s != nil && s.Obj() == f {
+					reads = true
+				}
 			}
 			return !reads
 		})
@@ -219,24 +192,11 @@ func normalises(info *types.Info, stack []ast.Node, f *types.Var, pos token.Pos)
 // readsAny reports whether e mentions one of the given objects.
 func readsAny(info *types.Info, e ast.Expr, objs map[types.Object]bool) bool {
 	found := false
-	if e != nil {
-		ast.Inspect(e, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && objs[info.Uses[id]] {
-				found = true
-			}
-			return !found
-		})
-	}
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && objs[info.Uses[id]] {
+			found = true
+		}
+		return !found
+	})
 	return found
-}
-
-// derefUnder returns the underlying type of t, or of what t points to.
-func derefUnder(t types.Type) types.Type {
-	if t == nil {
-		return nil
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		return p.Elem().Underlying()
-	}
-	return t.Underlying()
 }

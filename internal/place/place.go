@@ -83,23 +83,20 @@ type Options struct {
 	// timing also activates early once overflow < TimingStartOverflow.
 	TimingStartIter     int     //dtgp:allow(unturned) benchmark/flow.go's timingFrom reads it until ROADMAP item 2 deletes it
 	TimingStartOverflow float64 //dtgp:allow(unturned) benchmark/flow.go's timingFrom reads it until ROADMAP item 2 deletes it
-	// T1 and T2 weight the TNS and WNS terms of Eq. 6. Only their ratio
-	// reaches the step: engine.gradient clips the timing gradient per
-	// component at 50× the mean wirelength component, then rescales it at
-	// every evaluation to a share of ‖∇WL‖₁ that TimingScale and
-	// TimingGrowth set. T1:T2 sets the mix of the two terms; their common
-	// scale acts only through the clip.
+	// T1 and T2 weight the TNS and WNS terms of Eq. 6. engine.gradient
+	// clips the timing gradient per component at 50× the mean wirelength
+	// component and rescales it at every evaluation (see TimingScale), so
+	// T1:T2 sets the mix of the two terms and their common scale acts only
+	// through the clip.
 	T1, T2 float64
-	// TimingGrowth multiplies tGrow, the growth factor of the timing
-	// term's share, once per iteration after activation (the paper grows
-	// t1 and t2 by 1% per iteration, §4). tGrow stops at 10, a cap that
-	// never binds at the default TimingScale: the share's own cap of 0.35
-	// binds from tGrow ≈ 2.33, about 85 iterations after activation.
+	// TimingGrowth multiplies tGrow once per iteration after activation
+	// (the paper grows t1 and t2 by 1% per iteration, §4). tGrow's cap of
+	// 10 never binds at the default TimingScale: the 0.35 cap below binds
+	// from tGrow ≈ 2.33, about 85 iterations after activation.
 	TimingGrowth float64 //dtgp:allow(unturned) ROADMAP item 8's A4 sweeps it
-	// TimingScale sets the timing term's share of the wirelength gradient:
-	// each evaluation rescales the clipped timing gradient to
-	// min(TimingScale·tGrow, 0.35)·‖∇WL‖₁, backed off by exp(−WNS/γ) once
-	// WNS > 0.
+	// TimingScale: every evaluation rescales the clipped timing gradient
+	// to min(TimingScale·tGrow, 0.35)·‖∇WL‖₁, backed off by exp(−WNS/γ)
+	// once WNS > 0.
 	TimingScale float64 //dtgp:allow(unturned) ROADMAP item 8's A4 sweeps it
 	// TimingGamma is the LSE smoothing γ of the differentiable timer.
 	TimingGamma float64
@@ -826,8 +823,9 @@ func (e *engine) step(st *optState, iter int, res *Result, quiet bool) (err erro
 		}
 	}
 	if e.timingActive && e.tGrow < 10 {
-		// §4: t1, t2 grow 1% per iteration; capped so late iterations
-		// cannot let the timing term overwhelm wirelength/density.
+		// The timing term's share grows (§4 grows t1, t2 1% per
+		// iteration); capped so late iterations cannot let it overwhelm
+		// wirelength/density.
 		e.tGrow *= opts.TimingGrowth
 	}
 

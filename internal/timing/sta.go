@@ -52,12 +52,8 @@ func AnalyzeWithNets(g *Graph, nets []NetState) *Result {
 // AnalyzeHold runs the early (hold) analysis over the late one and fills
 // in the hold fields: min arrival and slew level by level, hold required
 // times max-pulled from the deepest level up, then the hold slacks. It
-// reads the graph's constraints as they are when it runs. A second call
-// does nothing.
+// reads the graph's constraints as they are when it runs.
 func (r *Result) AnalyzeHold() {
-	if r.EndpointHold != nil {
-		return
-	}
 	g := r.G
 	n2 := 2 * len(g.D.Pins)
 	r.ATEarly = make([]float64, n2)
