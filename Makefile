@@ -3,7 +3,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: build fmt-check vet vet-budget vet-fixtures test race bench bench-smoke bench-scale bench-scale-smoke profile-scale bench-module-test examples-smoke check fuzz-smoke chaos-smoke
+.PHONY: build fmt-check vet vet-budget vet-fixtures test race bench bench-smoke bench-scale bench-scale-smoke profile-scale profile-flows bench-module-test examples-smoke check fuzz-smoke chaos-smoke
 
 build:
 	$(GO) build ./...
@@ -18,9 +18,10 @@ fmt-check:
 	fi
 
 # Static-analysis suite: dirtymark, errflow, floatdet, gradpair, hotalloc,
-# indexspace, mapiter, parsafe, unreached, unturned (see internal/analysis
-# and DESIGN.md §6, §10, §12, §20, §21). Fails on any unsuppressed finding; stale
-# //dtgp:allow annotations and hotalloc.allow entries are hard errors too.
+# indexspace, mapiter, minmax, parsafe, unreached, unturned (see
+# internal/analysis and DESIGN.md §6, §10, §12, §20, §21, §22). Fails on any
+# unsuppressed finding; stale //dtgp:allow annotations and hotalloc.allow
+# entries are hard errors too.
 vet: build
 	$(GO) run ./cmd/dtgp-vet ./...
 
@@ -126,6 +127,15 @@ PROFILE_OUT ?= /tmp/profile-scale.pprof
 profile-scale:
 	$(GO) build -o $(BENCH_BIN) ./cmd/dtgp-bench
 	$(BENCH_BIN) -experiment scale -cells 200000 -iters 20 -q -cpuprofile $(PROFILE_OUT) > /dev/null
+	$(GO) tool pprof -top -nodecount=40 $(BENCH_BIN) $(PROFILE_OUT)
+
+# Reproducible CPU profile of the three Table 3 flows (wirelength,
+# net-weighting, differentiable timing) on the eight superblue presets at
+# 1/1024, on one lane as the flow workloads run. Prints the flat top list;
+# the profile stays in PROFILE_OUT (DESIGN.md §22 cites its shares).
+profile-flows:
+	$(GO) build -o $(BENCH_BIN) ./cmd/dtgp-bench
+	GOMAXPROCS=1 $(BENCH_BIN) -experiment table3 -scale 1024 -q -cpuprofile $(PROFILE_OUT) > /dev/null
 	$(GO) tool pprof -top -nodecount=40 $(BENCH_BIN) $(PROFILE_OUT)
 
 # The benchmark harness under benchmark/ is a module of its own, so the root

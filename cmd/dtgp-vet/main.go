@@ -1,12 +1,12 @@
-// Command dtgp-vet runs the repo's static-analysis suite: ten analyzers
-// (mapiter, parsafe, hotalloc, floatdet, gradpair, errflow, dirtymark,
-// indexspace, unreached, unturned) that enforce the determinism,
-// parallel-safety, zero-allocation, gradient-pairing, error-handling,
-// incremental-state coherence and index-domain invariants of the placement
-// and timing hot paths, that every function of the module is reached from
-// a program, and that some program sets every option field. See
-// internal/analysis for the checks and DESIGN.md §6, §10, §12, §20 and §21
-// for why each invariant exists.
+// Command dtgp-vet runs the repo's static-analysis suite: eleven analyzers
+// (mapiter, minmax, parsafe, hotalloc, floatdet, gradpair, errflow,
+// dirtymark, indexspace, unreached, unturned) that enforce the determinism,
+// parallel-safety, zero-allocation, inlining, gradient-pairing,
+// error-handling, incremental-state coherence and index-domain invariants
+// of the placement and timing hot paths, that every function of the module
+// is reached from a program, and that some program sets every option
+// field. See internal/analysis for the checks and DESIGN.md §6, §10, §12,
+// §20, §21 and §22 for why each invariant exists.
 //
 // parsafe, hotalloc and dirtymark are interprocedural: a call graph over the
 // whole module (direct calls, method calls, method values, closures handed

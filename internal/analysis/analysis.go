@@ -1,9 +1,9 @@
 // Package analysis is dtgp's in-tree static-analysis framework: a small
 // go/ast + go/types driver (stdlib only — no golang.org/x/tools) with a
-// go/analysis-style Analyzer interface, plus the ten project analyzers
+// go/analysis-style Analyzer interface, plus the eleven project analyzers
 // that turn the repo's determinism, parallel-safety, zero-allocation,
-// gradient-correctness, cache-coherence, index-domain, reachability and
-// option-use conventions into build failures:
+// inlining, gradient-correctness, cache-coherence, index-domain,
+// reachability and option-use conventions into build failures:
 //
 //   - mapiter:  no `range` over a map in any function reachable from a
 //     //dtgp:hotpath root — map iteration order is nondeterministic and
@@ -17,6 +17,10 @@
 //   - floatdet: no floating-point accumulation across the iterations of a
 //     map range — the summation order, and therefore the rounded result,
 //     would depend on map iteration order.
+//   - minmax: no math.Min/math.Max call in any function reachable from a
+//     //dtgp:hotpath root — on amd64 each is an out-of-line assembly call,
+//     where the builtin min/max inline and return the same bits on every
+//     non-NaN input.
 //   - gradpair: //dtgp:forward/backward-annotated operator pairs must be
 //     complete, signature-consistent, and — for adjoint-style pairs —
 //     accumulate an adjoint for every differentiable input the forward
@@ -51,13 +55,16 @@
 // reaching-definitions and liveness.
 //
 // Diagnostics are position-accurate and individually suppressible with a
-// trailing or preceding `//dtgp:allow(<check>)` comment.
+// `//dtgp:allow(<check>)` comment: one that trails code covers its own
+// line, one on a line of its own covers the next line.
 package analysis
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/token"
+	"os"
 	"regexp"
 	"sort"
 	"strings"
@@ -147,13 +154,15 @@ func sortDiagnostics(ds []Diagnostic) {
 var allowRE = regexp.MustCompile(`^/[/*]\s*dtgp:allow\(([a-zA-Z0-9_,\- ]+)\)`)
 
 // An allowEntry is one check name of one //dtgp:allow annotation, with its
-// source position and whether it suppressed anything this run. Entries that
-// suppress nothing on a whole-tree run are themselves findings: a stale
-// suppression either hides a fixed issue or papers over moved code.
+// source position, whether it follows code on its line, and whether it
+// suppressed anything this run. Entries that suppress nothing on a
+// whole-tree run are themselves findings: a stale suppression either hides
+// a fixed issue or papers over moved code.
 type allowEntry struct {
-	check string
-	pos   token.Position
-	used  bool
+	check    string
+	pos      token.Position
+	trailing bool
+	used     bool
 }
 
 // allowSet indexes allow entries by file name and line.
@@ -168,6 +177,7 @@ func collectAllows(prog *Program) *allowSet {
 	as := &allowSet{lines: map[string]map[int][]*allowEntry{}}
 	for _, pkg := range prog.Pkgs {
 		for _, f := range pkg.Files {
+			var src []byte
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
 					m := allowRE.FindStringSubmatch(c.Text)
@@ -178,8 +188,13 @@ func collectAllows(prog *Program) *allowSet {
 					if as.lines[pos.Filename] == nil {
 						as.lines[pos.Filename] = map[int][]*allowEntry{}
 					}
+					if src == nil {
+						src, _ = os.ReadFile(pos.Filename)
+					}
+					trailing := pos.Offset <= len(src) &&
+						len(bytes.TrimSpace(src[pos.Offset-pos.Column+1:pos.Offset])) > 0
 					for _, name := range strings.Split(m[1], ",") {
-						e := &allowEntry{check: strings.TrimSpace(name), pos: pos}
+						e := &allowEntry{check: strings.TrimSpace(name), pos: pos, trailing: trailing}
 						as.lines[pos.Filename][pos.Line] = append(as.lines[pos.Filename][pos.Line], e)
 						as.entries = append(as.entries, e)
 					}
@@ -191,8 +206,9 @@ func collectAllows(prog *Program) *allowSet {
 }
 
 // suppressed reports whether d is covered by a dtgp:allow annotation on the
-// same line or on the line directly above it, marking every covering entry
-// used.
+// same line or on a line of its own directly above it, marking every
+// covering entry used. An annotation that follows code covers that line
+// only.
 func (as *allowSet) suppressed(d Diagnostic) bool {
 	lines := as.lines[d.Position.Filename]
 	if lines == nil {
@@ -201,7 +217,7 @@ func (as *allowSet) suppressed(d Diagnostic) bool {
 	hit := false
 	for _, ln := range [2]int{d.Position.Line, d.Position.Line - 1} {
 		for _, e := range lines[ln] {
-			if e.check == d.Check || e.check == "all" {
+			if (e.check == d.Check || e.check == "all") && (ln == d.Position.Line || !e.trailing) {
 				e.used = true
 				hit = true
 			}

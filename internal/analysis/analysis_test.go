@@ -91,6 +91,12 @@ func TestParSafeGolden(t *testing.T)  { runGoldenFixture(t, "parsafe", ParSafe) 
 func TestGradPairGolden(t *testing.T) { runGoldenFixture(t, "gradpair", GradPair) }
 func TestErrFlowGolden(t *testing.T)  { runGoldenFixture(t, "errflow", ErrFlow) }
 
+// TestMinMaxGolden: exactly the hot root's math.Max and its helper's
+// math.Min are findings; the cold function's call and the hot function's
+// builtins are clean, and the allowed call is suppressed
+// (TestSuppressedAudit).
+func TestMinMaxGolden(t *testing.T) { runGoldenFixture(t, "minmax", MinMax) }
+
 // TestUnreachedGolden: exactly the two seeded dead functions are findings;
 // the String, Unwrap and package-level-variable cases are reached, and the
 // allowed dead function is suppressed (TestSuppressedAudit).
@@ -130,6 +136,7 @@ func TestSuppressedAudit(t *testing.T) {
 	}{
 		{"gradpair", GradPair, 1},
 		{"errflow", ErrFlow, 1},
+		{"minmax", MinMax, 1},
 		{"parsafe", ParSafe, 1},
 		{"unreached", Unreached, 1},
 		{"unturned", Unturned, 1},

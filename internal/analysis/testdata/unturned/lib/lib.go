@@ -18,6 +18,11 @@ type Options struct {
 	//
 	//dtgp:allow(unturned) kept for the fixture's suppression case
 	Kept bool
+	// Trailed is allowed by a trailing comment: suppressed. That comment
+	// follows code, so it covers its own line only, and Next, set by
+	// DefaultOptions alone on the line below, is a finding.
+	Trailed bool //dtgp:allow(unturned) kept for the fixture's trailing-allow case
+	Next    bool
 }
 
 // Guard is an options struct of its own: DefaultGuard builds it.
@@ -31,7 +36,7 @@ func DefaultGuard() Guard { return Guard{Enabled: true} }
 
 // DefaultOptions returns the options of a run called name.
 func DefaultOptions(name string) Options {
-	return Options{Name: name, Guard: DefaultGuard(), Unset: 3, Scale: 1, Kept: true}
+	return Options{Name: name, Guard: DefaultGuard(), Unset: 3, Scale: 1, Kept: true, Trailed: true, Next: true}
 }
 
 // Stats is no options struct: DefaultStats returns a pointer to it, so
@@ -51,5 +56,5 @@ func (o *Options) normalize() {
 // Run renders the options.
 func Run(o Options) string {
 	o.normalize()
-	return fmt.Sprintf("%s %v %d %g %v %d", o.Name, o.Guard.Enabled, o.Unset, o.Scale, o.Kept, DefaultStats().Runs)
+	return fmt.Sprintf("%s %v %d %g %v %v %v %d", o.Name, o.Guard.Enabled, o.Unset, o.Scale, o.Kept, o.Trailed, o.Next, DefaultStats().Runs)
 }

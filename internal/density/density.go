@@ -156,13 +156,13 @@ func (g *Grid) splat(x, y, w, h, scale float64, dst []float64) {
 	binArea := g.BinW * g.BinH
 	for ix := ix0; ix < ix1; ix++ {
 		bx0 := float64(ix) * g.BinW
-		ox := math.Min(x0+w, bx0+g.BinW) - math.Max(x0, bx0)
+		ox := min(x0+w, bx0+g.BinW) - max(x0, bx0)
 		if ox <= 0 {
 			continue
 		}
 		for iy := iy0; iy < iy1; iy++ {
 			by0 := float64(iy) * g.BinH
-			oy := math.Min(y0+h, by0+g.BinH) - math.Max(y0, by0)
+			oy := min(y0+h, by0+g.BinH) - max(y0, by0)
 			if oy <= 0 {
 				continue
 			}
@@ -413,13 +413,13 @@ func (g *Grid) fieldOverlap(x, y, w, h float64) (fx, fy float64) {
 	}
 	for ix := ix0; ix < ix1; ix++ {
 		bx0 := float64(ix) * g.BinW
-		ox := math.Min(x0+w, bx0+g.BinW) - math.Max(x0, bx0)
+		ox := min(x0+w, bx0+g.BinW) - max(x0, bx0)
 		if ox <= 0 {
 			continue
 		}
 		for iy := iy0; iy < iy1; iy++ {
 			by0 := float64(iy) * g.BinH
-			oy := math.Min(y0+h, by0+g.BinH) - math.Max(y0, by0)
+			oy := min(y0+h, by0+g.BinH) - max(y0, by0)
 			if oy <= 0 {
 				continue
 			}

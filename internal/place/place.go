@@ -595,7 +595,7 @@ func (e *engine) gradient(z, grad []float64, iter int) (wlNorm, dNorm float64) {
 	// the wirelength gradient norm.
 	if e.timingActive && e.timer != nil {
 		e.timer.Evaluate(e.opts.T1, e.opts.T2)
-		meanWL := wlNorm / math.Max(1, float64(2*e.nMov))
+		meanWL := wlNorm / max(1, float64(2*e.nMov))
 		clip := 50 * meanWL
 		tNorm := 0.0
 		for ci := 0; ci < e.nReal; ci++ {
@@ -604,7 +604,7 @@ func (e *engine) gradient(z, grad []float64, iter int) (wlNorm, dNorm float64) {
 			tNorm += math.Abs(e.timer.CellGradX[ci]) + math.Abs(e.timer.CellGradY[ci])
 		}
 		if tNorm > 0 {
-			frac := math.Min(e.opts.TimingScale*e.tGrow, 0.35)
+			frac := min(e.opts.TimingScale*e.tGrow, 0.35)
 			// Once every endpoint meets timing, back the pressure off
 			// exponentially instead of re-amplifying a vanishing raw
 			// gradient — otherwise the WNS term keeps trading wirelength
@@ -631,7 +631,7 @@ func (e *engine) gradient(z, grad []float64, iter int) (wlNorm, dNorm float64) {
 		if slot < e.nReal {
 			pins = float64(len(e.d.Cells[slot].Pins))
 		}
-		p := math.Max(1, pins+e.lambda*e.w[slot]*e.h[slot]/(e.grid.BinW*e.grid.BinH))
+		p := max(1, pins+e.lambda*e.w[slot]*e.h[slot]/(e.grid.BinW*e.grid.BinH))
 		grad[slot] = e.gradX[slot] / p
 		grad[nSlots+slot] = e.gradY[slot] / p
 	}

@@ -229,10 +229,10 @@ func stopLength(t *Tree) float64 {
 	minX, maxX := t.X[0], t.X[0]
 	minY, maxY := t.Y[0], t.Y[0]
 	for i := 1; i < n; i++ {
-		minX = math.Min(minX, t.X[i])
-		maxX = math.Max(maxX, t.X[i])
-		minY = math.Min(minY, t.Y[i])
-		maxY = math.Max(maxY, t.Y[i])
+		minX = min(minX, t.X[i])
+		maxX = max(maxX, t.X[i])
+		minY = min(minY, t.Y[i])
+		maxY = max(maxY, t.Y[i])
 	}
 	hpwl := (maxX - minX) + (maxY - minY)
 	if n < 4 {
@@ -243,8 +243,8 @@ func stopLength(t *Tree) float64 {
 	if left == low || left == low^0b1111 {
 		return hpwl
 	}
-	opt := hpwl + math.Min(x3-x2, y3-y2)
-	return math.Max(hpwl, opt-opt*0x1p-49)
+	opt := hpwl + min(x3-x2, y3-y2)
+	return max(hpwl, opt-opt*0x1p-49)
 }
 
 // middle4 returns the second and third smallest of v[0..3] and the bit set

@@ -15,32 +15,33 @@ type NetState struct {
 	Net int32 //dtgp:index domain=net
 	// Tree is the Steiner topology; nil for clock, degenerate (<2 pins)
 	// and undriven nets.
-	//dtgp:cached by=buildNetStateInto
+	//dtgp:cached by=buildNetStateInto,extractNetState
 	Tree *rsmt.Tree
 	// RC is the rooted RC tree with Elmore state; nil when Tree is nil.
-	//dtgp:cached by=buildNetStateInto
+	//dtgp:cached by=buildNetStateInto,extractNetState
 	RC *rctree.Tree
-	// px, py are scratch coordinate buffers reused by RefreshNetState so
-	// the steady-state geometry update is allocation-free; pinCap is the
-	// per-node capacitance scratch for RC re-extraction. Between refreshes
-	// px/py double as the reference geometry of the displacement-driven
-	// dirty test (NetMoved): they hold the pin coordinates the current
-	// Steiner/RC state was extracted from.
-	//dtgp:cached by=buildNetStateInto,RefreshNetState
+	// px, py are the pin coordinate snapshot: snapshotPins writes each pin
+	// into them once per build or refresh, and the extraction or the
+	// geometry slide reads them, so the steady-state update is
+	// allocation-free; pinCap is the per-node capacitance scratch for RC
+	// re-extraction. Between refreshes px/py double as the reference
+	// geometry of the displacement-driven dirty test (NetMoved): they hold
+	// the pin coordinates the current Steiner/RC state was extracted from.
+	//dtgp:cached by=buildNetStateInto,extractNetState
 	px, py, pinCap []float64
 	// TopoHP is the pin bounding-box half-perimeter at the last topology
 	// build; RefreshNetStateLazy compares it against the current bbox to
 	// decide when sliding the stored Steiner points is no longer a faithful
 	// model and the topology must be re-extracted.
-	//dtgp:cached by=buildNetStateInto
+	//dtgp:cached by=extractNetState
 	TopoHP float64
 	// fromBuild records that the current Steiner/RC state is exactly
-	// buildNetStateInto applied to the px/py snapshot (a full topology
+	// extractNetState applied to the px/py snapshot (a full topology
 	// extraction, not a geometry slide). Extraction is deterministic, so a
 	// net with fromBuild set whose pins are bitwise unchanged since the
 	// snapshot would rebuild to the identical state — RebuildNetStateMoved
 	// exploits this to skip it.
-	//dtgp:cached by=buildNetStateInto,RefreshNetState
+	//dtgp:cached by=buildNetStateInto,RefreshNetStateLazy
 	fromBuild bool
 }
 
@@ -149,38 +150,53 @@ func RebuildNetStates(g *Graph, states []NetState, scratch []BuildScratch) {
 //dtgp:hotpath
 //dtgp:index ni=net
 func buildNetStateInto(g *Graph, ni int32, ns *NetState, s *BuildScratch) {
-	d := g.D
 	ns.Net = ni
-	ns.fromBuild = true
 	if g.MaxTreeNodes(ni) == 0 {
 		ns.Tree, ns.RC = nil, nil
+		ns.fromBuild = true
 		return
 	}
-	net := &d.Nets[ni]
-	np := len(net.Pins)
+	np := len(g.D.Nets[ni].Pins)
 	if cap(ns.px) < np {
 		ns.px = make([]float64, np)
 		ns.py = make([]float64, np)
 	}
-	px, py := ns.px[:np], ns.py[:np]
-	ns.px, ns.py = px, py
-	rootIdx := int32(-1)
+	ns.px, ns.py = ns.px[:np], ns.py[:np]
+	extractNetState(g, ns, snapshotPins(g, ns), s)
+}
+
+// snapshotPins writes each pin of ns's net once into the px/py snapshot,
+// which must hold one entry per pin, and returns the half-perimeter of the
+// pins' bounding box.
+//
+//dtgp:hotpath
+func snapshotPins(g *Graph, ns *NetState) float64 {
+	d := g.D
+	px, py := ns.px, ns.py
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	for k, pid := range net.Pins {
+	for k, pid := range d.Nets[ns.Net].Pins {
 		pos := d.PinPos(pid)
 		px[k], py[k] = pos.X, pos.Y
-		minX, maxX = math.Min(minX, pos.X), math.Max(maxX, pos.X)
-		minY, maxY = math.Min(minY, pos.Y), math.Max(maxY, pos.Y)
-		if pid == net.Driver {
-			rootIdx = int32(k)
-		}
+		minX, maxX = min(minX, pos.X), max(maxX, pos.X)
+		minY, maxY = min(minY, pos.Y), max(maxY, pos.Y)
 	}
-	ns.TopoHP = (maxX - minX) + (maxY - minY)
+	return (maxX - minX) + (maxY - minY)
+}
+
+// extractNetState re-extracts ns's Steiner and RC trees from its px/py
+// snapshot, whose bounding-box half-perimeter is hp, in worker scratch s.
+//
+//dtgp:hotpath
+func extractNetState(g *Graph, ns *NetState, hp float64, s *BuildScratch) {
+	d := g.D
+	net := &d.Nets[ns.Net]
+	ns.fromBuild = true
+	ns.TopoHP = hp
 	if ns.Tree == nil {
 		ns.Tree = &rsmt.Tree{}
 	}
-	tree := rsmt.BuildInto(ns.Tree, px, py, &s.steiner)
+	tree := rsmt.BuildInto(ns.Tree, ns.px, ns.py, &s.steiner)
 	nn := tree.NumNodes()
 	if cap(ns.pinCap) < nn {
 		ns.pinCap = make([]float64, nn)
@@ -191,8 +207,11 @@ func buildNetStateInto(g *Graph, ni int32, ns *NetState, s *BuildScratch) {
 		pinCap[j] = 0
 	}
 	// rsmt keeps the pins as nodes 0..np-1 in order, so net pin k is node k.
+	rootIdx := int32(-1)
 	for k, pid := range net.Pins {
-		if pid != net.Driver {
+		if pid == net.Driver {
+			rootIdx = int32(k)
+		} else {
 			pinCap[k] = g.SinkCap[pid]
 		}
 	}
@@ -211,7 +230,7 @@ func buildNetStateInto(g *Graph, ni int32, ns *NetState, s *BuildScratch) {
 // RebuildNetStateMoved is the per-net fence variant of RebuildNetStates: it
 // re-extracts ns only if its state could differ from a fresh build — its
 // pins moved bitwise since the px/py snapshot, or its topology was slid
-// (RefreshNetState) rather than rebuilt since then. A skipped net already
+// (RefreshNetStateLazy) rather than rebuilt since then. A skipped net already
 // holds exactly the state a rebuild would produce (extraction is
 // deterministic), so a fence over every net is bit-identical to
 // RebuildNetStates. A rebuilt net also gets its Elmore forward pass and is
@@ -230,33 +249,6 @@ func RebuildNetStateMoved(g *Graph, ns *NetState, w *Wires, s *BuildScratch) {
 	}
 	buildNetStateInto(g, ns.Net, ns, s)
 	ForwardNet(g, ns, w)
-}
-
-// RefreshNetState updates one net's node coordinates and RC values from
-// current pin positions without rebuilding Steiner topology (§3.6: reuse
-// the stored Steiner points, moving them along with their attributed pins).
-// Allocation-free after the first call on a given NetState.
-//
-//dtgp:hotpath
-func RefreshNetState(g *Graph, ns *NetState) {
-	if ns.Tree == nil {
-		return
-	}
-	ns.fromBuild = false
-	d := g.D
-	net := &d.Nets[ns.Net]
-	if cap(ns.px) < len(net.Pins) {
-		ns.px = make([]float64, len(net.Pins))
-		ns.py = make([]float64, len(net.Pins))
-	}
-	px := ns.px[:len(net.Pins)]
-	py := ns.py[:len(net.Pins)]
-	for k, pid := range net.Pins {
-		pos := d.PinPos(pid)
-		px[k], py[k] = pos.X, pos.Y
-	}
-	ns.Tree.UpdateFromPins(px, py)
-	ns.RC.RefreshGeometry()
 }
 
 // NetMoved reports whether any pin of ns has moved beyond eps (Chebyshev
@@ -287,39 +279,34 @@ func NetMoved(g *Graph, ns *NetState, eps float64) bool {
 }
 
 // RefreshNetStateLazy refreshes one net from current pin positions, choosing
-// between the cheap geometry slide (RefreshNetState, §3.6 Steiner reuse) and
-// a full topology re-extraction. The stored Steiner points stay a faithful
-// model while the pin bounding box they were derived from keeps roughly its
-// shape, so the half-perimeter is used as the distortion proxy: when the
-// current bbox half-perimeter deviates from TopoHP (the value at the last
-// build) by more than distortionLimit relatively, the topology is rebuilt.
-// distortionLimit = +Inf disables per-net rebuilds (geometry slide only).
-// A rebuild runs in s, the calling worker's scratch. Allocation-free after
-// the first call on a given NetState.
+// between the cheap geometry slide (§3.6 Steiner reuse: the stored Steiner
+// points move along with their attributed pins, the topology stays) and a
+// full topology re-extraction. Either way each pin is gathered once, into
+// the px/py snapshot, while the bounding box is taken. The stored Steiner
+// points stay a faithful model while the pin bounding box they were derived
+// from keeps roughly its shape, so the half-perimeter is used as the
+// distortion proxy: when the current bbox half-perimeter deviates from
+// TopoHP (the value at the last build) by more than distortionLimit
+// relatively, the topology is rebuilt. distortionLimit = +Inf disables
+// per-net rebuilds (geometry slide only). A rebuild runs in s, the calling
+// worker's scratch. Allocation-free after the first build of the NetState.
 //
 //dtgp:hotpath
 func RefreshNetStateLazy(g *Graph, ns *NetState, distortionLimit float64, s *BuildScratch) {
 	if ns.Tree == nil {
 		return
 	}
-	d := g.D
-	net := &d.Nets[ns.Net]
-	minX, minY := math.Inf(1), math.Inf(1)
-	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	for _, pid := range net.Pins {
-		pos := d.PinPos(pid)
-		minX, maxX = math.Min(minX, pos.X), math.Max(maxX, pos.X)
-		minY, maxY = math.Min(minY, pos.Y), math.Max(maxY, pos.Y)
-	}
-	hp := (maxX - minX) + (maxY - minY)
+	hp := snapshotPins(g, ns)
 	if math.Abs(hp-ns.TopoHP) > distortionLimit*ns.TopoHP {
 		// Note: a degenerate reference bbox (TopoHP == 0) rebuilds on any
 		// growth, and distortionLimit = +Inf never rebuilds (Inf*0 = NaN and
 		// any comparison with NaN is false, which is the wanted behaviour).
-		buildNetStateInto(g, ns.Net, ns, s)
+		extractNetState(g, ns, hp, s)
 		return
 	}
-	RefreshNetState(g, ns)
+	ns.fromBuild = false
+	ns.Tree.UpdateFromPins(ns.px, ns.py)
+	ns.RC.RefreshGeometry()
 }
 
 // ForwardAll runs the Elmore forward passes on every net, in parallel, and

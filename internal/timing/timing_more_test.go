@@ -229,8 +229,9 @@ func TestTranslationInvariance(t *testing.T) {
 	}
 }
 
-// TestNetStateRefreshMatchesRebuild: the §3.6 reuse path must produce the
-// same Elmore results as a full rebuild when topology is still valid.
+// TestNetStateRefreshMatchesRebuild: the §3.6 reuse path (the geometry
+// slide, which distortionLimit = +Inf always takes) must produce the same
+// Elmore results as a full rebuild when topology is still valid.
 func TestNetStateRefreshMatchesRebuild(t *testing.T) {
 	d, con, err := gen.Generate(gen.DefaultParams("t", 300, 46))
 	if err != nil {
@@ -247,8 +248,9 @@ func TestNetStateRefreshMatchesRebuild(t *testing.T) {
 			d.Cells[ci].Pos.X += 0.25
 		}
 	}
+	scratch := NewBuildScratch()
 	for i := range nets {
-		RefreshNetState(g, &nets[i])
+		RefreshNetStateLazy(g, &nets[i], math.Inf(1), &scratch[0])
 	}
 	r1 := AnalyzeWithNets(g, nets)
 	// Reference: full rebuild.

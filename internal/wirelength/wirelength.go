@@ -15,21 +15,23 @@ import (
 	"dtgp/internal/parallel"
 )
 
-// wlScratch holds one worker's per-net coordinate and exponential buffers,
-// padded so two workers' slice headers never share a cache line.
+// wlScratch holds one worker's per-net pin coordinates and exponential
+// buffers, padded so two workers' slice headers never share a cache line.
 type wlScratch struct {
-	coords, as, bs []float64
-	_              [56]byte
+	xs, ys, as, bs []float64
+	_              [32]byte
 }
 
 //dtgp:hotpath
 func (sc *wlScratch) ensure(n int) {
-	if cap(sc.coords) < n {
-		sc.coords = make([]float64, n)
+	if cap(sc.xs) < n {
+		sc.xs = make([]float64, n)
+		sc.ys = make([]float64, n)
 		sc.as = make([]float64, n)
 		sc.bs = make([]float64, n)
 	}
-	sc.coords = sc.coords[:n]
+	sc.xs = sc.xs[:n]
+	sc.ys = sc.ys[:n]
 	sc.as = sc.as[:n]
 	sc.bs = sc.bs[:n]
 }
@@ -107,7 +109,9 @@ func (m *Model) Evaluate(gradX, gradY []float64) float64 {
 }
 
 // evalNet computes one net's weighted WA wirelength and its pin gradients.
-// Safe to run concurrently across nets: each net touches only its own pins.
+// Each pin's position is gathered once; the x and y coordinates then run
+// through the same axis kernel. Safe to run concurrently across nets: each
+// net touches only its own pins.
 //
 //dtgp:hotpath
 //dtgp:index ni=net
@@ -117,31 +121,29 @@ func (m *Model) evalNet(ni int32, sc *wlScratch) float64 {
 	if len(net.Pins) < 2 || net.Weight == 0 {
 		return 0
 	}
-	wx := m.axis(net, true, sc)
-	wy := m.axis(net, false, sc)
+	sc.ensure(len(net.Pins))
+	for k, pid := range net.Pins {
+		p := d.PinPos(pid)
+		sc.xs[k], sc.ys[k] = p.X, p.Y
+	}
+	wx := m.axis(net, sc.xs, m.pinGradX, sc)
+	wy := m.axis(net, sc.ys, m.pinGradY, sc)
 	return net.Weight * (wx + wy)
 }
 
-// axis evaluates the WA length of one net along one axis, accumulating pin
-// gradients scaled by the net weight.
+// axis evaluates the WA length of one net along one axis from the net's
+// pin coordinates on that axis, accumulating the pin gradients, scaled by
+// the net weight, into pinGrad.
 //
 //dtgp:hotpath
-func (m *Model) axis(net *netlist.Net, isX bool, sc *wlScratch) float64 {
-	d := m.D
+//dtgp:index pinGrad=pin
+func (m *Model) axis(net *netlist.Net, coords, pinGrad []float64, sc *wlScratch) float64 {
 	gamma := m.Gamma
-	n := len(net.Pins)
-	sc.ensure(n)
-	coords, as, bs := sc.coords, sc.as, sc.bs
+	as, bs := sc.as, sc.bs
 
-	// Gather coordinates; find extremes for stable exponentials.
+	// Extremes for stable exponentials.
 	maxC, minC := math.Inf(-1), math.Inf(1)
-	for k, pid := range net.Pins {
-		p := d.PinPos(pid)
-		c := p.Y
-		if isX {
-			c = p.X
-		}
-		coords[k] = c
+	for _, c := range coords {
 		if c > maxC {
 			maxC = c
 		}
@@ -174,12 +176,7 @@ func (m *Model) axis(net *netlist.Net, isX bool, sc *wlScratch) float64 {
 		c := coords[k]
 		gMax := as[k] * (1 + (c-waMax)/gamma) / sa
 		gMin := bs[k] * (1 - (c-waMin)/gamma) / sb
-		g := weight * (gMax - gMin)
-		if isX {
-			m.pinGradX[pid] += g
-		} else {
-			m.pinGradY[pid] += g
-		}
+		pinGrad[pid] += weight * (gMax - gMin)
 	}
 	return wl
 }
