@@ -3,7 +3,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: build fmt-check vet vet-budget vet-fixtures test race bench bench-smoke bench-scale bench-scale-smoke profile-scale profile-flows bench-module-test examples-smoke check fuzz-smoke chaos-smoke
+.PHONY: build fmt-check vet vet-budget vet-fixtures test race bench bench-smoke bench-incremental bench-scale bench-scale-smoke profile-scale profile-flows bench-module-test examples-smoke check fuzz-smoke chaos-smoke
 
 build:
 	$(GO) build ./...
@@ -90,6 +90,14 @@ bench-smoke:
 				{ echo "bench-smoke: $$f is stale: recorded benchmark $$name no longer runs" >&2; exit 1; }; \
 		done; \
 	done
+
+# The benchmarks BENCH_incremental.json records: the differentiable timer's
+# full pass and its two movement workloads, and the net-weighting flow's
+# exact STA from scratch and maintained (timing.Incremental.MoveCells), on
+# superblue4 at 1/2048, ten runs each. Re-measure the record with it after
+# touching either engine.
+bench-incremental:
+	$(GO) test -run '^$$' -bench 'BenchmarkDiffTimerForwardBackward$$|BenchmarkDiffTimerIncremental|BenchmarkExactSTAIncremental' -benchmem -count 10 .
 
 # Scale smoke: run the harness end-to-end at a toy size (proves gen → arena
 # engine build → timing-driven stepping → RSS/JSON plumbing still compose),

@@ -366,9 +366,10 @@ func BenchmarkDiffTimerSparseBackward(b *testing.B) {
 
 // BenchmarkExactSTAIncremental measures the periodic exact-STA pass of the
 // net-weighting flow: from-scratch Analyze versus the maintained
-// timing.Incremental engine fed only the cells that moved. move-2pct is the
-// sparse perturbation workload (detailed-placement-style); move-all is the
-// worst case where every movable cell changed.
+// timing.Incremental engine fed only the cells that moved. move-all is the
+// flow's own workload, in which every movable cell changed; move-2pct moves
+// a few cells, a workload no program produces, and shows what re-extracting
+// only their nets saves while the late analysis is re-swept in full.
 func BenchmarkExactSTAIncremental(b *testing.B) {
 	workloads := []struct {
 		name string

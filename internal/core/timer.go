@@ -261,7 +261,6 @@ type Timer struct {
 	fwdFn      func(w, lo, hi int)
 	bwdFn      func(i int)
 	elmoreFn   func(w, lo, hi int)
-	fwdNetsFn  func(w, lo, hi int)
 	fenceFn    func(w, lo, hi int)
 	resetTasks []func()
 
@@ -671,11 +670,6 @@ func (t *Timer) buildKernels() {
 	}
 	t.bwdFn = func(i int) { t.backwardGroup(&t.curBwd[i]) }
 	t.elmoreFn = t.elmoreBackward
-	t.fwdNetsFn = func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			timing.ForwardNet(t.G, &t.Nets[i], &t.Wires)
-		}
-	}
 	t.fenceFn = func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			timing.RebuildNetStateMoved(t.G, &t.Nets[i], &t.Wires, &t.scratch[w])
@@ -745,7 +739,7 @@ func (t *Timer) refreshNets() {
 	if t.Nets == nil {
 		t.Nets = timing.BuildNetStatesArena(t.G, t.Opts.Arena)
 		t.evalCount++
-		parallel.ForGuided(len(t.Nets), 16, parallel.CostDefault, t.fwdNetsFn)
+		timing.ForwardAll(t.G, t.Nets, &t.Wires)
 		t.fullPass = true
 		return
 	}

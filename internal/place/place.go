@@ -493,12 +493,13 @@ func (e *engine) writePositions(z []float64) {
 
 // incrementalSTA returns the maintained exact-STA view of the design's
 // current cell positions, feeding the incremental engine exactly the cells
-// that moved since it last looked. The engine runs with Epsilon 0, so its
-// state is bit-identical to a from-scratch timing.Analyze at every call
-// (deterministic re-extraction from identical coordinates). Because moves
-// are detected by diffing positions against the engine's own snapshot, a
-// supervisor rollback — which rewrites positions behind our back — is just
-// another batch of moves on the next call.
+// that moved since it last looked. The engine re-sweeps the whole late
+// analysis after re-extracting their nets, so its state is bit-identical to
+// a from-scratch timing.Analyze at every call (deterministic re-extraction
+// from identical coordinates). Because moves are detected by diffing
+// positions against the engine's own snapshot, a supervisor rollback —
+// which rewrites positions behind our back — is just another batch of
+// moves on the next call.
 //
 //dtgp:hotpath
 func (e *engine) incrementalSTA() *timing.Incremental {
@@ -712,8 +713,8 @@ func (e *engine) step(st *optState, iter int, res *Result, quiet bool) (err erro
 	n2 := len(st.u)
 
 	// Net-weighting hook: exact STA on the current major iterate, served
-	// by the maintained incremental engine (Epsilon 0, so its slacks equal
-	// a from-scratch timing.Analyze bitwise).
+	// by the maintained engine (its slacks equal a from-scratch
+	// timing.Analyze bitwise).
 	if e.nwUp != nil && e.timingActive {
 		e.writePositions(st.u)
 		e.nwUp.Update(e.d, e.incrementalSTA())

@@ -114,11 +114,10 @@ func TestIncrementalNoMoveNoChange(t *testing.T) {
 	}
 }
 
-// TestIncrementalRATMatchesFull: at NewIncremental's Epsilon 0 the
-// maintained required times, per-pin slacks and WNS/TNS must be
-// bit-identical to a from-scratch analysis over the same interconnect state
-// after every move batch — the contract the incremental net-weighting path
-// in the placer relies on.
+// TestIncrementalRATMatchesFull: the maintained required times, per-pin
+// slacks and WNS/TNS must be bit-identical to a from-scratch analysis over
+// the same interconnect state after every move batch — the contract the
+// incremental net-weighting path in the placer relies on.
 func TestIncrementalRATMatchesFull(t *testing.T) {
 	g, inc := incBed(t, 400, 56)
 	d := g.D
@@ -159,9 +158,9 @@ func TestIncrementalRATMatchesFull(t *testing.T) {
 	}
 }
 
-// TestIncrementalConeIsSmall: moving one cell in a large design should
-// re-evaluate far fewer pins than the design holds (sanity on the worklist
-// mechanics, via a proxy: results stay exact while the move set is tiny).
+// TestIncrementalConeIsSmall: moving one cell in a large design re-extracts
+// only the nets on that cell's pins, and the re-swept state still equals a
+// from-scratch analysis.
 func TestIncrementalConeIsSmall(t *testing.T) {
 	g, inc := incBed(t, 1500, 55)
 	d := g.D
@@ -170,72 +169,16 @@ func TestIncrementalConeIsSmall(t *testing.T) {
 		if d.Cells[ci].Movable() {
 			d.Cells[ci].Pos.X += 3
 			inc.MoveCells([]int32{int32(ci)})
+			if n, pins := len(inc.netWork), len(d.Cells[ci].Pins); n == 0 || n > pins {
+				t.Errorf("moving one cell of %d pins re-extracted %d nets", pins, n)
+			}
 			break
 		}
 	}
 	full := Analyze(g)
-	if math.Abs(inc.WNS-full.WNS) > 1e-4 {
-		t.Errorf("WNS %v vs full %v", inc.WNS, full.WNS)
+	if inc.WNS != full.WNS || inc.TNS != full.TNS {
+		t.Errorf("WNS/TNS %v/%v vs full %v/%v", inc.WNS, inc.TNS, full.WNS, full.TNS)
 	}
-}
-
-// TestIncrementalEpsilonDriftBounded: with a positive Epsilon the engine
-// deliberately stops propagating sub-threshold AT/slew/RAT changes, so the
-// maintained state may drift from a from-scratch analysis — but the drift
-// must stay bounded. Each suppressed propagation hides at most Epsilon of
-// change at one pin, so along any path the accumulated arrival error is
-// bounded by Epsilon per level; slews feed delay LUTs whose slopes are
-// moderate, covered by the safety factor. The bound must hold at every pin
-// and on WNS/TNS after a long sequence of small-move batches (the placer's
-// steady state, where Epsilon earns its keep).
-func TestIncrementalEpsilonDriftBounded(t *testing.T) {
-	g, inc := incBed(t, 400, 57)
-	const eps = 0.5 // ps; well above the 1e-6 default
-	inc.Epsilon = eps
-	d := g.D
-	maxLevel := int32(0)
-	for _, l := range g.Level {
-		if l > maxLevel {
-			maxLevel = l
-		}
-	}
-	bound := eps * float64(maxLevel+1) * 4 // 4x safety for LUT slope amplification
-	rng := rand.New(rand.NewSource(3))
-	maxPinDrift, maxWNSDrift := 0.0, 0.0
-	for round := 0; round < 20; round++ {
-		var moved []int32
-		for len(moved) < 8 {
-			ci := int32(rng.Intn(len(d.Cells)))
-			if !d.Cells[ci].Movable() {
-				continue
-			}
-			d.Cells[ci].Pos.X += rng.NormFloat64() * 5
-			d.Cells[ci].Pos.Y += rng.NormFloat64() * 5
-			moved = append(moved, ci)
-		}
-		inc.MoveCells(moved)
-		full := AnalyzeWithNets(g, inc.Nets)
-		for i := range inc.ATLate {
-			if !inc.Valid[i] || !full.Valid[i] {
-				continue
-			}
-			if dr := math.Abs(inc.ATLate[i] - full.ATLate[i]); dr > maxPinDrift {
-				maxPinDrift = dr
-			}
-		}
-		if dr := math.Abs(inc.WNS - full.WNS); dr > maxWNSDrift {
-			maxWNSDrift = dr
-		}
-		if maxPinDrift > bound {
-			t.Fatalf("round %d: pin AT drift %v exceeds bound %v (maxLevel %d)",
-				round, maxPinDrift, bound, maxLevel)
-		}
-		if maxWNSDrift > bound {
-			t.Fatalf("round %d: WNS drift %v exceeds bound %v", round, maxWNSDrift, bound)
-		}
-	}
-	t.Logf("eps=%v maxLevel=%d bound=%v: max pin drift %v, max WNS drift %v",
-		eps, maxLevel, bound, maxPinDrift, maxWNSDrift)
 }
 
 // TestMoveCellsAllocFree: MoveCells re-extracts the nets of the moved cells
@@ -279,9 +222,9 @@ func TestMoveCellsAllocFree(t *testing.T) {
 
 // TestMoveCellsNonFiniteRecovers: a cell moved to a non-finite position
 // disconnects the Steiner tree of each of its nets with 3 or more pins, so
-// those nets lose their trees. MoveCells must survive that, and once the
-// cell is back every such net must be timed again: at Epsilon 0 the
-// maintained state then equals a from-scratch analysis bit for bit.
+// those nets lose their trees. MoveCells must survive that: right after the
+// move, and again once the cell is back and every such net is timed again,
+// the maintained state equals a from-scratch analysis bit for bit.
 func TestMoveCellsNonFiniteRecovers(t *testing.T) {
 	g, inc := incBed(t, 400, 58)
 	d := g.D
@@ -308,21 +251,32 @@ func TestMoveCellsNonFiniteRecovers(t *testing.T) {
 	if inc.Nets[ni].Tree != nil {
 		t.Fatalf("net %d kept its Steiner tree at a NaN pin", ni)
 	}
+	sameAsAnalyze(t, "at the NaN position", inc, Analyze(g))
 	d.Cells[ci].Pos = pos
 	inc.MoveCells([]int32{ci})
 	if inc.Nets[ni].Tree == nil {
 		t.Fatalf("net %d is still untimed after its pins are finite again", ni)
 	}
-	full := Analyze(g)
+	sameAsAnalyze(t, "after the round trip", inc, Analyze(g))
+}
+
+// sameAsAnalyze fails the test unless inc's reachability, arrivals, slews,
+// required times, WNS and TNS equal full's bit for bit.
+func sameAsAnalyze(t *testing.T, when string, inc *Incremental, full *Result) {
+	t.Helper()
 	diffs := 0
 	for i := range full.ATLate {
 		if inc.Valid[i] != full.Valid[i] ||
 			math.Float64bits(inc.ATLate[i]) != math.Float64bits(full.ATLate[i]) ||
-			math.Float64bits(inc.SlewLate[i]) != math.Float64bits(full.SlewLate[i]) {
+			math.Float64bits(inc.SlewLate[i]) != math.Float64bits(full.SlewLate[i]) ||
+			math.Float64bits(inc.RATLate[i]) != math.Float64bits(full.RATLate[i]) {
 			diffs++
 		}
 	}
 	if diffs > 0 {
-		t.Errorf("%d of %d timing nodes differ from a from-scratch analysis after the round trip", diffs, len(full.ATLate))
+		t.Errorf("%s: %d of %d timing nodes differ from a from-scratch analysis", when, diffs, len(full.ATLate))
+	}
+	if math.Float64bits(inc.WNS) != math.Float64bits(full.WNS) || math.Float64bits(inc.TNS) != math.Float64bits(full.TNS) {
+		t.Errorf("%s: WNS/TNS %v/%v, from scratch %v/%v", when, inc.WNS, inc.TNS, full.WNS, full.TNS)
 	}
 }

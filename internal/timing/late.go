@@ -10,10 +10,10 @@ import (
 // LateState is the exact late-mode (setup) analysis of one placement:
 // arrival and slew at every (pin, transition), required times, endpoint
 // setup slacks and WNS/TNS. Result (a from-scratch analysis) and
-// Incremental (a maintained one) both embed it and change it only through
-// the kernels below, so each late timing equation has one implementation:
-// arriveNetSink (Eq. 9), arriveCellOut (Eq. 11 with exact max), require
-// (required times) and setupSlacks (Eq. 2).
+// Incremental (one re-swept after each move batch) both embed it and change
+// it only through the kernels below, so each late timing equation has one
+// implementation: arriveNetSink (Eq. 9), arriveCellOut (Eq. 11 with exact
+// max), require (required times) and setupSlacks (Eq. 2).
 type LateState struct {
 	G    *Graph
 	Nets []NetState //dtgp:index domain=net
@@ -38,14 +38,15 @@ type LateState struct {
 
 	// derate scales net and cell arc delays (set_timing_derate -late).
 	derate float64
+	// arriveFn and requireFn run the arrival and required-time kernels
+	// over the pins of level; analyze stores them once, so that a sweep
+	// allocates nothing.
+	level               []int32 //dtgp:index elem=pin
+	arriveFn, requireFn func(i int)
 }
 
 // analyze allocates the state over the given net states, runs their Elmore
-// forward passes into its view, and runs the late analysis from scratch:
-// start arrivals, the arrival kernels level by level, the required-time
-// kernel from the deepest level up, then the endpoint slacks. Pins within
-// one level read only shallower arrivals and deeper required times, so
-// each level runs on the worker pool.
+// forward passes into its view, and sweeps the late analysis from scratch.
 func (s *LateState) analyze(g *Graph, nets []NetState) {
 	nPins := len(g.D.Pins)
 	n2 := 2 * nPins
@@ -64,74 +65,83 @@ func (s *LateState) analyze(g *Graph, nets []NetState) {
 	if g.Con != nil && g.Con.DerateLate > 0 {
 		s.derate = g.Con.DerateLate
 	}
+	s.arriveFn = func(i int) {
+		switch pid := s.level[i]; {
+		case g.IsStart[pid]:
+		case g.IsNetSink[pid]:
+			s.arriveNetSink(pid)
+		case g.IsCellOut[pid]:
+			s.arriveCellOut(pid)
+		}
+	}
+	s.requireFn = func(i int) { s.require(s.level[i]) }
 	ForwardAll(g, nets, &s.Wires)
+	s.sweep()
+}
+
+// sweep re-runs the late analysis over the current wire view: start
+// arrivals, the arrival kernels level by level, the required-time kernel
+// from the deepest level up, then the endpoint slacks. Every node is reset
+// first, so the result depends on the wire view alone and equals a
+// from-scratch analysis of it bit for bit. Pins within one level read only
+// shallower arrivals and deeper required times, and each pin evaluates
+// several LUTs, so every level runs on the worker pool (CostHeavy in the
+// dispatch cost model).
+//
+//dtgp:hotpath
+func (s *LateState) sweep() {
+	g := s.G
 	for i := range s.ATLate {
-		s.ATLate[i] = -inf
-		s.RATLate[i] = inf
+		s.ATLate[i], s.SlewLate[i], s.Valid[i], s.RATLate[i] = -inf, 0, false, inf
 	}
 	for pi := range g.D.Pins {
 		if pid := int32(pi); g.IsStart[pid] {
 			at, slew := g.StartArrival(pid)
 			for tr := Rise; tr <= Fall; tr++ {
-				s.set(TIdx(pid, tr), at, slew, 0)
+				s.set(TIdx(pid, tr), at, slew)
 			}
 		}
 	}
-	// Each pin evaluates several LUTs, so even short levels are worth
-	// fanning out (CostHeavy in the dispatch cost model).
 	for _, level := range g.Levels {
-		parallel.ForCost(len(level), parallel.CostHeavy, func(i int) {
-			switch pid := level[i]; {
-			case g.IsStart[pid]:
-			case g.IsNetSink[pid]:
-				s.arriveNetSink(pid, 0)
-			case g.IsCellOut[pid]:
-				s.arriveCellOut(pid, 0)
-			}
-		})
+		s.level = level
+		parallel.ForCost(len(level), parallel.CostHeavy, s.arriveFn)
 	}
 	for li := len(g.Levels) - 1; li >= 0; li-- {
-		level := g.Levels[li]
-		parallel.ForCost(len(level), parallel.CostHeavy, func(i int) { s.require(level[i], 0) })
+		s.level = g.Levels[li]
+		parallel.ForCost(len(s.level), parallel.CostHeavy, s.requireFn)
 	}
 	s.setupSlacks()
 }
 
-// set stores a late arrival and slew at node v and reports whether v was
-// unreached before or either value moved by more than eps.
+// set stores a late arrival and slew at node v and marks it reached.
 //
 //dtgp:hotpath
 //dtgp:index v=tnode
-func (s *LateState) set(v int32, at, slew, eps float64) bool {
-	changed := !s.Valid[v] || math.Abs(at-s.ATLate[v]) > eps || math.Abs(slew-s.SlewLate[v]) > eps
+func (s *LateState) set(v int32, at, slew float64) {
 	s.ATLate[v], s.SlewLate[v], s.Valid[v] = at, slew, true
-	return changed
 }
 
 // arriveNetSink applies the net arc (Eq. 9): AT(v) = AT(u) + Delay(v),
-// Slew(v) = sqrt(Slew(u)² + Impulse(v)²). Like arriveCellOut it reports
-// whether the pin's arrival or slew moved by more than eps.
+// Slew(v) = sqrt(Slew(u)² + Impulse(v)²).
 //
 //dtgp:hotpath
 //dtgp:index pid=pin
-func (s *LateState) arriveNetSink(pid int32, eps float64) bool {
+func (s *LateState) arriveNetSink(pid int32) {
 	w := &s.Wires
 	driver := w.Driver[pid]
 	if driver < 0 {
-		return false
+		return
 	}
 	delay := w.Delay[pid] * s.derate
 	impSq := w.ImpulseSq[pid]
-	changed := false
 	for tr := Rise; tr <= Fall; tr++ {
 		u := TIdx(driver, tr)
 		if !s.Valid[u] {
 			continue
 		}
 		slew := math.Sqrt(s.SlewLate[u]*s.SlewLate[u] + impSq)
-		changed = s.set(TIdx(pid, tr), s.ATLate[u]+delay, slew, eps) || changed
+		s.set(TIdx(pid, tr), s.ATLate[u]+delay, slew)
 	}
-	return changed
 }
 
 // arriveCellOut applies every cell arc into an output pin (Eq. 11 with the
@@ -140,11 +150,10 @@ func (s *LateState) arriveNetSink(pid int32, eps float64) bool {
 //
 //dtgp:hotpath
 //dtgp:index pid=pin
-func (s *LateState) arriveCellOut(pid int32, eps float64) bool {
+func (s *LateState) arriveCellOut(pid int32) {
 	g := s.G
 	load := s.Wires.Load[pid]
 	maxTr := g.maxTransition()
-	changed := false
 	for outTr := Rise; outTr <= Fall; outTr++ {
 		at, slew := -inf, -inf
 		reached := false
@@ -174,9 +183,8 @@ func (s *LateState) arriveCellOut(pid int32, eps float64) bool {
 		if slew > maxTr {
 			slew = maxTr
 		}
-		changed = s.set(TIdx(pid, outTr), at, slew, eps) || changed
+		s.set(TIdx(pid, outTr), at, slew)
 	}
-	return changed
 }
 
 // require re-evaluates the setup required time of pid: its endpoint seed
@@ -184,11 +192,11 @@ func (s *LateState) arriveCellOut(pid int32, eps float64) bool {
 // Elmore delays when pid drives a net and across the arc delays when pid
 // is a cell input. The fanouts sit at deeper levels, so their required
 // times are final when pid is evaluated, and the exact min does not depend
-// on pull order. Reports whether either transition moved by more than eps.
+// on pull order.
 //
 //dtgp:hotpath
 //dtgp:index pid=pin
-func (s *LateState) require(pid int32, eps float64) bool {
+func (s *LateState) require(pid int32) {
 	g := s.G
 	d := g.D
 	var rat [2]float64
@@ -251,17 +259,9 @@ func (s *LateState) require(pid int32, eps float64) bool {
 		}
 	}
 
-	changed := false
 	for tr := Rise; tr <= Fall; tr++ {
-		t := TIdx(pid, tr)
-		// Inf→Inf compares as NaN and reads unchanged; Inf→finite (or back)
-		// is +Inf and propagates.
-		if math.Abs(rat[tr]-s.RATLate[t]) > eps {
-			changed = true
-		}
-		s.RATLate[t] = rat[tr]
+		s.RATLate[TIdx(pid, tr)] = rat[tr]
 	}
-	return changed
 }
 
 // setupSlacks derives the endpoint setup slacks and WNS/TNS from the

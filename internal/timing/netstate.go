@@ -311,8 +311,12 @@ func RefreshNetStateLazy(g *Graph, ns *NetState, distortionLimit float64, s *Bui
 
 // ForwardAll runs the Elmore forward passes on every net, in parallel, and
 // publishes them in w (ForwardNet). Its batch adjoint is the core timer's
-// elmoreBackward sweep.
+// elmoreBackward sweep. It is kept out of line, so that its one dispatch
+// closure per call stays an escape of ForwardAll in hotalloc.allow instead
+// of moving into each caller it would be inlined into (the core timer's
+// steady-state refreshNets among them).
 //
+//go:noinline
 //dtgp:hotpath
 //dtgp:forward(elmore-batch)
 func ForwardAll(g *Graph, states []NetState, w *Wires) {
