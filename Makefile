@@ -75,15 +75,15 @@ chaos-smoke:
 # Bench smoke: run every benchmark exactly once (no timing fidelity) so a
 # benchmark that panics, allocates unboundedly, or bit-rots against an API
 # change is caught pre-merge without paying for a real measurement sweep.
-# The sparse-vs-full backward pair then runs at a real (small) iteration
-# count so a regression that only shows up warm is still exercised, and
-# BENCH_backward.json and BENCH_incremental.json are checked against the
-# live benchmark names: renaming or dropping a sub-benchmark without
-# refreshing the committed record fails loudly here instead of silently
-# orphaning the recorded numbers.
+# The differentiable timer's full-pass and movement benchmarks then run at a
+# real (small) iteration count so a regression that only shows up warm is
+# still exercised, and BENCH_backward.json and BENCH_incremental.json are
+# checked against the live benchmark names: renaming or dropping a
+# sub-benchmark without refreshing the committed record fails loudly here
+# instead of silently orphaning the recorded numbers.
 bench-smoke:
 	$(GO) test -bench . -benchtime=1x -run '^$$' ./... | tee /tmp/bench_smoke.txt
-	$(GO) test -bench 'BenchmarkDiffTimerForwardBackward$$|BenchmarkDiffTimerSparseBackward' -benchtime=20x -run '^$$' .
+	$(GO) test -bench 'BenchmarkDiffTimerForwardBackward$$|BenchmarkDiffTimerIncremental' -benchtime=20x -run '^$$' .
 	@for f in BENCH_backward.json BENCH_incremental.json; do \
 		for name in $$(grep -o '"name": "Benchmark[^"]*"' $$f | sed -e 's/"name": "//' -e 's/"$$//'); do \
 			grep -q "^$$name\b" /tmp/bench_smoke.txt /dev/null || \

@@ -254,16 +254,15 @@ func reportPhases(b *testing.B, tm *core.Timer) {
 	b.Helper()
 	n := float64(b.N)
 	b.ReportMetric(float64(tm.Phase.ForwardNS)/n, "forward-ns/op")
-	b.ReportMetric(float64(tm.Phase.ConeBuildNS)/n, "cone-build-ns/op")
 	b.ReportMetric(float64(tm.Phase.BackwardNS)/n, "backward-ns/op")
 }
 
 // BenchmarkDiffTimerIncremental measures one differentiable-timer evaluation
 // under a movement workload: every movable cell drifts by a uniform step
-// before each Evaluate. small-step mimics a converging placement (drift well
-// under the ε-displacement threshold, so the timer skips most extraction and
-// propagation); large-step forces every net dirty and bounds the bookkeeping
-// overhead of the incremental machinery.
+// before each Evaluate. small-step drifts well under the ε-displacement
+// threshold, so the lazy refresh skips most nets (a micro-workload that no
+// flow produces); large-step moves every net past ε, so every net
+// refreshes.
 func BenchmarkDiffTimerIncremental(b *testing.B) {
 	steps := []struct {
 		name  string
@@ -286,81 +285,6 @@ func BenchmarkDiffTimerIncremental(b *testing.B) {
 			}
 			reportPhases(b, tm)
 		})
-	}
-}
-
-// BenchmarkDiffTimerSparseBackward pits the cone-restricted sparse backward
-// against the full reverse sweep under two movement workloads. drift moves
-// every movable cell a small step per Evaluate (mid-placement churn);
-// converge moves 2% of the movable cells (late-placement refinement, the
-// regime the moved-only fence and the incremental forward are built for —
-// the same small-step workload shape as BenchmarkExactSTAIncremental's
-// move-2pct arm). The sparse arm runs the DefaultOptions cone pass; the
-// sparse-tuned arm narrows it to the top-2 endpoints with a 0.1 adjoint
-// deadband, the configuration the quality A/B test validates. Two warm-up
-// evaluations let the cone worklists reach steady-state size before
-// measurement; the phase metrics expose where the saved time comes from.
-func BenchmarkDiffTimerSparseBackward(b *testing.B) {
-	workloads := []struct {
-		name string
-		frac float64
-	}{{"drift", 1}, {"converge", 0.02}}
-	modes := []struct {
-		name string
-		opts func() core.Options
-		cone bool
-	}{
-		{"full-backward", func() core.Options {
-			o := core.DefaultOptions()
-			o.SparseBackward = false
-			return o
-		}, false},
-		{"sparse", core.DefaultOptions, true},
-		{"sparse-tuned", func() core.Options {
-			o := core.DefaultOptions()
-			o.TopK = 2
-			o.ConePrune = 0.1
-			return o
-		}, true},
-	}
-	for _, wl := range workloads {
-		for _, m := range modes {
-			b.Run(wl.name+"/"+m.name, func(b *testing.B) {
-				tm, d, movable := movementBed(b, m.opts())
-				rng := rand.New(rand.NewSource(9))
-				nMove := int(wl.frac * float64(len(movable)))
-				if nMove < 1 {
-					nMove = 1
-				}
-				step := func() {
-					if nMove == len(movable) {
-						for _, ci := range movable {
-							d.Cells[ci].Pos.X += (rng.Float64() - 0.5) * 0.2
-							d.Cells[ci].Pos.Y += (rng.Float64() - 0.5) * 0.2
-						}
-					} else {
-						for k := 0; k < nMove; k++ {
-							ci := movable[rng.Intn(len(movable))]
-							d.Cells[ci].Pos.X += (rng.Float64() - 0.5) * 0.2
-							d.Cells[ci].Pos.Y += (rng.Float64() - 0.5) * 0.2
-						}
-					}
-					tm.Evaluate(0.01, 0.001)
-				}
-				step()
-				step()
-				tm.Phase = core.PhaseTimes{}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					step()
-				}
-				reportPhases(b, tm)
-				if m.cone {
-					b.ReportMetric(tm.Cone().Coverage(), "cone-coverage")
-				}
-			})
-		}
 	}
 }
 

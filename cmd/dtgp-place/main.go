@@ -67,8 +67,6 @@ func run() error {
 		svg      = flag.String("svg", "", "write a slack-coloured placement SVG to this path")
 		iters    = flag.Int("iters", 0, "max iterations (0 = default)")
 		noGuard  = flag.Bool("no-guard", false, "disable the fault-tolerance supervisor (checkpoints, rollback)")
-		fullBwd  = flag.Bool("full-backward", false, "disable the sparse cone-restricted backward pass: seed every violating endpoint (quality A/B baseline)")
-		topk     = flag.Int("topk", 0, "critical endpoints seeded per sparse backward pass (0 = auto quota)")
 		ckptDir  = flag.String("checkpoint-dir", "", "durably persist supervisor checkpoints into this directory (crash-consistent)")
 		ckptKeep = flag.Int("checkpoint-keep", 4, "checkpoints retained in -checkpoint-dir (0 = keep all)")
 		resume   = flag.Bool("resume", false, "resume from the latest checkpoint in -checkpoint-dir (exit 4 if it cannot be loaded)")
@@ -114,8 +112,6 @@ func run() error {
 		opts.MaxIters = *iters
 	}
 	opts.Guard = !*noGuard
-	opts.FullBackward = *fullBwd
-	opts.TimingTopK = *topk
 	opts.CheckpointDir = *ckptDir
 	opts.CheckpointKeep = *ckptKeep
 	if *deadline > 0 {
@@ -153,10 +149,6 @@ func run() error {
 	fmt.Printf("WNS        : %.3f ps\n", res.WNS)
 	fmt.Printf("TNS        : %.3f ps\n", res.TNS)
 	fmt.Printf("runtime    : %v\n", res.Runtime)
-	if c := res.Cone; c.SparsePasses > 0 {
-		fmt.Printf("cone       : %d sparse / %d full passes, %.1f%% sweep coverage, %d/%d endpoints seeded\n",
-			c.SparsePasses, c.FullPasses, 100*c.Coverage(), c.Selected, c.Endpoints)
-	}
 	if res.Legal != nil {
 		fmt.Printf("legalized  : %d cells, avg disp %.2f, max disp %.2f\n",
 			res.Legal.Moved, res.Legal.AvgDisplacement, res.Legal.MaxDisplacement)

@@ -1,5 +1,5 @@
 // Package bitset provides a dense bit set keyed by small non-negative
-// integers. It backs the deterministic worklists of the incremental timer
+// integers. It backs the touched-net worklist of the incremental exact STA
 // (and anywhere else a map[int32]bool used to serve as a membership set):
 // membership tests are branch-free word operations, and — unlike a map —
 // the set has no iteration order to leak into results, so code that drains
@@ -34,17 +34,10 @@ func (s *Set) TryAdd(i int32) bool {
 	return true
 }
 
-// Remove deletes i from the set (no-op when absent).
-func (s *Set) Remove(i int32) {
-	if w := int(i >> 6); w < len(s.words) {
-		s.words[w] &^= 1 << uint(i&63)
-	}
-}
-
 // ClearMembers removes every listed member. For a set whose members are
 // tracked in a side list this is O(len(members)) instead of an O(capacity)
-// sweep of every word, which is what keeps clearing a sparse cone cheap
-// when the universe is large.
+// sweep of every word, which is what keeps clearing a small touched set
+// cheap when the universe is large.
 func (s *Set) ClearMembers(members []int32) {
 	for _, i := range members {
 		if w := int(i >> 6); w < len(s.words) {

@@ -39,14 +39,6 @@ func TestBasicOps(t *testing.T) {
 	if !s.Has(64) || !s.Has(65) || s.Count() != 3 {
 		t.Fatalf("word-boundary members missing, count=%d", s.Count())
 	}
-	s.Remove(64)
-	if s.Has(64) || !s.Has(65) {
-		t.Fatal("Remove(64) removed the wrong bit")
-	}
-	s.Remove(4096) // absent, beyond capacity: no-op
-	if s.Count() != 2 {
-		t.Fatalf("expected {5, 65}, count=%d", s.Count())
-	}
 }
 
 func TestGrow(t *testing.T) {
@@ -115,15 +107,14 @@ func TestWordBoundaries(t *testing.T) {
 	if s.Count() != len(edges) {
 		t.Fatalf("Count = %d, want %d", s.Count(), len(edges))
 	}
-	// Removing one side of each boundary must not disturb the other.
-	s.Remove(63)
-	s.Remove(128)
+	// Clearing one side of each boundary must not disturb the other.
+	s.ClearMembers([]int32{63, 128})
 	for _, want := range []struct {
 		i  int32
 		in bool
 	}{{62, true}, {63, false}, {64, true}, {127, true}, {128, false}, {129, true}} {
 		if s.Has(want.i) != want.in {
-			t.Errorf("after boundary removes: Has(%d) = %v, want %v", want.i, !want.in, want.in)
+			t.Errorf("after boundary clears: Has(%d) = %v, want %v", want.i, !want.in, want.in)
 		}
 	}
 }
@@ -165,10 +156,12 @@ func TestCountMultiWord(t *testing.T) {
 	if s.Count() != 130 {
 		t.Fatalf("Count = %d, want 130", s.Count())
 	}
+	var evens []int32
 	for i := int32(0); i < 130; i += 2 {
-		s.Remove(i)
+		evens = append(evens, i)
 	}
+	s.ClearMembers(evens)
 	if s.Count() != 65 {
-		t.Fatalf("after removing evens: Count = %d, want 65", s.Count())
+		t.Fatalf("after clearing evens: Count = %d, want 65", s.Count())
 	}
 }

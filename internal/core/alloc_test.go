@@ -11,9 +11,9 @@ import (
 
 // TestEvaluateSteadyStateAllocFree pins down the allocation-free hot path:
 // with topology frozen and most cells moving between evaluations, every
-// Evaluate (geometry refresh of the moved nets + Elmore forward + the full
-// levelised forward the dirty-density cutoff selects + objective + full
-// backward) must run entirely in pre-sized scratch. Two warm-up calls size
+// Evaluate (geometry refresh of the moved nets + Elmore forward + the
+// levelised forward + objective + backward) must run entirely in pre-sized
+// scratch. Two warm-up calls size
 // every buffer; after that, zero allocations per pass.
 func TestEvaluateSteadyStateAllocFree(t *testing.T) {
 	g := makeTestBed(t, 400, 31)

@@ -6,8 +6,8 @@ import (
 	"dtgp/internal/netlist"
 )
 
-// moveCells perturbs every movable cell deterministically so incremental
-// refresh, per-net rebuilds and the sparse backward all get exercised.
+// moveCells perturbs every movable cell deterministically so the lazy
+// refresh and per-net rebuilds get exercised.
 func moveCells(d *netlist.Design, step int) {
 	for ci := range d.Cells {
 		c := &d.Cells[ci]

@@ -8,11 +8,11 @@ import (
 
 // TestReanchorBitIdentity is the core contract behind resume determinism:
 // a warm timer that is Reanchor()ed is bitwise indistinguishable from a
-// freshly constructed timer at the same positions. The incremental engine's
-// state (stale gradients, cone marks, fence phase) is history-dependent, so
-// without re-anchoring a resumed run would diverge from the original in the
-// last bits; Reanchor forces the next Evaluate through the full
-// re-extraction + full backward path, after which every derived quantity is
+// freshly constructed timer at the same positions. The lazy net refresh's
+// state (the geometry of each net's last refresh, the fence phase) is
+// history-dependent, so without re-anchoring a resumed run would diverge
+// from the original in the last bits; Reanchor forces the next Evaluate
+// through the fence's re-extraction, after which every derived quantity is
 // a pure function of positions.
 //
 // The test drives a warm timer through a random prefix trajectory, then
@@ -23,7 +23,7 @@ import (
 func TestReanchorBitIdentity(t *testing.T) {
 	g := makeTestBed(t, 300, 37)
 	d := g.D
-	opts := DefaultOptions() // incremental + sparse backward: the production path
+	opts := DefaultOptions() // the production path
 	warm := NewTimer(g, opts)
 	rng := rand.New(rand.NewSource(37))
 
@@ -39,7 +39,7 @@ func TestReanchorBitIdentity(t *testing.T) {
 		}
 	}
 
-	// Prefix: accumulate history-dependent incremental state in warm,
+	// Prefix: accumulate history-dependent refresh state in warm,
 	// deliberately ending mid-fence-period (prefix 13, fence 10).
 	const prefix, suffix = 13, 25
 	for it := 0; it < prefix; it++ {

@@ -11,8 +11,8 @@ import (
 )
 
 // TestDiffTimingFlowStress drives the full differentiable-timing flow —
-// refresh fences, geometry refreshes, dirty and full levelised forward
-// sweeps, objective, sparse and full backward sweeps — on a multi-lane pool
+// refresh fences, geometry refreshes, the levelised forward sweep,
+// objective and backward sweep — on a multi-lane pool
 // for many iterations, so `go test -race` exercises every barrier handoff
 // and worker-local scratch buffer across hundreds of pool reuses. The same
 // flow is then replayed on a single-lane pool and every per-iteration
@@ -30,7 +30,8 @@ func TestDiffTimingFlowStress(t *testing.T) {
 		parallel.SetWorkers(workers)
 		g := makeTestBed(t, 300, 41)
 		d := g.D
-		// A fence every third evaluation alternates full and dirty passes.
+		// A fence every third evaluation alternates fences and lazy
+		// refreshes.
 		opts := DefaultOptions()
 		opts.Gamma = 50
 		opts.FencePeriod = 3

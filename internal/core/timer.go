@@ -3,20 +3,18 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"dtgp/internal/arena"
-	"dtgp/internal/bitset"
 	"dtgp/internal/parallel"
 	"dtgp/internal/rctree"
 	"dtgp/internal/timing"
 )
 
-// Options configure the differentiable timer. Evaluation is incremental:
-// only nets whose pins moved beyond RefreshEps since their last refresh are
-// slid or re-extracted, and the forward sweep recomputes only pins whose
-// fan-in changed, with a periodic full-refresh fence (FencePeriod).
+// Options configure the differentiable timer. Net refresh is lazy: only
+// nets whose pins moved beyond RefreshEps since their last refresh are slid
+// or re-extracted, with a periodic full-refresh fence (FencePeriod). The
+// forward sweep and the backward pass always run over the whole graph.
 type Options struct {
 	// Gamma is the LSE smoothing strength (Eq. 5), in ps. The paper sets
 	// it "to around 100".
@@ -26,7 +24,7 @@ type Options struct {
 	// distance against the geometry of the net's last refresh) below which
 	// a net keeps its cached Steiner/RC state. 0 means any bitwise movement
 	// refreshes (exact).
-	RefreshEps float64 //dtgp:allow(unturned) frozenOptions sets 0, the exact oracle of the incremental tests
+	RefreshEps float64 //dtgp:allow(unturned) frozenOptions sets 0, the exact oracle of the finite-difference and tape tests
 	// DistortionLimit is the relative pin-bbox half-perimeter change that
 	// triggers a per-net Steiner topology rebuild instead of the cheap
 	// geometry slide. +Inf disables per-net rebuilds; <= 0 selects the
@@ -36,80 +34,57 @@ type Options struct {
 	DistortionLimit float64
 	// FencePeriod is the Steiner-topology reuse period (§3.6, "every 10
 	// iterations"): every FencePeriod evaluations a full-refresh fence
-	// re-extracts every moved net's Steiner and RC trees and runs the full
-	// forward sweep, bounding drift from skipped sub-ε movement. Between
-	// fences stored Steiner points ride along with their pins. <= 0
-	// selects the default (10).
+	// re-extracts every moved net's Steiner and RC trees, bounding drift
+	// from skipped sub-ε movement. Between fences stored Steiner points
+	// ride along with their pins. <= 0 selects the default (10).
 	FencePeriod int
-	// PropagateEps is the forward change-damping threshold: a recomputed
-	// pin whose AT/slew/hard-AT all changed by at most PropagateEps does
-	// not dirty its fanout. 0 propagates any bitwise change (exact).
-	PropagateEps float64 //dtgp:allow(unturned) frozenOptions sets 0, the exact oracle of the incremental and tape tests
-
-	// SparseBackward enables the cone-restricted backward pass: adjoints
-	// are seeded only at the TopK most critical endpoints (per-domain
-	// quota), propagated through their transitive fan-in cones, and the
-	// contributions of unselected endpoints are carried forward as a
-	// decaying stale-gradient term (ConeDecay). The zero value runs the
-	// exact full backward on every evaluation.
-	SparseBackward bool
-	// TopK is the endpoint budget of the sparse backward. <= 0 selects the
-	// default max(16, endpoints/8).
-	TopK int
-	// ConeDecay is the stale-gradient reuse factor in [0, 0.95]: each
-	// sparse pass emits coneGrad + ConeDecay·stale and stores the result
-	// as the next stale term, so non-cone endpoint contributions fade
-	// geometrically instead of vanishing abruptly. 0 uses pure cone
-	// gradients; values are clamped to 0.95.
-	ConeDecay float64 //dtgp:allow(unturned) TestSparseConeGradientAlignsWithFull sets 0
-	// ConePrune is the relative adjoint deadband of the sparse sweep: a
-	// pin whose ∂f/∂AT and ∂f/∂slew are both below ConePrune times the
-	// largest seeded adjoint magnitude does not propagate further. The LSE
-	// spreads a conserved adjoint mass over exponentially many fan-in
-	// paths, so per-pin magnitudes decay geometrically with depth and the
-	// deadband confines the reverse sweep to the dominant sub-cone. 0
-	// disables pruning (pure structural cones); values are clamped to 0.1.
-	// Ignored by the full pass, which stays exact.
-	ConePrune float64 //dtgp:allow(unturned) bench_test.go's sparse-tuned rows (BENCH_backward.json) set 0.1
 
 	// Arena backs the timer's large SoA buffers (forward state, cell-arc
-	// tape, the wire view and its adjoints, gradients, CSR group storage,
-	// level buckets) and the per-net Steiner/RC buffers with chunked slab
-	// storage (DESIGN.md §13). The placer passes the arena its netlist was
+	// tape, the wire view and its adjoints, gradients, CSR group storage)
+	// and the per-net Steiner/RC buffers with chunked slab storage
+	// (DESIGN.md §13). The placer passes the arena its netlist was
 	// compacted into; nil makes NewTimer carve its own, sized by
 	// arena.ChunkSize.
 	Arena *arena.Arena
 }
 
 // DefaultOptions mirrors the paper's §4 hyperparameters: ε = 0.5 DBU, 50%
-// distortion rebuild, a fence every 10 evaluations (the paper's Steiner
-// reuse period), and a 1 fs propagation deadband so sub-resolution arrival
-// jitter does not re-dirty the whole downstream cone.
+// distortion rebuild and a fence every 10 evaluations (the paper's Steiner
+// reuse period).
 func DefaultOptions() Options {
 	return Options{
 		Gamma:           100,
 		RefreshEps:      0.5,
 		DistortionLimit: 0.5,
 		FencePeriod:     10,
-		PropagateEps:    1e-3,
-		SparseBackward:  true,
-		TopK:            0, // auto: max(16, endpoints/8)
-		ConeDecay:       0.5,
-		ConePrune:       1e-3,
 	}
 }
 
 // PhaseTimes accumulates wall-clock nanoseconds per Evaluate phase, split so
-// benchmarks can report forward, cone-build and backward cost separately.
+// benchmarks can report forward and backward cost separately.
 type PhaseTimes struct {
 	// ForwardNS covers net refresh, Elmore forward and the level sweep.
 	ForwardNS int64
-	// ConeBuildNS covers endpoint selection and cone marking (sparse mode).
+	// ConeBuildNS is always 0: no pass builds a cone. It stays only because
+	// benchmark/profile.go's replayer reads it, and ROADMAP item 2, which
+	// replaces that replayer, deletes the field.
 	ConeBuildNS int64
 	// BackwardNS covers seeding, the reverse sweep, Elmore backward and the
-	// Fig. 4 redistribution (excluding ConeBuildNS).
+	// Fig. 4 redistribution.
 	BackwardNS int64
 }
+
+// ConeStats counts a Timer's backward passes. Read it via Timer.Cone. It
+// stays only because benchmark/profile.go's replayer reads it, and ROADMAP
+// item 2, which replaces that replayer, deletes the type.
+type ConeStats struct {
+	// SparsePasses is always 0; FullPasses counts every backward pass.
+	SparsePasses int
+	FullPasses   int
+}
+
+// Coverage is always 0: no backward pass is restricted to a cone.
+func (ConeStats) Coverage() float64 { return 0 }
 
 // epState is the per-endpoint slack state of one objective evaluation.
 type epState struct {
@@ -207,16 +182,11 @@ type Timer struct {
 	// gradients.
 	netGrads    []*rctree.Grad //dtgp:index domain=net
 	netGradUsed []bool         //dtgp:index domain=net
-	// pruneAbs is the adjoint deadband of the current reverse sweep: a pin
-	// adjoint component with magnitude <= pruneAbs does not propagate. It
-	// is 0 in the full pass, so only exact zeros stop there, and ConePrune
-	// times the largest seeded adjoint in a sparse pass.
-	pruneAbs float64
 	// Touched-net tracking: the reverse kernels flag the nets whose
 	// interconnect adjoints they wrote (sink side and driver side have
 	// distinct single-writer groups, hence two flag arrays); touchedNets
-	// lists them for the Elmore backward and the Fig. 4 redistribution — in
-	// net order in the full pass, in cone order in a sparse pass.
+	// lists them in net order for the Elmore backward and the Fig. 4
+	// redistribution.
 	netTouchedSink []bool  //dtgp:index domain=net
 	netTouchedDrv  []bool  //dtgp:index domain=net
 	touchedNets    []int32 //dtgp:index elem=net
@@ -229,6 +199,8 @@ type Timer struct {
 	EstTNS, EstWNS float64
 
 	evalCount int
+	// backwardPasses counts backward passes, for Cone.
+	backwardPasses int
 
 	// Precomputed structure.
 	// bwdGroups holds, per level, the single-writer units of the reverse
@@ -262,43 +234,17 @@ type Timer struct {
 	bwdFn      func(i int)
 	elmoreFn   func(w, lo, hi int)
 	fenceFn    func(w, lo, hi int)
+	refreshFn  func(w, lo, hi int)
 	resetTasks []func()
-
-	// Incremental-evaluation state. netMoved is the per-net movement flag
-	// written by the parallel scan (single writer per index), compacted into
-	// dirtyNets; pinDirty marks pins whose fan-in changed, bucketed by level
-	// into levelBuckets (dirtyCount tracks the outstanding total so the
-	// sweep can stop once the cone dies out); pinChanged is the per-pin
-	// "outputs changed" flag written by the level kernel. fullPass records
-	// that the current evaluation refreshed everything (first build, fence,
-	// or the dirty-density cutoff), so the forward sweep must run in full.
-	netMoved      []bool  //dtgp:index domain=net
-	dirtyNets     []int32 //dtgp:index elem=net
-	pinDirty      bitset.Set
-	pinChanged    []bool    //dtgp:index domain=pin
-	levelBuckets  [][]int32 //dtgp:index domain=level
-	dirtyCount    int
-	curWork       []int32 //dtgp:index elem=pin
-	compactor     *parallel.Compactor
-	fullPass      bool
-	netMovedFn    func(w, lo, hi int)
-	refreshLazyFn func(w, lo, hi int)
-	fwdIncFn      func(w, lo, hi int)
 	// scratch is the per-worker Steiner/RC build scratch of fenceFn and
-	// refreshLazyFn, indexed by the worker id the pool passes them.
+	// refreshFn, indexed by the worker id the pool passes them.
 	scratch []timing.BuildScratch
 
-	// Objective scratch. wnsM/wnsZ are the shift and partition value of the
-	// inline endpoint softmin, stored so the sparse seeding can renormalise
-	// over a subset with the same shifted form.
+	// Objective scratch: the smoothed slacks of the constrained endpoints
+	// and their endpoint indices.
 	epStates []epState //dtgp:index domain=endp
 	sEps     []float64
 	epIdx    []int32 //dtgp:index elem=endp
-	wnsM     float64
-	wnsZ     float64
-
-	// Sparse backward state (Opts.SparseBackward); nil in full mode.
-	sb *sparseState
 
 	// Phase is the cumulative per-phase wall-clock split of Evaluate calls.
 	// Benchmarks may reset it between warm-up and measurement.
@@ -318,23 +264,6 @@ func NewTimer(g *timing.Graph, opts Options) *Timer {
 	}
 	if opts.RefreshEps < 0 {
 		opts.RefreshEps = 0
-	}
-	if opts.PropagateEps < 0 {
-		opts.PropagateEps = 0
-	}
-	if opts.SparseBackward {
-		if opts.ConeDecay < 0 {
-			opts.ConeDecay = 0
-		}
-		if opts.ConeDecay > 0.95 {
-			opts.ConeDecay = 0.95
-		}
-		if opts.ConePrune < 0 {
-			opts.ConePrune = 0
-		}
-		if opts.ConePrune > 0.1 {
-			opts.ConePrune = 0.1
-		}
 	}
 	// The big per-tnode/per-net/per-cell SoA arrays carve from the arena.
 	// Slices of pointer-bearing types (netGrads, epStates) stay on the GC
@@ -383,30 +312,18 @@ func NewTimer(g *timing.Graph, opts Options) *Timer {
 	t.buildSchedule()
 	t.buildStartPins()
 	t.buildKernels()
-	t.buildIncState()
-	if opts.SparseBackward {
-		t.buildSparseState()
-	}
+	t.scratch = timing.NewBuildScratch()
 	return t
 }
 
 // Reanchor resets the evaluation cadence so the next Evaluate runs the
-// full-refresh fence: every bitwise-moved net is re-extracted, the forward
-// sweep recomputes every pin and so rewrites the whole cell-arc tape, and
-// (in sparse mode) the backward pass is the exact full sweep, whose
-// gradients noteFull copies into the stale-gradient memory. After that
+// full-refresh fence, which re-extracts every bitwise-moved net. After that
 // evaluation the timer's observable behaviour — outputs and all subsequent
 // evaluations — is bitwise identical to a freshly constructed timer
-// evaluated at the same cell positions, because every piece of
-// history-dependent state (net geometry vs. last refresh, fence phase, the
-// tape, stale sparse gradients, cached cone marks) is either rebuilt from
-// the current positions or a pure structural function of the seed selection.
-//
-// Between fences the tape is history-dependent by design: a pin that an
-// incremental forward skips (its inputs moved by at most PropagateEps)
-// keeps the slots of its last recomputation, and the reverse sweep
-// differentiates that recorded forward. With PropagateEps 0 every moved
-// input is recomputed, and the tape always matches the current state.
+// evaluated at the same cell positions. The net geometry of the last
+// refresh and the fence phase are the only history the timer keeps: every
+// evaluation recomputes the whole forward state, the cell-arc tape and the
+// gradients from the nets' Steiner/RC state.
 //
 // The durable-checkpoint path calls this after every committed save, in the
 // original run and in resumed runs alike, which is what makes
@@ -415,48 +332,8 @@ func NewTimer(g *timing.Graph, opts Options) *Timer {
 // start their next evaluation from equal state.
 func (t *Timer) Reanchor() { t.evalCount = 0 }
 
-// Cone returns the sparse-backward statistics (zero value in full mode).
-func (t *Timer) Cone() ConeStats {
-	if t.sb == nil {
-		return ConeStats{}
-	}
-	return t.sb.stats
-}
-
-// buildIncState allocates the dirty-tracking buffers up front so the
-// incremental steady state never grows them.
-func (t *Timer) buildIncState() {
-	g := t.G
-	a := t.Opts.Arena
-	t.netMoved = arena.Make[bool](a, len(g.D.Nets))
-	t.dirtyNets = arena.Make[int32](a, len(g.D.Nets))
-	t.pinChanged = arena.Make[bool](a, len(g.D.Pins))
-	t.pinDirty.Grow(len(g.D.Pins))
-	t.buildLevelBuckets()
-	t.compactor = parallel.NewCompactor(4 * parallel.Workers())
-	t.scratch = timing.NewBuildScratch()
-}
-
-// buildLevelBuckets carves every level's dirty bucket out of one slab sized
-// by the levelisation in a single pass: bucket k is a zero-length window of
-// capacity len(Levels[k]) (a bucket can never exceed its level), so the
-// per-level make calls of the old build collapse to one slab carve plus the
-// outer slice of windows, with zero steady-state growth. Pinned by an
-// AllocsPerRun guard in timer_alloc_test.go.
-func (t *Timer) buildLevelBuckets() {
-	g := t.G
-	total := 0
-	for _, level := range g.Levels {
-		total += len(level)
-	}
-	slab := arena.Make[int32](t.Opts.Arena, total) //dtgp:index elem=pin
-	t.levelBuckets = make([][]int32, len(g.Levels))
-	off := 0
-	for k, level := range g.Levels {
-		t.levelBuckets[k] = slab[off : off : off+len(level)]
-		off += len(level)
-	}
-}
+// Cone returns the backward-pass counts.
+func (t *Timer) Cone() ConeStats { return ConeStats{FullPasses: t.backwardPasses} }
 
 // buildTape carves the cell-arc tape: each cell-output tnode gets one slot
 // per (arc, input transition) candidate of its output transition, whether
@@ -675,28 +552,12 @@ func (t *Timer) buildKernels() {
 			timing.RebuildNetStateMoved(t.G, &t.Nets[i], &t.Wires, &t.scratch[w])
 		}
 	}
-	t.netMovedFn = func(_, lo, hi int) {
+	t.refreshFn = func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			t.netMoved[i] = timing.NetMoved(t.G, &t.Nets[i], t.Opts.RefreshEps)
-		}
-	}
-	t.refreshLazyFn = func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ns := &t.Nets[t.dirtyNets[i]]
-			timing.RefreshNetStateLazy(t.G, ns, t.Opts.DistortionLimit, &t.scratch[w])
-			timing.ForwardNet(t.G, ns, &t.Wires)
-		}
-	}
-	t.fwdIncFn = func(_, lo, hi int) {
-		g := t.G
-		for i := lo; i < hi; i++ {
-			pid := t.curWork[i]
-			switch {
-			case g.IsStart[pid]:
-			case g.IsNetSink[pid]:
-				t.forwardNetSinkInc(pid)
-			case g.IsCellOut[pid]:
-				t.forwardCellOutInc(pid)
+			ns := &t.Nets[i]
+			if timing.NetMoved(t.G, ns, t.Opts.RefreshEps) {
+				timing.RefreshNetStateLazy(t.G, ns, t.Opts.DistortionLimit, &t.scratch[w])
+				timing.ForwardNet(t.G, ns, &t.Wires)
 			}
 		}
 	}
@@ -727,41 +588,31 @@ func (t *Timer) buildKernels() {
 }
 
 // refreshNets updates or rebuilds the Steiner/RC state and runs the Elmore
-// forward passes (Fig. 3 stages 1-2). It is displacement-driven: a parallel
-// scan flags nets whose pins moved beyond RefreshEps against the geometry of
-// their last refresh, the flags are compacted into dirtyNets, and only those
-// nets get the lazy refresh-or-rebuild plus Elmore forward. The first
-// evaluation and every FencePeriod-th evaluation instead refresh everything
+// forward passes (Fig. 3 stages 1-2). It is displacement-driven: one guided
+// kernel over all nets gives each net whose pins moved beyond RefreshEps
+// against the geometry of its last refresh the lazy refresh-or-rebuild plus
+// Elmore forward. Each net writes only its own state and its own pins of
+// Wires, so the schedule does not change the result. The first evaluation
+// and every FencePeriod-th evaluation instead re-extract every moved net
 // (the fence that bounds sub-ε drift).
 //
 //dtgp:hotpath
 func (t *Timer) refreshNets() {
-	if t.Nets == nil {
+	switch {
+	case t.Nets == nil:
 		t.Nets = timing.BuildNetStatesArena(t.G, t.Opts.Arena)
-		t.evalCount++
 		timing.ForwardAll(t.G, t.Nets, &t.Wires)
-		t.fullPass = true
-		return
-	}
-	if t.evalCount%t.Opts.FencePeriod == 0 {
+	case t.evalCount%t.Opts.FencePeriod == 0:
 		// Moved-only fence: nets that are bitwise unchanged since their
 		// last full extraction already hold exactly the state a rebuild
 		// would produce, so only changed nets are re-extracted (and
 		// forwarded inside the same sweep). Bit-identical to the full
 		// rebuild, but O(moved nets) in a converging placement.
 		parallel.ForGuided(len(t.Nets), 8, parallel.CostHeavy, t.fenceFn)
-		t.evalCount++
-		t.fullPass = true
-		return
+	default:
+		parallel.ForGuided(len(t.Nets), 8, parallel.CostHeavy, t.refreshFn)
 	}
 	t.evalCount++
-	parallel.ForGuided(len(t.Nets), 16, parallel.CostLight, t.netMovedFn)
-	t.dirtyNets = t.compactor.CompactBool(t.dirtyNets, t.netMoved, parallel.CostTrivial)
-	parallel.ForGuided(len(t.dirtyNets), 4, parallel.CostHeavy, t.refreshLazyFn)
-	// Dirty-density cutoff: when most nets moved, the plain full sweep is
-	// cheaper than dirty bookkeeping (and bit-identical — it recomputes
-	// every pin from the same refreshed RC state).
-	t.fullPass = 4*len(t.dirtyNets) >= len(t.Nets)
 }
 
 // Evaluate runs one forward+backward pass. t1 and t2 weight the TNS and WNS
@@ -774,8 +625,11 @@ func (t *Timer) Evaluate(t1, t2 float64) float64 {
 	start := time.Now()
 	t.refreshNets()
 	t.forward()
-	t.Phase.ForwardNS += time.Since(start).Nanoseconds()
-	return t.backward(t1, t2)
+	mid := time.Now()
+	t.Phase.ForwardNS += mid.Sub(start).Nanoseconds()
+	f := t.backward(t1, t2)
+	t.Phase.BackwardNS += time.Since(mid).Nanoseconds()
+	return f
 }
 
 // EvaluateValueOnly runs just the forward pass (for tests and finite
@@ -794,10 +648,6 @@ func (t *Timer) EvaluateValueOnly(t1, t2 float64) float64 {
 
 //dtgp:hotpath
 func (t *Timer) forward() {
-	if !t.fullPass {
-		t.forwardIncremental()
-		return
-	}
 	ninf := math.Inf(-1)
 	for i := range t.AT {
 		t.AT[i] = ninf
@@ -943,142 +793,6 @@ func (t *Timer) forwardCellOut(pid int32) {
 	}
 }
 
-// forwardIncremental is the dirty-set forward sweep. It seeds every pin of
-// every refreshed net (sinks see new delays/impulses, the driver a new
-// load), then walks the level buckets in order, recomputing only dirty pins
-// and expanding the fanout of pins whose outputs actually changed. All
-// persistent forward state (AT/Slew/Valid/HardAT and the cell-arc tape)
-// carries over from the previous evaluation, so clean pins keep
-// bit-identical values without being touched. Fanout expansion is
-// done serially between levels (fanouts live at strictly deeper levels, so
-// one pass per level suffices and a processed pin can never be re-dirtied);
-// the recomputation itself runs on the pool. Work is proportional to the
-// dirty cone: levels outside it are skipped via their empty buckets, and
-// the sweep stops as soon as the outstanding count hits zero.
-//
-//dtgp:hotpath
-func (t *Timer) forwardIncremental() {
-	d := t.G.D
-	for _, ni := range t.dirtyNets {
-		for _, pid := range d.Nets[ni].Pins {
-			t.markDirty(pid)
-		}
-	}
-	for li := range t.levelBuckets {
-		if t.dirtyCount == 0 {
-			break
-		}
-		bucket := t.levelBuckets[li]
-		if len(bucket) == 0 {
-			continue
-		}
-		// Buckets fill in fanout-discovery order; sorting restores memory
-		// order for the SoA reads (values are order-independent: each
-		// kernel writes only its own pin). Guided tiles then mirror the
-		// full sweep's locality-aware dispatch.
-		slices.Sort(bucket)
-		t.curWork = bucket
-		parallel.ForGuided(len(bucket), fwdTileGrain, parallel.CostHeavy, t.fwdIncFn)
-		t.dirtyCount -= len(bucket)
-		for _, pid := range bucket {
-			t.pinDirty.Remove(pid)
-			if !t.pinChanged[pid] {
-				continue
-			}
-			t.pinChanged[pid] = false
-			t.markFanouts(pid)
-		}
-		t.levelBuckets[li] = bucket[:0]
-	}
-}
-
-// markDirty queues pid for recomputation in its level's bucket (once).
-//
-//dtgp:hotpath
-//dtgp:index pid=pin
-func (t *Timer) markDirty(pid int32) {
-	if t.pinDirty.TryAdd(pid) {
-		li := t.G.Level[pid]
-		t.levelBuckets[li] = append(t.levelBuckets[li], pid)
-		t.dirtyCount++
-	}
-}
-
-// changedBeyond reports whether any of the three forward quantities moved by
-// more than eps. −Inf→−Inf (unreachable stays unreachable) compares as NaN
-// and correctly reads as unchanged; −Inf→finite is +Inf and propagates.
-//
-//dtgp:hotpath
-func changedBeyond(eps, a0, a1, b0, b1, c0, c1 float64) bool {
-	return math.Abs(a1-a0) > eps || math.Abs(b1-b0) > eps || math.Abs(c1-c0) > eps
-}
-
-// forwardNetSinkInc recomputes one dirty net-sink pin by delegating to the
-// full kernel (forwardNetSink), then flags the pin as changed when its
-// outputs moved beyond PropagateEps. Wrapping the tagged kernel keeps a
-// single numeric implementation, so incremental and full sweeps are
-// bit-identical by construction.
-//
-//dtgp:hotpath
-//dtgp:index pid=pin
-func (t *Timer) forwardNetSinkInc(pid int32) {
-	r, f := timing.TIdx(pid, timing.Rise), timing.TIdx(pid, timing.Fall)
-	atR, slR, haR := t.AT[r], t.Slew[r], t.HardAT[r]
-	atF, slF, haF := t.AT[f], t.Slew[f], t.HardAT[f]
-	t.forwardNetSink(pid)
-	eps := t.Opts.PropagateEps
-	if changedBeyond(eps, atR, t.AT[r], slR, t.Slew[r], haR, t.HardAT[r]) ||
-		changedBeyond(eps, atF, t.AT[f], slF, t.Slew[f], haF, t.HardAT[f]) {
-		t.pinChanged[pid] = true
-	}
-}
-
-// forwardCellOutInc is the cell-output counterpart of forwardNetSinkInc.
-//
-//dtgp:hotpath
-//dtgp:index pid=pin
-func (t *Timer) forwardCellOutInc(pid int32) {
-	r, f := timing.TIdx(pid, timing.Rise), timing.TIdx(pid, timing.Fall)
-	atR, slR, haR := t.AT[r], t.Slew[r], t.HardAT[r]
-	atF, slF, haF := t.AT[f], t.Slew[f], t.HardAT[f]
-	t.forwardCellOut(pid)
-	eps := t.Opts.PropagateEps
-	if changedBeyond(eps, atR, t.AT[r], slR, t.Slew[r], haR, t.HardAT[r]) ||
-		changedBeyond(eps, atF, t.AT[f], slF, t.Slew[f], haF, t.HardAT[f]) {
-		t.pinChanged[pid] = true
-	}
-}
-
-// markFanouts dirties every pin whose forward value reads pid's outputs:
-// the other pins of the net pid drives (if any), and the To pins of the
-// cell arcs leaving pid.
-//
-//dtgp:hotpath
-//dtgp:index pid=pin
-func (t *Timer) markFanouts(pid int32) {
-	g := t.G
-	d := g.D
-	pin := &d.Pins[pid]
-	if ni := pin.Net; ni >= 0 && !g.IsClockNet[ni] && d.Nets[ni].Driver == pid {
-		for _, q := range d.Nets[ni].Pins {
-			if q != pid {
-				t.markDirty(q)
-			}
-		}
-	}
-	cell := &d.Cells[pin.Cell]
-	if cell.Lib >= 0 {
-		lc := &d.Lib.Cells[cell.Lib]
-		for ai := range lc.Arcs {
-			arc := &lc.Arcs[ai]
-			if arc.IsCheck() || cell.Pins[arc.From] != pid {
-				continue
-			}
-			t.markDirty(cell.Pins[arc.To])
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Objective and backward pass (§3.3 step 5).
 
@@ -1189,38 +903,31 @@ func (t *Timer) objective(t1, t2 float64, seed bool) (float64, bool) {
 	smWNS := -(wnsM + gamma*math.Log(wnsZ))
 	t.SmTNS, t.SmWNS = smTNS, smWNS
 	t.EstTNS, t.EstWNS = estTNS, estWNS
-	t.wnsM, t.wnsZ = wnsM, wnsZ
 
 	f := -t1*smTNS - t2*smWNS
 	if seed {
-		t.seedEndpoints(t.epIdx, wnsZ, t1, t2)
+		t.seedEndpoints(wnsM, wnsZ, t1, t2)
 	}
 	return f, true
 }
 
-// seedEndpoints spreads ∂f/∂slack of the listed endpoints into gAT and
-// gSlew, the seeds of the reverse sweep, with the WNS softmin weights
-// normalised by z: the full partition value, or the sparse pass's value
-// renormalised over its selected endpoints. slack = RAT − AT with
-// RAT = T − setup(clockSlew, Slew), so register seeds chain through the
-// setup LUT's slew derivative. Returns the largest seeded |∂f/∂slack|.
+// seedEndpoints spreads ∂f/∂slack of the constrained endpoints (epIdx) into
+// gAT and gSlew, the seeds of the reverse sweep, with the WNS softmin
+// weights exp((−slack − m)/γ)/z of the objective's shift m and partition
+// value z. slack = RAT − AT with RAT = T − setup(clockSlew, Slew), so
+// register seeds chain through the setup LUT's slew derivative.
 //
 //dtgp:hotpath
 //dtgp:forward(ep-seed)
 //dtgp:backward(ep-seed)
-//dtgp:index eis=[]endp
-func (t *Timer) seedEndpoints(eis []int32, z, t1, t2 float64) float64 {
+func (t *Timer) seedEndpoints(m, z, t1, t2 float64) {
 	g := t.G
 	gamma := t.Opts.Gamma
-	seedMax := 0.0
-	for _, ei := range eis {
+	for _, ei := range t.epIdx {
 		st := &t.epStates[ei]
-		if math.IsInf(st.sEp, 1) {
-			continue
-		}
 		ep := &g.Endpoints[ei]
 		_, dTNS := SoftNegGrad(gamma, st.sEp)
-		wEp := math.Exp((-st.sEp-t.wnsM)/gamma) / z
+		wEp := math.Exp((-st.sEp-m)/gamma) / z
 		dfdsEp := -t1*dTNS - t2*wEp
 		for tr := timing.Rise; tr <= timing.Fall; tr++ {
 			if !st.ok[tr] {
@@ -1229,9 +936,6 @@ func (t *Timer) seedEndpoints(eis []int32, z, t1, t2 float64) float64 {
 			ti := timing.TIdx(ep.Pin, tr)
 			dfds := dfdsEp * st.wTr[tr]
 			t.gAT[ti] -= dfds
-			if m := math.Abs(dfds); m > seedMax {
-				seedMax = m
-			}
 			if ep.Kind == timing.EndFFData && ep.Setup != nil {
 				lut := timing.ConstraintTable(ep.Setup.Arc, tr)
 				_, _, dRdSlew := lut.EvalGrad(g.ClockSlew(), t.Slew[ti])
@@ -1239,40 +943,24 @@ func (t *Timer) seedEndpoints(eis []int32, z, t1, t2 float64) float64 {
 			}
 		}
 	}
-	return seedMax
 }
 
-// backward dispatches between the sparse cone-restricted pass and the full
-// pass, accounting wall-clock time to Phase.BackwardNS either way.
+// backward is the exact backward pass: it seeds every constrained endpoint,
+// sweeps the levels in reverse applying Eq. 12 (cell arcs) and Eq. 10 (net
+// arcs), runs Eq. 8 (Elmore) over the nets the sweep wrote, then maps
+// Steiner-node gradients onto cells via pin attribution (Fig. 4).
 //
 //dtgp:hotpath
 func (t *Timer) backward(t1, t2 float64) float64 {
-	if t.sb != nil {
-		return t.backwardSparse(t1, t2)
-	}
-	b0 := time.Now()
-	f := t.backwardFull(t1, t2)
-	t.Phase.BackwardNS += time.Since(b0).Nanoseconds()
-	return f
-}
-
-// backwardFull is the exact backward pass: it seeds every constrained
-// endpoint, sweeps the levels in reverse applying Eq. 12 (cell arcs) and
-// Eq. 10 (net arcs) with a zero deadband, runs Eq. 8 (Elmore) over the
-// nets the sweep wrote, then maps Steiner-node gradients onto cells via pin
-// attribution (Fig. 4).
-func (t *Timer) backwardFull(t1, t2 float64) float64 {
 	g := t.G
 	d := g.D
+	t.backwardPasses++
 
 	// Clear the accumulators; independent regions run as pool tasks.
 	parallel.Run(t.resetTasks...)
 
 	f, any := t.objective(t1, t2, true)
 	if !any {
-		if t.sb != nil {
-			t.sb.noteFull(t)
-		}
 		return f
 	}
 
@@ -1280,7 +968,6 @@ func (t *Timer) backwardFull(t1, t2 float64) float64 {
 	// net groups write driver (cell-output) pins and their sinks' adjoints,
 	// cell groups write cell-input pins and their outputs' load adjoints —
 	// disjoint sets, so both kinds run in one parallel phase per level.
-	t.pruneAbs = 0
 	for li := len(g.Levels) - 1; li >= 0; li-- {
 		t.curBwd = t.bwdGroups[li]
 		parallel.ForCost(len(t.curBwd), parallel.CostHeavy, t.bwdFn)
@@ -1311,9 +998,6 @@ func (t *Timer) backwardFull(t1, t2 float64) float64 {
 				t.CellGradY[t.pinCell[pins[tree.YPin[j]]]] += gr.Y[j]
 			}
 		}
-	}
-	if t.sb != nil {
-		t.sb.noteFull(t)
 	}
 	return f
 }
@@ -1384,10 +1068,9 @@ func (t *Timer) backwardGroup(grp *bwdGroup) {
 }
 
 // backwardNetSink applies Eq. 10 for every sink transition of a pin. An
-// adjoint component within the deadband (|g| <= pruneAbs) does not
-// propagate: in the full pass only exact zeros stop, and a NaN adjoint
-// always propagates. Writing the sink-side touch flag is race-free because
-// a net's sinks form exactly one backward group.
+// adjoint component that is exactly zero does not propagate; a NaN one
+// does. Writing the sink-side touch flag is race-free because a net's sinks
+// form exactly one backward group.
 //
 //dtgp:hotpath
 //dtgp:backward(netprop)
@@ -1398,14 +1081,13 @@ func (t *Timer) backwardNetSink(pid int32) {
 		return
 	}
 	ni := t.G.NetOfSink[pid]
-	eps := t.pruneAbs
 	for tr := timing.Rise; tr <= timing.Fall; tr++ {
 		u, v := timing.TIdx(driver, tr), timing.TIdx(pid, tr)
 		if !t.Valid[v] || !t.Valid[u] {
 			continue
 		}
 		gat, gsl := t.gAT[v], t.gSlew[v]
-		doAT, doSL := !(math.Abs(gat) <= eps), !(math.Abs(gsl) <= eps)
+		doAT, doSL := gat != 0, gsl != 0
 		if !doAT && !doSL {
 			continue
 		}
@@ -1426,17 +1108,15 @@ func (t *Timer) backwardNetSink(pid int32) {
 
 // backwardCellOut applies Eq. 12 for every output transition of a pin by
 // replaying the cell-arc tape in candidate order: multiply-adds only, no
-// table lookup or exponential. backwardNetSink's deadband applies per
-// component: an arrival adjoint within it leaves the delay-LUT partials
-// zero, and a slew adjoint within it the transition-LUT partials. Writing
-// the driver-side touch flag is race-free because a net's driver pin
-// belongs to exactly one backward group.
+// table lookup or exponential. As in backwardNetSink, a zero arrival
+// adjoint leaves the delay-LUT partials zero, and a zero slew adjoint the
+// transition-LUT partials. Writing the driver-side touch flag is race-free
+// because a net's driver pin belongs to exactly one backward group.
 //
 //dtgp:hotpath
 //dtgp:backward(cellarc)
 //dtgp:index pid=pin
 func (t *Timer) backwardCellOut(pid int32) {
-	eps := t.pruneAbs
 	netID := t.G.D.Pins[pid].Net
 	for outTr := timing.Rise; outTr <= timing.Fall; outTr++ {
 		v := timing.TIdx(pid, outTr)
@@ -1445,7 +1125,7 @@ func (t *Timer) backwardCellOut(pid int32) {
 			continue // no valid candidate, so v is invalid
 		}
 		gat, gsl := t.gAT[v], t.gSlew[v]
-		doAT, doSL := !(math.Abs(gat) <= eps), !(math.Abs(gsl) <= eps)
+		doAT, doSL := gat != 0, gsl != 0
 		if !doAT && !doSL {
 			continue
 		}

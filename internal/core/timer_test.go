@@ -276,3 +276,19 @@ func TestTimerString(t *testing.T) {
 		t.Error("empty String()")
 	}
 }
+
+// TestConeStats checks what Timer.Cone reports: every backward pass is a
+// full pass, no pass is restricted to a cone, and a forward-only
+// evaluation runs no backward pass.
+func TestConeStats(t *testing.T) {
+	g := makeTestBed(t, 300, 67)
+	tm := NewTimer(g, DefaultOptions())
+	for i := 0; i < 5; i++ {
+		tm.Evaluate(0.01, 0.001)
+	}
+	tm.EvaluateValueOnly(0.01, 0.001)
+	if cs := tm.Cone(); cs.FullPasses != 5 || cs.SparsePasses != 0 || cs.Coverage() != 0 {
+		t.Fatalf("Cone() = %+v with coverage %v, want 5 full passes, no sparse pass and coverage 0",
+			cs, cs.Coverage())
+	}
+}

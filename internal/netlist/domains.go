@@ -12,9 +12,7 @@
 // construction, hence the rcnode alias). npin is a net-local pin position
 // (an index into one Net.Pins list). endp indexes the timing endpoints
 // (at most one per pin). lcell/lpin index the bound Liberty library and
-// one library cell's pin list. bwdgroup indexes the CSR backward groups of
-// one evaluation (at most one net group per timed net plus one cell group
-// per cell, summed over levels). arcslot indexes the differentiable timer's
+// one library cell's pin list. arcslot indexes the differentiable timer's
 // cell-arc tape: one slot per (cell-output tnode, arc, input transition).
 // A single-output cell with k inputs has k+1 pins and at most 4k slots, so
 // the cap allows four per pin; 200k-cell designs have 1.375 per pin.
@@ -28,7 +26,6 @@
 //dtgp:indexdomain rcnode alias=snode
 //dtgp:indexdomain npin cap=4096
 //dtgp:indexdomain endp cap=8400000
-//dtgp:indexdomain bwdgroup cap=4100000
 //dtgp:indexdomain arcslot cap=33600000
 //dtgp:indexdomain lcell cap=65536
 //dtgp:indexdomain lpin cap=1024

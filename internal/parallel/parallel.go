@@ -542,7 +542,7 @@ func Default() *Pool {
 // execution regardless of GOMAXPROCS; not safe to call while kernels are in
 // flight.
 //
-//dtgp:allow(unreached) core's TestIncrementalTimerStress, TestDiffTimingFlowStress, TestSparseBackwardDeterministic; density's TestSolveDeterministicAcrossWorkers
+//dtgp:allow(unreached) core's TestIncrementalTimerStress, TestDiffTimingFlowStress; density's TestSolveDeterministicAcrossWorkers
 func SetWorkers(n int) {
 	old := defaultPool.Swap(NewPool(n))
 	if old != nil {

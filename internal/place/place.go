@@ -105,16 +105,6 @@ type Options struct {
 	// re-extracts every moved net's topology once per FencePeriod
 	// evaluations (core.Options.FencePeriod).
 	FencePeriod int
-	// FullBackward disables the cone-restricted sparse backward pass (the
-	// quality A/B baseline): every timer evaluation seeds all violating
-	// endpoints and runs the full reverse sweep. This changes the gradient
-	// (sparse is an approximation outside the cones), so the A/B comparison
-	// is on final WNS/TNS, not bit-identity.
-	FullBackward bool
-	// TimingTopK caps how many critical endpoints the sparse backward pass
-	// seeds per evaluation (0 = the timer's auto quota). Ignored when
-	// FullBackward is set.
-	TimingTopK int
 
 	// TraceTiming records exact WNS/TNS along the run (Fig. 8); expensive.
 	TraceTiming bool
@@ -220,9 +210,6 @@ type Result struct {
 	// supervision was disabled); Recovery.Healthy() distinguishes a clean
 	// run from one that rolled back or surrendered.
 	Recovery *guard.Report
-	// Cone summarises the sparse backward pass of the differentiable timer
-	// (zero value for other flows or FullBackward runs).
-	Cone core.ConeStats
 }
 
 // Run places the design in-place and returns metrics. The constraints may
@@ -250,9 +237,6 @@ func Run(d *netlist.Design, con *sdc.Constraints, opts Options) (*Result, error)
 		res.Legal = lg
 	}
 	res.HPWL = d.HPWL()
-	if e.timer != nil {
-		res.Cone = e.timer.Cone()
-	}
 	if e.graph != nil {
 		res.STA = timing.Analyze(e.graph)
 		res.WNS = res.STA.WNS
@@ -433,8 +417,6 @@ func newEngine(d *netlist.Design, con *sdc.Constraints, opts Options) (*engine, 
 			tOpts := core.DefaultOptions()
 			tOpts.Gamma = opts.TimingGamma
 			tOpts.FencePeriod = opts.FencePeriod
-			tOpts.SparseBackward = !opts.FullBackward
-			tOpts.TopK = opts.TimingTopK
 			tOpts.Arena = e.arena
 			e.timer = core.NewTimer(g, tOpts)
 		}
