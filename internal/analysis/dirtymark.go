@@ -13,8 +13,8 @@ import (
 // must be dominated or followed, on every CFG path, by a call whose
 // interprocedural summary reaches one of the declared dirty-marker
 // functions — or happen inside a marker itself. Cached state (position
-// snapshots, NetState geometry, cone caches, velocity EMAs, rebuilt-in-
-// place trees) is only coherent if each mutation reaches the matching
+// snapshots, NetState geometry, velocity EMAs, rebuilt-in-place trees)
+// is only coherent if each mutation reaches the matching
 // refresh/invalidation; a write that escapes uncovered through every
 // caller to a call-graph root is a finding, reported once at the write
 // with the root-reaching call chain.

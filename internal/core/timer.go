@@ -240,8 +240,8 @@ type Timer struct {
 	// refreshFn, indexed by the worker id the pool passes them.
 	scratch []timing.BuildScratch
 
-	// Objective scratch: the smoothed slacks of the constrained endpoints
-	// and their endpoint indices.
+	// Objective scratch: the per-endpoint slack state, and the smoothed
+	// slacks and endpoint indices of the constrained endpoints.
 	epStates []epState //dtgp:index domain=endp
 	sEps     []float64
 	epIdx    []int32 //dtgp:index elem=endp
