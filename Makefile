@@ -67,7 +67,7 @@ fuzz-smoke:
 # reproduces exactly.
 chaos-smoke:
 	$(GO) test -race -count=1 \
-		-run 'TestChaos|TestKillResume|TestDeadline|TestCancel|TestResume|TestCheckpointIOFaults|TestDurableRequires' \
+		-run 'TestChaos|TestKillResume|TestDeadline|TestCancel|TestResume|TestCheckpointIOFaults' \
 		./internal/place/
 	$(GO) test -race -count=1 ./internal/chaos/
 	$(GO) test -race -count=1 -run 'TestRing|TestCheckpoint|TestDecode|TestStore' ./internal/guard/

@@ -66,7 +66,6 @@ func run() error {
 		out      = flag.String("out", "", "output directory for the placed design (default: in place)")
 		svg      = flag.String("svg", "", "write a slack-coloured placement SVG to this path")
 		iters    = flag.Int("iters", 0, "max iterations (0 = default)")
-		noGuard  = flag.Bool("no-guard", false, "disable the fault-tolerance supervisor (checkpoints, rollback)")
 		ckptDir  = flag.String("checkpoint-dir", "", "durably persist supervisor checkpoints into this directory (crash-consistent)")
 		ckptKeep = flag.Int("checkpoint-keep", 4, "checkpoints retained in -checkpoint-dir (0 = keep all)")
 		resume   = flag.Bool("resume", false, "resume from the latest checkpoint in -checkpoint-dir (exit 4 if it cannot be loaded)")
@@ -94,10 +93,6 @@ func run() error {
 		fmt.Fprintln(os.Stderr, "dtgp-place: -resume requires -checkpoint-dir")
 		os.Exit(2)
 	}
-	if (*ckptDir != "" || *deadline != 0) && *noGuard {
-		fmt.Fprintln(os.Stderr, "dtgp-place: -checkpoint-dir/-deadline require the supervisor (drop -no-guard)")
-		os.Exit(2)
-	}
 
 	dir, base := filepath.Split(*design)
 	if dir == "" {
@@ -111,7 +106,6 @@ func run() error {
 	if *iters > 0 {
 		opts.MaxIters = *iters
 	}
-	opts.Guard = !*noGuard
 	opts.CheckpointDir = *ckptDir
 	opts.CheckpointKeep = *ckptKeep
 	if *deadline > 0 {
@@ -153,18 +147,17 @@ func run() error {
 		fmt.Printf("legalized  : %d cells, avg disp %.2f, max disp %.2f\n",
 			res.Legal.Moved, res.Legal.AvgDisplacement, res.Legal.MaxDisplacement)
 	}
-	if rec := res.Recovery; rec != nil {
-		if rec.ResumedFrom >= 0 {
-			fmt.Printf("resumed    : from checkpoint at iter %d\n", rec.ResumedFrom)
-		}
-		if rec.DurableIter >= 0 {
-			fmt.Printf("checkpoint : iter %d durably committed in %s\n", rec.DurableIter, *ckptDir)
-		}
-		if !rec.Healthy() {
-			// Structured recovery report: what faulted, when, and how the
-			// supervisor responded.
-			rec.Write(os.Stderr)
-		}
+	rec := res.Recovery
+	if rec.ResumedFrom >= 0 {
+		fmt.Printf("resumed    : from checkpoint at iter %d\n", rec.ResumedFrom)
+	}
+	if rec.DurableIter >= 0 {
+		fmt.Printf("checkpoint : iter %d durably committed in %s\n", rec.DurableIter, *ckptDir)
+	}
+	if !rec.Healthy() {
+		// Structured recovery report: what faulted, when, and how the
+		// supervisor responded.
+		rec.Write(os.Stderr)
 	}
 
 	outDir := dir
@@ -189,7 +182,7 @@ func run() error {
 		return fmt.Errorf("saving placed design: %w", err)
 	}
 	fmt.Printf("wrote %s/%s.*\n", outDir, base)
-	if rec := res.Recovery; rec != nil && rec.Surrendered {
+	if rec.Surrendered {
 		return errSurrendered
 	}
 	return nil

@@ -66,10 +66,6 @@ func TestExitCodeContract(t *testing.T) {
 	if code, _ := runPlacer(t, bin, "-design", design, "-resume"); code != 2 {
 		t.Errorf("-resume without -checkpoint-dir: exit %d, want 2", code)
 	}
-	if code, _ := runPlacer(t, bin, "-design", design,
-		"-checkpoint-dir", t.TempDir(), "-no-guard"); code != 2 {
-		t.Errorf("-checkpoint-dir with -no-guard: exit %d, want 2", code)
-	}
 
 	// Failed resume → 4, with the typed context on stderr and no placement.
 	empty := t.TempDir()

@@ -74,29 +74,3 @@ func TestGroupsCSRStructure(t *testing.T) {
 		t.Fatalf("groups cover %d pins, levelisation has %d groupable pins", total, want)
 	}
 }
-
-// TestFwdSpanSchedule: spans must partition the level range in order, with
-// fused spans containing only sub-cutoff levels.
-func TestFwdSpanSchedule(t *testing.T) {
-	g := makeTestBed(t, 300, 45)
-	tm := NewTimer(g, DefaultOptions())
-	next := int32(0)
-	for _, sp := range tm.fwdSpans {
-		if sp.lo != next || sp.hi <= sp.lo {
-			t.Fatalf("span [%d,%d) does not continue at %d", sp.lo, sp.hi, next)
-		}
-		for li := sp.lo; li < sp.hi; li++ {
-			small := len(g.Levels[li]) < fuseMaxLevel
-			if sp.fused && !small {
-				t.Fatalf("level %d (size %d) fused above cutoff", li, len(g.Levels[li]))
-			}
-			if !sp.fused && small {
-				t.Fatalf("level %d (size %d) not fused", li, len(g.Levels[li]))
-			}
-		}
-		next = sp.hi
-	}
-	if int(next) != len(g.Levels) {
-		t.Fatalf("spans end at %d, want %d levels", next, len(g.Levels))
-	}
-}

@@ -34,7 +34,7 @@ type Options struct {
 	DistortionLimit float64
 	// FencePeriod is the Steiner-topology reuse period (§3.6, "every 10
 	// iterations"): every FencePeriod evaluations a full-refresh fence
-	// re-extracts every moved net's Steiner and RC trees, bounding drift
+	// re-extracts every net's Steiner and RC trees, bounding drift
 	// from skipped sub-ε movement. Between fences stored Steiner points
 	// ride along with their pins. <= 0 selects the default (10).
 	FencePeriod int
@@ -104,26 +104,12 @@ type bwdGroup struct {
 	isNet bool
 }
 
-// fwdSpan is one entry of the locality-aware forward schedule: the level
-// range [lo, hi). A fused span runs its levels serially inline; an unfused
-// span is a single large level dispatched on the pool in guided tiles.
-type fwdSpan struct {
-	lo, hi int32 //dtgp:index domain=level
-	fused  bool
-}
-
-// fwdTileGrain is the minimum guided-chunk size for large forward levels,
-// in pins. Each pin's kernel touches a handful of SoA arrays at 2·pid, so
+// fwdTileGrain is the minimum guided-chunk size of a forward level, in
+// pins. Each pin's kernel touches a handful of SoA arrays at 2·pid, so
 // ~512 consecutive pins are a few cache-resident KB per array — large
 // enough to amortise chunk claiming, small enough to load-balance the
 // LUT-heavy tail.
 const fwdTileGrain = 512
-
-// fuseMaxLevel is the level size below which the pool would run the level
-// serially anyway (parallel cutoff minParallelWork / CostHeavy = 2^15/512).
-// Runs of such levels are fused into one serial span: same execution, no
-// per-level dispatch barrier.
-const fuseMaxLevel = 64
 
 // Timer is the differentiable STA engine (Fig. 3). A single Evaluate call
 // runs the full forward propagation (pin locations → Steiner/Elmore → level
@@ -177,19 +163,9 @@ type Timer struct {
 	maxNodes               int
 	// pinCell[p] is the cell of pin p, for the Fig. 4 redistribution.
 	pinCell []int32 //dtgp:index domain=pin elem=cell
-	// netGrads are persistent per-net Elmore gradient buffers reused by
-	// BackwardInto; netGradUsed marks nets whose buffers hold this pass's
-	// gradients.
-	netGrads    []*rctree.Grad //dtgp:index domain=net
-	netGradUsed []bool         //dtgp:index domain=net
-	// Touched-net tracking: the reverse kernels flag the nets whose
-	// interconnect adjoints they wrote (sink side and driver side have
-	// distinct single-writer groups, hence two flag arrays); touchedNets
-	// lists them in net order for the Elmore backward and the Fig. 4
-	// redistribution.
-	netTouchedSink []bool  //dtgp:index domain=net
-	netTouchedDrv  []bool  //dtgp:index domain=net
-	touchedNets    []int32 //dtgp:index elem=net
+	// netGrads are persistent per-net Elmore gradient buffers, refilled by
+	// BackwardInto on every pass for every net that has a tree.
+	netGrads []*rctree.Grad //dtgp:index domain=net
 
 	// Outputs of Evaluate.
 	CellGradX, CellGradY []float64 //dtgp:index domain=cell
@@ -214,12 +190,6 @@ type Timer struct {
 	// jagged shape is only in the slice headers.
 	bwdGroups [][]bwdGroup //dtgp:index domain=level
 	groupPins []int32      //dtgp:index elem=pin
-	// fwdSpans is the locality-aware forward schedule: maximal runs of
-	// consecutive small levels are fused into one serial span (they are
-	// below the pool's parallel cutoff, so fusing removes per-level
-	// dispatch barriers without changing what runs where), and each large
-	// level is dispatched on the pool in cache-sized contiguous tiles.
-	fwdSpans []fwdSpan
 	// Start pins and their constraint-derived AT/slew, fixed per design
 	// (startAT/startSlew are positional companions of startPins).
 	startPins          []int32 //dtgp:index elem=pin
@@ -274,30 +244,25 @@ func NewTimer(g *timing.Graph, opts Options) *Timer {
 	a := opts.Arena
 	nPins := len(g.D.Pins)
 	n2 := 2 * nPins
-	nNets := len(g.D.Nets)
 	t := &Timer{
 		G:    g,
 		Opts: opts,
 		Wires: timing.NewWires(arena.Make[int32](a, nPins), arena.Make[float64](a, nPins),
 			arena.Make[float64](a, nPins), arena.Make[float64](a, nPins)),
-		AT:             arena.Make[float64](a, n2),
-		Slew:           arena.Make[float64](a, n2),
-		Valid:          arena.Make[bool](a, n2),
-		HardAT:         arena.Make[float64](a, n2),
-		gAT:            arena.Make[float64](a, n2),
-		gSlew:          arena.Make[float64](a, n2),
-		gDelay:         arena.Make[float64](a, nPins),
-		gImpulseSq:     arena.Make[float64](a, nPins),
-		gLoad:          arena.Make[float64](a, nPins),
-		pinCell:        arena.Make[int32](a, nPins),
-		netGrads:       make([]*rctree.Grad, nNets),
-		netGradUsed:    arena.Make[bool](a, nNets),
-		netTouchedSink: arena.Make[bool](a, nNets),
-		netTouchedDrv:  arena.Make[bool](a, nNets),
-		touchedNets:    arena.MakeCap[int32](a, 0, nNets),
-		CellGradX:      arena.Make[float64](a, len(g.D.Cells)),
-		CellGradY:      arena.Make[float64](a, len(g.D.Cells)),
-		epStates:       make([]epState, len(g.Endpoints)),
+		AT:         arena.Make[float64](a, n2),
+		Slew:       arena.Make[float64](a, n2),
+		Valid:      arena.Make[bool](a, n2),
+		HardAT:     arena.Make[float64](a, n2),
+		gAT:        arena.Make[float64](a, n2),
+		gSlew:      arena.Make[float64](a, n2),
+		gDelay:     arena.Make[float64](a, nPins),
+		gImpulseSq: arena.Make[float64](a, nPins),
+		gLoad:      arena.Make[float64](a, nPins),
+		pinCell:    arena.Make[int32](a, nPins),
+		netGrads:   make([]*rctree.Grad, len(g.D.Nets)),
+		CellGradX:  arena.Make[float64](a, len(g.D.Cells)),
+		CellGradY:  arena.Make[float64](a, len(g.D.Cells)),
+		epStates:   make([]epState, len(g.Endpoints)),
 	}
 	for pi := range g.D.Pins {
 		t.pinCell[pi] = g.D.Pins[pi].Cell
@@ -309,7 +274,6 @@ func NewTimer(g *timing.Graph, opts Options) *Timer {
 	t.nodeGImpSq = arena.Make[float64](a, parallel.Workers()*t.maxNodes)
 	t.buildTape()
 	t.buildGroups()
-	t.buildSchedule()
 	t.buildStartPins()
 	t.buildKernels()
 	t.scratch = timing.NewBuildScratch()
@@ -317,7 +281,7 @@ func NewTimer(g *timing.Graph, opts Options) *Timer {
 }
 
 // Reanchor resets the evaluation cadence so the next Evaluate runs the
-// full-refresh fence, which re-extracts every bitwise-moved net. After that
+// full-refresh fence, which re-extracts every net. After that
 // evaluation the timer's observable behaviour — outputs and all subsequent
 // evaluations — is bitwise identical to a freshly constructed timer
 // evaluated at the same cell positions. The net geometry of the last
@@ -495,24 +459,6 @@ func (t *Timer) buildGroups() {
 	}
 }
 
-// buildSchedule precomputes the forward span list; see fwdSpan.
-func (t *Timer) buildSchedule() {
-	levels := t.G.Levels
-	for li := 0; li < len(levels); {
-		if len(levels[li]) < fuseMaxLevel {
-			j := li + 1
-			for j < len(levels) && len(levels[j]) < fuseMaxLevel {
-				j++
-			}
-			t.fwdSpans = append(t.fwdSpans, fwdSpan{lo: int32(li), hi: int32(j), fused: true})
-			li = j
-		} else {
-			t.fwdSpans = append(t.fwdSpans, fwdSpan{lo: int32(li), hi: int32(li + 1)})
-			li++
-		}
-	}
-}
-
 // buildStartPins caches start pins with their constraint AT/slew: these are
 // placement-independent, so the forward pass only copies them.
 func (t *Timer) buildStartPins() {
@@ -549,7 +495,7 @@ func (t *Timer) buildKernels() {
 	t.elmoreFn = t.elmoreBackward
 	t.fenceFn = func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			timing.RebuildNetStateMoved(t.G, &t.Nets[i], &t.Wires, &t.scratch[w])
+			timing.RebuildNet(t.G, &t.Nets[i], &t.Wires, &t.scratch[w])
 		}
 	}
 	t.refreshFn = func(w, lo, hi int) {
@@ -569,9 +515,6 @@ func (t *Timer) buildKernels() {
 			}
 		},
 		func() {
-			for i := range t.netGradUsed {
-				t.netGradUsed[i] = false
-			}
 			for i := range t.CellGradX {
 				t.CellGradX[i] = 0
 				t.CellGradY[i] = 0
@@ -593,8 +536,8 @@ func (t *Timer) buildKernels() {
 // against the geometry of its last refresh the lazy refresh-or-rebuild plus
 // Elmore forward. Each net writes only its own state and its own pins of
 // Wires, so the schedule does not change the result. The first evaluation
-// and every FencePeriod-th evaluation instead re-extract every moved net
-// (the fence that bounds sub-ε drift).
+// builds every net, and every FencePeriod-th evaluation re-extracts every
+// net (the fence that bounds sub-ε drift).
 //
 //dtgp:hotpath
 func (t *Timer) refreshNets() {
@@ -603,11 +546,6 @@ func (t *Timer) refreshNets() {
 		t.Nets = timing.BuildNetStatesArena(t.G, t.Opts.Arena)
 		timing.ForwardAll(t.G, t.Nets, &t.Wires)
 	case t.evalCount%t.Opts.FencePeriod == 0:
-		// Moved-only fence: nets that are bitwise unchanged since their
-		// last full extraction already hold exactly the state a rebuild
-		// would produce, so only changed nets are re-extracted (and
-		// forwarded inside the same sweep). Bit-identical to the full
-		// rebuild, but O(moved nets) in a converging placement.
 		parallel.ForGuided(len(t.Nets), 8, parallel.CostHeavy, t.fenceFn)
 	default:
 		parallel.ForGuided(len(t.Nets), 8, parallel.CostHeavy, t.refreshFn)
@@ -667,22 +605,14 @@ func (t *Timer) forward() {
 		}
 	}
 
-	// Walk the precomputed span schedule: fused spans of small levels run
-	// serially inline (no dispatch barrier per level), large levels are
-	// dispatched in cache-sized contiguous tiles. Level pin lists are in
-	// ascending pin order (the levelisation appends pins in index order),
-	// so tiles touch the SoA arrays in memory order. Cell-output pins do
-	// several LUT evaluations each, hence CostHeavy.
-	for _, sp := range t.fwdSpans {
-		if sp.fused {
-			for li := sp.lo; li < sp.hi; li++ {
-				t.curLevel = t.G.Levels[li]
-				t.fwdFn(0, 0, len(t.curLevel))
-			}
-			continue
-		}
-		t.curLevel = t.G.Levels[sp.lo]
-		parallel.ForGuided(len(t.curLevel), fwdTileGrain, parallel.CostHeavy, t.fwdFn)
+	// Each level is dispatched in cache-sized contiguous tiles; the pool
+	// runs a level below its parallel cutoff inline. Level pin lists are
+	// in ascending pin order (the levelisation appends pins in index
+	// order), so tiles touch the SoA arrays in memory order. Cell-output
+	// pins do several LUT evaluations each, hence CostHeavy.
+	for _, level := range t.G.Levels {
+		t.curLevel = level
+		parallel.ForGuided(len(level), fwdTileGrain, parallel.CostHeavy, t.fwdFn)
 	}
 }
 
@@ -947,7 +877,7 @@ func (t *Timer) seedEndpoints(m, z, t1, t2 float64) {
 
 // backward is the exact backward pass: it seeds every constrained endpoint,
 // sweeps the levels in reverse applying Eq. 12 (cell arcs) and Eq. 10 (net
-// arcs), runs Eq. 8 (Elmore) over the nets the sweep wrote, then maps
+// arcs), runs Eq. 8 (Elmore) over every net that has a tree, then maps
 // Steiner-node gradients onto cells via pin attribution (Fig. 4).
 //
 //dtgp:hotpath
@@ -973,23 +903,20 @@ func (t *Timer) backward(t1, t2 float64) float64 {
 		parallel.ForCost(len(t.curBwd), parallel.CostHeavy, t.bwdFn)
 	}
 
-	// Elmore backward per touched net (Eq. 8) into persistent per-net
-	// buffers; guided chunking balances the power-law net-size
-	// distribution. The list is in net order, so the serial Fig. 4
-	// redistribution below accumulates in net-index order and its results
+	// Elmore backward per net (Eq. 8) into persistent per-net buffers;
+	// guided chunking balances the power-law net-size distribution. A net
+	// no adjoint reached has all-zero seeds and so all-zero node
+	// gradients, which the redistribution skips. The serial Fig. 4
+	// redistribution below accumulates in net-index order, so its results
 	// are schedule-independent.
-	t.touchedNets = t.touchedNets[:0]
+	parallel.ForGuided(len(t.Nets), 4, parallel.CostHeavy, t.elmoreFn)
 	for ni := range t.Nets {
-		t.collectTouched(int32(ni))
-	}
-	parallel.ForGuided(len(t.touchedNets), 4, parallel.CostHeavy, t.elmoreFn)
-	for _, ni := range t.touchedNets {
-		if !t.netGradUsed[ni] {
+		tree := t.Nets[ni].Tree
+		if tree == nil {
 			continue
 		}
 		gr := t.netGrads[ni]
 		pins := d.Nets[ni].Pins
-		tree := t.Nets[ni].Tree
 		for j := 0; j < tree.NumNodes(); j++ {
 			if gr.X[j] != 0 {
 				t.CellGradX[t.pinCell[pins[tree.XPin[j]]]] += gr.X[j]
@@ -1002,32 +929,19 @@ func (t *Timer) backward(t1, t2 float64) float64 {
 	return f
 }
 
-// collectTouched appends net ni to touchedNets when a reverse kernel wrote
-// its interconnect adjoints, and clears its touch flags for the next pass.
-//
-//dtgp:hotpath
-//dtgp:index ni=net
-func (t *Timer) collectTouched(ni int32) {
-	if t.netTouchedSink[ni] || t.netTouchedDrv[ni] {
-		t.netTouchedSink[ni], t.netTouchedDrv[ni] = false, false
-		t.touchedNets = append(t.touchedNets, ni)
-	}
-}
-
-// elmoreBackward runs the Elmore backward pass (Eq. 8) for touchedNets[lo:hi]
-// into persistent per-net gradient buffers: the batch adjoint of
-// timing.ForwardAll, restricted to the nets the reverse sweep wrote. It
-// gathers each net's pin-indexed sink adjoints into worker w's node window
-// (net pin k is Steiner node k; the driver's entries are 0, as it sinks no
-// net, and Steiner points get 0). Bound once as t.elmoreFn so the hot loop
-// dispatches without a per-call method value.
+// elmoreBackward runs the Elmore backward pass (Eq. 8) for Nets[lo:hi] into
+// persistent per-net gradient buffers: the batch adjoint of
+// timing.ForwardAll. It gathers each net's pin-indexed sink adjoints into
+// worker w's node window (net pin k is Steiner node k; the driver's entries
+// are 0, as it sinks no net, and Steiner points get 0). Bound once as
+// t.elmoreFn so the hot loop dispatches without a per-call method value.
 //
 //dtgp:hotpath
 //dtgp:backward(elmore-batch)
 func (t *Timer) elmoreBackward(w, lo, hi int) {
 	d := t.G.D
 	base := w * t.maxNodes
-	for _, ni := range t.touchedNets[lo:hi] {
+	for ni := lo; ni < hi; ni++ {
 		ns := &t.Nets[ni]
 		if ns.Tree == nil {
 			continue
@@ -1047,7 +961,6 @@ func (t *Timer) elmoreBackward(w, lo, hi int) {
 			gDelay[j], gImpSq[j] = 0, 0
 		}
 		ns.RC.BackwardInto(t.netGrads[ni], gDelay, gImpSq, t.gLoad[net.Driver])
-		t.netGradUsed[ni] = true
 	}
 }
 
@@ -1069,8 +982,7 @@ func (t *Timer) backwardGroup(grp *bwdGroup) {
 
 // backwardNetSink applies Eq. 10 for every sink transition of a pin. An
 // adjoint component that is exactly zero does not propagate; a NaN one
-// does. Writing the sink-side touch flag is race-free because a net's sinks
-// form exactly one backward group.
+// does.
 //
 //dtgp:hotpath
 //dtgp:backward(netprop)
@@ -1080,7 +992,6 @@ func (t *Timer) backwardNetSink(pid int32) {
 	if driver < 0 {
 		return
 	}
-	ni := t.G.NetOfSink[pid]
 	for tr := timing.Rise; tr <= timing.Fall; tr++ {
 		u, v := timing.TIdx(driver, tr), timing.TIdx(pid, tr)
 		if !t.Valid[v] || !t.Valid[u] {
@@ -1091,7 +1002,6 @@ func (t *Timer) backwardNetSink(pid int32) {
 		if !doAT && !doSL {
 			continue
 		}
-		t.netTouchedSink[ni] = true
 		if doAT {
 			// Eq. 10a/10b.
 			t.gAT[u] += gat
@@ -1110,8 +1020,7 @@ func (t *Timer) backwardNetSink(pid int32) {
 // replaying the cell-arc tape in candidate order: multiply-adds only, no
 // table lookup or exponential. As in backwardNetSink, a zero arrival
 // adjoint leaves the delay-LUT partials zero, and a zero slew adjoint the
-// transition-LUT partials. Writing the driver-side touch flag is race-free
-// because a net's driver pin belongs to exactly one backward group.
+// transition-LUT partials.
 //
 //dtgp:hotpath
 //dtgp:backward(cellarc)
@@ -1128,9 +1037,6 @@ func (t *Timer) backwardCellOut(pid int32) {
 		doAT, doSL := gat != 0, gsl != 0
 		if !doAT && !doSL {
 			continue
-		}
-		if netID >= 0 {
-			t.netTouchedDrv[netID] = true
 		}
 		for k := lo; k < end; k++ {
 			u := t.slotIn[k]

@@ -184,7 +184,7 @@ func TestSerialDiagnostic(t *testing.T) {
 }
 
 func TestReportRendering(t *testing.T) {
-	r := &Report{Enabled: true, CheckpointIter: -1}
+	r := &Report{CheckpointIter: -1}
 	if !r.Healthy() || !strings.Contains(r.String(), "healthy") {
 		t.Errorf("clean report: Healthy=%v String=%q", r.Healthy(), r.String())
 	}

@@ -23,8 +23,6 @@ type Incident struct {
 
 // Report is the structured fault-tolerance record of one supervised run.
 type Report struct {
-	// Enabled records whether supervision ran at all.
-	Enabled bool
 	// Incidents in detection order.
 	Incidents []Incident
 	// Rollbacks actually performed; Retries counts budget consumed
@@ -56,7 +54,7 @@ func (r *Report) Record(inc Incident) { r.Incidents = append(r.Incidents, inc) }
 
 // String is a one-line summary for logs.
 func (r *Report) String() string {
-	if r == nil || !r.Enabled {
+	if r == nil {
 		return "guard: disabled"
 	}
 	if r.Healthy() {

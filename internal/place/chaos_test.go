@@ -67,7 +67,7 @@ func TestChaosMatrixRecoversOrSurrenders(t *testing.T) {
 	for _, seed := range []int64{101, 202, 303} {
 		_, res := chaosRun(t, seed)
 		rep := res.Recovery
-		if rep == nil || !rep.Enabled {
+		if rep == nil {
 			t.Fatalf("seed %d: missing recovery report", seed)
 		}
 		if rep.Healthy() {

@@ -1,7 +1,6 @@
 package place
 
 import (
-	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -59,7 +58,7 @@ func TestNaNPoisonRollsBack(t *testing.T) {
 		t.Fatalf("supervised run errored instead of recovering: %v", err)
 	}
 	rep := res.Recovery
-	if rep == nil || !rep.Enabled {
+	if rep == nil {
 		t.Fatal("missing recovery report")
 	}
 	if rep.Rollbacks == 0 {
@@ -156,63 +155,56 @@ func TestPersistentFaultSurrendersGracefully(t *testing.T) {
 	}
 }
 
-func TestUnsupervisedKernelPanicReturnsError(t *testing.T) {
-	opts := quickOpts(ModeWirelength)
-	opts.MaxIters = 60
-	opts.Guard = false
-	e, _ := faultEngine(t, 300, opts)
-	pool := parallel.NewPool(4)
-	defer pool.Close()
-	e.faultHook = func(iter int, g []float64) {
-		if iter == 20 {
-			pool.ForCost(1<<16, 8, func(i int) {
-				if i == 99 {
-					panic("unsupervised fault")
-				}
-			})
-		}
-	}
-	res := &Result{Mode: opts.Mode}
-	err := e.optimize(res)
-	if err == nil {
-		t.Fatal("unsupervised run should surface the kernel fault as an error")
-	}
-	var kp *parallel.KernelPanicError
-	if !errors.As(err, &kp) {
-		t.Fatalf("error does not unwrap to KernelPanicError: %v", err)
-	}
-	if res.Recovery != nil {
-		t.Error("disabled supervisor must not attach a recovery report")
-	}
-}
-
 // TestSupervisionBitIdentity verifies the supervisor is strictly
-// observational on a healthy run: positions with supervision on and off
-// must match bit for bit.
+// observational on a healthy run: Run's final positions must match bit for
+// bit those of a bare loop of optimizer steps with no monitor, ring or
+// report.
 func TestSupervisionBitIdentity(t *testing.T) {
-	run := func(enabled bool) []float64 {
+	generate := func() (*netlist.Design, *sdc.Constraints) {
 		d, con, err := gen.Generate(gen.DefaultParams("p", 400, 17))
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := quickOpts(ModeDiffTiming)
-		opts.MaxIters = 150
-		opts.SkipLegalize = true
-		opts.Guard = enabled
-		if _, err := Run(d, con, opts); err != nil {
-			t.Fatal(err)
-		}
+		return d, con
+	}
+	positions := func(d *netlist.Design) []float64 {
 		out := make([]float64, 0, 2*len(d.Cells))
 		for ci := range d.Cells {
 			out = append(out, d.Cells[ci].Pos.X, d.Cells[ci].Pos.Y)
 		}
 		return out
 	}
-	on, off := run(true), run(false)
-	for i := range on {
-		if on[i] != off[i] {
+	opts := quickOpts(ModeDiffTiming)
+	opts.MaxIters = 150
+	opts.SkipLegalize = true
+	opts.Logf = func(string, ...any) {}
+
+	d, con := generate()
+	if _, err := Run(d, con, opts); err != nil {
+		t.Fatal(err)
+	}
+	supervised := positions(d)
+
+	d, con = generate()
+	e, err := newEngine(d, con, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.tGrow = 1
+	st := e.newOptState()
+	res := &Result{Mode: opts.Mode}
+	for iter := 0; iter < opts.MaxIters && !st.stop; iter++ {
+		if err := e.step(st, iter, res, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.writePositions(st.u)
+	bare := positions(d)
+
+	for i := range supervised {
+		if math.Float64bits(supervised[i]) != math.Float64bits(bare[i]) {
 			t.Fatalf("supervision perturbed the trajectory at coord %d: %v vs %v",
-				i, on[i], off[i])
+				i, supervised[i], bare[i])
 		}
 	}
 }
@@ -257,8 +249,8 @@ func TestRecoveryReportInResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Recovery == nil || !res.Recovery.Enabled {
-		t.Fatal("default options should attach an enabled recovery report")
+	if res.Recovery == nil {
+		t.Fatal("Run should attach a recovery report")
 	}
 	if !res.Recovery.Healthy() {
 		t.Errorf("clean run reported unhealthy: %s", res.Recovery)

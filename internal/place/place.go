@@ -102,7 +102,7 @@ type Options struct {
 	TimingGamma float64
 	// FencePeriod is the Steiner-tree reuse period (§3.6, "every 10
 	// iterations"): the differentiable timer's full-refresh fence
-	// re-extracts every moved net's topology once per FencePeriod
+	// re-extracts every net's topology once per FencePeriod
 	// evaluations (core.Options.FencePeriod).
 	FencePeriod int
 
@@ -110,19 +110,13 @@ type Options struct {
 	TraceTiming bool
 	// TracePeriod is the iteration stride of exact-STA trace points.
 	TracePeriod int
-	// Guard enables the fault-tolerant run supervisor: per-iteration
-	// numerical health monitoring, checkpoint/rollback with damping on
-	// divergence, and panic-isolated kernel recovery. DefaultOptions sets
-	// it. Supervision of a healthy run is strictly observational — the
-	// trajectory is bit-identical with it on or off.
-	Guard bool
 	// CheckpointDir, when non-empty, durably persists every healthy
 	// checkpoint (crash-consistent: temp file + fsync + atomic rename), so
-	// a killed run can resume. Requires Guard. Durable
-	// checkpointing re-anchors the incremental timer at every save — a
-	// deterministic cadence change, so a durable run is bit-identical to
-	// its own resumed runs and re-runs, but not to a run without a
-	// checkpoint directory (same contract as changing the fence period).
+	// a killed run can resume. Durable checkpointing re-anchors the
+	// incremental timer at every save — a deterministic cadence change,
+	// so a durable run is bit-identical to its own resumed runs and
+	// re-runs, but not to a run without a checkpoint directory (same
+	// contract as changing the fence period).
 	CheckpointDir string
 	// CheckpointKeep bounds retention in CheckpointDir (<= 0 keeps all).
 	CheckpointKeep int
@@ -144,7 +138,7 @@ type Options struct {
 	// Cancel, when non-nil, is an external cooperative stop flag with the
 	// same semantics as Deadline (set it from another goroutine or a
 	// signal handler to request graceful shutdown).
-	Cancel *atomic.Bool //dtgp:allow(unturned) the TestCancel* tests and TestDurableRequiresSupervisor set it
+	Cancel *atomic.Bool //dtgp:allow(unturned) the TestCancel* tests set it
 	// SkipLegalize leaves the result as raw global placement.
 	SkipLegalize bool
 	// Logf receives progress output; nil discards it.
@@ -181,7 +175,6 @@ func DefaultOptions(mode Mode) Options {
 		TimingGamma:         100,
 		FencePeriod:         10,
 		TracePeriod:         10,
-		Guard:               true,
 	}
 }
 
@@ -206,9 +199,9 @@ type Result struct {
 	Trace    []TracePoint
 	Legal    *legalize.Result
 	STA      *timing.Result
-	// Recovery is the supervisor's fault-tolerance record (nil when
-	// supervision was disabled); Recovery.Healthy() distinguishes a clean
-	// run from one that rolled back or surrendered.
+	// Recovery is the supervisor's fault-tolerance record;
+	// Recovery.Healthy() distinguishes a clean run from one that rolled
+	// back or surrendered.
 	Recovery *guard.Report
 }
 
@@ -267,14 +260,11 @@ type engine struct {
 	// arena backs the netlist/timer/net-state SoA storage for this run.
 	arena *arena.Arena
 	// staInc is the lazily built incremental exact-STA engine backing the
-	// net-weighting hook; staX/staY snapshot the cell positions it has
-	// seen, staMoved is the per-call moved-cell scratch. Position-diffing
-	// against the snapshot (rather than trusting callers to report moves)
-	// makes the engine self-correcting across supervisor rollbacks.
-	staInc *timing.Incremental
-	//dtgp:cached by=incrementalSTA
-	staX, staY []float64 //dtgp:index domain=cell
-	staMoved   []int32   //dtgp:index elem=cell
+	// net-weighting hook. Every global-placement step moves every movable
+	// cell, so each call hands it movCells, the movable real cells in cell
+	// order, which newEngine lists once.
+	staInc   *timing.Incremental
+	movCells []int32 //dtgp:index elem=cell
 
 	lambda float64
 	// timing activation state
@@ -442,6 +432,9 @@ func newEngine(d *netlist.Design, con *sdc.Constraints, opts Options) (*engine, 
 	for ci := 0; ci < e.nReal; ci++ {
 		if e.movable[ci] {
 			e.nMov++
+			if e.nwUp != nil {
+				e.movCells = append(e.movCells, int32(ci))
+			}
 		}
 	}
 	for k, slot := range e.dSlot {
@@ -474,38 +467,19 @@ func (e *engine) writePositions(z []float64) {
 }
 
 // incrementalSTA returns the maintained exact-STA view of the design's
-// current cell positions, feeding the incremental engine exactly the cells
-// that moved since it last looked. The engine re-sweeps the whole late
-// analysis after re-extracting their nets, so its state is bit-identical to
-// a from-scratch timing.Analyze at every call (deterministic re-extraction
-// from identical coordinates). Because moves are detected by diffing
-// positions against the engine's own snapshot, a supervisor rollback —
-// which rewrites positions behind our back — is just another batch of
-// moves on the next call.
+// current cell positions. After the first call, which builds the engine
+// from scratch, it re-extracts the nets of every movable cell and re-sweeps
+// the whole late analysis, so its state is bit-identical to a from-scratch
+// timing.Analyze at every call (deterministic re-extraction from identical
+// coordinates), a supervisor rollback included.
 //
 //dtgp:hotpath
 func (e *engine) incrementalSTA() *timing.Incremental {
-	d := e.d
 	if e.staInc == nil {
 		e.staInc = timing.NewIncremental(e.graph)
-		e.staX = make([]float64, len(d.Cells))
-		e.staY = make([]float64, len(d.Cells))
-		e.staMoved = make([]int32, 0, len(d.Cells))
-		for ci := range d.Cells {
-			e.staX[ci] = d.Cells[ci].Pos.X
-			e.staY[ci] = d.Cells[ci].Pos.Y
-		}
 		return e.staInc
 	}
-	e.staMoved = e.staMoved[:0]
-	for ci := range d.Cells {
-		c := &d.Cells[ci]
-		if c.Pos.X != e.staX[ci] || c.Pos.Y != e.staY[ci] {
-			e.staX[ci], e.staY[ci] = c.Pos.X, c.Pos.Y
-			e.staMoved = append(e.staMoved, int32(ci))
-		}
-	}
-	e.staInc.MoveCells(e.staMoved)
+	e.staInc.MoveCells(e.movCells)
 	return e.staInc
 }
 
@@ -651,9 +625,10 @@ type optState struct {
 	stop                         bool
 
 	// Recovery damping, applied by rollback only — all zero on a clean
-	// run, so a healthy trajectory is bit-identical with supervision on
-	// or off. retries is the consumed rollback budget; it lives here (not
-	// as a loop local) so checkpoints carry it across a process restart.
+	// run, so a healthy supervised trajectory is bit-identical to a bare
+	// loop of steps. retries is the consumed rollback budget; it lives
+	// here (not as a loop local) so checkpoints carry it across a process
+	// restart.
 	dampIters    int     // iterations the BB step stays damped
 	dampFactor   float64 // multiplier on the BB step while damped
 	freezeLambda int     // iterations λ growth stays frozen
@@ -1015,26 +990,13 @@ func (e *engine) optimize(res *Result) error {
 	e.tGrow = 1
 	st := e.newOptState()
 
-	var (
-		mon  *guard.Monitor
-		ring *guard.Ring
-		rep  *guard.Report
-	)
-	if e.opts.Guard {
-		mon = guard.NewMonitor()
-		ring = guard.NewRing(ringSize, len(st.u), len(e.d.Nets))
-		rep = &guard.Report{Enabled: true, CheckpointIter: -1, DurableIter: -1, ResumedFrom: -1}
-		res.Recovery = rep
-	}
+	mon := guard.NewMonitor()
+	ring := guard.NewRing(ringSize, len(st.u), len(e.d.Nets))
+	rep := &guard.Report{CheckpointIter: -1, DurableIter: -1, ResumedFrom: -1}
+	res.Recovery = rep
 
-	// Durable checkpointing, resume and cooperative cancellation all ride
-	// the supervisor (they need the ring, the report and the surrender
-	// path), so they refuse to run unsupervised rather than half-work.
 	var store *guard.Store
 	if e.opts.CheckpointDir != "" {
-		if mon == nil {
-			return fmt.Errorf("place: CheckpointDir requires Guard")
-		}
 		var err error
 		store, err = guard.NewStore(e.opts.CheckpointFS, e.opts.CheckpointDir, e.opts.CheckpointKeep)
 		if err != nil {
@@ -1043,9 +1005,6 @@ func (e *engine) optimize(res *Result) error {
 	}
 	startIter := 0
 	if cp := e.opts.Resume; cp != nil {
-		if mon == nil {
-			return fmt.Errorf("place: Resume requires Guard")
-		}
 		if err := e.applyResume(cp, st); err != nil {
 			return err
 		}
@@ -1055,9 +1014,6 @@ func (e *engine) optimize(res *Result) error {
 		e.opts.Logf("[%v] resuming from checkpoint at iter %d", e.opts.Mode, cp.Iter)
 	}
 	if !e.opts.Deadline.IsZero() || e.opts.Cancel != nil {
-		if mon == nil {
-			return fmt.Errorf("place: Deadline/Cancel require Guard")
-		}
 		// Kernel submissions observe the flag at barrier boundaries;
 		// deregistered before legalization and the final STA, which must
 		// run to completion even on a canceled run.
@@ -1089,19 +1045,14 @@ func (e *engine) optimize(res *Result) error {
 			break
 		}
 
-		health, reason := guard.Healthy, guard.ReasonNone
-		if err != nil {
-			health, reason = guard.Diverged, guard.ReasonKernelPanic
-		} else if mon != nil {
+		// A step error is an isolated kernel panic; otherwise the health
+		// monitor classifies the iterate.
+		health, reason := guard.Diverged, guard.ReasonKernelPanic
+		if err == nil {
 			health, reason = e.observe(mon, st, iter)
 		}
 
 		if health == guard.Diverged {
-			if mon == nil {
-				// Unsupervised: fail the run with the captured fault
-				// rather than crashing the process.
-				return fmt.Errorf("place: iteration %d failed: %w", iter, err)
-			}
 			detail := ""
 			if err != nil {
 				// Produce the deterministic diagnostic: re-run the
@@ -1137,17 +1088,15 @@ func (e *engine) optimize(res *Result) error {
 			continue
 		}
 
-		if rep != nil {
-			if health == guard.Degrading && !st.inDegraded {
-				rep.Record(guard.Incident{
-					Iter: iter, Health: health, Reason: reason,
-					Action: "watching (a sustained streak escalates to rollback)",
-				})
-			}
-			st.inDegraded = health == guard.Degrading
+		if health == guard.Degrading && !st.inDegraded {
+			rep.Record(guard.Incident{
+				Iter: iter, Health: health, Reason: reason,
+				Action: "watching (a sustained streak escalates to rollback)",
+			})
 		}
+		st.inDegraded = health == guard.Degrading
 
-		if mon != nil && health == guard.Healthy && iter%checkpointPeriod == 0 {
+		if health == guard.Healthy && iter%checkpointPeriod == 0 {
 			e.checkpoint(ring, st, iter)
 			rep.CheckpointIter = iter
 			if store != nil {
@@ -1183,11 +1132,9 @@ func (e *engine) optimize(res *Result) error {
 
 	// Final safeguard: a supervised run never hands back a non-finite
 	// iterate, whatever path led here.
-	if mon != nil {
-		if nf, _ := guard.ScanVec(st.u); nf > 0 {
-			e.surrender(st, rep, res.Iterations, guard.ReasonNonFinitePos,
-				"non-finite final iterate")
-		}
+	if nf, _ := guard.ScanVec(st.u); nf > 0 {
+		e.surrender(st, rep, res.Iterations, guard.ReasonNonFinitePos,
+			"non-finite final iterate")
 	}
 	e.writePositions(st.u)
 	return nil

@@ -312,32 +312,6 @@ func TestResumeMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestDurableRequiresSupervisor: durability, resume and deadlines ride the
-// supervisor; configuring them with the guard disabled is a typed setup
-// error, not a silently unsupervised run.
-func TestDurableRequiresSupervisor(t *testing.T) {
-	base := quickOpts(ModeWirelength)
-	base.MaxIters = 5
-	base.SkipLegalize = true
-	base.Guard = false
-	for name, mutate := range map[string]func(*Options){
-		"checkpoint-dir": func(o *Options) { o.CheckpointDir = t.TempDir() },
-		"resume":         func(o *Options) { o.Resume = &guard.Checkpoint{} },
-		"deadline":       func(o *Options) { o.Deadline = time.Now().Add(time.Hour) },
-		"cancel":         func(o *Options) { o.Cancel = new(atomic.Bool) },
-	} {
-		opts := base
-		mutate(&opts)
-		d, con, err := gen.Generate(gen.DefaultParams("p", 200, 8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Run(d, con, opts); err == nil {
-			t.Errorf("%s without Guard did not error", name)
-		}
-	}
-}
-
 // TestCheckpointIOFaultsDoNotPerturbTrajectory: a durable run on a failing
 // disk must stay bit-identical to one whose saves all succeed — checkpoint
 // I/O failures cost durability (recorded as incidents), never correctness.

@@ -30,16 +30,15 @@ type ScaleStats struct {
 // placement iterations on a design — the cells-vs-time trajectory behind
 // BENCH_scale.json. It drives the same engine and step kernel as Run, with
 // the differences a kernel benchmark wants: timing is active from iteration
-// 0 (no warm-up schedule), supervision is disabled (checkpoint snapshots
-// would copy the full position vectors every ring save), and legalization
-// is skipped. The engine is discarded afterwards; the design's cell
+// 0 (no warm-up schedule), the steps run without the supervisor (checkpoint
+// snapshots would copy the full position vectors every ring save), and
+// legalization is skipped. The engine is discarded afterwards; the design's cell
 // positions are left where the iterations put them.
 func RunScaleBench(d *netlist.Design, con *sdc.Constraints, opts Options, iters int) (*ScaleStats, error) {
 	if iters < 1 {
 		return nil, fmt.Errorf("place: RunScaleBench needs iters >= 1, got %d", iters)
 	}
 	opts.Mode = ModeDiffTiming
-	opts.Guard = false
 	opts.SkipLegalize = true
 	opts.Logf = func(string, ...any) {}
 

@@ -97,7 +97,9 @@ func TestSinkCapIncreasesUpstreamDelay(t *testing.T) {
 }
 
 // TestBackwardZeroSeedsZeroGrad: all-zero upstream gradients produce
-// all-zero geometry gradients.
+// all-zero geometry gradients, into a fresh Grad and into one that an
+// earlier non-zero pass filled (a caller reuses one Grad per net on every
+// pass, whether or not any adjoint reached the net).
 func TestBackwardZeroSeedsZeroGrad(t *testing.T) {
 	px := []float64{0, 40, 80}
 	py := []float64{0, 30, 0}
@@ -108,11 +110,30 @@ func TestBackwardZeroSeedsZeroGrad(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc.Forward()
-	g := new(Grad)
-	rc.BackwardInto(g, make([]float64, rc.N), make([]float64, rc.N), 0)
+
+	used := new(Grad)
+	seeds := make([]float64, rc.N)
+	for i := range seeds {
+		seeds[i] = 1
+	}
+	rc.BackwardInto(used, seeds, seeds, 1)
+	nonZero := false
 	for i := 0; i < rc.N; i++ {
-		if g.X[i] != 0 || g.Y[i] != 0 {
-			t.Fatalf("non-zero gradient from zero seeds at node %d", i)
+		nonZero = nonZero || used.X[i] != 0 || used.Y[i] != 0
+	}
+	if !nonZero {
+		t.Fatal("non-zero seeds gave an all-zero gradient; the reuse case tests nothing")
+	}
+
+	for _, c := range []struct {
+		name string
+		g    *Grad
+	}{{"fresh", new(Grad)}, {"reused", used}} {
+		rc.BackwardInto(c.g, make([]float64, rc.N), make([]float64, rc.N), 0)
+		for i := 0; i < rc.N; i++ {
+			if c.g.X[i] != 0 || c.g.Y[i] != 0 {
+				t.Fatalf("%s Grad: non-zero gradient from zero seeds at node %d", c.name, i)
+			}
 		}
 	}
 }

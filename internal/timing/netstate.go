@@ -35,14 +35,6 @@ type NetState struct {
 	// model and the topology must be re-extracted.
 	//dtgp:cached by=extractNetState
 	TopoHP float64
-	// fromBuild records that the current Steiner/RC state is exactly
-	// extractNetState applied to the px/py snapshot (a full topology
-	// extraction, not a geometry slide). Extraction is deterministic, so a
-	// net with fromBuild set whose pins are bitwise unchanged since the
-	// snapshot would rebuild to the identical state — RebuildNetStateMoved
-	// exploits this to skip it.
-	//dtgp:cached by=buildNetStateInto,RefreshNetStateLazy
-	fromBuild bool
 }
 
 // Wires is the pin-indexed view of the interconnect results that the level
@@ -153,7 +145,6 @@ func buildNetStateInto(g *Graph, ni int32, ns *NetState, s *BuildScratch) {
 	ns.Net = ni
 	if g.MaxTreeNodes(ni) == 0 {
 		ns.Tree, ns.RC = nil, nil
-		ns.fromBuild = true
 		return
 	}
 	np := len(g.D.Nets[ni].Pins)
@@ -191,7 +182,6 @@ func snapshotPins(g *Graph, ns *NetState) float64 {
 func extractNetState(g *Graph, ns *NetState, hp float64, s *BuildScratch) {
 	d := g.D
 	net := &d.Nets[ns.Net]
-	ns.fromBuild = true
 	ns.TopoHP = hp
 	if ns.Tree == nil {
 		ns.Tree = &rsmt.Tree{}
@@ -227,26 +217,14 @@ func extractNetState(g *Graph, ns *NetState, hp float64, s *BuildScratch) {
 	}
 }
 
-// RebuildNetStateMoved is the per-net fence variant of RebuildNetStates: it
-// re-extracts ns only if its state could differ from a fresh build — its
-// pins moved bitwise since the px/py snapshot, or its topology was slid
-// (RefreshNetStateLazy) rather than rebuilt since then. A skipped net already
-// holds exactly the state a rebuild would produce (extraction is
-// deterministic), so a fence over every net is bit-identical to
-// RebuildNetStates. A rebuilt net also gets its Elmore forward pass and is
-// published in w here; a skipped one keeps its (identical) forward results,
-// so the caller must NOT run another forward sweep. s is the calling
-// worker's scratch.
+// RebuildNet is the per-net fence kernel: it re-extracts ns's Steiner and
+// RC trees from the current pin positions, runs its Elmore forward pass and
+// publishes it in w, in s, the calling worker's scratch. An untimed net is
+// retried too, since it could become timeable at new geometry;
+// buildNetStateInto returns at once for the structurally untimed ones.
 //
 //dtgp:hotpath
-func RebuildNetStateMoved(g *Graph, ns *NetState, w *Wires, s *BuildScratch) {
-	// Tree == nil nets always fall through: NetMoved cannot see their
-	// movement and an untimed net could become timeable at new geometry.
-	// buildNetStateInto early-returns for the structurally untimed ones,
-	// so the retry is cheap.
-	if ns.fromBuild && ns.Tree != nil && !NetMoved(g, ns, 0) {
-		return
-	}
+func RebuildNet(g *Graph, ns *NetState, w *Wires, s *BuildScratch) {
 	buildNetStateInto(g, ns.Net, ns, s)
 	ForwardNet(g, ns, w)
 }
@@ -304,7 +282,6 @@ func RefreshNetStateLazy(g *Graph, ns *NetState, distortionLimit float64, s *Bui
 		extractNetState(g, ns, hp, s)
 		return
 	}
-	ns.fromBuild = false
 	ns.Tree.UpdateFromPins(ns.px, ns.py)
 	ns.RC.RefreshGeometry()
 }
