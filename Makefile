@@ -77,13 +77,20 @@ chaos-smoke:
 # change is caught pre-merge without paying for a real measurement sweep.
 # The differentiable timer's full-pass and movement benchmarks then run at a
 # real (small) iteration count so a regression that only shows up warm is
-# still exercised, and BENCH_backward.json and BENCH_incremental.json are
+# still exercised. The full pass runs once more on one lane, where it must
+# report 0 allocs/op: its bed is warm, so an allocation is one the steady
+# state makes (at two lanes the guided schedule can still grow a worker's
+# scratch late). BENCH_backward.json and BENCH_incremental.json are then
 # checked against the live benchmark names: renaming or dropping a
 # sub-benchmark without refreshing the committed record fails loudly here
 # instead of silently orphaning the recorded numbers.
 bench-smoke:
 	$(GO) test -bench . -benchtime=1x -run '^$$' ./... | tee /tmp/bench_smoke.txt
 	$(GO) test -bench 'BenchmarkDiffTimerForwardBackward$$|BenchmarkDiffTimerIncremental' -benchtime=20x -run '^$$' .
+	GOMAXPROCS=1 $(GO) test -bench 'BenchmarkDiffTimerForwardBackward$$' -benchtime=20x -benchmem -run '^$$' . | \
+		tee /tmp/bench_smoke_allocs.txt
+	@grep -Eq '^BenchmarkDiffTimerForwardBackward\s.*\s0 allocs/op' /tmp/bench_smoke_allocs.txt || \
+		{ echo "bench-smoke: BenchmarkDiffTimerForwardBackward allocates in the steady state" >&2; exit 1; }
 	@for f in BENCH_backward.json BENCH_incremental.json; do \
 		for name in $$(grep -o '"name": "Benchmark[^"]*"' $$f | sed -e 's/"name": "//' -e 's/"$$//'); do \
 			grep -q "^$$name\b" /tmp/bench_smoke.txt /dev/null || \
@@ -99,17 +106,26 @@ bench-smoke:
 bench-incremental:
 	$(GO) test -run '^$$' -bench 'BenchmarkDiffTimerForwardBackward$$|BenchmarkDiffTimerIncremental|BenchmarkExactSTAIncremental' -benchmem -count 10 .
 
-# Scale smoke: run the harness end-to-end at a toy size (proves gen → arena
-# engine build → timing-driven stepping → RSS/JSON plumbing still compose),
-# then gate the committed scaling record the same way bench-smoke gates
+# Scale smoke: run the harness end-to-end on the record's smallest point
+# (proves gen → arena engine build → timing-driven stepping → RSS/JSON
+# plumbing still compose) at the record's GOMAXPROCS, and compare the
+# point's deterministic fields (cells, nets, pins and the arena carved,
+# which grows with the lane count) with BENCH_scale.json exactly, so a
+# change that moves them without re-measuring the record fails here. Then
+# gate the recorded point names the same way bench-smoke gates
 # BENCH_backward.json: every point name recorded in BENCH_scale.json must
 # still be in the default sweep, so renaming or dropping a point without
 # re-measuring fails loudly. The full sweep (bench-scale) is manual — its
 # paper-scale anchors take minutes, not CI seconds.
 bench-scale-smoke:
-	$(GO) run ./cmd/dtgp-bench -experiment scale -cells 2000 -iters 2 -q > /tmp/bench_scale_smoke.json
-	@grep -q '"name": "cells-2000"' /tmp/bench_scale_smoke.json || \
-		{ echo "bench-scale-smoke: harness produced no cells-2000 row" >&2; exit 1; }
+	GOMAXPROCS=$$(grep -o '"gomaxprocs": [0-9]*' BENCH_scale.json | grep -o '[0-9]*$$') \
+		$(GO) run ./cmd/dtgp-bench -experiment scale -cells 50000 -iters 1 -q > /tmp/bench_scale_smoke.json
+	@row() { sed -n '/"name": "cells-50000"/,/}/p' $$1 | grep -E '"(cells|nets|pins|arena_mb)":' | tr -d ' ,'; }; \
+	want=$$(row BENCH_scale.json); got=$$(row /tmp/bench_scale_smoke.json); \
+	if [ "$$(echo "$$want" | wc -l)" != 4 ] || [ "$$want" != "$$got" ]; then \
+		echo "bench-scale-smoke: BENCH_scale.json is stale: its cells-50000 row differs from the code's" >&2; \
+		echo "record: "$$want >&2; echo "code:   "$$got >&2; exit 1; \
+	fi
 	$(GO) run ./cmd/dtgp-bench -experiment scale -list > /tmp/bench_scale_points.txt
 	@for name in $$(grep -o '"name": "[^"]*"' BENCH_scale.json | sed -e 's/"name": "//' -e 's/"$$//'); do \
 		grep -qx "$$name" /tmp/bench_scale_points.txt || \

@@ -19,16 +19,17 @@ type tapeSlot struct {
 // recordedSlots reads tnode v's live slots off the tape.
 func recordedSlots(tm *Timer, v int32) []tapeSlot {
 	var out []tapeSlot
-	for k := tm.slotOff[v]; k < tm.slotOff[v+1] && tm.slotIn[k] >= 0; k++ {
+	for k := tm.G.CandOff[v]; k < tm.G.CandOff[v+1] && tm.slotIn[k] >= 0; k++ {
 		out = append(out, tapeSlot{tm.slotIn[k], tm.slotWAT[k], tm.slotWSlew[k],
 			tm.slotDelayDS[k], tm.slotDelayDL[k], tm.slotSlewDS[k], tm.slotSlewDL[k]})
 	}
 	return out
 }
 
-// lutSlots recomputes tnode v's candidates from the LUTs at the timer's
-// current forward state: valid inputs in fan-in order, the stable LSE
-// weights of Eq. 11 and the slopes of both tables at (input slew, load).
+// lutSlots recomputes tnode v's candidates from the library cell's arcs
+// and LUTs at the timer's current forward state: valid inputs in library
+// arc order, then input transition, the stable LSE weights of Eq. 11 and
+// the slopes of both tables at (input slew, load).
 func lutSlots(tm *Timer, pid int32, outTr timing.Transition) []tapeSlot {
 	g := tm.G
 	load := 0.0
@@ -38,13 +39,20 @@ func lutSlots(tm *Timer, pid int32, outTr timing.Transition) []tapeSlot {
 	}
 	var out []tapeSlot
 	var cat, csl []float64
-	for _, ar := range g.ArcsInto[pid] {
-		dl, tl := timing.DelayTables(ar.Arc, outTr)
-		for _, inTr := range timing.InputTransitions(ar.Arc.Unate, outTr) {
+	cell := &g.D.Cells[g.D.Pins[pid].Cell]
+	for _, arc := range g.D.Lib.Cells[cell.Lib].Arcs {
+		if arc.IsCheck() || cell.Pins[arc.To] != pid {
+			continue
+		}
+		dl, tl := arc.CellRise, arc.RiseTransition
+		if outTr == timing.Fall {
+			dl, tl = arc.CellFall, arc.FallTransition
+		}
+		for _, inTr := range timing.InputTransitions(arc.Unate, outTr) {
 			if inTr < 0 {
 				continue
 			}
-			u := timing.TIdx(ar.FromPin, timing.Transition(inTr))
+			u := timing.TIdx(cell.Pins[arc.From], timing.Transition(inTr))
 			if !tm.Valid[u] {
 				continue
 			}

@@ -139,13 +139,13 @@ type Timer struct {
 	HardAT []float64 //dtgp:index domain=tnode
 
 	// Cell-arc tape: what the reverse sweep needs of Eq. 11, recorded by
-	// forwardCellOut. The LSE candidates of cell-output tnode v occupy the
-	// slots from slotOff[v], in fan-in order; the window up to slotOff[v+1]
-	// is sized for every candidate, and a slotIn of -1 ends it early when
-	// some inputs are invalid. Each slot holds the input tnode, the arrival
-	// and slew LSE weights (divided by their partition sums) and the
-	// delay- and transition-LUT slopes in input slew and output load.
-	slotOff                  []int32   //dtgp:index domain=tnode elem=arcslot
+	// forwardCellOut. Its windows are the graph's candidate windows: the
+	// valid LSE candidates of cell-output tnode v occupy the slots from
+	// G.CandOff[v], in fan-in order, and a slotIn of -1 ends the window
+	// before G.CandOff[v+1] when some inputs are invalid. Each slot holds
+	// the input tnode, the arrival and slew LSE weights (divided by their
+	// partition sums) and the delay- and transition-LUT slopes in input slew
+	// and output load.
 	slotIn                   []int32   //dtgp:index domain=arcslot elem=tnode
 	slotWAT, slotWSlew       []float64 //dtgp:index domain=arcslot
 	slotDelayDS, slotDelayDL []float64 //dtgp:index domain=arcslot
@@ -244,25 +244,33 @@ func NewTimer(g *timing.Graph, opts Options) *Timer {
 	a := opts.Arena
 	nPins := len(g.D.Pins)
 	n2 := 2 * nPins
+	nCand := len(g.CandIn) // the tape has one slot per candidate, so its windows never move
 	t := &Timer{
 		G:    g,
 		Opts: opts,
 		Wires: timing.NewWires(arena.Make[int32](a, nPins), arena.Make[float64](a, nPins),
 			arena.Make[float64](a, nPins), arena.Make[float64](a, nPins)),
-		AT:         arena.Make[float64](a, n2),
-		Slew:       arena.Make[float64](a, n2),
-		Valid:      arena.Make[bool](a, n2),
-		HardAT:     arena.Make[float64](a, n2),
-		gAT:        arena.Make[float64](a, n2),
-		gSlew:      arena.Make[float64](a, n2),
-		gDelay:     arena.Make[float64](a, nPins),
-		gImpulseSq: arena.Make[float64](a, nPins),
-		gLoad:      arena.Make[float64](a, nPins),
-		pinCell:    arena.Make[int32](a, nPins),
-		netGrads:   make([]*rctree.Grad, len(g.D.Nets)),
-		CellGradX:  arena.Make[float64](a, len(g.D.Cells)),
-		CellGradY:  arena.Make[float64](a, len(g.D.Cells)),
-		epStates:   make([]epState, len(g.Endpoints)),
+		AT:          arena.Make[float64](a, n2),
+		Slew:        arena.Make[float64](a, n2),
+		Valid:       arena.Make[bool](a, n2),
+		HardAT:      arena.Make[float64](a, n2),
+		slotIn:      arena.Make[int32](a, nCand),
+		slotWAT:     arena.Make[float64](a, nCand),
+		slotWSlew:   arena.Make[float64](a, nCand),
+		slotDelayDS: arena.Make[float64](a, nCand),
+		slotDelayDL: arena.Make[float64](a, nCand),
+		slotSlewDS:  arena.Make[float64](a, nCand),
+		slotSlewDL:  arena.Make[float64](a, nCand),
+		gAT:         arena.Make[float64](a, n2),
+		gSlew:       arena.Make[float64](a, n2),
+		gDelay:      arena.Make[float64](a, nPins),
+		gImpulseSq:  arena.Make[float64](a, nPins),
+		gLoad:       arena.Make[float64](a, nPins),
+		pinCell:     arena.Make[int32](a, nPins),
+		netGrads:    make([]*rctree.Grad, len(g.D.Nets)),
+		CellGradX:   arena.Make[float64](a, len(g.D.Cells)),
+		CellGradY:   arena.Make[float64](a, len(g.D.Cells)),
+		epStates:    make([]epState, len(g.Endpoints)),
 	}
 	for pi := range g.D.Pins {
 		t.pinCell[pi] = g.D.Pins[pi].Cell
@@ -272,7 +280,6 @@ func NewTimer(g *timing.Graph, opts Options) *Timer {
 	}
 	t.nodeGDelay = arena.Make[float64](a, parallel.Workers()*t.maxNodes)
 	t.nodeGImpSq = arena.Make[float64](a, parallel.Workers()*t.maxNodes)
-	t.buildTape()
 	t.buildGroups()
 	t.buildStartPins()
 	t.buildKernels()
@@ -298,37 +305,6 @@ func (t *Timer) Reanchor() { t.evalCount = 0 }
 
 // Cone returns the backward-pass counts.
 func (t *Timer) Cone() ConeStats { return ConeStats{FullPasses: t.backwardPasses} }
-
-// buildTape carves the cell-arc tape: each cell-output tnode gets one slot
-// per (arc, input transition) candidate of its output transition, whether
-// or not the input is valid, so the windows never move.
-func (t *Timer) buildTape() {
-	g := t.G
-	a := t.Opts.Arena
-	t.slotOff = arena.Make[int32](a, 2*len(g.D.Pins)+1)
-	var n int32 //dtgp:index domain=arcslot
-	for pi := range g.D.Pins {
-		pid := int32(pi)
-		for tr := timing.Rise; tr <= timing.Fall; tr++ {
-			t.slotOff[timing.TIdx(pid, tr)] = n
-			for ai := range g.ArcsInto[pid] {
-				for _, inTr := range timing.InputTransitions(g.ArcsInto[pid][ai].Arc.Unate, tr) {
-					if inTr >= 0 {
-						n++
-					}
-				}
-			}
-		}
-	}
-	t.slotOff[2*len(g.D.Pins)] = n
-	t.slotIn = arena.Make[int32](a, int(n))
-	t.slotWAT = arena.Make[float64](a, int(n))
-	t.slotWSlew = arena.Make[float64](a, int(n))
-	t.slotDelayDS = arena.Make[float64](a, int(n))
-	t.slotDelayDL = arena.Make[float64](a, int(n))
-	t.slotSlewDS = arena.Make[float64](a, int(n))
-	t.slotSlewDL = arena.Make[float64](a, int(n))
-}
 
 // buildGroups lays the reverse-sweep groups out in CSR form: one global
 // groupPins slab holds every grouped pin, one flat []bwdGroup holds every
@@ -660,27 +636,20 @@ func (t *Timer) forwardCellOut(pid int32) {
 	load := t.Wires.Load[pid]
 	for outTr := timing.Rise; outTr <= timing.Fall; outTr++ {
 		v := timing.TIdx(pid, outTr)
-		lo, end := t.slotOff[v], t.slotOff[v+1]
+		lo, end := g.CandOff[v], g.CandOff[v+1]
 		hi := lo
-		for ai := range g.ArcsInto[pid] {
-			ar := &g.ArcsInto[pid][ai]
-			dl, tl := timing.DelayTables(ar.Arc, outTr)
-			for _, inTr := range timing.InputTransitions(ar.Arc.Unate, outTr) {
-				if inTr < 0 {
-					continue
-				}
-				u := timing.TIdx(ar.FromPin, timing.Transition(inTr))
-				if !t.Valid[u] {
-					continue
-				}
-				d, dDds, dDdl := dl.EvalGrad(t.Slew[u], load)
-				s, dSds, dSdl := tl.EvalGrad(t.Slew[u], load)
-				t.slotIn[hi] = u
-				t.slotWAT[hi], t.slotWSlew[hi] = t.AT[u]+d, s
-				t.slotDelayDS[hi], t.slotDelayDL[hi] = dDds, dDdl
-				t.slotSlewDS[hi], t.slotSlewDL[hi] = dSds, dSdl
-				hi++
+		for c := lo; c < end; c++ {
+			u := g.CandIn[c]
+			if !t.Valid[u] {
+				continue
 			}
+			d, dDds, dDdl := g.LUTs[g.CandDelay[c]].EvalGrad(t.Slew[u], load)
+			s, dSds, dSdl := g.LUTs[g.CandTrans[c]].EvalGrad(t.Slew[u], load)
+			t.slotIn[hi] = u
+			t.slotWAT[hi], t.slotWSlew[hi] = t.AT[u]+d, s
+			t.slotDelayDS[hi], t.slotDelayDL[hi] = dDds, dDdl
+			t.slotSlewDS[hi], t.slotSlewDL[hi] = dSds, dSdl
+			hi++
 		}
 		if hi < end {
 			t.slotIn[hi] = -1
@@ -1026,10 +995,11 @@ func (t *Timer) backwardNetSink(pid int32) {
 //dtgp:backward(cellarc)
 //dtgp:index pid=pin
 func (t *Timer) backwardCellOut(pid int32) {
-	netID := t.G.D.Pins[pid].Net
+	g := t.G
+	netID := g.D.Pins[pid].Net
 	for outTr := timing.Rise; outTr <= timing.Fall; outTr++ {
 		v := timing.TIdx(pid, outTr)
-		lo, end := t.slotOff[v], t.slotOff[v+1]
+		lo, end := g.CandOff[v], g.CandOff[v+1]
 		if lo == end || t.slotIn[lo] < 0 {
 			continue // no valid candidate, so v is invalid
 		}

@@ -12,10 +12,14 @@
 // construction, hence the rcnode alias). npin is a net-local pin position
 // (an index into one Net.Pins list). endp indexes the timing endpoints
 // (at most one per pin). lcell/lpin index the bound Liberty library and
-// one library cell's pin list. arcslot indexes the differentiable timer's
-// cell-arc tape: one slot per (cell-output tnode, arc, input transition).
-// A single-output cell with k inputs has k+1 pins and at most 4k slots, so
-// the cap allows four per pin; 200k-cell designs have 1.375 per pin.
+// one library cell's pin list. arcslot indexes the timing graph's cell-arc
+// candidate table, one entry per (cell-output tnode, arc, input
+// transition), and the differentiable timer's cell-arc tape, which shares
+// its windows. A single-output cell with k inputs has k+1 pins and at most
+// 4k candidates, so the cap allows four per pin; 200k-cell designs have
+// 1.375 per pin. fanslot indexes the table's transpose, a permutation of
+// the candidates grouped by input tnode. lut indexes the graph's pool of
+// the library's delay and transition tables, four per library arc.
 //
 //dtgp:indexdomain cell cap=2000000
 //dtgp:indexdomain net cap=2100000
@@ -27,6 +31,8 @@
 //dtgp:indexdomain npin cap=4096
 //dtgp:indexdomain endp cap=8400000
 //dtgp:indexdomain arcslot cap=33600000
+//dtgp:indexdomain fanslot cap=33600000
+//dtgp:indexdomain lut cap=4194304
 //dtgp:indexdomain lcell cap=65536
 //dtgp:indexdomain lpin cap=1024
 package netlist

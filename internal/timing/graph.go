@@ -8,6 +8,7 @@ package timing
 
 import (
 	"fmt"
+	"slices"
 
 	"dtgp/internal/liberty"
 	"dtgp/internal/netlist"
@@ -34,14 +35,6 @@ func (t Transition) String() string {
 //
 //dtgp:index pin=pin return=tnode
 func TIdx(pin int32, tr Transition) int32 { return 2*pin + int32(tr) }
-
-// ArcRef is one cell delay arc instantiated on design pins.
-type ArcRef struct {
-	// FromPin is the design pin id of the arc input.
-	FromPin int32 //dtgp:index domain=pin
-	// Arc points into the library cell's arc list.
-	Arc *liberty.TimingArc
-}
 
 // CheckRef is a setup or hold check instantiated on design pins.
 type CheckRef struct {
@@ -77,8 +70,23 @@ type Graph struct {
 	D   *netlist.Design
 	Con *sdc.Constraints
 
-	// ArcsInto[p] lists the cell delay arcs driving output pin p.
-	ArcsInto [][]ArcRef //dtgp:index domain=pin
+	// The cell-arc candidate table (buildCandidates): the candidates of
+	// Eq. 11 at output tnode v are CandOff[v] to CandOff[v+1], one per delay
+	// arc into v's pin and input transition the arc's unateness admits, in
+	// library arc order, then input transition. A candidate reads input
+	// tnode CandIn, writes output tnode CandOut and looks up the LUTs
+	// LUTs[CandDelay] (delay) and LUTs[CandTrans] (output transition).
+	CandOff              []int32 //dtgp:index domain=tnode elem=arcslot
+	CandIn, CandOut      []int32 //dtgp:index domain=arcslot elem=tnode
+	CandDelay, CandTrans []int32 //dtgp:index domain=arcslot elem=lut
+	// LUTs pools the delay and transition tables of the library's arcs.
+	LUTs []*liberty.LUT //dtgp:index domain=lut
+	// The transpose: FanCand[FanOff[u]] to FanCand[FanOff[u+1]] are the
+	// candidates that read input tnode u, in library arc order, then output
+	// transition.
+	FanOff  []int32 //dtgp:index domain=tnode elem=fanslot
+	FanCand []int32 //dtgp:index domain=fanslot elem=arcslot
+
 	// Checks lists all setup/hold checks.
 	Checks []CheckRef
 	// Endpoints lists slack measurement points.
@@ -119,7 +127,6 @@ func NewGraph(d *netlist.Design, con *sdc.Constraints) (*Graph, error) {
 	g := &Graph{
 		D:          d,
 		Con:        con,
-		ArcsInto:   make([][]ArcRef, nPins),
 		IsClockPin: make([]bool, nPins),
 		IsClockNet: make([]bool, len(d.Nets)),
 		IsStart:    make([]bool, nPins),
@@ -192,6 +199,7 @@ func NewGraph(d *netlist.Design, con *sdc.Constraints) (*Graph, error) {
 	}
 
 	// Cell arcs and checks.
+	g.buildCandidates()
 	for ci := range d.Cells {
 		cell := &d.Cells[ci]
 		if cell.Lib < 0 {
@@ -199,15 +207,9 @@ func NewGraph(d *netlist.Design, con *sdc.Constraints) (*Graph, error) {
 		}
 		lc := &d.Lib.Cells[cell.Lib]
 		for ai := range lc.Arcs {
-			arc := &lc.Arcs[ai]
-			fromPin := cell.Pins[arc.From]
-			toPin := cell.Pins[arc.To]
-			if arc.IsCheck() {
-				g.Checks = append(g.Checks, CheckRef{DataPin: toPin, ClkPin: fromPin, Arc: arc})
-				continue
+			if arc := &lc.Arcs[ai]; arc.IsCheck() {
+				g.Checks = append(g.Checks, CheckRef{DataPin: cell.Pins[arc.To], ClkPin: cell.Pins[arc.From], Arc: arc})
 			}
-			g.ArcsInto[toPin] = append(g.ArcsInto[toPin], ArcRef{FromPin: fromPin, Arc: arc})
-			g.IsCellOut[toPin] = true
 		}
 	}
 
@@ -281,6 +283,80 @@ func NewGraph(d *netlist.Design, con *sdc.Constraints) (*Graph, error) {
 	return g, nil
 }
 
+// buildCandidates lays out the cell-arc candidate table and its transpose
+// and marks the cell-output pins. Two walks over the design's delay arcs
+// visit the candidates in one order (cell, library arc, output transition,
+// input transition): the first counts the candidates per output and per
+// input tnode, the second fills each window in visiting order, which is
+// library arc order, then input transition, within an output tnode, and
+// library arc order, then output transition, within an input tnode.
+func (g *Graph) buildCandidates() {
+	d := g.D
+	n2 := 2 * len(d.Pins)
+	// Library cell lc's arc ai keeps its four tables at lutBase[lc]+4·ai:
+	// rise delay, rise transition, fall delay, fall transition (nil for
+	// checks, which no candidate reads).
+	lutBase := make([]int32, len(d.Lib.Cells)) //dtgp:index domain=lcell elem=lut
+	for lc := range d.Lib.Cells {
+		lutBase[lc] = int32(len(g.LUTs))
+		for ai := range d.Lib.Cells[lc].Arcs {
+			arc := &d.Lib.Cells[lc].Arcs[ai]
+			g.LUTs = append(g.LUTs, arc.CellRise, arc.RiseTransition, arc.CellFall, arc.FallTransition)
+		}
+	}
+	g.CandOff, g.FanOff = make([]int32, n2+1), make([]int32, n2+1)
+	var nextCand []int32 //dtgp:index domain=tnode elem=arcslot
+	var nextFan []int32  //dtgp:index domain=tnode elem=fanslot
+	for pass := 0; pass < 2; pass++ {
+		for ci := range d.Cells {
+			cell := &d.Cells[ci]
+			if cell.Lib < 0 {
+				continue
+			}
+			arcs := d.Lib.Cells[cell.Lib].Arcs
+			for ai := range arcs {
+				arc := &arcs[ai]
+				if arc.IsCheck() {
+					continue
+				}
+				from, to := cell.Pins[arc.From], cell.Pins[arc.To]
+				g.IsCellOut[to] = true
+				for outTr := Rise; outTr <= Fall; outTr++ {
+					v := TIdx(to, outTr)
+					lut := lutBase[cell.Lib] + int32(4*ai) + 2*int32(outTr)
+					for _, inTr := range InputTransitions(arc.Unate, outTr) {
+						if inTr < 0 {
+							continue
+						}
+						u := TIdx(from, Transition(inTr))
+						if pass == 0 {
+							g.CandOff[v+1]++
+							g.FanOff[u+1]++
+							continue
+						}
+						c := nextCand[v]
+						g.CandIn[c], g.CandOut[c], g.CandDelay[c], g.CandTrans[c] = u, v, lut, lut+1
+						g.FanCand[nextFan[u]] = c
+						nextCand[v]++
+						nextFan[u]++
+					}
+				}
+			}
+		}
+		if pass == 0 {
+			for i := 0; i < n2; i++ {
+				g.CandOff[i+1] += g.CandOff[i]
+				g.FanOff[i+1] += g.FanOff[i]
+			}
+			n := g.CandOff[n2]
+			g.CandIn, g.CandOut = make([]int32, n), make([]int32, n)
+			g.CandDelay, g.CandTrans = make([]int32, n), make([]int32, n)
+			g.FanCand = make([]int32, n)
+			nextCand, nextFan = slices.Clone(g.CandOff[:n2]), slices.Clone(g.FanOff[:n2])
+		}
+	}
+}
+
 // levelize assigns topological levels with Kahn's algorithm over the pin
 // graph (net arcs + cell arcs) and groups pins by level.
 func (g *Graph) levelize() error {
@@ -307,10 +383,8 @@ func (g *Graph) levelize() error {
 			}
 		}
 	}
-	for pi := range g.ArcsInto {
-		for _, ar := range g.ArcsInto[pi] {
-			addEdge(ar.FromPin, int32(pi))
-		}
+	for c := range g.CandIn {
+		addEdge(g.CandIn[c]/2, g.CandOut[c]/2)
 	}
 
 	for i := range g.Level {
@@ -440,21 +514,8 @@ func (g *Graph) maxTransition() float64 {
 	return inf
 }
 
-// DelayTables returns the delay and output-transition LUTs of a cell arc
-// producing the given output transition.
-//
-//dtgp:hotpath
-func DelayTables(arc *liberty.TimingArc, out Transition) (delay, trans *liberty.LUT) {
-	if out == Rise {
-		return arc.CellRise, arc.RiseTransition
-	}
-	return arc.CellFall, arc.FallTransition
-}
-
 // InputTransitions returns the input transitions that feed an output
 // transition under the arc's unateness; -1 marks an unused slot.
-//
-//dtgp:hotpath
 func InputTransitions(u liberty.Unateness, out Transition) [2]int8 {
 	switch u {
 	case liberty.PositiveUnate:

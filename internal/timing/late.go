@@ -144,9 +144,9 @@ func (s *LateState) arriveNetSink(pid int32) {
 	}
 }
 
-// arriveCellOut applies every cell arc into an output pin (Eq. 11 with the
-// exact max instead of LSE); the library's max-transition rule caps the
-// output slew.
+// arriveCellOut applies the cell-arc candidates of an output pin (Eq. 11
+// with the exact max instead of LSE); the library's max-transition rule
+// caps the output slew.
 //
 //dtgp:hotpath
 //dtgp:index pid=pin
@@ -155,26 +155,20 @@ func (s *LateState) arriveCellOut(pid int32) {
 	load := s.Wires.Load[pid]
 	maxTr := g.maxTransition()
 	for outTr := Rise; outTr <= Fall; outTr++ {
+		v := TIdx(pid, outTr)
 		at, slew := -inf, -inf
 		reached := false
-		for ai := range g.ArcsInto[pid] {
-			ar := &g.ArcsInto[pid][ai]
-			dl, tl := DelayTables(ar.Arc, outTr)
-			for _, inTr := range InputTransitions(ar.Arc.Unate, outTr) {
-				if inTr < 0 {
-					continue
-				}
-				u := TIdx(ar.FromPin, Transition(inTr))
-				if !s.Valid[u] {
-					continue
-				}
-				reached = true
-				if a := s.ATLate[u] + dl.Eval(s.SlewLate[u], load)*s.derate; a > at {
-					at = a
-				}
-				if sl := tl.Eval(s.SlewLate[u], load); sl > slew {
-					slew = sl
-				}
+		for c := g.CandOff[v]; c < g.CandOff[v+1]; c++ {
+			u := g.CandIn[c]
+			if !s.Valid[u] {
+				continue
+			}
+			reached = true
+			if a := s.ATLate[u] + g.LUTs[g.CandDelay[c]].Eval(s.SlewLate[u], load)*s.derate; a > at {
+				at = a
+			}
+			if sl := g.LUTs[g.CandTrans[c]].Eval(s.SlewLate[u], load); sl > slew {
+				slew = sl
 			}
 		}
 		if !reached {
@@ -183,16 +177,16 @@ func (s *LateState) arriveCellOut(pid int32) {
 		if slew > maxTr {
 			slew = maxTr
 		}
-		s.set(TIdx(pid, outTr), at, slew)
+		s.set(v, at, slew)
 	}
 }
 
 // require re-evaluates the setup required time of pid: its endpoint seed
 // (Graph.RequiredLate), then the min over its fanouts' pulls, across the
-// Elmore delays when pid drives a net and across the arc delays when pid
-// is a cell input. The fanouts sit at deeper levels, so their required
-// times are final when pid is evaluated, and the exact min does not depend
-// on pull order.
+// Elmore delays when pid drives a net and across the candidates that read
+// it when pid is a cell input. The fanouts sit at deeper levels, so their
+// required times are final when pid is evaluated, and the exact min does
+// not depend on pull order.
 //
 //dtgp:hotpath
 //dtgp:index pid=pin
@@ -228,39 +222,19 @@ func (s *LateState) require(pid int32) {
 		}
 	}
 
-	if cell := &d.Cells[pin.Cell]; cell.Lib >= 0 {
-		lc := &d.Lib.Cells[cell.Lib]
-		for ai := range lc.Arcs {
-			arc := &lc.Arcs[ai]
-			if arc.IsCheck() || cell.Pins[arc.From] != pid {
+	for tr := Rise; tr <= Fall; tr++ {
+		u := TIdx(pid, tr)
+		for k := g.FanOff[u]; k < g.FanOff[u+1]; k++ {
+			c := g.FanCand[k]
+			vt := g.CandOut[c]
+			if !s.Valid[u] || !s.Valid[vt] {
 				continue
 			}
-			vPin := cell.Pins[arc.To]
-			load := w.Load[vPin]
-			for outTr := Rise; outTr <= Fall; outTr++ {
-				vt := TIdx(vPin, outTr)
-				if !s.Valid[vt] {
-					continue
-				}
-				dl, _ := DelayTables(arc, outTr)
-				for _, inTr := range InputTransitions(arc.Unate, outTr) {
-					if inTr < 0 {
-						continue
-					}
-					ut := TIdx(pid, Transition(inTr))
-					if !s.Valid[ut] {
-						continue
-					}
-					if v := s.RATLate[vt] - dl.Eval(s.SlewLate[ut], load)*s.derate; v < rat[inTr] {
-						rat[inTr] = v
-					}
-				}
+			if v := s.RATLate[vt] - g.LUTs[g.CandDelay[c]].Eval(s.SlewLate[u], w.Load[vt/2])*s.derate; v < rat[tr] {
+				rat[tr] = v
 			}
 		}
-	}
-
-	for tr := Rise; tr <= Fall; tr++ {
-		s.RATLate[TIdx(pid, tr)] = rat[tr]
+		s.RATLate[u] = rat[tr]
 	}
 }
 

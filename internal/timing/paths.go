@@ -47,20 +47,13 @@ func (s *LateState) candidates(t int32, buf []candidate) []candidate {
 		}
 	case g.IsCellOut[pid]:
 		load := s.Wires.Load[pid]
-		for ai := range g.ArcsInto[pid] {
-			ar := &g.ArcsInto[pid][ai]
-			dl, _ := DelayTables(ar.Arc, tr)
-			for _, inTr := range InputTransitions(ar.Arc.Unate, tr) {
-				if inTr < 0 {
-					continue
-				}
-				u := TIdx(ar.FromPin, Transition(inTr))
-				if !s.Valid[u] {
-					continue
-				}
-				d := dl.Eval(s.SlewLate[u], load) * s.derate
-				cs = append(cs, candidate{pred: u, arrival: s.ATLate[u] + d, delay: d})
+		for c := g.CandOff[t]; c < g.CandOff[t+1]; c++ {
+			u := g.CandIn[c]
+			if !s.Valid[u] {
+				continue
 			}
+			d := g.LUTs[g.CandDelay[c]].Eval(s.SlewLate[u], load) * s.derate
+			cs = append(cs, candidate{pred: u, arrival: s.ATLate[u] + d, delay: d})
 		}
 	}
 	sort.SliceStable(cs, func(i, j int) bool { return cs[i].arrival > cs[j].arrival })

@@ -125,26 +125,20 @@ func (r *Result) arriveCellOutEarly(pid int32) {
 	g := r.G
 	load := r.Wires.Load[pid]
 	for outTr := Rise; outTr <= Fall; outTr++ {
+		v := TIdx(pid, outTr)
 		at, slew := inf, inf
 		reached := false
-		for ai := range g.ArcsInto[pid] {
-			ar := &g.ArcsInto[pid][ai]
-			dl, tl := DelayTables(ar.Arc, outTr)
-			for _, inTr := range InputTransitions(ar.Arc.Unate, outTr) {
-				if inTr < 0 {
-					continue
-				}
-				u := TIdx(ar.FromPin, Transition(inTr))
-				if !r.Valid[u] {
-					continue
-				}
-				reached = true
-				if a := r.ATEarly[u] + dl.Eval(r.SlewEarly[u], load)*r.derateEarly; a < at {
-					at = a
-				}
-				if sl := tl.Eval(r.SlewEarly[u], load); sl < slew {
-					slew = sl
-				}
+		for c := g.CandOff[v]; c < g.CandOff[v+1]; c++ {
+			u := g.CandIn[c]
+			if !r.Valid[u] {
+				continue
+			}
+			reached = true
+			if a := r.ATEarly[u] + g.LUTs[g.CandDelay[c]].Eval(r.SlewEarly[u], load)*r.derateEarly; a < at {
+				at = a
+			}
+			if sl := g.LUTs[g.CandTrans[c]].Eval(r.SlewEarly[u], load); sl < slew {
+				slew = sl
 			}
 		}
 		if !reached {
@@ -153,7 +147,7 @@ func (r *Result) arriveCellOutEarly(pid int32) {
 		if maxTr := g.maxTransition(); slew > maxTr {
 			slew = maxTr
 		}
-		r.ATEarly[TIdx(pid, outTr)], r.SlewEarly[TIdx(pid, outTr)] = at, slew
+		r.ATEarly[v], r.SlewEarly[v] = at, slew
 	}
 }
 
@@ -193,35 +187,16 @@ func (r *Result) requireEarly(u int32) {
 		}
 	}
 
-	cell := &d.Cells[pin.Cell]
-	if cell.Lib < 0 {
-		return
-	}
-	lc := &d.Lib.Cells[cell.Lib]
-	for ai := range lc.Arcs {
-		arc := &lc.Arcs[ai]
-		if arc.IsCheck() || cell.Pins[arc.From] != u {
-			continue
-		}
-		vPin := cell.Pins[arc.To]
-		load := w.Load[vPin]
-		for outTr := Rise; outTr <= Fall; outTr++ {
-			vt := TIdx(vPin, outTr)
-			if !r.Valid[vt] {
+	for tr := Rise; tr <= Fall; tr++ {
+		ut := TIdx(u, tr)
+		for k := g.FanOff[ut]; k < g.FanOff[ut+1]; k++ {
+			c := g.FanCand[k]
+			vt := g.CandOut[c]
+			if !r.Valid[ut] || !r.Valid[vt] {
 				continue
 			}
-			dl, _ := DelayTables(arc, outTr)
-			for _, inTr := range InputTransitions(arc.Unate, outTr) {
-				if inTr < 0 {
-					continue
-				}
-				ut := TIdx(u, Transition(inTr))
-				if !r.Valid[ut] {
-					continue
-				}
-				if v := r.RATEarly[vt] - dl.Eval(r.SlewEarly[ut], load)*r.derateEarly; v > r.RATEarly[ut] {
-					r.RATEarly[ut] = v
-				}
+			if v := r.RATEarly[vt] - g.LUTs[g.CandDelay[c]].Eval(r.SlewEarly[ut], w.Load[vt/2])*r.derateEarly; v > r.RATEarly[ut] {
+				r.RATEarly[ut] = v
 			}
 		}
 	}
