@@ -358,33 +358,21 @@ func (g *Graph) buildCandidates() {
 }
 
 // levelize assigns topological levels with Kahn's algorithm over the pin
-// graph (net arcs + cell arcs) and groups pins by level.
+// graph and groups pins by level. A pin's fan-out is read where it is
+// stored: the sinks of the timed net it drives (one net arc each), and the
+// output pins of the candidates that read its tnodes (one cell-arc edge per
+// candidate).
 func (g *Graph) levelize() error {
 	d := g.D
 	nPins := len(d.Pins)
 	indeg := make([]int32, nPins) //dtgp:index domain=pin
-	// Fan-out adjacency.
-	fanout := make([][]int32, nPins) //dtgp:index domain=pin
-	addEdge := func(u, v int32) {
-		fanout[u] = append(fanout[u], v)
-		indeg[v]++
-	}
-	for ni := range d.Nets {
-		if g.IsClockNet[ni] {
-			continue
-		}
-		net := &d.Nets[ni]
-		if net.Driver < 0 {
-			continue
-		}
-		for _, pid := range net.Pins {
-			if pid != net.Driver {
-				addEdge(net.Driver, pid)
-			}
+	for pi := range d.Pins {
+		if g.IsNetSink[pi] {
+			indeg[pi]++
 		}
 	}
-	for c := range g.CandIn {
-		addEdge(g.CandIn[c]/2, g.CandOut[c]/2)
+	for _, v := range g.CandOut {
+		indeg[v/2]++
 	}
 
 	for i := range g.Level {
@@ -400,18 +388,29 @@ func (g *Graph) levelize() error {
 			queue = append(queue, pi)
 		}
 	}
+	// visit follows the edge u→v: it lifts v above u and queues v once
+	// every edge into v has been followed.
+	visit := func(u, v int32) {
+		g.Level[v] = max(g.Level[v], g.Level[u]+1)
+		if indeg[v]--; indeg[v] == 0 {
+			queue = append(queue, v)
+		}
+	}
 	processed := 0
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
 		processed++
-		for _, v := range fanout[u] {
-			if l := g.Level[u] + 1; l > g.Level[v] {
-				g.Level[v] = l
+		if ni := d.Pins[u].Net; ni >= 0 && !g.IsClockNet[ni] && d.Nets[ni].Driver == u {
+			for _, v := range d.Nets[ni].Pins {
+				if v != u {
+					visit(u, v)
+				}
 			}
-			indeg[v]--
-			if indeg[v] == 0 {
-				queue = append(queue, v)
+		}
+		for t := TIdx(u, Rise); t <= TIdx(u, Fall); t++ {
+			for k := g.FanOff[t]; k < g.FanOff[t+1]; k++ {
+				visit(u, g.CandOut[g.FanCand[k]]/2)
 			}
 		}
 	}
