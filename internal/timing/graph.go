@@ -360,8 +360,9 @@ func (g *Graph) buildCandidates() {
 // levelize assigns topological levels with Kahn's algorithm over the pin
 // graph and groups pins by level. A pin's fan-out is read where it is
 // stored: the sinks of the timed net it drives (one net arc each), and the
-// output pins of the candidates that read its tnodes (one cell-arc edge per
-// candidate).
+// output pins of the candidates that read its rise tnode. Every unateness
+// admits a rising input (InputTransitions), so each delay arc gives at
+// least one such edge; a non-unate arc gives two.
 func (g *Graph) levelize() error {
 	d := g.D
 	nPins := len(d.Pins)
@@ -371,8 +372,10 @@ func (g *Graph) levelize() error {
 			indeg[pi]++
 		}
 	}
-	for _, v := range g.CandOut {
-		indeg[v/2]++
+	for c, u := range g.CandIn {
+		if u%2 == int32(Rise) {
+			indeg[g.CandOut[c]/2]++
+		}
 	}
 
 	for i := range g.Level {
@@ -408,10 +411,9 @@ func (g *Graph) levelize() error {
 				}
 			}
 		}
-		for t := TIdx(u, Rise); t <= TIdx(u, Fall); t++ {
-			for k := g.FanOff[t]; k < g.FanOff[t+1]; k++ {
-				visit(u, g.CandOut[g.FanCand[k]]/2)
-			}
+		t := TIdx(u, Rise)
+		for k := g.FanOff[t]; k < g.FanOff[t+1]; k++ {
+			visit(u, g.CandOut[g.FanCand[k]]/2)
 		}
 	}
 	if processed != nPins {
