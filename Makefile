@@ -3,7 +3,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: build fmt-check vet vet-budget vet-fixtures test race bench bench-smoke bench-incremental bench-scale bench-scale-smoke profile-scale profile-flows bench-module-test examples-smoke check fuzz-smoke chaos-smoke
+.PHONY: build fmt-check vet vet-budget vet-fixtures test race race-short bench bench-smoke bench-incremental bench-scale bench-scale-smoke profile-scale profile-flows bench-module-test examples-smoke check fuzz-smoke chaos-smoke
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,12 @@ test: vet
 
 race:
 	$(GO) test -race ./...
+
+# Race detector over the quick suite: every package's tests in -short mode,
+# the multi-lane stress replays of the differentiable and the exact timer
+# (internal/core/stress_test.go) included (about 2 minutes on 2 CPUs).
+race-short:
+	$(GO) test -race -short ./...
 
 # Fuzz smoke: every parser fuzz target runs FUZZTIME of coverage-guided
 # input generation (go's fuzzer allows one -fuzz target per invocation, so
@@ -190,7 +196,7 @@ check: build fmt-check vet
 	$(GO) test ./...
 	$(MAKE) bench-module-test
 	$(MAKE) examples-smoke
-	$(GO) test -race -short ./...
+	$(MAKE) race-short
 	$(MAKE) chaos-smoke
 	$(MAKE) bench-smoke
 	$(MAKE) bench-scale-smoke

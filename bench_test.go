@@ -298,66 +298,54 @@ func BenchmarkDiffTimerIncremental(b *testing.B) {
 }
 
 // BenchmarkExactSTAIncremental measures the periodic exact-STA pass of the
-// net-weighting flow: from-scratch Analyze versus the maintained
-// timing.Incremental engine fed only the cells that moved. move-all is the
-// flow's own workload, in which every movable cell changed; move-2pct moves
-// a few cells, a workload no program produces, and shows what re-extracting
-// only their nets saves while the late analysis is re-swept in full.
+// net-weighting flow on its own workload, in which every movable cell
+// moved: from-scratch Analyze versus the maintained timing.Incremental
+// engine, which re-extracts every net and re-sweeps the late analysis.
 func BenchmarkExactSTAIncremental(b *testing.B) {
-	workloads := []struct {
-		name string
-		frac float64
-	}{{"move-2pct", 0.02}, {"move-all", 1}}
 	modes := []struct {
 		name        string
 		incremental bool
 	}{{"full", false}, {"incremental", true}}
-	for _, wl := range workloads {
-		for _, m := range modes {
-			b.Run(wl.name+"/"+m.name, func(b *testing.B) {
-				d, con := benchDesign(b, "superblue4")
-				if err := CalibratePeriod(d, con, 0.7); err != nil {
-					b.Fatal(err)
+	for _, m := range modes {
+		b.Run("move-all/"+m.name, func(b *testing.B) {
+			d, con := benchDesign(b, "superblue4")
+			if err := CalibratePeriod(d, con, 0.7); err != nil {
+				b.Fatal(err)
+			}
+			g, err := timing.NewGraph(d, con)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var movable []int32
+			for ci := range d.Cells {
+				if d.Cells[ci].Movable() {
+					movable = append(movable, int32(ci))
 				}
-				g, err := timing.NewGraph(d, con)
-				if err != nil {
-					b.Fatal(err)
+			}
+			var inc *timing.Incremental
+			if m.incremental {
+				inc = timing.NewIncremental(g)
+			}
+			rng := rand.New(rand.NewSource(11))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, ci := range movable {
+					d.Cells[ci].Pos.X += (rng.Float64() - 0.5) * 10
+					d.Cells[ci].Pos.Y += (rng.Float64() - 0.5) * 10
 				}
-				var movable []int32
-				for ci := range d.Cells {
-					if d.Cells[ci].Movable() {
-						movable = append(movable, int32(ci))
-					}
-				}
-				nMove := int(float64(len(movable)) * wl.frac)
-				if nMove < 1 {
-					nMove = 1
-				}
-				var inc *timing.Incremental
 				if m.incremental {
-					inc = timing.NewIncremental(g)
+					// MoveCells reads none of the moved cells. They go
+					// along as benchmark/profile.go's replayer passes
+					// them, so an engine that did read them would time
+					// the same workload.
+					inc.MoveCells(movable)
+				} else {
+					res := timing.Analyze(g)
+					_ = res.WNS
 				}
-				rng := rand.New(rand.NewSource(11))
-				moved := make([]int32, 0, nMove)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					moved = moved[:0]
-					for k := 0; k < nMove; k++ {
-						ci := movable[rng.Intn(len(movable))]
-						d.Cells[ci].Pos.X += (rng.Float64() - 0.5) * 10
-						d.Cells[ci].Pos.Y += (rng.Float64() - 0.5) * 10
-						moved = append(moved, ci)
-					}
-					if m.incremental {
-						inc.MoveCells(moved)
-					} else {
-						res := timing.Analyze(g)
-						_ = res.WNS
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -398,8 +386,8 @@ func BenchmarkSteinerBuild(b *testing.B) {
 // BenchmarkSteinerRebuild is the same stage on the warm path: topology
 // re-extraction into pre-existing per-net state. The default timer pays it
 // for every net at its refresh fences and per net on bounding-box
-// distortion, and timing.Incremental.MoveCells pays it on every call for
-// each net of a moved cell; this rebuilds every net, as a fence does.
+// distortion, and timing.Incremental.MoveCells pays it for every net on
+// every call; this rebuilds every net, as a fence does.
 func BenchmarkSteinerRebuild(b *testing.B) {
 	d, con := benchDesign(b, "superblue4")
 	g, err := timing.NewGraph(d, con)

@@ -4,9 +4,8 @@ package analysis
 // solver parameterised by direction (forward/backward) and join (may/must),
 // with per-block gen/kill transfer functions. Reaching definitions and
 // liveness — the two instances the analyzers need — are built on top in
-// cells.go and errflow.go. internal/bitset is tuned for the placer's hot
-// loops and deliberately has no set algebra, so the solver carries its own
-// tiny bit-vector type.
+// cells.go and errflow.go. The solver carries its own tiny bit-vector type
+// with the set algebra it needs.
 
 // bvec is a fixed-width bit vector.
 type bvec []uint64

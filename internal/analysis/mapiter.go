@@ -34,7 +34,7 @@ func runMapIter(pass *Pass) error {
 			}
 			if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
 				pass.Reportf(rs.Pos(),
-					"range over map %s in hot-path function %s (map iteration order is nondeterministic; use a sorted key slice or a worklist with bitset membership)",
+					"range over map %s in hot-path function %s (map iteration order is nondeterministic; use a sorted key slice or a worklist in index order)",
 					types.ExprString(rs.X), fi.Obj.Name())
 			}
 			return true

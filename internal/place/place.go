@@ -260,11 +260,8 @@ type engine struct {
 	// arena backs the netlist/timer/net-state SoA storage for this run.
 	arena *arena.Arena
 	// staInc is the lazily built incremental exact-STA engine backing the
-	// net-weighting hook. Every global-placement step moves every movable
-	// cell, so each call hands it movCells, the movable real cells in cell
-	// order, which newEngine lists once.
-	staInc   *timing.Incremental
-	movCells []int32 //dtgp:index elem=cell
+	// net-weighting hook.
+	staInc *timing.Incremental
 
 	lambda float64
 	// timing activation state
@@ -432,9 +429,6 @@ func newEngine(d *netlist.Design, con *sdc.Constraints, opts Options) (*engine, 
 	for ci := 0; ci < e.nReal; ci++ {
 		if e.movable[ci] {
 			e.nMov++
-			if e.nwUp != nil {
-				e.movCells = append(e.movCells, int32(ci))
-			}
 		}
 	}
 	for k, slot := range e.dSlot {
@@ -468,10 +462,10 @@ func (e *engine) writePositions(z []float64) {
 
 // incrementalSTA returns the maintained exact-STA view of the design's
 // current cell positions. After the first call, which builds the engine
-// from scratch, it re-extracts the nets of every movable cell and re-sweeps
-// the whole late analysis, so its state is bit-identical to a from-scratch
-// timing.Analyze at every call (deterministic re-extraction from identical
-// coordinates), a supervisor rollback included.
+// from scratch, it re-extracts every net and re-sweeps the whole late
+// analysis, so its state is bit-identical to a from-scratch timing.Analyze
+// at every call (deterministic re-extraction from identical coordinates),
+// a supervisor rollback included.
 //
 //dtgp:hotpath
 func (e *engine) incrementalSTA() *timing.Incremental {
@@ -479,7 +473,7 @@ func (e *engine) incrementalSTA() *timing.Incremental {
 		e.staInc = timing.NewIncremental(e.graph)
 		return e.staInc
 	}
-	e.staInc.MoveCells(e.movCells)
+	e.staInc.MoveCells(nil)
 	return e.staInc
 }
 

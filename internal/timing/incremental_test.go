@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dtgp/internal/gen"
+	"dtgp/internal/netlist"
 )
 
 func incBed(t *testing.T, cells int, seed int64) (*Graph, *Incremental) {
@@ -56,17 +57,16 @@ func TestIncrementalTracksMoves(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 10; round++ {
 		// Move a random handful of movable cells.
-		var moved []int32
-		for len(moved) < 5 {
-			ci := int32(rng.Intn(len(d.Cells)))
+		for moved := 0; moved < 5; {
+			ci := rng.Intn(len(d.Cells))
 			if !d.Cells[ci].Movable() {
 				continue
 			}
 			d.Cells[ci].Pos.X += rng.NormFloat64() * 40
 			d.Cells[ci].Pos.Y += rng.NormFloat64() * 40
-			moved = append(moved, ci)
+			moved++
 		}
-		inc.MoveCells(moved)
+		inc.MoveCells(nil)
 		full := Analyze(g)
 		if math.Abs(inc.WNS-full.WNS) > 1e-4 {
 			t.Fatalf("round %d: WNS %v vs full %v", round, inc.WNS, full.WNS)
@@ -90,21 +90,20 @@ func relErr(a, b float64) float64 {
 func TestIncrementalMoveAll(t *testing.T) {
 	g, inc := incBed(t, 300, 53)
 	d := g.D
-	var all []int32
 	for ci := range d.Cells {
 		if d.Cells[ci].Movable() {
 			d.Cells[ci].Pos.X *= 1.3
-			all = append(all, int32(ci))
 		}
 	}
-	inc.MoveCells(all)
+	inc.MoveCells(nil)
 	full := Analyze(g)
 	if math.Abs(inc.WNS-full.WNS) > 1e-4 {
 		t.Errorf("WNS %v vs full %v", inc.WNS, full.WNS)
 	}
 }
 
-// TestIncrementalNoMoveNoChange: an empty move set changes nothing.
+// TestIncrementalNoMoveNoChange: an update after no cell moved changes
+// nothing.
 func TestIncrementalNoMoveNoChange(t *testing.T) {
 	_, inc := incBed(t, 200, 54)
 	w, tn := inc.WNS, inc.TNS
@@ -123,17 +122,16 @@ func TestIncrementalRATMatchesFull(t *testing.T) {
 	d := g.D
 	rng := rand.New(rand.NewSource(2))
 	for round := 0; round < 8; round++ {
-		var moved []int32
-		for len(moved) < 6 {
-			ci := int32(rng.Intn(len(d.Cells)))
+		for moved := 0; moved < 6; {
+			ci := rng.Intn(len(d.Cells))
 			if !d.Cells[ci].Movable() {
 				continue
 			}
 			d.Cells[ci].Pos.X += rng.NormFloat64() * 50
 			d.Cells[ci].Pos.Y += rng.NormFloat64() * 50
-			moved = append(moved, ci)
+			moved++
 		}
-		inc.MoveCells(moved)
+		inc.MoveCells(nil)
 		full := AnalyzeWithNets(g, inc.Nets)
 		for i := range inc.RATLate {
 			if inc.ATLate[i] != full.ATLate[i] && inc.Valid[i] {
@@ -158,48 +156,16 @@ func TestIncrementalRATMatchesFull(t *testing.T) {
 	}
 }
 
-// TestIncrementalConeIsSmall: moving one cell in a large design re-extracts
-// only the nets on that cell's pins, and the re-swept state still equals a
-// from-scratch analysis.
-func TestIncrementalConeIsSmall(t *testing.T) {
-	g, inc := incBed(t, 1500, 55)
-	d := g.D
-	// One movable cell, small nudge.
-	for ci := range d.Cells {
-		if d.Cells[ci].Movable() {
-			d.Cells[ci].Pos.X += 3
-			inc.MoveCells([]int32{int32(ci)})
-			if n, pins := len(inc.netWork), len(d.Cells[ci].Pins); n == 0 || n > pins {
-				t.Errorf("moving one cell of %d pins re-extracted %d nets", pins, n)
-			}
-			break
-		}
-	}
-	full := Analyze(g)
-	if inc.WNS != full.WNS || inc.TNS != full.TNS {
-		t.Errorf("WNS/TNS %v/%v vs full %v/%v", inc.WNS, inc.TNS, full.WNS, full.TNS)
-	}
-}
-
-// TestMoveCellsAllocFree: MoveCells re-extracts the nets of the moved cells
-// in scratch its engine owns, so a warm engine allocates nothing even when
-// garbage collections run between calls (they would empty any pooled
-// scratch). 40 cells of a 400-cell bed move back and forth between two
-// placements, so every rebuilt tree fits buffers an earlier build grew.
+// TestMoveCellsAllocFree: MoveCells re-extracts every net in scratch its
+// engine owns, so a warm engine allocates nothing even when garbage
+// collections run between calls (they would empty any pooled scratch). 40
+// cells of a 400-cell bed move back and forth between two placements, so
+// every rebuilt tree fits buffers an earlier build grew.
 func TestMoveCellsAllocFree(t *testing.T) {
 	g, inc := incBed(t, 400, 55)
 	d := g.D
-	var cells []int32
-	for ci := range d.Cells {
-		if d.Cells[ci].Movable() && len(cells) < 40 {
-			cells = append(cells, int32(ci))
-		}
-	}
 	x0, y0 := d.Positions()
-	for k, ci := range cells {
-		d.Cells[ci].Pos.X += float64(5 + k%7)
-		d.Cells[ci].Pos.Y -= float64(3 + k%5)
-	}
+	moveSome(d, 40)
 	x1, y1 := d.Positions()
 	flip := false
 	move := func() {
@@ -210,13 +176,37 @@ func TestMoveCellsAllocFree(t *testing.T) {
 		} else {
 			d.SetPositions(x1, y1)
 		}
-		inc.MoveCells(cells)
+		inc.MoveCells(nil)
 	}
 	for i := 0; i < 4; i++ {
 		move()
 	}
 	if allocs := testing.AllocsPerRun(10, move); allocs != 0 {
 		t.Errorf("MoveCells allocated %v objects/op in steady state, want 0", allocs)
+	}
+}
+
+// TestMoveCellsRebuildsEveryNet: MoveCells brings the engine up to the
+// current placement whichever cells moved, so after 40 cells move it equals
+// a from-scratch analysis bit for bit even when it is told of none.
+func TestMoveCellsRebuildsEveryNet(t *testing.T) {
+	g, inc := incBed(t, 400, 59)
+	moveSome(g.D, 40)
+	inc.MoveCells(nil)
+	sameAsAnalyze(t, "after 40 cells moved", inc, Analyze(g))
+}
+
+// moveSome shifts the first n movable cells of d by a few DBU each.
+func moveSome(d *netlist.Design, n int) {
+	for ci := range d.Cells {
+		if n == 0 {
+			return
+		}
+		if d.Cells[ci].Movable() {
+			d.Cells[ci].Pos.X += float64(5 + n%7)
+			d.Cells[ci].Pos.Y -= float64(3 + n%5)
+			n--
+		}
 	}
 }
 
@@ -247,13 +237,13 @@ func TestMoveCellsNonFiniteRecovers(t *testing.T) {
 	}
 	pos := d.Cells[ci].Pos
 	d.Cells[ci].Pos.X = math.NaN()
-	inc.MoveCells([]int32{ci})
+	inc.MoveCells(nil)
 	if inc.Nets[ni].Tree != nil {
 		t.Fatalf("net %d kept its Steiner tree at a NaN pin", ni)
 	}
 	sameAsAnalyze(t, "at the NaN position", inc, Analyze(g))
 	d.Cells[ci].Pos = pos
-	inc.MoveCells([]int32{ci})
+	inc.MoveCells(nil)
 	if inc.Nets[ni].Tree == nil {
 		t.Fatalf("net %d is still untimed after its pins are finite again", ni)
 	}
