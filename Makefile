@@ -86,10 +86,13 @@ chaos-smoke:
 # still exercised. The full pass runs once more on one lane, where it must
 # report 0 allocs/op: its bed is warm, so an allocation is one the steady
 # state makes (at two lanes the guided schedule can still grow a worker's
-# scratch late). BENCH_backward.json and BENCH_incremental.json are then
-# checked against the live benchmark names: renaming or dropping a
-# sub-benchmark without refreshing the committed record fails loudly here
-# instead of silently orphaning the recorded numbers.
+# scratch late). That run also reports the size of its bed, which must
+# equal BENCH_incremental.json's design line, so a change to the bench
+# design fails here until the record is re-measured. BENCH_backward.json
+# and BENCH_incremental.json are then checked against the live benchmark
+# names: renaming or dropping a sub-benchmark without refreshing the
+# committed record fails loudly here instead of silently orphaning the
+# recorded numbers.
 bench-smoke:
 	$(GO) test -bench . -benchtime=1x -run '^$$' ./... | tee /tmp/bench_smoke.txt
 	$(GO) test -bench 'BenchmarkDiffTimerForwardBackward$$|BenchmarkDiffTimerIncremental' -benchtime=20x -run '^$$' .
@@ -97,6 +100,14 @@ bench-smoke:
 		tee /tmp/bench_smoke_allocs.txt
 	@grep -Eq '^BenchmarkDiffTimerForwardBackward\s.*\s0 allocs/op' /tmp/bench_smoke_allocs.txt || \
 		{ echo "bench-smoke: BenchmarkDiffTimerForwardBackward allocates in the steady state" >&2; exit 1; }
+	@want=$$(grep -o '"design": "[^"]*"' BENCH_incremental.json | \
+		grep -oE '[0-9]+ cells, [0-9]+ nets, [0-9]+ pins, [0-9]+ endpoints'); \
+	got=$$(awk '/^BenchmarkDiffTimerForwardBackward[ \t]/ { for (i = 3; i < NF; i++) v[$$(i+1)] = $$i; \
+		printf "%d cells, %d nets, %d pins, %d endpoints", v["cells"], v["nets"], v["pins"], v["endpoints"]; exit }' \
+		/tmp/bench_smoke_allocs.txt); \
+	if [ -z "$$want" ] || [ "$$want" != "$$got" ]; then \
+		echo "bench-smoke: BENCH_incremental.json is stale: its design line has ($$want), the bed ($$got)" >&2; exit 1; \
+	fi
 	@for f in BENCH_backward.json BENCH_incremental.json; do \
 		for name in $$(grep -o '"name": "Benchmark[^"]*"' $$f | sed -e 's/"name": "//' -e 's/"$$//'); do \
 			grep -q "^$$name\b" /tmp/bench_smoke.txt /dev/null || \

@@ -111,7 +111,10 @@ func BenchmarkFigure8Trace(b *testing.B) {
 // timerBed builds a differentiable timer over a bench design and warms it
 // to the steady state: the first evaluation builds the net states, and the
 // fence that follows Reanchor grows the timer's per-worker Steiner scratch.
-// Its Phase is zeroed, so a caller's timed loop sees neither.
+// Its Phase is zeroed and the benchmark timer reset, so a caller's timed
+// loop, which starts at its return, sees neither. It reports the bed's
+// size as the metrics cells, nets, pins and endpoints, which make
+// bench-smoke compares with BENCH_incremental.json's design line.
 func timerBed(b *testing.B, opts core.Options) *core.Timer {
 	b.Helper()
 	d, con := benchDesign(b, "superblue4")
@@ -127,6 +130,11 @@ func timerBed(b *testing.B, opts core.Options) *core.Timer {
 	tm.Reanchor()
 	tm.Evaluate(0.01, 0.001)
 	tm.Phase = core.PhaseTimes{}
+	b.ResetTimer() // also deletes the metrics reported so far
+	b.ReportMetric(float64(len(d.Cells)), "cells")
+	b.ReportMetric(float64(len(d.Nets)), "nets")
+	b.ReportMetric(float64(len(d.Pins)), "pins")
+	b.ReportMetric(float64(len(g.Endpoints)), "endpoints")
 	return tm
 }
 
@@ -168,7 +176,6 @@ func BenchmarkAblationGamma(b *testing.B) {
 			opts := core.DefaultOptions()
 			opts.Gamma = gamma
 			tm := timerBed(b, opts)
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tm.Evaluate(0.01, 0.001)
 			}
@@ -191,7 +198,6 @@ func BenchmarkAblationObjectiveWeights(b *testing.B) {
 	for _, cfg := range configs {
 		b.Run(cfg.name, func(b *testing.B) {
 			tm := timerBed(b, core.DefaultOptions())
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tm.Evaluate(cfg.t1, cfg.t2)
 			}
@@ -210,7 +216,6 @@ func BenchmarkDiffTimerForwardBackward(b *testing.B) {
 	opts.FencePeriod = 1
 	tm := timerBed(b, opts)
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tm.Evaluate(0.01, 0.001)
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dtgp/internal/arena"
+	"dtgp/internal/liberty"
 	"dtgp/internal/parallel"
 	"dtgp/internal/rctree"
 	"dtgp/internal/timing"
@@ -40,8 +41,9 @@ type Options struct {
 	FencePeriod int
 
 	// Arena backs the timer's large SoA buffers (forward state, cell-arc
-	// tape, the wire view and its adjoints, gradients, CSR group storage)
-	// and the per-net Steiner/RC buffers with chunked slab storage
+	// tape, the wire view and its adjoints, the Fig. 4 node slab,
+	// gradients, CSR group storage) and the per-net Steiner/RC buffers with
+	// chunked slab storage
 	// (DESIGN.md §13). The placer passes the arena its netlist was
 	// compacted into; nil makes NewTimer carve its own, sized by
 	// arena.ChunkSize.
@@ -158,14 +160,22 @@ type Timer struct {
 	gDelay, gImpulseSq, gLoad []float64 //dtgp:index domain=pin
 	// nodeGDelay and nodeGImpSq are elmoreBackward's per-worker windows of
 	// maxNodes Steiner-node entries each, into which it gathers one net's
-	// sink adjoints (worker w owns the w-th window).
+	// sink adjoints (worker w owns the w-th window), and grads[w] is worker
+	// w's Elmore gradient, pre-sized for maxNodes nodes.
 	nodeGDelay, nodeGImpSq []float64
+	grads                  []rctree.Grad
 	maxNodes               int
 	// pinCell[p] is the cell of pin p, for the Fig. 4 redistribution.
 	pinCell []int32 //dtgp:index domain=pin elem=cell
-	// netGrads are persistent per-net Elmore gradient buffers, refilled by
-	// BackwardInto on every pass for every net that has a tree.
-	netGrads []*rctree.Grad //dtgp:index domain=net
+	// The Fig. 4 node slab: net ni's window [slabOff[ni], slabOff[ni+1])
+	// has one entry per node of its largest tree (MaxTreeNodes).
+	// elmoreBackward writes each Steiner node's X and Y gradient there,
+	// next to the cell of the pin the axis is attributed to
+	// (rsmt.Tree.XPin/YPin), and zeroes the rest of the window; backward
+	// then streams the slab onto CellGradX/Y in net order.
+	slabOff              []int32 //dtgp:index domain=net
+	slabGX, slabGY       []float64
+	slabCellX, slabCellY []int32 //dtgp:index elem=cell
 
 	// Outputs of Evaluate.
 	CellGradX, CellGradY []float64 //dtgp:index domain=cell
@@ -200,6 +210,7 @@ type Timer struct {
 	// keeping the steady state free of closure allocations.
 	curLevel   []int32 //dtgp:index elem=pin
 	curBwd     []bwdGroup
+	fwdResetFn func(w, lo, hi int)
 	fwdFn      func(w, lo, hi int)
 	bwdFn      func(i int)
 	elmoreFn   func(w, lo, hi int)
@@ -236,8 +247,8 @@ func NewTimer(g *timing.Graph, opts Options) *Timer {
 		opts.RefreshEps = 0
 	}
 	// The big per-tnode/per-net/per-cell SoA arrays carve from the arena.
-	// Slices of pointer-bearing types (netGrads, epStates) stay on the GC
-	// heap by construction: the arena's type set rejects them.
+	// Slices of pointer-bearing types (grads, epStates) stay on the GC heap
+	// by construction: the arena's type set rejects them.
 	if opts.Arena == nil {
 		opts.Arena = arena.New(arena.ChunkSize(len(g.D.Cells)))
 	}
@@ -267,7 +278,7 @@ func NewTimer(g *timing.Graph, opts Options) *Timer {
 		gImpulseSq:  arena.Make[float64](a, nPins),
 		gLoad:       arena.Make[float64](a, nPins),
 		pinCell:     arena.Make[int32](a, nPins),
-		netGrads:    make([]*rctree.Grad, len(g.D.Nets)),
+		slabOff:     arena.Make[int32](a, len(g.D.Nets)+1),
 		CellGradX:   arena.Make[float64](a, len(g.D.Cells)),
 		CellGradY:   arena.Make[float64](a, len(g.D.Cells)),
 		epStates:    make([]epState, len(g.Endpoints)),
@@ -276,10 +287,22 @@ func NewTimer(g *timing.Graph, opts Options) *Timer {
 		t.pinCell[pi] = g.D.Pins[pi].Cell
 	}
 	for ni := range g.D.Nets {
-		t.maxNodes = max(t.maxNodes, g.MaxTreeNodes(int32(ni)))
+		m := g.MaxTreeNodes(int32(ni))
+		t.maxNodes = max(t.maxNodes, m)
+		t.slabOff[ni+1] = t.slabOff[ni] + int32(m)
 	}
-	t.nodeGDelay = arena.Make[float64](a, parallel.Workers()*t.maxNodes)
-	t.nodeGImpSq = arena.Make[float64](a, parallel.Workers()*t.maxNodes)
+	nSlab := int(t.slabOff[len(g.D.Nets)])
+	t.slabGX = arena.Make[float64](a, nSlab)
+	t.slabGY = arena.Make[float64](a, nSlab)
+	t.slabCellX = arena.Make[int32](a, nSlab)
+	t.slabCellY = arena.Make[int32](a, nSlab)
+	nw := parallel.Workers()
+	t.nodeGDelay = arena.Make[float64](a, nw*t.maxNodes)
+	t.nodeGImpSq = arena.Make[float64](a, nw*t.maxNodes)
+	t.grads = make([]rctree.Grad, nw)
+	for w := range t.grads {
+		t.grads[w].PreSize(t.maxNodes, arena.Make[float64](a, 8*t.maxNodes))
+	}
 	t.buildGroups()
 	t.buildStartPins()
 	t.buildKernels()
@@ -453,6 +476,15 @@ func (t *Timer) buildStartPins() {
 
 // buildKernels creates the stored dispatch closures and reset tasks.
 func (t *Timer) buildKernels() {
+	t.fwdResetFn = func(_, lo, hi int) {
+		ninf := math.Inf(-1)
+		for i := lo; i < hi; i++ {
+			t.AT[i] = ninf
+			t.HardAT[i] = ninf
+			t.Slew[i] = 0
+			t.Valid[i] = false
+		}
+	}
 	t.fwdFn = func(_, lo, hi int) {
 		g := t.G
 		level := t.curLevel
@@ -507,7 +539,9 @@ func (t *Timer) buildKernels() {
 }
 
 // refreshNets updates or rebuilds the Steiner/RC state and runs the Elmore
-// forward passes (Fig. 3 stages 1-2). It is displacement-driven: one guided
+// forward passes (Fig. 3 stages 1-2), from the cells' current positions: it
+// refills the design's pin-position column, which the net kernels read,
+// first (the first build fills it itself). It is displacement-driven: one guided
 // kernel over all nets gives each net whose pins moved beyond RefreshEps
 // against the geometry of its last refresh the lazy refresh-or-rebuild plus
 // Elmore forward. Each net writes only its own state and its own pins of
@@ -522,8 +556,10 @@ func (t *Timer) refreshNets() {
 		t.Nets = timing.BuildNetStatesArena(t.G, t.Opts.Arena)
 		timing.ForwardAll(t.G, t.Nets, &t.Wires)
 	case t.evalCount%t.Opts.FencePeriod == 0:
+		t.G.D.FillPinPositions()
 		parallel.ForGuided(len(t.Nets), 8, parallel.CostHeavy, t.fenceFn)
 	default:
+		t.G.D.FillPinPositions()
 		parallel.ForGuided(len(t.Nets), 8, parallel.CostHeavy, t.refreshFn)
 	}
 	t.evalCount++
@@ -562,13 +598,7 @@ func (t *Timer) EvaluateValueOnly(t1, t2 float64) float64 {
 
 //dtgp:hotpath
 func (t *Timer) forward() {
-	ninf := math.Inf(-1)
-	for i := range t.AT {
-		t.AT[i] = ninf
-		t.HardAT[i] = ninf
-		t.Slew[i] = 0
-		t.Valid[i] = false
-	}
+	parallel.ForWorker(len(t.AT), parallel.CostTrivial, t.fwdResetFn)
 
 	// Starts.
 	for k, pid := range t.startPins {
@@ -620,7 +650,9 @@ func (t *Timer) forwardNetSink(pid int32) {
 
 // forwardCellOut applies Eq. 11: LUT delays aggregated with LSE over all
 // (input pin, input transition) candidates, recorded on the cell-arc tape
-// for backwardCellOut. Each LUT is evaluated once, with its slopes; the
+// for backwardCellOut. Each LUT is evaluated once, with its slopes, through
+// one query per pin, so the load is located once on a shared load axis and
+// each candidate's slew once for both of its tables; the
 // weight columns first hold the candidate arrival and slew, then their
 // shifted exponentials, then the normalised weights; the kernel writes
 // each slot before reading it, so those reads are not inputs. HardAT is the
@@ -633,7 +665,8 @@ func (t *Timer) forwardNetSink(pid int32) {
 func (t *Timer) forwardCellOut(pid int32) {
 	g := t.G
 	gamma := t.Opts.Gamma
-	load := t.Wires.Load[pid]
+	var q liberty.Query
+	q.SetY(t.Wires.Load[pid])
 	for outTr := timing.Rise; outTr <= timing.Fall; outTr++ {
 		v := timing.TIdx(pid, outTr)
 		lo, end := g.CandOff[v], g.CandOff[v+1]
@@ -643,8 +676,9 @@ func (t *Timer) forwardCellOut(pid int32) {
 			if !t.Valid[u] {
 				continue
 			}
-			d, dDds, dDdl := g.LUTs[g.CandDelay[c]].EvalGrad(t.Slew[u], load)
-			s, dSds, dSdl := g.LUTs[g.CandTrans[c]].EvalGrad(t.Slew[u], load)
+			q.SetX(t.Slew[u])
+			d, dDds, dDdl := q.EvalGrad(g.LUTs[g.CandDelay[c]])
+			s, dSds, dSdl := q.EvalGrad(g.LUTs[g.CandTrans[c]])
 			t.slotIn[hi] = u
 			t.slotWAT[hi], t.slotWSlew[hi] = t.AT[u]+d, s
 			t.slotDelayDS[hi], t.slotDelayDL[hi] = dDds, dDdl
@@ -852,7 +886,6 @@ func (t *Timer) seedEndpoints(m, z, t1, t2 float64) {
 //dtgp:hotpath
 func (t *Timer) backward(t1, t2 float64) float64 {
 	g := t.G
-	d := g.D
 	t.backwardPasses++
 
 	// Clear the accumulators; independent regions run as pool tasks.
@@ -872,64 +905,68 @@ func (t *Timer) backward(t1, t2 float64) float64 {
 		parallel.ForCost(len(t.curBwd), parallel.CostHeavy, t.bwdFn)
 	}
 
-	// Elmore backward per net (Eq. 8) into persistent per-net buffers;
-	// guided chunking balances the power-law net-size distribution. A net
-	// no adjoint reached has all-zero seeds and so all-zero node
-	// gradients, which the redistribution skips. The serial Fig. 4
-	// redistribution below accumulates in net-index order, so its results
-	// are schedule-independent.
+	// Elmore backward per net (Eq. 8) into the node slab; guided chunking
+	// balances the power-law net-size distribution. A net no adjoint
+	// reached has all-zero seeds and so all-zero node gradients. The serial
+	// Fig. 4 redistribution then streams the slab, which is in net order
+	// and node order within a net, skipping zero entries: every cell
+	// receives its additions in net-index order, so the results are
+	// schedule-independent.
 	parallel.ForGuided(len(t.Nets), 4, parallel.CostHeavy, t.elmoreFn)
-	for ni := range t.Nets {
-		tree := t.Nets[ni].Tree
-		if tree == nil {
-			continue
+	for k, gx := range t.slabGX {
+		if gx != 0 {
+			t.CellGradX[t.slabCellX[k]] += gx
 		}
-		gr := t.netGrads[ni]
-		pins := d.Nets[ni].Pins
-		for j := 0; j < tree.NumNodes(); j++ {
-			if gr.X[j] != 0 {
-				t.CellGradX[t.pinCell[pins[tree.XPin[j]]]] += gr.X[j]
-			}
-			if gr.Y[j] != 0 {
-				t.CellGradY[t.pinCell[pins[tree.YPin[j]]]] += gr.Y[j]
-			}
+		if gy := t.slabGY[k]; gy != 0 {
+			t.CellGradY[t.slabCellY[k]] += gy
 		}
 	}
 	return f
 }
 
-// elmoreBackward runs the Elmore backward pass (Eq. 8) for Nets[lo:hi] into
-// persistent per-net gradient buffers: the batch adjoint of
-// timing.ForwardAll. It gathers each net's pin-indexed sink adjoints into
-// worker w's node window (net pin k is Steiner node k; the driver's entries
-// are 0, as it sinks no net, and Steiner points get 0). Bound once as
-// t.elmoreFn so the hot loop dispatches without a per-call method value.
+// elmoreBackward runs the Elmore backward pass (Eq. 8) for Nets[lo:hi]: the
+// batch adjoint of timing.ForwardAll. It gathers each net's pin-indexed
+// sink adjoints into worker w's node window (net pin k is Steiner node k;
+// the driver's entries are 0, as it sinks no net, and Steiner points get
+// 0), sweeps the net's RC tree into worker w's Grad and copies the node
+// gradients into the net's window of the node slab, each next to the cell
+// its axis is attributed to; the rest of the window, all of it for a net
+// without a tree, is zeroed. Bound once as t.elmoreFn so the hot loop
+// dispatches without a per-call method value.
 //
 //dtgp:hotpath
 //dtgp:backward(elmore-batch)
 func (t *Timer) elmoreBackward(w, lo, hi int) {
 	d := t.G.D
 	base := w * t.maxNodes
+	gr := &t.grads[w]
 	for ni := lo; ni < hi; ni++ {
 		ns := &t.Nets[ni]
-		if ns.Tree == nil {
-			continue
+		off, end := t.slabOff[ni], t.slabOff[ni+1]
+		gx, gy := t.slabGX[off:end], t.slabGY[off:end]
+		n := 0
+		if tree := ns.Tree; tree != nil {
+			net := &d.Nets[ni]
+			n = tree.NumNodes()
+			gDelay := t.nodeGDelay[base : base+n]
+			gImpSq := t.nodeGImpSq[base : base+n]
+			for k, pid := range net.Pins {
+				gDelay[k] = t.gDelay[pid]
+				gImpSq[k] = t.gImpulseSq[pid]
+			}
+			for j := len(net.Pins); j < n; j++ {
+				gDelay[j], gImpSq[j] = 0, 0
+			}
+			ns.RC.BackwardInto(gr, gDelay, gImpSq, t.gLoad[net.Driver])
+			cx, cy := t.slabCellX[off:end], t.slabCellY[off:end]
+			for j := 0; j < n; j++ {
+				gx[j], cx[j] = gr.X[j], t.pinCell[net.Pins[tree.XPin[j]]]
+				gy[j], cy[j] = gr.Y[j], t.pinCell[net.Pins[tree.YPin[j]]]
+			}
 		}
-		if t.netGrads[ni] == nil {
-			t.netGrads[ni] = &rctree.Grad{}
+		for j := n; j < len(gx); j++ {
+			gx[j], gy[j] = 0, 0
 		}
-		net := &d.Nets[ni]
-		n := ns.Tree.NumNodes()
-		gDelay := t.nodeGDelay[base : base+n]
-		gImpSq := t.nodeGImpSq[base : base+n]
-		for k, pid := range net.Pins {
-			gDelay[k] = t.gDelay[pid]
-			gImpSq[k] = t.gImpulseSq[pid]
-		}
-		for j := len(net.Pins); j < n; j++ {
-			gDelay[j], gImpSq[j] = 0, 0
-		}
-		ns.RC.BackwardInto(t.netGrads[ni], gDelay, gImpSq, t.gLoad[net.Driver])
 	}
 }
 

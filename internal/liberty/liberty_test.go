@@ -309,3 +309,49 @@ func TestValidateCatchesBrokenLibraries(t *testing.T) {
 		t.Error("sequential cell without clock pin not caught")
 	}
 }
+
+// TestLibrariesShareEqualAxes: the synthetic library and a parsed one give
+// every table axis with the same values as one slice, so that a Query
+// located on one table's axis is located on all of them. The synthetic
+// tables sample two axes, slew and load.
+func TestLibrariesShareEqualAxes(t *testing.T) {
+	lib := DefaultLibrary()
+	parsed, err := Parse(libText(t, lib))
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		lib  *Library
+	}{{"synthetic", lib}, {"parsed", parsed}} {
+		var axes [][]float64
+		for ci := range c.lib.Cells {
+			for ai := range c.lib.Cells[ci].Arcs {
+				a := &c.lib.Cells[ci].Arcs[ai]
+				for _, l := range []*LUT{a.CellRise, a.CellFall, a.RiseTransition, a.FallTransition,
+					a.RiseConstraint, a.FallConstraint} {
+					if l == nil {
+						continue
+					}
+					for _, axis := range [][]float64{l.Index1, l.Index2} {
+						seen := false
+						for _, b := range axes {
+							if sameAxis(axis, b) {
+								seen = true
+							} else if equalBits(axis, b) && len(axis) == len(b) {
+								t.Fatalf("%s: cell %q has an axis %v equal to another but not shared",
+									c.name, c.lib.Cells[ci].Name, axis)
+							}
+						}
+						if !seen {
+							axes = append(axes, axis)
+						}
+					}
+				}
+			}
+		}
+		if len(axes) != 2 {
+			t.Errorf("%s: %d distinct axis slices, want 2 (slew and load)", c.name, len(axes))
+		}
+	}
+}

@@ -41,38 +41,48 @@ func NewLUT(idx1, idx2, values []float64) (*LUT, error) {
 	return &LUT{Index1: idx1, Index2: idx2, Values: values}, nil
 }
 
-// locate finds the interpolation cell for q in idx: the index i such that the
-// segment [idx[i], idx[i+1]] is used, and the normalized position t within
-// it (t may fall outside [0,1], which produces extrapolation). A length-1
-// index vector pins i=0, t=0 and contributes no gradient.
-func locate(idx []float64, q float64) (i int, t, invSpan float64) {
+// Loc is where a query coordinate falls on one table axis: the segment
+// [idx[i], idx[i+1]] that interpolation uses, the normalized position t
+// within it (t may fall outside [0,1], which produces extrapolation) and
+// the segment's inverse span. A length-1 axis gives the zero Loc, which
+// pins i=0, t=0 and contributes no gradient.
+type Loc struct {
+	i          int
+	t, invSpan float64
+}
+
+// Locate finds the interpolation cell of q on the axis idx. A Loc found on
+// one table's axis serves every table whose axis is the same slice: the
+// library builders share equal axes, so the timers locate a query once for
+// all the tables they evaluate at it (Query).
+func Locate(idx []float64, q float64) Loc {
 	n := len(idx)
 	if n == 1 {
-		return 0, 0, 0
+		return Loc{}
 	}
 	// Rightmost segment start with idx[i] <= q, clamped so extrapolation
 	// reuses the outermost segment's slope. Liberty axes are tiny (typically
 	// 5-8 entries), where the predictable linear scan beats binary search;
 	// both find the same index.
+	i := 0
 	if n <= 8 {
 		for i < n-2 && idx[i+1] <= q {
 			i++
 		}
-		span := idx[i+1] - idx[i]
-		return i, (q - idx[i]) / span, 1 / span
-	}
-	lo, hi := 0, n-2
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if idx[mid] <= q {
-			lo = mid
-		} else {
-			hi = mid - 1
+	} else {
+		lo, hi := 0, n-2
+		for lo < hi {
+			mid := (lo + hi + 1) / 2
+			if idx[mid] <= q {
+				lo = mid
+			} else {
+				hi = mid - 1
+			}
 		}
+		i = lo
 	}
-	i = lo
 	span := idx[i+1] - idx[i]
-	return i, (q - idx[i]) / span, 1 / span
+	return Loc{i: i, t: (q - idx[i]) / span, invSpan: 1 / span}
 }
 
 // Eval returns the bilinearly interpolated (or extrapolated) value at
@@ -92,9 +102,15 @@ func (t *LUT) Eval(x, y float64) float64 {
 //
 //dtgp:backward(lut, explicit-grad)
 func (t *LUT) EvalGrad(x, y float64) (v, dvdx, dvdy float64) {
+	return t.EvalAt(Locate(t.Index1, x), Locate(t.Index2, y))
+}
+
+// EvalAt is EvalGrad at the point whose coordinates x and y were located on
+// Index1 and Index2 (or on the same slices of another table).
+func (t *LUT) EvalAt(x, y Loc) (v, dvdx, dvdy float64) {
 	n2 := len(t.Index2)
-	i, tx, sx := locate(t.Index1, x)
-	j, ty, sy := locate(t.Index2, y)
+	i, tx, sx := x.i, x.t, x.invSpan
+	j, ty, sy := y.i, y.t, y.invSpan
 
 	v00 := t.Values[i*n2+j]
 	v01, v10, v11 := v00, v00, v00
@@ -121,4 +137,44 @@ func (t *LUT) EvalGrad(x, y float64) (v, dvdx, dvdy float64) {
 	dvdx = (b - a) * sx
 	dvdy = ((v01 - v00) + tx*((v11-v10)-(v01-v00))) * sy
 	return v, dvdx, dvdy
+}
+
+// Query is a table query point (X, Y) that keeps the locations of its
+// coordinates on the axes it last evaluated a table on: a table whose axis
+// is the same slice reuses the location instead of searching its axis
+// again. A cell-arc kernel keeps one per output pin, with Y the pin's load
+// and X the slew of the candidate at hand, so the load is located once per
+// pin and each slew once for both of its candidate's tables.
+type Query struct {
+	x, y         float64
+	xAxis, yAxis []float64
+	xLoc, yLoc   Loc
+}
+
+// SetX moves the query's Index1 coordinate to x.
+func (q *Query) SetX(x float64) { q.x, q.xAxis = x, nil }
+
+// SetY moves the query's Index2 coordinate to y.
+func (q *Query) SetY(y float64) { q.y, q.yAxis = y, nil }
+
+// EvalGrad is t.EvalGrad at the query point, with the same bits.
+func (q *Query) EvalGrad(t *LUT) (v, dvdx, dvdy float64) {
+	if !sameAxis(t.Index1, q.xAxis) {
+		q.xAxis, q.xLoc = t.Index1, Locate(t.Index1, q.x)
+	}
+	if !sameAxis(t.Index2, q.yAxis) {
+		q.yAxis, q.yLoc = t.Index2, Locate(t.Index2, q.y)
+	}
+	return t.EvalAt(q.xLoc, q.yLoc)
+}
+
+// Eval is t.Eval at the query point, with the same bits.
+func (q *Query) Eval(t *LUT) float64 {
+	v, _, _ := q.EvalGrad(t)
+	return v
+}
+
+// sameAxis reports whether a and b are the same non-empty slice.
+func sameAxis(a, b []float64) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
 }

@@ -176,29 +176,130 @@ func TestLocateEdgeCases(t *testing.T) {
 	idx := []float64{10, 20, 40}
 	// Exactly at grid points.
 	for i, q := range idx {
-		seg, tpos, _ := locate(idx, q)
+		l := Locate(idx, q)
 		if i < len(idx)-1 {
-			if seg != i || tpos != 0 {
-				t.Errorf("locate(%v) = seg %d t %v", q, seg, tpos)
+			if l.i != i || l.t != 0 {
+				t.Errorf("Locate(%v) = seg %d t %v", q, l.i, l.t)
 			}
 		} else {
 			// The last point belongs to the final segment with t=1.
-			if seg != len(idx)-2 || tpos != 1 {
-				t.Errorf("locate(last) = seg %d t %v", seg, tpos)
+			if l.i != len(idx)-2 || l.t != 1 {
+				t.Errorf("Locate(last) = seg %d t %v", l.i, l.t)
 			}
 		}
 	}
 	// Below range: first segment, negative t (extrapolation).
-	if seg, tpos, _ := locate(idx, 0); seg != 0 || tpos >= 0 {
-		t.Errorf("below range: seg %d t %v", seg, tpos)
+	if l := Locate(idx, 0); l.i != 0 || l.t >= 0 {
+		t.Errorf("below range: seg %d t %v", l.i, l.t)
 	}
 	// Above range: last segment, t > 1.
-	if seg, tpos, _ := locate(idx, 100); seg != 1 || tpos <= 1 {
-		t.Errorf("above range: seg %d t %v", seg, tpos)
+	if l := Locate(idx, 100); l.i != 1 || l.t <= 1 {
+		t.Errorf("above range: seg %d t %v", l.i, l.t)
 	}
 	// Single-entry index: pinned.
-	if seg, tpos, span := locate([]float64{5}, 99); seg != 0 || tpos != 0 || span != 0 {
-		t.Errorf("singleton: %d %v %v", seg, tpos, span)
+	if l := Locate([]float64{5}, 99); l != (Loc{}) {
+		t.Errorf("singleton: %+v", l)
+	}
+}
+
+// fusedEvalGrad is EvalGrad as one function that locates both axes by
+// binary search itself: the oracle for the split into Locate and EvalAt.
+func fusedEvalGrad(t *LUT, x, y float64) (v, dvdx, dvdy float64) {
+	locate := func(idx []float64, q float64) (i int, tt, invSpan float64) {
+		n := len(idx)
+		if n == 1 {
+			return 0, 0, 0
+		}
+		lo, hi := 0, n-2
+		for lo < hi {
+			mid := (lo + hi + 1) / 2
+			if idx[mid] <= q {
+				lo = mid
+			} else {
+				hi = mid - 1
+			}
+		}
+		span := idx[lo+1] - idx[lo]
+		return lo, (q - idx[lo]) / span, 1 / span
+	}
+	n2 := len(t.Index2)
+	i, tx, sx := locate(t.Index1, x)
+	j, ty, sy := locate(t.Index2, y)
+	v00 := t.Values[i*n2+j]
+	v01, v10, v11 := v00, v00, v00
+	if len(t.Index2) > 1 {
+		v01 = t.Values[i*n2+j+1]
+	}
+	if len(t.Index1) > 1 {
+		v10 = t.Values[(i+1)*n2+j]
+		if len(t.Index2) > 1 {
+			v11 = t.Values[(i+1)*n2+j+1]
+		} else {
+			v11 = v10
+		}
+	} else {
+		v11 = v01
+	}
+	a := v00 + ty*(v01-v00)
+	b := v10 + ty*(v11-v10)
+	v = a + tx*(b-a)
+	dvdx = (b - a) * sx
+	dvdy = ((v01 - v00) + tx*((v11-v10)-(v01-v00))) * sy
+	return v, dvdx, dvdy
+}
+
+// TestEvalAtMatchesEvalGrad: EvalAt of two Locate results, EvalGrad and a
+// Query that reuses its locations across tables on shared axes all give
+// the fused evaluation's bits, in range, when extrapolating and on 1-D
+// tables.
+func TestEvalAtMatchesEvalGrad(t *testing.T) {
+	slew := []float64{5, 10, 20, 40, 80, 160, 320, 640, 1280, 2560} // > 8 entries: binary search
+	load := []float64{1, 2, 4, 8}
+	vals := func(n int, k float64) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = k*float64(i) + math.Sin(float64(i)*k)
+		}
+		return v
+	}
+	tables := []*LUT{
+		mustLUT(t, slew, load, vals(40, 1.3)),
+		mustLUT(t, slew, load, vals(40, 0.7)),                            // same axis slices
+		mustLUT(t, append([]float64(nil), slew...), load, vals(40, 2.1)), // equal values, another slice
+		mustLUT(t, load, slew, vals(40, 0.4)),
+		mustLUT(t, []float64{0, 10}, []float64{5}, []float64{1, 3}),         // 1-D in y
+		mustLUT(t, []float64{7}, []float64{0, 10, 30}, []float64{1, 3, -2}), // 1-D in x
+		mustLUT(t, []float64{7}, []float64{3}, []float64{4}),                // a constant
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	var q Query
+	for _, x := range []float64{-50, 0, 5, 7.5, 20, 333, 2560, 9000} {
+		q.SetX(x)
+		for _, y := range []float64{-3, 1, 2.5, 8, 64} {
+			q.SetY(y)
+			for k, l := range tables {
+				v0, dx0, dy0 := fusedEvalGrad(l, x, y)
+				for _, c := range []struct {
+					name string
+					f    func() (float64, float64, float64)
+				}{
+					{"EvalGrad", func() (float64, float64, float64) { return l.EvalGrad(x, y) }},
+					{"EvalAt", func() (float64, float64, float64) {
+						return l.EvalAt(Locate(l.Index1, x), Locate(l.Index2, y))
+					}},
+					{"Query", func() (float64, float64, float64) { return q.EvalGrad(l) }},
+				} {
+					v, dx, dy := c.f()
+					if !same(v, v0) || !same(dx, dx0) || !same(dy, dy0) {
+						t.Errorf("table %d at (%v, %v): %s = (%v, %v, %v), fused (%v, %v, %v)",
+							k, x, y, c.name, v, dx, dy, v0, dx0, dy0)
+					}
+				}
+				if v := q.Eval(l); !same(v, v0) || !same(l.Eval(x, y), v0) {
+					t.Errorf("table %d at (%v, %v): Eval differs from the fused value %v", k, x, y, v0)
+				}
+			}
+		}
 	}
 }
 

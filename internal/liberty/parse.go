@@ -390,11 +390,12 @@ func Parse(src string) (*Library, error) {
 	if lib.DefaultMaxTransition, err = libGroup.attrFloat("default_max_transition", 0); err != nil {
 		return nil, err
 	}
+	var axes axisPool
 	for _, g := range libGroup.Groups {
 		if g.Name != "cell" {
 			continue
 		}
-		cell, err := parseCell(g)
+		cell, err := parseCell(g, &axes)
 		if err != nil {
 			return nil, err
 		}
@@ -407,7 +408,7 @@ func Parse(src string) (*Library, error) {
 	return lib, nil
 }
 
-func parseCell(g *Group) (*Cell, error) {
+func parseCell(g *Group, axes *axisPool) (*Cell, error) {
 	if len(g.Args) == 0 {
 		return nil, fmt.Errorf("liberty: cell group without a name")
 	}
@@ -471,7 +472,7 @@ func parseCell(g *Group) (*Cell, error) {
 			if tg.Name != "timing" {
 				continue
 			}
-			arc, err := parseArc(c, tg, toPin)
+			arc, err := parseArc(c, tg, toPin, axes)
 			if err != nil {
 				return nil, fmt.Errorf("liberty: cell %q pin %q: %w", c.Name, sub.Args[0], err)
 			}
@@ -484,7 +485,7 @@ func parseCell(g *Group) (*Cell, error) {
 	return c, nil
 }
 
-func parseArc(c *Cell, g *Group, toPin int) (*TimingArc, error) {
+func parseArc(c *Cell, g *Group, toPin int, axes *axisPool) (*TimingArc, error) {
 	related, ok := g.attr("related_pin")
 	if !ok {
 		return nil, fmt.Errorf("timing group missing related_pin")
@@ -521,7 +522,7 @@ func parseArc(c *Cell, g *Group, toPin int) (*TimingArc, error) {
 		}
 	}
 	for _, tbl := range g.Groups {
-		lut, err := parseTable(tbl)
+		lut, err := parseTable(tbl, axes)
 		if err != nil {
 			return nil, err
 		}
@@ -543,7 +544,35 @@ func parseArc(c *Cell, g *Group, toPin int) (*TimingArc, error) {
 	return arc, nil
 }
 
-func parseTable(g *Group) (*LUT, error) {
+// axisPool holds the distinct table axes of one library. A table's
+// template fixes its axes, so the tables of a library repeat a few of
+// them; intern hands every table the pool's slice for an axis it has seen,
+// and a query located on one table's axis is then located on all of them.
+type axisPool [][]float64
+
+// intern returns the pooled axis with axis's bits, adding axis if the pool
+// has none.
+func (p *axisPool) intern(axis []float64) []float64 {
+	for _, a := range *p {
+		if len(a) == len(axis) && equalBits(a, axis) {
+			return a
+		}
+	}
+	*p = append(*p, axis)
+	return axis
+}
+
+// equalBits reports whether a and b, of equal length, hold the same bits.
+func equalBits(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func parseTable(g *Group, axes *axisPool) (*LUT, error) {
 	var idx1, idx2, values []float64
 	var err error
 	for _, a := range g.Attrs {
@@ -568,7 +597,7 @@ func parseTable(g *Group) (*LUT, error) {
 	if len(idx2) == 0 {
 		idx2 = []float64{0}
 	}
-	return NewLUT(idx1, idx2, values)
+	return NewLUT(axes.intern(idx1), axes.intern(idx2), values)
 }
 
 // parseFloatList flattens Liberty's quoted, comma-separated numeric lists.

@@ -29,6 +29,9 @@ const (
 	maxTransition = 640   // ps, the cap on propagated slews
 )
 
+// slewIndex and loadIndex are the axes of every synthetic table. The
+// tables share the two slices (nothing writes a table's axes), so a timer
+// locates a query on them once for all the tables it evaluates there.
 var (
 	slewIndex = []float64{5, 10, 20, 40, 80, 160, 320}
 	loadIndex = []float64{1, 2, 4, 8, 16, 32, 64}
@@ -69,7 +72,7 @@ func sample(f func(s, l float64) float64) *LUT {
 			vals[i*len(loadIndex)+j] = f(s, l)
 		}
 	}
-	t, err := NewLUT(append([]float64(nil), slewIndex...), append([]float64(nil), loadIndex...), vals)
+	t, err := NewLUT(slewIndex, loadIndex, vals)
 	if err != nil {
 		panic(fmt.Sprintf("liberty: synthetic LUT: %v", err)) // impossible: indices are fixed
 	}

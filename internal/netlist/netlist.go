@@ -12,6 +12,7 @@ import (
 
 	"dtgp/internal/geom"
 	"dtgp/internal/liberty"
+	"dtgp/internal/parallel"
 )
 
 // CellClass classifies a cell instance.
@@ -136,6 +137,12 @@ type Design struct {
 	// compacted records that Compact already re-laid the pin lists into a
 	// flat slab; see compact.go.
 	compacted bool
+
+	// pinPos is the pin-position column: pinPos[p] is PinPos(p) as of the
+	// last FillPinPositions, and fillFn is that fill's stored kernel. Both
+	// are built on the first fill.
+	pinPos []geom.Point //dtgp:index domain=pin
+	fillFn func(w, lo, hi int)
 }
 
 // CellByName returns the index of the named cell, or -1.
@@ -182,6 +189,35 @@ func (d *Design) PinPos(p int32) geom.Point {
 	cell := &d.Cells[pin.Cell]
 	return geom.Point{X: cell.Pos.X + pin.Offset.X, Y: cell.Pos.Y + pin.Offset.Y}
 }
+
+// FillPinPositions writes every pin's absolute position into the design's
+// pin-position column, in parallel, with PinPos's own sum, so a reader of
+// the column sees the same bits as one of PinPos. Cells move by writing
+// Cell.Pos, so every bulk reader of the column (the wirelength model, the
+// net-state builders and both timers) calls this when it is entered. The
+// first call allocates the column and the kernel; later calls allocate
+// nothing.
+//
+//dtgp:hotpath
+func (d *Design) FillPinPositions() {
+	if len(d.pinPos) != len(d.Pins) {
+		d.pinPos = make([]geom.Point, len(d.Pins))
+	}
+	if d.fillFn == nil {
+		d.fillFn = func(_, lo, hi int) {
+			for p := lo; p < hi; p++ {
+				d.pinPos[p] = d.PinPos(int32(p))
+			}
+		}
+	}
+	parallel.ForWorker(len(d.Pins), parallel.CostTrivial, d.fillFn)
+}
+
+// PinPositions returns the pin-position column, one entry per pin, as of
+// the last FillPinPositions (nil before the first).
+//
+//dtgp:index return=pin
+func (d *Design) PinPositions() []geom.Point { return d.pinPos }
 
 // PinName returns a hierarchical "cell/pin" display name.
 //
@@ -359,7 +395,8 @@ func (d *Design) Validate() error {
 }
 
 // Clone deep-copies the design (library is shared, it is immutable during
-// placement).
+// placement). The clone gets a pin-position column of its own on its first
+// FillPinPositions.
 func (d *Design) Clone() *Design {
 	nd := &Design{
 		Name:  d.Name,

@@ -200,6 +200,50 @@ func TestBuilderErrors(t *testing.T) {
 	}
 }
 
+// TestPinPositionsFill: the pin-position column holds PinPos's bits as of
+// the last fill, moves only when it is refilled, and is not shared with a
+// clone, whose first fill makes a column of its own.
+func TestPinPositionsFill(t *testing.T) {
+	d := buildToy(t)
+	if d.PinPositions() != nil {
+		t.Fatal("a new design has a pin-position column before its first fill")
+	}
+	g0 := d.CellByName("g0")
+	d.Cells[g0].Pos = geom.Point{X: 100.1, Y: 200.3}
+	d.FillPinPositions()
+	same := func(d *Design) bool {
+		col := d.PinPositions()
+		for p := range d.Pins {
+			want := d.PinPos(int32(p))
+			if math.Float64bits(col[p].X) != math.Float64bits(want.X) ||
+				math.Float64bits(col[p].Y) != math.Float64bits(want.Y) {
+				return false
+			}
+		}
+		return len(col) == len(d.Pins)
+	}
+	if !same(d) {
+		t.Fatal("the column differs from PinPos after a fill")
+	}
+	c := d.Clone()
+	if c.PinPositions() != nil {
+		t.Fatal("Clone copied the pin-position column")
+	}
+	c.Cells[g0].Pos.X += 50
+	c.FillPinPositions()
+	if !same(c) || !same(d) {
+		t.Fatal("filling a clone's column changed the original's, or the clone's differs from PinPos")
+	}
+	d.Cells[g0].Pos.Y += 7
+	if same(d) {
+		t.Fatal("the column followed a move before it was refilled")
+	}
+	d.FillPinPositions()
+	if !same(d) {
+		t.Fatal("the column differs from PinPos after a refill")
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	d := buildToy(t)
 	c := d.Clone()

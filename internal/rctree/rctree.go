@@ -73,6 +73,22 @@ type Grad struct {
 	X, Y []float64 //dtgp:index domain=rcnode
 }
 
+// PreSize points g's eight columns at f, which must have length 8*m, so
+// that BackwardInto can sweep any tree of up to m nodes into g.
+func (g *Grad) PreSize(m int, f []float64) {
+	if len(f) != 8*m {
+		panic(fmt.Sprintf("rctree: Grad.PreSize(%d) with len %d", m, len(f)))
+	}
+	g.Beta = f[0*m : 1*m : 1*m]
+	g.LDelay = f[1*m : 2*m : 2*m]
+	g.Delay = f[2*m : 3*m : 3*m]
+	g.Load = f[3*m : 4*m : 4*m]
+	g.Cap = f[4*m : 5*m : 5*m]
+	g.Res = f[5*m : 6*m : 6*m]
+	g.X = f[6*m : 7*m : 7*m]
+	g.Y = f[7*m : 8*m : 8*m]
+}
+
 // Scratch holds the CSR adjacency buffers used while orienting the Steiner
 // tree. Its owner keeps it across rebuilds (one per worker), so a warm
 // scratch makes Rebuild allocation-free once the target Tree's own slices
@@ -314,34 +330,23 @@ func (t *Tree) Forward() {
 //     LDelay(u)·∇Beta(u) — the printed ∇Delay(fa(u)) / Beta(u)·∇LDelay(u)
 //     do not follow from Eq. 7 by the chain rule.
 //
-// g's slices grow on first use and are reused afterwards, so steady-state
-// callers (the timer's per-net gradient buffers) pay zero allocations per
-// sweep.
+// g must have been pre-sized for at least t.N nodes (Grad.PreSize); its
+// columns are resliced to t.N, so one Grad serves trees of every size up
+// to its capacity and a sweep allocates nothing.
 //
 //dtgp:hotpath
 //dtgp:backward(elmore)
 //dtgp:index gradDelay=rcnode gradImpulseSq=rcnode
 func (t *Tree) BackwardInto(g *Grad, gradDelay, gradImpulseSq []float64, gradLoadRoot float64) {
 	n := t.N
-	if cap(g.Beta) < n {
-		g.Beta = make([]float64, n)
-		g.LDelay = make([]float64, n)
-		g.Delay = make([]float64, n)
-		g.Load = make([]float64, n)
-		g.Cap = make([]float64, n)
-		g.Res = make([]float64, n)
-		g.X = make([]float64, n)
-		g.Y = make([]float64, n)
-	} else {
-		g.Beta = g.Beta[:n]
-		g.LDelay = g.LDelay[:n]
-		g.Delay = g.Delay[:n]
-		g.Load = g.Load[:n]
-		g.Cap = g.Cap[:n]
-		g.Res = g.Res[:n]
-		g.X = g.X[:n]
-		g.Y = g.Y[:n]
-	}
+	g.Beta = g.Beta[:n]
+	g.LDelay = g.LDelay[:n]
+	g.Delay = g.Delay[:n]
+	g.Load = g.Load[:n]
+	g.Cap = g.Cap[:n]
+	g.Res = g.Res[:n]
+	g.X = g.X[:n]
+	g.Y = g.Y[:n]
 	copy(g.Delay, gradDelay)
 	// Beta, LDelay, Load and Cap are fully overwritten below; Res is only
 	// written for non-root nodes and X/Y accumulate, so clear those.

@@ -97,9 +97,10 @@ func TestSinkCapIncreasesUpstreamDelay(t *testing.T) {
 }
 
 // TestBackwardZeroSeedsZeroGrad: all-zero upstream gradients produce
-// all-zero geometry gradients, into a fresh Grad and into one that an
-// earlier non-zero pass filled (a caller reuses one Grad per net on every
-// pass, whether or not any adjoint reached the net).
+// all-zero geometry gradients, into a fresh Grad and into a larger one that
+// an earlier non-zero pass filled (the timer sweeps every net that has a
+// tree, whether or not any adjoint reached it, into its worker's one Grad,
+// which is sized for the largest net).
 func TestBackwardZeroSeedsZeroGrad(t *testing.T) {
 	px := []float64{0, 40, 80}
 	py := []float64{0, 30, 0}
@@ -111,7 +112,7 @@ func TestBackwardZeroSeedsZeroGrad(t *testing.T) {
 	}
 	rc.Forward()
 
-	used := new(Grad)
+	used := newGrad(rc.N + 2)
 	seeds := make([]float64, rc.N)
 	for i := range seeds {
 		seeds[i] = 1
@@ -128,7 +129,7 @@ func TestBackwardZeroSeedsZeroGrad(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		g    *Grad
-	}{{"fresh", new(Grad)}, {"reused", used}} {
+	}{{"fresh", newGrad(rc.N)}, {"reused", used}} {
 		rc.BackwardInto(c.g, make([]float64, rc.N), make([]float64, rc.N), 0)
 		for i := 0; i < rc.N; i++ {
 			if c.g.X[i] != 0 || c.g.Y[i] != 0 {
@@ -150,7 +151,7 @@ func TestLoadGradientSign(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc.Forward()
-	g := new(Grad)
+	g := newGrad(rc.N)
 	rc.BackwardInto(g, make([]float64, rc.N), make([]float64, rc.N), 1 /* ∂f/∂Load(root) */)
 	// Moving the sink (+x) lengthens the wire → load increases → gradient
 	// at the sink must be positive in x; at the driver negative.

@@ -25,6 +25,13 @@ func newTree(st *rsmt.Tree, root int32, pinCap []float64, rPerUnit, cPerUnit flo
 	return t, t.Rebuild(st, root, pinCap, rPerUnit, cPerUnit, new(Scratch))
 }
 
+// newGrad returns a Grad pre-sized for m nodes.
+func newGrad(m int) *Grad {
+	g := new(Grad)
+	g.PreSize(m, make([]float64, 8*m))
+	return g
+}
+
 // DelayByPathFormula computes the Elmore delay to every node using the
 // O(n²) shared-path-resistance definition
 //
@@ -254,7 +261,7 @@ func TestBackwardFiniteDifference(t *testing.T) {
 
 		f0 := elmoreScalarObjective(rc, wDelay, wImp, nil, wRootLoad)
 		_ = f0
-		g := new(Grad)
+		g := newGrad(nn)
 		rc.BackwardInto(g, wDelay, wImp, wRootLoad)
 
 		// Redistribute node gradients onto pins via attribution.

@@ -47,7 +47,9 @@ func NewIncremental(g *Graph) *Incremental {
 //dtgp:hotpath
 func (inc *Incremental) MoveCells(cells []int32) {
 	// Each net's state is independent and writes only its own pins' wire
-	// view, so the nets re-extract on the worker pool.
+	// view, so the nets re-extract on the worker pool, from the column of
+	// pin positions refilled here.
+	inc.G.D.FillPinPositions()
 	parallel.ForGuided(len(inc.Nets), 8, parallel.CostHeavy, inc.rebuildFn)
 	inc.sweep()
 }

@@ -193,7 +193,7 @@ func TestMoveCellsRebuildsEveryNet(t *testing.T) {
 	g, inc := incBed(t, 400, 59)
 	moveSome(g.D, 40)
 	inc.MoveCells(nil)
-	sameAsAnalyze(t, "after 40 cells moved", inc, Analyze(g))
+	sameAsAnalyze(t, "after 40 cells moved", &inc.LateState, Analyze(g))
 }
 
 // moveSome shifts the first n movable cells of d by a few DBU each.
@@ -241,32 +241,64 @@ func TestMoveCellsNonFiniteRecovers(t *testing.T) {
 	if inc.Nets[ni].Tree != nil {
 		t.Fatalf("net %d kept its Steiner tree at a NaN pin", ni)
 	}
-	sameAsAnalyze(t, "at the NaN position", inc, Analyze(g))
+	sameAsAnalyze(t, "at the NaN position", &inc.LateState, Analyze(g))
 	d.Cells[ci].Pos = pos
 	inc.MoveCells(nil)
 	if inc.Nets[ni].Tree == nil {
 		t.Fatalf("net %d is still untimed after its pins are finite again", ni)
 	}
-	sameAsAnalyze(t, "after the round trip", inc, Analyze(g))
+	sameAsAnalyze(t, "after the round trip", &inc.LateState, Analyze(g))
 }
 
-// sameAsAnalyze fails the test unless inc's reachability, arrivals, slews,
+// TestAnalysesReadMovedCells: cells move by writing Cell.Pos, as the
+// legalizer moves them, and the design's pin-position column is refilled
+// only when a bulk reader is entered. After each move, Analyze,
+// NewIncremental and MoveCells must each equal, bit for bit, an analysis
+// of a fresh Clone of the moved design, which fills a column of its own.
+func TestAnalysesReadMovedCells(t *testing.T) {
+	d, con, err := gen.Generate(gen.DefaultParams("moved", 400, 60))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGraph(d, con)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := func() *Result {
+		gc, err := NewGraph(d.Clone(), con)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Analyze(gc)
+	}
+	Analyze(g)
+	moveSome(d, 60)
+	sameAsAnalyze(t, "Analyze after a move", &Analyze(g).LateState, fresh())
+	moveSome(d, 40)
+	inc := NewIncremental(g)
+	sameAsAnalyze(t, "NewIncremental after a move", &inc.LateState, fresh())
+	moveSome(d, 20)
+	inc.MoveCells(nil)
+	sameAsAnalyze(t, "MoveCells after a move", &inc.LateState, fresh())
+}
+
+// sameAsAnalyze fails the test unless got's reachability, arrivals, slews,
 // required times, WNS and TNS equal full's bit for bit.
-func sameAsAnalyze(t *testing.T, when string, inc *Incremental, full *Result) {
+func sameAsAnalyze(t *testing.T, when string, got *LateState, full *Result) {
 	t.Helper()
 	diffs := 0
 	for i := range full.ATLate {
-		if inc.Valid[i] != full.Valid[i] ||
-			math.Float64bits(inc.ATLate[i]) != math.Float64bits(full.ATLate[i]) ||
-			math.Float64bits(inc.SlewLate[i]) != math.Float64bits(full.SlewLate[i]) ||
-			math.Float64bits(inc.RATLate[i]) != math.Float64bits(full.RATLate[i]) {
+		if got.Valid[i] != full.Valid[i] ||
+			math.Float64bits(got.ATLate[i]) != math.Float64bits(full.ATLate[i]) ||
+			math.Float64bits(got.SlewLate[i]) != math.Float64bits(full.SlewLate[i]) ||
+			math.Float64bits(got.RATLate[i]) != math.Float64bits(full.RATLate[i]) {
 			diffs++
 		}
 	}
 	if diffs > 0 {
 		t.Errorf("%s: %d of %d timing nodes differ from a from-scratch analysis", when, diffs, len(full.ATLate))
 	}
-	if math.Float64bits(inc.WNS) != math.Float64bits(full.WNS) || math.Float64bits(inc.TNS) != math.Float64bits(full.TNS) {
-		t.Errorf("%s: WNS/TNS %v/%v, from scratch %v/%v", when, inc.WNS, inc.TNS, full.WNS, full.TNS)
+	if math.Float64bits(got.WNS) != math.Float64bits(full.WNS) || math.Float64bits(got.TNS) != math.Float64bits(full.TNS) {
+		t.Errorf("%s: WNS/TNS %v/%v, from scratch %v/%v", when, got.WNS, got.TNS, full.WNS, full.TNS)
 	}
 }

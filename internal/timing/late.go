@@ -3,6 +3,7 @@ package timing
 import (
 	"math"
 
+	"dtgp/internal/liberty"
 	"dtgp/internal/netlist"
 	"dtgp/internal/parallel"
 )
@@ -146,13 +147,15 @@ func (s *LateState) arriveNetSink(pid int32) {
 
 // arriveCellOut applies the cell-arc candidates of an output pin (Eq. 11
 // with the exact max instead of LSE); the library's max-transition rule
-// caps the output slew.
+// caps the output slew. One query per pin locates the load once on a
+// shared load axis and each candidate's slew once for both of its tables.
 //
 //dtgp:hotpath
 //dtgp:index pid=pin
 func (s *LateState) arriveCellOut(pid int32) {
 	g := s.G
-	load := s.Wires.Load[pid]
+	var q liberty.Query
+	q.SetY(s.Wires.Load[pid])
 	maxTr := g.maxTransition()
 	for outTr := Rise; outTr <= Fall; outTr++ {
 		v := TIdx(pid, outTr)
@@ -164,10 +167,11 @@ func (s *LateState) arriveCellOut(pid int32) {
 				continue
 			}
 			reached = true
-			if a := s.ATLate[u] + g.LUTs[g.CandDelay[c]].Eval(s.SlewLate[u], load)*s.derate; a > at {
+			q.SetX(s.SlewLate[u])
+			if a := s.ATLate[u] + q.Eval(g.LUTs[g.CandDelay[c]])*s.derate; a > at {
 				at = a
 			}
-			if sl := g.LUTs[g.CandTrans[c]].Eval(s.SlewLate[u], load); sl > slew {
+			if sl := q.Eval(g.LUTs[g.CandTrans[c]]); sl > slew {
 				slew = sl
 			}
 		}

@@ -125,13 +125,15 @@ func BuildNetStates(g *Graph) []NetState {
 }
 
 // RebuildNetStates re-extracts every net's Steiner and RC trees in place,
-// reusing each NetState's buffers (coordinate scratch, pin caps, RC
-// storage) and the per-worker scratch (one entry per pool worker, see
-// NewBuildScratch). The periodic topology rebuild is allocation-free once
-// warm. states must have one entry per design net.
+// from the cells' current positions (it refills the design's pin-position
+// column first), reusing each NetState's buffers (coordinate scratch, pin
+// caps, RC storage) and the per-worker scratch (one entry per pool worker,
+// see NewBuildScratch). The periodic topology rebuild is allocation-free
+// once warm. states must have one entry per design net.
 //
 //dtgp:hotpath
 func RebuildNetStates(g *Graph, states []NetState, scratch []BuildScratch) {
+	g.D.FillPinPositions()
 	parallel.ForGuided(len(states), 8, parallel.CostHeavy, func(w, lo, hi int) {
 		for ni := lo; ni < hi; ni++ {
 			buildNetStateInto(g, int32(ni), &states[ni], &scratch[w])
@@ -156,18 +158,19 @@ func buildNetStateInto(g *Graph, ni int32, ns *NetState, s *BuildScratch) {
 	extractNetState(g, ns, snapshotPins(g, ns), s)
 }
 
-// snapshotPins writes each pin of ns's net once into the px/py snapshot,
-// which must hold one entry per pin, and returns the half-perimeter of the
-// pins' bounding box.
+// snapshotPins copies each pin of ns's net from the design's pin-position
+// column into the px/py snapshot, which must hold one entry per pin, and
+// returns the half-perimeter of the pins' bounding box.
 //
 //dtgp:hotpath
 func snapshotPins(g *Graph, ns *NetState) float64 {
 	d := g.D
+	col := d.PinPositions()
 	px, py := ns.px, ns.py
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
 	for k, pid := range d.Nets[ns.Net].Pins {
-		pos := d.PinPos(pid)
+		pos := col[pid]
 		px[k], py[k] = pos.X, pos.Y
 		minX, maxX = min(minX, pos.X), max(maxX, pos.X)
 		minY, maxY = min(minY, pos.Y), max(maxY, pos.Y)
@@ -218,7 +221,8 @@ func extractNetState(g *Graph, ns *NetState, hp float64, s *BuildScratch) {
 }
 
 // RebuildNet is the per-net fence kernel: it re-extracts ns's Steiner and
-// RC trees from the current pin positions, runs its Elmore forward pass and
+// RC trees from the design's pin-position column, which its caller fills,
+// runs its Elmore forward pass and
 // publishes it in w, in s, the calling worker's scratch. An untimed net is
 // retried too, since it could become timeable at new geometry;
 // buildNetStateInto returns at once for the structurally untimed ones.
@@ -231,10 +235,11 @@ func RebuildNet(g *Graph, ns *NetState, w *Wires, s *BuildScratch) {
 
 // NetMoved reports whether any pin of ns has moved beyond eps (Chebyshev
 // distance, in DBU) since the net's state was last extracted or refreshed.
-// The reference geometry is the px/py snapshot that the current Steiner/RC
-// state was built from, so no extra per-net memory is needed for the dirty
-// test. Untimed nets (Tree == nil) never report movement. With eps == 0 any
-// bitwise coordinate change is movement.
+// It reads the pins from the design's pin-position column, which its caller
+// fills. The reference geometry is the px/py snapshot that the current
+// Steiner/RC state was built from, so no extra per-net memory is needed for
+// the dirty test. Untimed nets (Tree == nil) never report movement. With
+// eps == 0 any bitwise coordinate change is movement.
 //
 //dtgp:hotpath
 func NetMoved(g *Graph, ns *NetState, eps float64) bool {
@@ -242,10 +247,10 @@ func NetMoved(g *Graph, ns *NetState, eps float64) bool {
 		return false
 	}
 	d := g.D
-	net := &d.Nets[ns.Net]
+	col := d.PinPositions()
 	px, py := ns.px, ns.py
-	for k, pid := range net.Pins {
-		pos := d.PinPos(pid)
+	for k, pid := range d.Nets[ns.Net].Pins {
+		pos := col[pid]
 		if dx := pos.X - px[k]; dx > eps || dx < -eps {
 			return true
 		}
@@ -256,11 +261,12 @@ func NetMoved(g *Graph, ns *NetState, eps float64) bool {
 	return false
 }
 
-// RefreshNetStateLazy refreshes one net from current pin positions, choosing
-// between the cheap geometry slide (§3.6 Steiner reuse: the stored Steiner
-// points move along with their attributed pins, the topology stays) and a
-// full topology re-extraction. Either way each pin is gathered once, into
-// the px/py snapshot, while the bounding box is taken. The stored Steiner
+// RefreshNetStateLazy refreshes one net from the design's pin-position
+// column, which its caller fills, choosing between the cheap geometry slide
+// (§3.6 Steiner reuse: the stored Steiner points move along with their
+// attributed pins, the topology stays) and a full topology re-extraction.
+// Either way each pin is gathered once, into the px/py snapshot, while the
+// bounding box is taken. The stored Steiner
 // points stay a faithful model while the pin bounding box they were derived
 // from keeps roughly its shape, so the half-perimeter is used as the
 // distortion proxy: when the current bbox half-perimeter deviates from

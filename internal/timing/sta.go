@@ -3,6 +3,7 @@ package timing
 import (
 	"math"
 
+	"dtgp/internal/liberty"
 	"dtgp/internal/netlist"
 	"dtgp/internal/parallel"
 )
@@ -123,7 +124,8 @@ func (r *Result) arriveNetSinkEarly(pid int32) {
 //dtgp:index pid=pin
 func (r *Result) arriveCellOutEarly(pid int32) {
 	g := r.G
-	load := r.Wires.Load[pid]
+	var q liberty.Query
+	q.SetY(r.Wires.Load[pid])
 	for outTr := Rise; outTr <= Fall; outTr++ {
 		v := TIdx(pid, outTr)
 		at, slew := inf, inf
@@ -134,10 +136,11 @@ func (r *Result) arriveCellOutEarly(pid int32) {
 				continue
 			}
 			reached = true
-			if a := r.ATEarly[u] + g.LUTs[g.CandDelay[c]].Eval(r.SlewEarly[u], load)*r.derateEarly; a < at {
+			q.SetX(r.SlewEarly[u])
+			if a := r.ATEarly[u] + q.Eval(g.LUTs[g.CandDelay[c]])*r.derateEarly; a < at {
 				at = a
 			}
-			if sl := g.LUTs[g.CandTrans[c]].Eval(r.SlewEarly[u], load); sl < slew {
+			if sl := q.Eval(g.LUTs[g.CandTrans[c]]); sl < slew {
 				slew = sl
 			}
 		}

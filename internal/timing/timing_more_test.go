@@ -249,6 +249,7 @@ func TestNetStateRefreshMatchesRebuild(t *testing.T) {
 		}
 	}
 	scratch := NewBuildScratch()
+	d.FillPinPositions() // the per-net kernels read the column
 	for i := range nets {
 		RefreshNetStateLazy(g, &nets[i], math.Inf(1), &scratch[0])
 	}

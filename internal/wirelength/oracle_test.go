@@ -157,3 +157,41 @@ func TestEvaluateNaNPinIsNaN(t *testing.T) {
 		d.Cells[ci].Pos = saved
 	}
 }
+
+// TestEvaluateReadsMovedCells: cells move by writing Cell.Pos, as the
+// legalizer moves them, and Evaluate refills the design's pin-position
+// column when it is entered. After a move, a model that has evaluated
+// before gives the bits of a new model on a fresh Clone of the moved
+// design, which fills a column of its own.
+func TestEvaluateReadsMovedCells(t *testing.T) {
+	d, _, err := gen.Generate(gen.DefaultParams("wl-moved", 400, 73))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewModel(d, 20)
+	gx := make([]float64, len(d.Cells))
+	gy := make([]float64, len(d.Cells))
+	m.Evaluate(gx, gy)
+	for ci := range d.Cells {
+		if d.Cells[ci].Movable() {
+			d.Cells[ci].Pos.X += float64(ci%11) - 5
+			d.Cells[ci].Pos.Y -= float64(ci%7) - 3
+		}
+	}
+	clear(gx)
+	clear(gy)
+	got := m.Evaluate(gx, gy)
+	c := d.Clone()
+	wx := make([]float64, len(c.Cells))
+	wy := make([]float64, len(c.Cells))
+	want := NewModel(c, 20).Evaluate(wx, wy)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("Evaluate after the move = %v, on a fresh clone %v", got, want)
+	}
+	for ci := range gx {
+		if math.Float64bits(gx[ci]) != math.Float64bits(wx[ci]) ||
+			math.Float64bits(gy[ci]) != math.Float64bits(wy[ci]) {
+			t.Fatalf("cell %d: gradient (%v, %v), on a fresh clone (%v, %v)", ci, gx[ci], gy[ci], wx[ci], wy[ci])
+		}
+	}
+}

@@ -72,8 +72,10 @@ func NewModel(d *netlist.Design, gamma float64) *Model {
 
 // Evaluate returns the total net-weighted WA wirelength and fills
 // (gradX, gradY) with its gradient with respect to cell positions
-// (accumulating — callers zero the slices). Allocation-free in steady
-// state: all per-net work runs in worker-local scratch. Forward value and
+// (accumulating — callers zero the slices). It reads the cells' current
+// positions: it refills the design's pin-position column first.
+// Allocation-free in steady state: all per-net work runs in worker-local
+// scratch. Forward value and
 // backward gradient are fused in a single pass (the WA partition sums are
 // shared between the two), so one declaration carries both pragmas.
 //
@@ -90,6 +92,7 @@ func (m *Model) Evaluate(gradX, gradY []float64) float64 {
 		m.pinGradX[i] = 0
 		m.pinGradY[i] = 0
 	}
+	d.FillPinPositions()
 	// Net sizes follow a power law; guided chunking keeps lanes busy.
 	parallel.ForGuided(len(d.Nets), 16, parallel.CostHeavy, m.evalFn)
 	total := 0.0
@@ -109,9 +112,10 @@ func (m *Model) Evaluate(gradX, gradY []float64) float64 {
 }
 
 // evalNet computes one net's weighted WA wirelength and its pin gradients.
-// Each pin's position is gathered once; the x and y coordinates then run
-// through the same axis kernel. Safe to run concurrently across nets: each
-// net touches only its own pins.
+// Each pin's position is gathered once from the design's pin-position
+// column, which Evaluate fills; the x and y coordinates then run through
+// the same axis kernel. Safe to run concurrently across nets: each net
+// touches only its own pins.
 //
 //dtgp:hotpath
 //dtgp:index ni=net
@@ -122,8 +126,9 @@ func (m *Model) evalNet(ni int32, sc *wlScratch) float64 {
 		return 0
 	}
 	sc.ensure(len(net.Pins))
+	pos := d.PinPositions()
 	for k, pid := range net.Pins {
-		p := d.PinPos(pid)
+		p := pos[pid]
 		sc.xs[k], sc.ys[k] = p.X, p.Y
 	}
 	wx := m.axis(net, sc.xs, m.pinGradX, sc)
