@@ -191,8 +191,9 @@ func (d *Design) PinPos(p int32) geom.Point {
 }
 
 // FillPinPositions writes every pin's absolute position into the design's
-// pin-position column, in parallel, with PinPos's own sum, so a reader of
-// the column sees the same bits as one of PinPos. Cells move by writing
+// pin-position column, in parallel, with PinPos's sum (cell position plus
+// pin offset), so a reader of the column sees the same bits as one of
+// PinPos. Cells move by writing
 // Cell.Pos, so every bulk reader of the column (the wirelength model, the
 // net-state builders and both timers) calls this when it is entered. The
 // first call allocates the column and the kernel; later calls allocate
@@ -205,8 +206,11 @@ func (d *Design) FillPinPositions() {
 	}
 	if d.fillFn == nil {
 		d.fillFn = func(_, lo, hi int) {
-			for p := lo; p < hi; p++ {
-				d.pinPos[p] = d.PinPos(int32(p))
+			pins, col := d.Pins[lo:hi], d.pinPos[lo:hi]
+			for k := range pins {
+				pin := &pins[k]
+				pos := d.Cells[pin.Cell].Pos
+				col[k] = geom.Point{X: pos.X + pin.Offset.X, Y: pos.Y + pin.Offset.Y}
 			}
 		}
 	}
