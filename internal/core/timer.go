@@ -43,10 +43,9 @@ type Options struct {
 	// Arena backs the timer's large SoA buffers (forward state, cell-arc
 	// tape, the wire view and its adjoints, the Fig. 4 node slab,
 	// gradients, CSR group storage) and the per-net Steiner/RC buffers with
-	// chunked slab storage
-	// (DESIGN.md §13). The placer passes the arena its netlist was
-	// compacted into; nil makes NewTimer carve its own, sized by
-	// arena.ChunkSize.
+	// chunked slab storage (DESIGN.md §13). The placer passes the arena its
+	// netlist was compacted into; nil makes NewTimer carve its own, sized
+	// by arena.ChunkSize.
 	Arena *arena.Arena
 }
 
@@ -539,13 +538,14 @@ func (t *Timer) buildKernels() {
 }
 
 // refreshNets updates or rebuilds the Steiner/RC state and runs the Elmore
-// forward passes (Fig. 3 stages 1-2), from the cells' current positions: it
-// refills the design's pin-position column, which the net kernels read,
-// first (the first build fills it itself). It is displacement-driven: one guided
-// kernel over all nets gives each net whose pins moved beyond RefreshEps
-// against the geometry of its last refresh the lazy refresh-or-rebuild plus
-// Elmore forward. Each net writes only its own state and its own pins of
-// Wires, so the schedule does not change the result. The first evaluation
+// forward passes (Fig. 3 stages 1-2) at the cells' current positions: it
+// first refills the design's pin-position column, which the net kernels
+// read (the first build fills it itself). It is displacement-driven: one
+// guided kernel over all nets gives each net whose pins moved beyond
+// RefreshEps against the geometry of its last refresh the lazy
+// refresh-or-rebuild plus Elmore forward. Each net writes only its own
+// state and its own pins of Wires, so the schedule does not change the
+// result. The first evaluation
 // builds every net, and every FencePeriod-th evaluation re-extracts every
 // net (the fence that bounds sub-ε drift).
 //
@@ -652,10 +652,10 @@ func (t *Timer) forwardNetSink(pid int32) {
 // (input pin, input transition) candidates, recorded on the cell-arc tape
 // for backwardCellOut. Each LUT is evaluated once, with its slopes, through
 // one query per pin, so the load is located once on a shared load axis and
-// each candidate's slew once for both of its tables; the
-// weight columns first hold the candidate arrival and slew, then their
-// shifted exponentials, then the normalised weights; the kernel writes
-// each slot before reading it, so those reads are not inputs. HardAT is the
+// each candidate's slew once for both of its tables. The weight columns
+// first hold the candidate arrival and slew, then their shifted
+// exponentials, then the normalised weights; the kernel writes each slot
+// before reading it, so those reads are not inputs. HardAT is the
 // hard (non-smoothed) arrival, deliberately not differentiated.
 //
 //dtgp:hotpath

@@ -338,7 +338,7 @@ func TestLibrariesShareEqualAxes(t *testing.T) {
 						for _, b := range axes {
 							if sameAxis(axis, b) {
 								seen = true
-							} else if equalBits(axis, b) && len(axis) == len(b) {
+							} else if len(axis) == len(b) && equalBits(axis, b) {
 								t.Fatalf("%s: cell %q has an axis %v equal to another but not shared",
 									c.name, c.lib.Cells[ci].Name, axis)
 							}

@@ -193,11 +193,10 @@ func (d *Design) PinPos(p int32) geom.Point {
 // FillPinPositions writes every pin's absolute position into the design's
 // pin-position column, in parallel, with PinPos's sum (cell position plus
 // pin offset), so a reader of the column sees the same bits as one of
-// PinPos. Cells move by writing
-// Cell.Pos, so every bulk reader of the column (the wirelength model, the
-// net-state builders and both timers) calls this when it is entered. The
-// first call allocates the column and the kernel; later calls allocate
-// nothing.
+// PinPos. Cells move by writing Cell.Pos, so every bulk reader of the
+// column (the wirelength model, the net-state builders and both timers)
+// calls this when it is entered. The first call allocates the column and
+// the kernel; later calls allocate nothing.
 //
 //dtgp:hotpath
 func (d *Design) FillPinPositions() {
