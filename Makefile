@@ -3,7 +3,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: build fmt-check vet vet-budget vet-fixtures test race race-short bench bench-smoke bench-incremental bench-scale bench-scale-smoke profile-scale profile-flows bench-module-test examples-smoke check fuzz-smoke chaos-smoke
+.PHONY: build fmt-check vet vet-budget vet-fixtures test race race-short bench bench-smoke bench-incremental bench-scale bench-scale-smoke profile-scale heap-scale profile-flows bench-module-test examples-smoke check fuzz-smoke chaos-smoke
 
 build:
 	$(GO) build ./...
@@ -150,11 +150,14 @@ bench-scale-smoke:
 	done
 
 # Full scaling sweep: regenerates the committed cells-vs-time trajectory
-# (50k, 200k and the two paper-scale anchors at 10 timing-driven iterations
-# each). Budget about 10 minutes; run manually after touching the timer,
-# net-state builders or the arena. It builds the binary first because only
-# go build stamps the git revision the record carries (go run does not);
-# commit the code before measuring, or the revision reads "+modified".
+# (the default sweep: 50k, 200k and the 0.8M-cell paper-scale anchor at 10
+# timing-driven iterations each). Budget about 2 minutes; run manually
+# after touching the timer, net-state builders or the arena. The 1.9M-cell
+# anchor is left out, as its peak takes most of an 8 GB machine; run it by
+# name (README, "Scaling to paper size"). It builds the binary first
+# because only go build stamps the git revision the record carries (go run
+# does not); commit the code before measuring, or the revision reads
+# "+modified".
 BENCH_BIN ?= /tmp/dtgp-bench
 bench-scale:
 	$(GO) build -o $(BENCH_BIN) ./cmd/dtgp-bench
@@ -169,6 +172,19 @@ profile-scale:
 	$(GO) build -o $(BENCH_BIN) ./cmd/dtgp-bench
 	$(BENCH_BIN) -experiment scale -cells 200000 -iters 20 -q -cpuprofile $(PROFILE_OUT) > /dev/null
 	$(GO) tool pprof -top -nodecount=40 $(BENCH_BIN) $(PROFILE_OUT)
+
+# Live heap by owner at scale: at 204k and at 0.8M cells, build the
+# engine, take three timing-driven iterations, run two GCs, print the live
+# heap and write an inuse_space heap profile to HEAP_OUT-<point>.pprof,
+# then print its top owners (DESIGN.md §13 cites them). Each point runs in
+# a process of its own. Budget about a minute.
+HEAP_OUT ?= /tmp/heap-scale
+heap-scale:
+	$(GO) build -o $(BENCH_BIN) ./cmd/dtgp-bench
+	for p in 200000 superblue-0.8M; do \
+		$(BENCH_BIN) -experiment heap -cells $$p -iters 3 -q -out $(HEAP_OUT)-$$p.pprof; \
+		$(GO) tool pprof -sample_index=inuse_space -top -nodecount=20 $(BENCH_BIN) $(HEAP_OUT)-$$p.pprof; \
+	done
 
 # Reproducible CPU profile of the three Table 3 flows (wirelength,
 # net-weighting, differentiable timing) on the eight superblue presets at

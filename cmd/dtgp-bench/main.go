@@ -13,10 +13,14 @@
 //	dtgp-bench -experiment ablation-weights
 //	dtgp-bench -experiment scale -cells 50000,superblue-1.9M -iters 10 -out BENCH_scale.json
 //	dtgp-bench -experiment scale -cells 200000 -iters 20 -cpuprofile scale.pprof
+//	dtgp-bench -experiment heap -cells 200000 -iters 3 -out heap.pprof
 //	dtgp-bench -experiment all
 //
 // -cpuprofile writes a CPU profile of the whole run (every experiment it
-// runs) for `go tool pprof`.
+// runs) for `go tool pprof`. The heap experiment builds one scale point's
+// engine, takes -iters timing-driven iterations, runs two GCs, prints the
+// live heap and writes the heap profile to -out; `go tool pprof
+// -sample_index=inuse_space -top` lists the owners (make heap-scale).
 package main
 
 import (
@@ -33,11 +37,11 @@ import (
 func main() {
 	def := report.DefaultSuiteOptions()
 	var (
-		experiment = flag.String("experiment", "table3", "table2 | table3 | figure8 | ablation-steiner | ablation-gamma | ablation-weights | scale | all")
+		experiment = flag.String("experiment", "table3", "table2 | table3 | figure8 | ablation-steiner | ablation-gamma | ablation-weights | scale | heap | all")
 		scale      = flag.Int("scale", def.Scale, "preset scale divisor")
 		factor     = flag.Float64("factor", def.PeriodFactor, "clock period as a fraction of the WL flow's critical delay")
 		presets    = flag.String("presets", "", "comma-separated subset of benchmarks (default all)")
-		out        = flag.String("out", "", "output file for figure8 CSV / scale JSON (default stdout)")
+		out        = flag.String("out", "", "output file for figure8 CSV / scale JSON (default stdout) / heap profile")
 		quiet      = flag.Bool("q", false, "suppress progress output")
 		cells      = flag.String("cells", report.DefaultScaleSpec, "scale sweep points: cell counts (50000, 200k) and/or preset names")
 		iters      = flag.Int("iters", 10, "timing-driven iterations per scale point")
@@ -144,6 +148,27 @@ func main() {
 			} else {
 				os.Stdout.Write(js)
 			}
+		case "heap":
+			specs, err := report.ParseScaleSpecs(*cells)
+			if err != nil {
+				return err
+			}
+			if len(specs) != 1 || *out == "" {
+				return fmt.Errorf("the heap experiment takes one -cells point and an -out file")
+			}
+			f, err := os.Create(*out)
+			if err != nil {
+				return err
+			}
+			live, err := report.RunHeapProbe(specs[0], *iters, f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				return err
+			}
+			fmt.Printf("%s: live heap %.1f MB after %d timing-driven iterations; profile in %s\n",
+				specs[0].Name, float64(live)/(1<<20), *iters, *out)
 		default:
 			return fmt.Errorf("unknown experiment %q", name)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"dtgp/internal/arena"
 	"dtgp/internal/gen"
+	"dtgp/internal/parallel"
 	"dtgp/internal/timing"
 )
 
@@ -88,5 +89,36 @@ func TestEvaluateFenceAllocFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10, eval); allocs != 0 {
 		t.Errorf("fence Evaluate allocated %v objects/op in steady state, want 0", allocs)
+	}
+}
+
+// mallocs returns the number of heap objects fn allocates. It runs fn with
+// the worker pool forced serial: a lane that parks between dispatches
+// allocates in the runtime, as often as the schedule makes it wait.
+func mallocs(fn func()) uint64 {
+	parallel.ForceSerial(true)
+	defer parallel.ForceSerial(false)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestFirstEvaluateAllocatesNoPerNetObjects: building a timer and running
+// its first evaluation, which carves the net states and builds every net,
+// allocates as many heap objects on a design four times larger, within a
+// small constant (arena chunks, scratch growth). The net states are
+// net-indexed columns and the reverse-sweep groups offsets, so nothing is
+// allocated per net or per group.
+func TestFirstEvaluateAllocatesNoPerNetObjects(t *testing.T) {
+	small, large := makeTestBed(t, 2000, 91), makeTestBed(t, 8000, 91)
+	first := func(g *timing.Graph) uint64 {
+		return mallocs(func() { NewTimer(g, DefaultOptions()).Evaluate(0.01, 0.001) })
+	}
+	ns, nl := first(small), first(large)
+	if nl > ns+64 || ns > nl+64 {
+		t.Errorf("NewTimer and the first Evaluate allocate %d objects at %d nets and %d at %d nets",
+			ns, len(small.D.Nets), nl, len(large.D.Nets))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"dtgp/internal/rctree"
 	"dtgp/internal/timing"
 )
 
@@ -99,12 +100,15 @@ func TestExactResultSharesInterconnect(t *testing.T) {
 		if !same(fromTimer.ATLate, scratch.ATLate) || !same(fromTimer.SlewLate, scratch.SlewLate) {
 			t.Errorf("round %d: arrival or slew differs from the scratch analysis", round)
 		}
-		for ni := range scratch.Nets {
-			a, b := tm.Nets[ni].RC, scratch.Nets[ni].RC
-			if (a == nil) != (b == nil) {
+		for i := range g.D.Nets {
+			ni := int32(i)
+			if tm.Nets.Timed(ni) != scratch.Nets.Timed(ni) {
 				t.Fatalf("round %d net %d: timed in one state only", round, ni)
 			}
-			if a != nil && !(same(a.Delay, b.Delay) && same(a.Impulse, b.Impulse) && same(a.Load, b.Load)) {
+			var a, b rctree.Tree
+			tm.Nets.RC(ni, &a)
+			scratch.Nets.RC(ni, &b)
+			if a.N > 0 && !(same(a.Delay, b.Delay) && same(a.Impulse, b.Impulse) && same(a.Load, b.Load)) {
 				t.Fatalf("round %d net %d: Elmore state differs from the scratch build", round, ni)
 			}
 		}

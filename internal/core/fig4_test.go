@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dtgp/internal/rctree"
+	"dtgp/internal/rsmt"
 	"dtgp/internal/timing"
 )
 
@@ -17,13 +18,17 @@ func perNetFold(tm *Timer) (gx, gy []float64) {
 	d := tm.G.D
 	gx = make([]float64, len(d.Cells))
 	gy = make([]float64, len(d.Cells))
-	for ni := range tm.Nets {
-		ns := &tm.Nets[ni]
-		if ns.Tree == nil {
+	for i := range d.Nets {
+		ni := int32(i)
+		if !tm.Nets.Timed(ni) {
 			continue
 		}
 		net := &d.Nets[ni]
-		n := ns.Tree.NumNodes()
+		var tree rsmt.Tree
+		var rc rctree.Tree
+		tm.Nets.Steiner(tm.G, ni, &tree)
+		tm.Nets.RC(ni, &rc)
+		n := tree.NumNodes()
 		gDelay := make([]float64, n)
 		gImpSq := make([]float64, n)
 		for k, pid := range net.Pins {
@@ -32,13 +37,13 @@ func perNetFold(tm *Timer) (gx, gy []float64) {
 		}
 		gr := new(rctree.Grad)
 		gr.PreSize(n, make([]float64, 8*n))
-		ns.RC.BackwardInto(gr, gDelay, gImpSq, tm.gLoad[net.Driver])
+		rc.BackwardInto(gr, gDelay, gImpSq, tm.gLoad[net.Driver])
 		for j := 0; j < n; j++ {
 			if gr.X[j] != 0 {
-				gx[d.Pins[net.Pins[ns.Tree.XPin[j]]].Cell] += gr.X[j]
+				gx[d.Pins[net.Pins[tree.XPin[j]]].Cell] += gr.X[j]
 			}
 			if gr.Y[j] != 0 {
-				gy[d.Pins[net.Pins[ns.Tree.YPin[j]]].Cell] += gr.Y[j]
+				gy[d.Pins[net.Pins[tree.YPin[j]]].Cell] += gr.Y[j]
 			}
 		}
 	}
@@ -79,7 +84,7 @@ func TestFig4SlabMatchesPerNetFold(t *testing.T) {
 	ci, ni := int32(-1), int32(-1)
 	for c := range d.Cells {
 		for _, pid := range d.Cells[c].Pins {
-			if n := d.Pins[pid].Net; d.Cells[c].Movable() && n >= 0 && tm.Nets[n].Tree != nil && len(d.Nets[n].Pins) >= 3 {
+			if n := d.Pins[pid].Net; d.Cells[c].Movable() && n >= 0 && tm.Nets.Timed(n) && len(d.Nets[n].Pins) >= 3 {
 				ci, ni = int32(c), n
 			}
 		}
@@ -96,7 +101,7 @@ func TestFig4SlabMatchesPerNetFold(t *testing.T) {
 		fence = tm.evalCount%opts.FencePeriod == 0
 		check("at a NaN coordinate")
 	}
-	if tm.Nets[ni].Tree != nil {
+	if tm.Nets.Timed(ni) {
 		t.Fatalf("net %d kept its tree through a fence at a NaN pin", ni)
 	}
 	d.Cells[ci].Pos = pos
@@ -104,7 +109,7 @@ func TestFig4SlabMatchesPerNetFold(t *testing.T) {
 		fence = tm.evalCount%opts.FencePeriod == 0
 		check("after the coordinate is restored")
 	}
-	if tm.Nets[ni].Tree == nil {
+	if !tm.Nets.Timed(ni) {
 		t.Fatalf("net %d is still untimed after a fence at finite pins", ni)
 	}
 	if !nonZero {

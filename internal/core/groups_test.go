@@ -20,27 +20,36 @@ func moveCells(d *netlist.Design, step int) {
 }
 
 // TestGroupsCSRStructure checks the CSR invariants buildGroups promises:
-// every group's pin window lives in the groupPins slab, net groups precede
-// cell groups within a level, and every non-start timed pin of a level is
-// grouped exactly once.
+// the levels' group ranges tile the groups in level order, every group's
+// pin window is a non-empty part of the groupPins slab, a level's net
+// groups (before levelNetEnd) hold net sinks and its cell groups cell
+// outputs, and every non-start timed pin of a level is grouped exactly
+// once.
 func TestGroupsCSRStructure(t *testing.T) {
 	g := makeTestBed(t, 300, 44)
 	tm := NewTimer(g, DefaultOptions())
+	nLevels := len(g.Levels)
+	if len(tm.levelGroup) != nLevels+1 || len(tm.levelNetEnd) != nLevels || tm.levelGroup[0] != 0 ||
+		int(tm.levelGroup[nLevels]) != len(tm.groupOff)-1 || tm.groupOff[0] != 0 ||
+		int(tm.groupOff[len(tm.groupOff)-1]) != len(tm.groupPins) {
+		t.Fatal("the level and group offsets do not tile the groups and the slab")
+	}
 	seen := make(map[int32]bool)
 	total := 0
-	for li, groups := range tm.bwdGroups {
-		inCells := false
-		for _, grp := range groups {
-			if grp.isNet && inCells {
-				t.Fatalf("level %d: net group after cell group", li)
-			}
-			if !grp.isNet {
-				inCells = true
-			}
-			if len(grp.pins) == 0 {
+	for li := 0; li < nLevels; li++ {
+		lo, netEnd, hi := tm.levelGroup[li], tm.levelNetEnd[li], tm.levelGroup[li+1]
+		if lo > netEnd || netEnd > hi {
+			t.Fatalf("level %d: groups [%d, %d) with net groups up to %d", li, lo, hi, netEnd)
+		}
+		for k := lo; k < hi; k++ {
+			pins := tm.groupPins[tm.groupOff[k]:tm.groupOff[k+1]]
+			if len(pins) == 0 {
 				t.Fatalf("level %d: empty group", li)
 			}
-			for _, pid := range grp.pins {
+			for _, pid := range pins {
+				if isNet := k < netEnd; isNet != g.IsNetSink[pid] || !isNet && !g.IsCellOut[pid] {
+					t.Fatalf("level %d: pin %d in a group of the wrong kind", li, pid)
+				}
 				if seen[pid] {
 					t.Fatalf("pin %d grouped twice", pid)
 				}
@@ -49,11 +58,8 @@ func TestGroupsCSRStructure(t *testing.T) {
 					t.Fatalf("pin %d in level %d groups but levelised at %d", pid, li, g.Level[pid])
 				}
 			}
-			total += len(grp.pins)
+			total += len(pins)
 		}
-	}
-	if total != len(tm.groupPins) {
-		t.Fatalf("groups cover %d pins, slab holds %d", total, len(tm.groupPins))
 	}
 	want := 0
 	for _, level := range g.Levels {

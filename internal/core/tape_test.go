@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dtgp/internal/rctree"
 	"dtgp/internal/timing"
 )
 
@@ -33,8 +34,9 @@ func recordedSlots(tm *Timer, v int32) []tapeSlot {
 func lutSlots(tm *Timer, pid int32, outTr timing.Transition) []tapeSlot {
 	g := tm.G
 	load := 0.0
-	if net := g.D.Pins[pid].Net; net >= 0 && tm.Nets[net].Tree != nil {
-		rc := tm.Nets[net].RC
+	if net := g.D.Pins[pid].Net; net >= 0 && tm.Nets.Timed(net) {
+		var rc rctree.Tree
+		tm.Nets.RC(net, &rc)
 		load = rc.Load[rc.Root]
 	}
 	var out []tapeSlot

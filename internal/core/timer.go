@@ -9,6 +9,7 @@ import (
 	"dtgp/internal/liberty"
 	"dtgp/internal/parallel"
 	"dtgp/internal/rctree"
+	"dtgp/internal/rsmt"
 	"dtgp/internal/timing"
 )
 
@@ -96,21 +97,14 @@ type epState struct {
 	wTr  [2]float64
 }
 
-// bwdGroup is one single-writer unit of the reverse sweep: the net-sink
-// pins of one net, or the output pins of one cell, within one level. pins
-// is a window into the timer's groupPins slab (see buildGroups); the struct
-// itself carries a slice header, so []bwdGroup stays on the GC heap.
-type bwdGroup struct {
-	pins  []int32 //dtgp:index elem=pin
-	isNet bool
-}
-
 // fwdTileGrain is the minimum guided-chunk size of a forward level, in
-// pins. Each pin's kernel touches a handful of SoA arrays at 2·pid, so
-// ~512 consecutive pins are a few cache-resident KB per array — large
-// enough to amortise chunk claiming, small enough to load-balance the
-// LUT-heavy tail.
-const fwdTileGrain = 512
+// pins. Guided chunks start at a quarter of the level per lane on two
+// lanes, so the grain only sizes a level's tail: 64 consecutive pins still
+// touch each SoA array at 2·pid in whole cache lines, and a level of a few
+// hundred pins (most cell-output levels, at about 500 ns a pin) splits
+// into tail chunks both lanes share instead of one chunk plus a remainder
+// (DESIGN.md §13).
+const fwdTileGrain = 64
 
 // Timer is the differentiable STA engine (Fig. 3). A single Evaluate call
 // runs the full forward propagation (pin locations → Steiner/Elmore → level
@@ -126,8 +120,9 @@ type Timer struct {
 	Opts Options
 
 	// Nets carries the Steiner/RC state: re-extracted at fences and on
-	// bbox distortion, coordinate-refreshed otherwise.
-	Nets []timing.NetState //dtgp:index domain=net
+	// bbox distortion, coordinate-refreshed otherwise. Its columns are
+	// carved at the first evaluation, over the node windows of slabOff.
+	Nets *timing.NetStates
 	// Wires is the pin-indexed view of the Nets' Elmore results that the
 	// level sweeps read, published after every Elmore forward pass.
 	Wires timing.Wires
@@ -167,7 +162,8 @@ type Timer struct {
 	// pinCell[p] is the cell of pin p, for the Fig. 4 redistribution.
 	pinCell []int32 //dtgp:index domain=pin elem=cell
 	// The Fig. 4 node slab: net ni's window [slabOff[ni], slabOff[ni+1])
-	// has one entry per node of its largest tree (MaxTreeNodes).
+	// has one entry per node of its largest tree (MaxTreeNodes). slabOff
+	// is timing.Graph.NodeOffsets, the node windows of Nets as well.
 	// elmoreBackward writes each Steiner node's X and Y gradient there,
 	// next to the cell of the pin the axis is attributed to
 	// (rsmt.Tree.XPin/YPin), and zeroes the rest of the window; backward
@@ -188,17 +184,19 @@ type Timer struct {
 	backwardPasses int
 
 	// Precomputed structure.
-	// bwdGroups holds, per level, the single-writer units of the reverse
-	// sweep: net-sink pins grouped by net first, then cell-output pins
-	// grouped by cell (the write sets are disjoint: net groups update
-	// driver pins and their own sinks' adjoints, cell groups update
-	// cell-input pins and their own outputs' load adjoints, so both kinds
-	// run in one parallel phase per level). Storage is CSR-style: every
-	// group's pin list is a window into the groupPins slab and the
-	// per-level group slices are windows into one flat group array — the
-	// jagged shape is only in the slice headers.
-	bwdGroups [][]bwdGroup //dtgp:index domain=level
-	groupPins []int32      //dtgp:index elem=pin
+	// The reverse sweep's single-writer groups (buildGroups), per level:
+	// net-sink pins grouped by net first, then cell-output pins grouped by
+	// cell (the write sets are disjoint: net groups update driver pins and
+	// their own sinks' adjoints, cell groups update cell-input pins and
+	// their own outputs' load adjoints, so both kinds run in one parallel
+	// phase per level). Storage is CSR: group k's pins are
+	// groupPins[groupOff[k]:groupOff[k+1]], level li's groups are
+	// levelGroup[li] to levelGroup[li+1], and the ones before
+	// levelNetEnd[li] are its net groups.
+	groupPins   []int32 //dtgp:index elem=pin
+	groupOff    []int32
+	levelGroup  []int32 //dtgp:index domain=level
+	levelNetEnd []int32 //dtgp:index domain=level
 	// Start pins and their constraint-derived AT/slew, fixed per design
 	// (startAT/startSlew are positional companions of startPins).
 	startPins          []int32 //dtgp:index elem=pin
@@ -208,7 +206,8 @@ type Timer struct {
 	// only the receiver; per-call state is passed through the cur* fields,
 	// keeping the steady state free of closure allocations.
 	curLevel   []int32 //dtgp:index elem=pin
-	curBwd     []bwdGroup
+	curGroup   int32   // the first group of the level the reverse sweep is at
+	curNetEnd  int32   // and its first cell group
 	fwdResetFn func(w, lo, hi int)
 	fwdFn      func(w, lo, hi int)
 	bwdFn      func(i int)
@@ -277,7 +276,7 @@ func NewTimer(g *timing.Graph, opts Options) *Timer {
 		gImpulseSq:  arena.Make[float64](a, nPins),
 		gLoad:       arena.Make[float64](a, nPins),
 		pinCell:     arena.Make[int32](a, nPins),
-		slabOff:     arena.Make[int32](a, len(g.D.Nets)+1),
+		slabOff:     g.NodeOffsets(a),
 		CellGradX:   arena.Make[float64](a, len(g.D.Cells)),
 		CellGradY:   arena.Make[float64](a, len(g.D.Cells)),
 		epStates:    make([]epState, len(g.Endpoints)),
@@ -286,9 +285,7 @@ func NewTimer(g *timing.Graph, opts Options) *Timer {
 		t.pinCell[pi] = g.D.Pins[pi].Cell
 	}
 	for ni := range g.D.Nets {
-		m := g.MaxTreeNodes(int32(ni))
-		t.maxNodes = max(t.maxNodes, m)
-		t.slabOff[ni+1] = t.slabOff[ni] + int32(m)
+		t.maxNodes = max(t.maxNodes, int(t.slabOff[ni+1]-t.slabOff[ni]))
 	}
 	nSlab := int(t.slabOff[len(g.D.Nets)])
 	t.slabGX = arena.Make[float64](a, nSlab)
@@ -329,16 +326,17 @@ func (t *Timer) Reanchor() { t.evalCount = 0 }
 func (t *Timer) Cone() ConeStats { return ConeStats{FullPasses: t.backwardPasses} }
 
 // buildGroups lays the reverse-sweep groups out in CSR form: one global
-// groupPins slab holds every grouped pin, one flat []bwdGroup holds every
-// group, and bwdGroups[li] is a window into it. Two passes over the
-// levelisation — count, then fill — replace the per-level maps of the old
-// jagged build with epoch-stamped direct-indexed scratch; group order is
-// unchanged (per level: nets in first-seen pin order, then cells in
-// first-seen pin order, each group's pins in level order), so the parallel
-// schedule and every serial fallback order are bit-identical.
+// groupPins slab holds every grouped pin, groupOff delimits each group's
+// window of it, and levelGroup and levelNetEnd delimit each level's groups
+// and its net groups; all four are carved from the arena. Two passes over
+// the levelisation — count, then fill — use epoch-stamped direct-indexed
+// scratch; group order is fixed (per level: nets in first-seen pin order,
+// then cells in first-seen pin order, each group's pins in level order), so
+// the parallel schedule and every serial fallback order are deterministic.
 func (t *Timer) buildGroups() {
 	g := t.G
 	d := g.D
+	a := t.Opts.Arena
 	nLevels := len(g.Levels)
 
 	// Epoch-stamped scratch: xEpoch[key] == stamp means key was already
@@ -360,10 +358,10 @@ func (t *Timer) buildGroups() {
 	// Pass 1: per-group pin counts in final group order, plus per-level
 	// group counts (net groups first, then cell groups).
 	var sizes []int32
-	levelBase := make([]int32, nLevels+1) // group id of each level's first group
-	netGroupsOf := make([]int32, nLevels) // net-group count per level
-	netScratch := make([]int32, 0, 64)    // per-level net-group sizes
-	cellScratch := make([]int32, 0, 64)   // per-level cell-group sizes
+	t.levelGroup = arena.Make[int32](a, nLevels+1)
+	t.levelNetEnd = arena.Make[int32](a, nLevels)
+	netScratch := make([]int32, 0, 64)  // per-level net-group sizes
+	cellScratch := make([]int32, 0, 64) // per-level cell-group sizes
 	for li, level := range g.Levels {
 		stamp := int32(li)
 		netScratch, cellScratch = netScratch[:0], cellScratch[:0]
@@ -389,24 +387,20 @@ func (t *Timer) buildGroups() {
 				cellScratch[cellIdxOf[ci]]++
 			}
 		}
-		levelBase[li] = int32(len(sizes))
-		netGroupsOf[li] = int32(len(netScratch))
+		t.levelGroup[li] = int32(len(sizes))
+		t.levelNetEnd[li] = int32(len(sizes) + len(netScratch))
 		sizes = append(sizes, netScratch...)
 		sizes = append(sizes, cellScratch...)
 	}
 	totalGroups := len(sizes)
-	levelBase[nLevels] = int32(totalGroups)
+	t.levelGroup[nLevels] = int32(totalGroups)
 
 	// Prefix-sum the group sizes into slab offsets.
-	offsets := make([]int32, totalGroups+1)
+	t.groupOff = arena.Make[int32](a, totalGroups+1)
 	for i, n := range sizes {
-		offsets[i+1] = offsets[i] + n
+		t.groupOff[i+1] = t.groupOff[i] + n
 	}
-	totalPins := int(offsets[totalGroups])
-
-	t.groupPins = arena.Make[int32](t.Opts.Arena, totalPins)
-	groups := make([]bwdGroup, totalGroups) // slice headers → GC heap
-	t.bwdGroups = make([][]bwdGroup, nLevels)
+	t.groupPins = arena.Make[int32](a, int(t.groupOff[totalGroups]))
 	fill := sizes // reuse as per-group fill cursors
 	for i := range fill {
 		fill[i] = 0
@@ -415,8 +409,7 @@ func (t *Timer) buildGroups() {
 	// Pass 2: place each grouped pin at its slab position.
 	for li, level := range g.Levels {
 		stamp := int32(nLevels + li)
-		base := levelBase[li]
-		nNet := netGroupsOf[li]
+		base, netEnd := t.levelGroup[li], t.levelNetEnd[li]
 		// Local group indices restart at 0 each level, mirroring pass 1.
 		netScratch, cellScratch = netScratch[:0], cellScratch[:0]
 		for _, pid := range level {
@@ -439,21 +432,13 @@ func (t *Timer) buildGroups() {
 					cellIdxOf[ci] = int32(len(cellScratch))
 					cellScratch = append(cellScratch, 0)
 				}
-				gi = base + nNet + cellIdxOf[ci]
+				gi = netEnd + cellIdxOf[ci]
 			}
 			if gi >= 0 {
-				t.groupPins[offsets[gi]+fill[gi]] = pid
+				t.groupPins[t.groupOff[gi]+fill[gi]] = pid
 				fill[gi]++
 			}
 		}
-		for k := base; k < levelBase[li+1]; k++ {
-			lo, hi := offsets[k], offsets[k+1]
-			groups[k] = bwdGroup{
-				pins:  t.groupPins[lo:hi:hi],
-				isNet: k-base < nNet,
-			}
-		}
-		t.bwdGroups[li] = groups[base:levelBase[li+1]:levelBase[li+1]]
 	}
 }
 
@@ -498,19 +483,18 @@ func (t *Timer) buildKernels() {
 			}
 		}
 	}
-	t.bwdFn = func(i int) { t.backwardGroup(&t.curBwd[i]) }
+	t.bwdFn = func(i int) { t.backwardGroup(t.curGroup + int32(i)) }
 	t.elmoreFn = t.elmoreBackward
 	t.fenceFn = func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			timing.RebuildNet(t.G, &t.Nets[i], &t.Wires, &t.scratch[w])
+			timing.RebuildNet(t.G, t.Nets, int32(i), &t.Wires, &t.scratch[w])
 		}
 	}
 	t.refreshFn = func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			ns := &t.Nets[i]
-			if timing.NetMoved(t.G, ns, t.Opts.RefreshEps) {
-				timing.RefreshNetStateLazy(t.G, ns, t.Opts.DistortionLimit, &t.scratch[w])
-				timing.ForwardNet(t.G, ns, &t.Wires)
+			if ni := int32(i); timing.NetMoved(t.G, t.Nets, ni, t.Opts.RefreshEps) {
+				timing.RefreshNetStateLazy(t.G, t.Nets, ni, t.Opts.DistortionLimit, &t.scratch[w])
+				timing.ForwardNet(t.G, t.Nets, ni, &t.Wires, &t.scratch[w])
 			}
 		}
 	}
@@ -544,23 +528,25 @@ func (t *Timer) buildKernels() {
 // guided kernel over all nets gives each net whose pins moved beyond
 // RefreshEps against the geometry of its last refresh the lazy
 // refresh-or-rebuild plus Elmore forward. Each net writes only its own
-// state and its own pins of Wires, so the schedule does not change the
-// result. The first evaluation
-// builds every net, and every FencePeriod-th evaluation re-extracts every
-// net (the fence that bounds sub-ε drift).
+// windows and its own pins of Wires, so the schedule does not change the
+// result. The first evaluation carves the net-state columns over the
+// slab's node windows and builds every net, and every FencePeriod-th
+// evaluation re-extracts every net (the fence that bounds sub-ε drift).
 //
 //dtgp:hotpath
 func (t *Timer) refreshNets() {
+	nNets := len(t.G.D.Nets)
 	switch {
 	case t.Nets == nil:
-		t.Nets = timing.BuildNetStatesArena(t.G, t.Opts.Arena)
-		timing.ForwardAll(t.G, t.Nets, &t.Wires)
+		t.Nets = timing.NewNetStates(t.G, t.slabOff, t.Opts.Arena)
+		timing.RebuildNetStates(t.G, t.Nets, t.scratch)
+		timing.ForwardAll(t.G, t.Nets, &t.Wires, t.scratch)
 	case t.evalCount%t.Opts.FencePeriod == 0:
 		t.G.D.FillPinPositions()
-		parallel.ForGuided(len(t.Nets), 8, parallel.CostHeavy, t.fenceFn)
+		parallel.ForGuided(nNets, 8, parallel.CostHeavy, t.fenceFn)
 	default:
 		t.G.D.FillPinPositions()
-		parallel.ForGuided(len(t.Nets), 8, parallel.CostHeavy, t.refreshFn)
+		parallel.ForGuided(nNets, 8, parallel.CostHeavy, t.refreshFn)
 	}
 	t.evalCount++
 }
@@ -901,8 +887,8 @@ func (t *Timer) backward(t1, t2 float64) float64 {
 	// cell groups write cell-input pins and their outputs' load adjoints —
 	// disjoint sets, so both kinds run in one parallel phase per level.
 	for li := len(g.Levels) - 1; li >= 0; li-- {
-		t.curBwd = t.bwdGroups[li]
-		parallel.ForCost(len(t.curBwd), parallel.CostHeavy, t.bwdFn)
+		t.curGroup, t.curNetEnd = t.levelGroup[li], t.levelNetEnd[li]
+		parallel.ForCost(int(t.levelGroup[li+1]-t.curGroup), parallel.CostHeavy, t.bwdFn)
 	}
 
 	// Elmore backward per net (Eq. 8) into the node slab; guided chunking
@@ -912,7 +898,7 @@ func (t *Timer) backward(t1, t2 float64) float64 {
 	// and node order within a net, skipping zero entries: every cell
 	// receives its additions in net-index order, so the results are
 	// schedule-independent.
-	parallel.ForGuided(len(t.Nets), 4, parallel.CostHeavy, t.elmoreFn)
+	parallel.ForGuided(len(g.D.Nets), 4, parallel.CostHeavy, t.elmoreFn)
 	for k, gx := range t.slabGX {
 		if gx != 0 {
 			t.CellGradX[t.slabCellX[k]] += gx
@@ -924,7 +910,7 @@ func (t *Timer) backward(t1, t2 float64) float64 {
 	return f
 }
 
-// elmoreBackward runs the Elmore backward pass (Eq. 8) for Nets[lo:hi]: the
+// elmoreBackward runs the Elmore backward pass (Eq. 8) for nets lo..hi-1: the
 // batch adjoint of timing.ForwardAll. It gathers each net's pin-indexed
 // sink adjoints into worker w's node window (net pin k is Steiner node k;
 // the driver's entries are 0, as it sinks no net, and Steiner points get
@@ -940,13 +926,18 @@ func (t *Timer) elmoreBackward(w, lo, hi int) {
 	d := t.G.D
 	base := w * t.maxNodes
 	gr := &t.grads[w]
-	for ni := lo; ni < hi; ni++ {
-		ns := &t.Nets[ni]
+	// The views of the net at hand, reused from net to net.
+	var tree rsmt.Tree
+	var rc rctree.Tree
+	for i := lo; i < hi; i++ {
+		ni := int32(i)
 		off, end := t.slabOff[ni], t.slabOff[ni+1]
 		gx, gy := t.slabGX[off:end], t.slabGY[off:end]
 		n := 0
-		if tree := ns.Tree; tree != nil {
+		if t.Nets.Timed(ni) {
 			net := &d.Nets[ni]
+			t.Nets.Steiner(t.G, ni, &tree)
+			t.Nets.RC(ni, &rc)
 			n = tree.NumNodes()
 			gDelay := t.nodeGDelay[base : base+n]
 			gImpSq := t.nodeGImpSq[base : base+n]
@@ -957,7 +948,7 @@ func (t *Timer) elmoreBackward(w, lo, hi int) {
 			for j := len(net.Pins); j < n; j++ {
 				gDelay[j], gImpSq[j] = 0, 0
 			}
-			ns.RC.BackwardInto(gr, gDelay, gImpSq, t.gLoad[net.Driver])
+			rc.BackwardInto(gr, gDelay, gImpSq, t.gLoad[net.Driver])
 			cx, cy := t.slabCellX[off:end], t.slabCellY[off:end]
 			for j := 0; j < n; j++ {
 				gx[j], cx[j] = gr.X[j], t.pinCell[net.Pins[tree.XPin[j]]]
@@ -970,17 +961,18 @@ func (t *Timer) elmoreBackward(w, lo, hi int) {
 	}
 }
 
-// backwardGroup runs the reverse kernel over the pins of one single-writer
-// group.
+// backwardGroup runs the reverse kernel over the pins of single-writer
+// group k of the current level.
 //
 //dtgp:hotpath
-func (t *Timer) backwardGroup(grp *bwdGroup) {
-	if grp.isNet {
-		for _, pid := range grp.pins {
+func (t *Timer) backwardGroup(k int32) {
+	pins := t.groupPins[t.groupOff[k]:t.groupOff[k+1]]
+	if k < t.curNetEnd {
+		for _, pid := range pins {
 			t.backwardNetSink(pid)
 		}
 	} else {
-		for _, pid := range grp.pins {
+		for _, pid := range pins {
 			t.backwardCellOut(pid)
 		}
 	}

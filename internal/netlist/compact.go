@@ -10,14 +10,18 @@ import "dtgp/internal/arena"
 // contiguous in memory. Values are copied bitwise; iteration order and
 // results are identical to the jagged layout.
 //
-// Each window is carved with exact capacity, so a later append (nothing in
-// the pipeline appends after Finish) reallocates onto the GC heap instead
-// of clobbering the neighbouring list.
+// The slab is the design's own, made on the GC heap (pointer-free, so the
+// collector never scans it), not carved from the arena argument, which is
+// not used: a design outlives the engines that place it, and a slab in an
+// engine's arena would keep that arena's chunk alive for as long as the
+// design, through every later placement of it. Each window is carved with
+// exact capacity, so a later append (nothing in the pipeline appends after
+// Finish) reallocates instead of clobbering the neighbouring list.
 //
 // Compact is idempotent: a second call is a no-op, so a design placed again
-// keeps the slab of its first compaction.
-func (d *Design) Compact(a *arena.Arena) {
-	if d.compacted {
+// keeps its slab.
+func (d *Design) Compact(*arena.Arena) {
+	if d.pinSlab != nil {
 		return
 	}
 	total := 0
@@ -27,15 +31,14 @@ func (d *Design) Compact(a *arena.Arena) {
 	for i := range d.Nets {
 		total += len(d.Nets[i].Pins)
 	}
-	flat := arena.Make[int32](a, total) //dtgp:index elem=pin
+	d.pinSlab = make([]int32, total)
 	off := 0
 	for i := range d.Cells {
-		off = relay(&d.Cells[i].Pins, flat, off)
+		off = relay(&d.Cells[i].Pins, d.pinSlab, off)
 	}
 	for i := range d.Nets {
-		off = relay(&d.Nets[i].Pins, flat, off)
+		off = relay(&d.Nets[i].Pins, d.pinSlab, off)
 	}
-	d.compacted = true
 }
 
 // relay copies *pins into flat[off:] and repoints *pins at that window.

@@ -134,9 +134,9 @@ type Design struct {
 
 	cellIndex map[string]int32 //dtgp:index elem=cell
 
-	// compacted records that Compact already re-laid the pin lists into a
-	// flat slab; see compact.go.
-	compacted bool
+	// pinSlab is the flat slab Compact re-laid the pin lists into (nil
+	// before the first Compact); see compact.go.
+	pinSlab []int32 //dtgp:index elem=pin
 
 	// pinPos is the pin-position column: pinPos[p] is PinPos(p) as of the
 	// last FillPinPositions, and fillFn is that fill's stored kernel. Both
@@ -334,7 +334,10 @@ func (d *Design) Stats() Stats {
 	return s
 }
 
-// Validate checks referential integrity of the whole design.
+// Validate checks referential integrity of the whole design. It runs in
+// O(pins): one pass over the nets counts how often each pin is listed on
+// its own net, and the pin loop reads the count (a pin must be listed
+// exactly once).
 func (d *Design) Validate() error {
 	for ci := range d.Cells {
 		c := &d.Cells[ci]
@@ -352,6 +355,14 @@ func (d *Design) Validate() error {
 			}
 		}
 	}
+	listed := make([]int32, len(d.Pins)) //dtgp:index domain=pin
+	for ni := range d.Nets {
+		for _, pid := range d.Nets[ni].Pins {
+			if pid >= 0 && int(pid) < len(d.Pins) && d.Pins[pid].Net == int32(ni) {
+				listed[pid]++
+			}
+		}
+	}
 	for pi := range d.Pins {
 		p := &d.Pins[pi]
 		if p.Cell < 0 || int(p.Cell) >= len(d.Cells) {
@@ -361,15 +372,11 @@ func (d *Design) Validate() error {
 			if int(p.Net) >= len(d.Nets) {
 				return fmt.Errorf("netlist: pin %d references net %d out of range", pi, p.Net)
 			}
-			found := false
-			for _, q := range d.Nets[p.Net].Pins {
-				if q == int32(pi) {
-					found = true
-					break
-				}
-			}
-			if !found {
+			switch n := listed[pi]; {
+			case n == 0:
 				return fmt.Errorf("netlist: pin %d not listed on its net %q", pi, d.Nets[p.Net].Name)
+			case n > 1:
+				return fmt.Errorf("netlist: pin %d listed %d times on its net %q", pi, n, d.Nets[p.Net].Name)
 			}
 		}
 	}

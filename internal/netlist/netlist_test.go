@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -159,6 +160,28 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	d.Pins[q].Net = n
 	if err := d.Validate(); err == nil || !strings.Contains(err.Error(), "driver") {
 		t.Errorf("multi-driver not caught: %v", err)
+	}
+}
+
+// TestValidateCatchesDuplicateListing: every pin on a net must be listed on
+// it exactly once. A net that lists one pin twice and omits another is
+// rejected, and so is one that lists a pin twice and omits none.
+func TestValidateCatchesDuplicateListing(t *testing.T) {
+	d := buildToy(t)
+	n := d.NetByName("nmid")
+	drv, sink := d.Nets[n].Pins[0], d.Nets[n].Pins[1]
+	d.Nets[n].Pins = []int32{sink, sink}
+	err := d.Validate()
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("pin %d listed 2 times", sink)) &&
+		!strings.Contains(err.Error(), fmt.Sprintf("pin %d not listed", drv)) {
+		t.Errorf("a net listing pin %d twice and omitting pin %d: %v", sink, drv, err)
+	}
+
+	d = buildToy(t)
+	d.Nets[n].Pins = []int32{drv, sink, sink}
+	want := fmt.Sprintf("pin %d listed 2 times on its net %q", sink, "nmid")
+	if err := d.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("a net listing pin %d twice: %v, want %q", sink, err, want)
 	}
 }
 

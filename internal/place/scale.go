@@ -2,6 +2,9 @@ package place
 
 import (
 	"fmt"
+	"io"
+	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"dtgp/internal/arena"
@@ -38,18 +41,11 @@ func RunScaleBench(d *netlist.Design, con *sdc.Constraints, opts Options, iters 
 	if iters < 1 {
 		return nil, fmt.Errorf("place: RunScaleBench needs iters >= 1, got %d", iters)
 	}
-	opts.Mode = ModeDiffTiming
-	opts.SkipLegalize = true
-	opts.Logf = func(string, ...any) {}
-
 	t0 := time.Now()
-	e, err := newEngine(d, con, opts)
+	e, st, err := scaleEngine(d, con, opts)
 	if err != nil {
 		return nil, err
 	}
-	st := e.newOptState()
-	e.tGrow = 1
-	e.timingActive = true
 	stats := &ScaleStats{
 		BuildSec: time.Since(t0).Seconds(),
 		IterSec:  make([]float64, iters),
@@ -74,4 +70,48 @@ func RunScaleBench(d *netlist.Design, con *sdc.Constraints, opts Options, iters 
 	}
 	stats.Arena = e.arena.Stats()
 	return stats, nil
+}
+
+// scaleEngine builds the engine that RunScaleBench and HeapProbe drive:
+// the differentiable-timing flow with timing active from iteration 0, no
+// legalization and no log.
+func scaleEngine(d *netlist.Design, con *sdc.Constraints, opts Options) (*engine, *optState, error) {
+	opts.Mode = ModeDiffTiming
+	opts.SkipLegalize = true
+	opts.Logf = func(string, ...any) {}
+	e, err := newEngine(d, con, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	e.tGrow = 1
+	e.timingActive = true
+	return e, e.newOptState(), nil
+}
+
+// HeapProbe builds the engine RunScaleBench builds and takes its first
+// steps timing-driven iterations. Then, with the engine still live, it runs
+// two GCs, writes the heap profile to w (its inuse_space is the live heap
+// by allocation site) and returns the live heap in bytes. The arena's
+// chunks are one owner there, arena.(*Arena).bytes.
+func HeapProbe(d *netlist.Design, con *sdc.Constraints, opts Options, steps int, w io.Writer) (uint64, error) {
+	e, st, err := scaleEngine(d, con, opts)
+	if err != nil {
+		return 0, err
+	}
+	res := &Result{Mode: ModeDiffTiming}
+	for k := 0; k < steps; k++ {
+		if err := e.step(st, k, res, true); err != nil {
+			return 0, err
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	if err := pprof.Lookup("heap").WriteTo(w, 0); err != nil {
+		return 0, err
+	}
+	runtime.KeepAlive(e)
+	runtime.KeepAlive(st)
+	return ms.HeapAlloc, nil
 }

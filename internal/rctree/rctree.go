@@ -14,51 +14,60 @@ import (
 	"dtgp/internal/rsmt"
 )
 
-// Tree is an RC tree with Elmore state. Node indices coincide with the
-// underlying rsmt.Tree nodes; the root is the driver pin's node.
+// Tree is an RC tree with Elmore state: a view of node windows that its
+// owner keeps (a net-state column, or a test's slices), each with room for
+// the nodes of the Steiner tree it is extracted from. Node indices coincide
+// with that tree's nodes; the root is the driver pin's node. The net
+// states' view setter, timing.NetStates.RC (marker timing.RC), points the
+// fields at a net's windows without writing in them, so it is one of each
+// cached field's markers.
 type Tree struct {
-	N    int
+	//dtgp:cached by=Rebuild,timing.RC
+	N int
+	//dtgp:cached by=Rebuild,timing.RC
 	Root int32 //dtgp:index domain=rcnode
 	// Parent/Order are the rooted topology, re-derived from the Steiner
 	// tree by Rebuild only.
-	//dtgp:cached by=Rebuild
+	//dtgp:cached by=Rebuild,timing.RC
 	Parent []int32 //dtgp:index domain=rcnode elem=rcnode
 	// Order is preorder: parents precede children.
-	//dtgp:cached by=Rebuild
+	//dtgp:cached by=Rebuild,timing.RC
 	Order []int32 //dtgp:index elem=rcnode
 	// Res[u] is the resistance of the edge Parent[u]→u (kΩ); Res[Root]=0.
-	//dtgp:cached by=Rebuild,RefreshGeometry
+	//dtgp:cached by=Rebuild,RefreshGeometry,timing.RC
 	Res []float64 //dtgp:index domain=rcnode
 	// Cap[u] is the lumped capacitance at u (fF): attached pin caps plus
 	// half the wire cap of each incident edge.
-	//dtgp:cached by=Rebuild,RefreshGeometry
+	//dtgp:cached by=Rebuild,RefreshGeometry,timing.RC
 	Cap []float64 //dtgp:index domain=rcnode
 
 	// Forward results (Eq. 7), valid only after a Forward over the current
 	// Res/Cap state.
 	// Load is downstream capacitance.
-	//dtgp:cached by=Forward,Rebuild
+	//dtgp:cached by=Forward,Rebuild,timing.RC
 	Load []float64 //dtgp:index domain=rcnode
 	// Delay is the Elmore delay from root.
-	//dtgp:cached by=Forward,Rebuild
+	//dtgp:cached by=Forward,Rebuild,timing.RC
 	Delay []float64 //dtgp:index domain=rcnode
 	// LDelay is Σ_subtree Cap·Delay (slew intermediate).
-	//dtgp:cached by=Forward,Rebuild
+	//dtgp:cached by=Forward,Rebuild,timing.RC
 	LDelay []float64 //dtgp:index domain=rcnode
 	// Beta is the second moment accumulator.
-	//dtgp:cached by=Forward,Rebuild
+	//dtgp:cached by=Forward,Rebuild,timing.RC
 	Beta []float64 //dtgp:index domain=rcnode
 	// Impulse is sqrt(2·Beta − Delay²), the slew impulse.
-	//dtgp:cached by=Forward,Rebuild
+	//dtgp:cached by=Forward,Rebuild,timing.RC
 	Impulse []float64 //dtgp:index domain=rcnode
 
-	// Geometry bookkeeping for the coordinate gradient.
-	st       *rsmt.Tree
-	rPerUnit float64
-	cPerUnit float64
-	// edgeLen is the length of edge Parent[u]→u.
-	//dtgp:cached by=Rebuild,RefreshGeometry
-	edgeLen []float64 //dtgp:index domain=rcnode
+	// Geometry bookkeeping for the coordinate gradient. X and Y are the
+	// node coordinates of the Steiner tree (its X/Y windows), which
+	// RefreshGeometry and BackwardInto read; RPerUnit and CPerUnit are the
+	// wire RC densities per DBU.
+	X, Y               []float64 //dtgp:index domain=rcnode
+	RPerUnit, CPerUnit float64
+	// EdgeLen is the length of edge Parent[u]→u.
+	//dtgp:cached by=Rebuild,RefreshGeometry,timing.RC
+	EdgeLen []float64 //dtgp:index domain=rcnode
 }
 
 // Grad holds the backward sweep results.
@@ -91,44 +100,19 @@ func (g *Grad) PreSize(m int, f []float64) {
 
 // Scratch holds the CSR adjacency buffers used while orienting the Steiner
 // tree. Its owner keeps it across rebuilds (one per worker), so a warm
-// scratch makes Rebuild allocation-free once the target Tree's own slices
-// are warm. The zero value is ready.
+// scratch makes Rebuild allocation-free. The zero value is ready.
 type Scratch struct {
 	off, cur, adj []int32
 }
 
-// PreSize points the tree's per-node storage at caller-provided backing
-// with room for m nodes: parent and order must have capacity ≥ m and f
-// length 8*m (one backing array for all eight float64 slices, mirroring
-// Rebuild's own layout). A later Rebuild with n ≤ m nodes then reuses this
-// storage via its cap check instead of allocating — the hook the arena
-// pre-size pass uses to keep the parallel net-state fill allocation-free.
-//
-//dtgp:index parent=rcnode order=rcnode
-func (t *Tree) PreSize(m int, parent, order []int32, f []float64) {
-	if cap(parent) < m || cap(order) < m || len(f) != 8*m {
-		panic(fmt.Sprintf("rctree: PreSize(%d) with cap %d/%d and len %d",
-			m, cap(parent), cap(order), len(f)))
-	}
-	t.Parent = parent[:m]
-	t.Order = order[:0]
-	t.Res = f[0*m : 1*m : 1*m]
-	t.Cap = f[1*m : 2*m : 2*m]
-	t.Load = f[2*m : 3*m : 3*m]
-	t.Delay = f[3*m : 4*m : 4*m]
-	t.LDelay = f[4*m : 5*m : 5*m]
-	t.Beta = f[5*m : 6*m : 6*m]
-	t.Impulse = f[6*m : 7*m : 7*m]
-	t.edgeLen = f[7*m : 8*m : 8*m]
-}
-
 // Rebuild roots the Steiner tree st at the node carrying the driver pin and
-// re-extracts the RC tree in place (new topology, reused slices), orienting
-// the edges in the caller's scratch s. pinCap[i] is the attached pin
-// capacitance of Steiner node i (input pin caps at sink nodes, 0 at the
-// driver and pure Steiner nodes); rPerUnit/cPerUnit are wire RC densities
-// per DBU. Steady-state periodic Steiner rebuilds reuse the previous
-// extraction's memory entirely.
+// re-extracts the RC tree into t's windows, which must have room for
+// st.NumNodes() nodes (there is no fallback: a window too small panics),
+// orienting the edges in the caller's scratch s. pinCap[i] is the attached
+// pin capacitance of Steiner node i (input pin caps at sink nodes, 0 at
+// the driver and pure Steiner nodes); rPerUnit/cPerUnit are wire RC
+// densities per DBU. t keeps st's X/Y windows for later geometry refreshes
+// and gradients.
 //
 //dtgp:hotpath
 //dtgp:index root=rcnode pinCap=rcnode
@@ -145,36 +129,22 @@ func (t *Tree) Rebuild(st *rsmt.Tree, root int32, pinCap []float64, rPerUnit, cP
 	}
 	t.N = n
 	t.Root = root
-	t.st = st
-	t.rPerUnit = rPerUnit
-	t.cPerUnit = cPerUnit
-	if cap(t.Parent) < n {
-		t.Parent = make([]int32, n)
-		t.Order = make([]int32, 0, n)
-		// One backing array for all eight per-node float64 slices.
-		f := make([]float64, 8*n)
-		t.Res = f[0*n : 1*n : 1*n]
-		t.Cap = f[1*n : 2*n : 2*n]
-		t.Load = f[2*n : 3*n : 3*n]
-		t.Delay = f[3*n : 4*n : 4*n]
-		t.LDelay = f[4*n : 5*n : 5*n]
-		t.Beta = f[5*n : 6*n : 6*n]
-		t.Impulse = f[6*n : 7*n : 7*n]
-		t.edgeLen = f[7*n : 8*n : 8*n]
-	} else {
-		t.Parent = t.Parent[:n]
-		t.Res = t.Res[:n]
-		t.Cap = t.Cap[:n]
-		t.Load = t.Load[:n]
-		t.Delay = t.Delay[:n]
-		t.LDelay = t.LDelay[:n]
-		t.Beta = t.Beta[:n]
-		t.Impulse = t.Impulse[:n]
-		t.edgeLen = t.edgeLen[:n]
-		for i := 0; i < n; i++ {
-			t.Res[i] = 0
-			t.edgeLen[i] = 0
-		}
+	t.X, t.Y = st.X, st.Y
+	t.RPerUnit = rPerUnit
+	t.CPerUnit = cPerUnit
+	t.Parent = t.Parent[:n]
+	t.Order = t.Order[:n]
+	t.Res = t.Res[:n]
+	t.Cap = t.Cap[:n]
+	t.Load = t.Load[:n]
+	t.Delay = t.Delay[:n]
+	t.LDelay = t.LDelay[:n]
+	t.Beta = t.Beta[:n]
+	t.Impulse = t.Impulse[:n]
+	t.EdgeLen = t.EdgeLen[:n]
+	for i := 0; i < n; i++ {
+		t.Res[i] = 0
+		t.EdgeLen[i] = 0
 	}
 	copy(t.Cap, pinCap)
 	// CSR adjacency (neighbor order matches edge iteration order), then BFS
@@ -210,8 +180,9 @@ func (t *Tree) Rebuild(st *rsmt.Tree, root int32, pinCap []float64, rPerUnit, cP
 		t.Parent[i] = -2 // unvisited
 	}
 	t.Parent[root] = -1
-	t.Order = append(t.Order[:0], root)
-	for qi := 0; qi < len(t.Order); qi++ {
+	t.Order[0] = root
+	tail := 1
+	for qi := 0; qi < tail; qi++ {
 		u := t.Order[qi]
 		for _, v := range adj[off[u]:off[u+1]] {
 			if t.Parent[v] != -2 {
@@ -219,16 +190,17 @@ func (t *Tree) Rebuild(st *rsmt.Tree, root int32, pinCap []float64, rPerUnit, cP
 			}
 			t.Parent[v] = u
 			length := math.Abs(st.X[u]-st.X[v]) + math.Abs(st.Y[u]-st.Y[v])
-			t.edgeLen[v] = length
+			t.EdgeLen[v] = length
 			t.Res[v] = rPerUnit * length
 			wc := cPerUnit * length / 2
 			t.Cap[u] += wc
 			t.Cap[v] += wc
-			t.Order = append(t.Order, v)
+			t.Order[tail] = v
+			tail++
 		}
 	}
-	if len(t.Order) != n {
-		return fmt.Errorf("rctree: Steiner tree is disconnected (%d of %d nodes reachable)", len(t.Order), n)
+	if tail != n {
+		return fmt.Errorf("rctree: Steiner tree is disconnected (%d of %d nodes reachable)", tail, n)
 	}
 	return nil
 }
@@ -238,12 +210,11 @@ func (t *Tree) Rebuild(st *rsmt.Tree, root int32, pinCap []float64, rPerUnit, cP
 //
 //dtgp:hotpath
 func (t *Tree) RefreshGeometry() {
-	st := t.st
 	// Reset caps to pin caps by subtracting old wire caps is error-prone;
 	// rebuild from scratch: first remove all wire contributions.
 	for _, u := range t.Order {
 		if t.Parent[u] >= 0 {
-			wc := t.cPerUnit * t.edgeLen[u] / 2
+			wc := t.CPerUnit * t.EdgeLen[u] / 2
 			t.Cap[u] -= wc
 			t.Cap[t.Parent[u]] -= wc
 		}
@@ -253,10 +224,10 @@ func (t *Tree) RefreshGeometry() {
 		if p < 0 {
 			continue
 		}
-		length := math.Abs(st.X[u]-st.X[p]) + math.Abs(st.Y[u]-st.Y[p])
-		t.edgeLen[u] = length
-		t.Res[u] = t.rPerUnit * length
-		wc := t.cPerUnit * length / 2
+		length := math.Abs(t.X[u]-t.X[p]) + math.Abs(t.Y[u]-t.Y[p])
+		t.EdgeLen[u] = length
+		t.Res[u] = t.RPerUnit * length
+		wc := t.CPerUnit * length / 2
 		t.Cap[u] += wc
 		t.Cap[p] += wc
 	}
@@ -422,15 +393,14 @@ func (t *Tree) BackwardInto(g *Grad, gradDelay, gradImpulseSq []float64, gradLoa
 //
 //dtgp:hotpath
 func (t *Tree) geometryGrad(g *Grad) {
-	st := t.st
 	for _, u := range t.Order {
 		p := t.Parent[u]
 		if p < 0 {
 			continue
 		}
-		dLdf := t.rPerUnit*g.Res[u] + t.cPerUnit/2*(g.Cap[p]+g.Cap[u])
-		sx := sign(st.X[u] - st.X[p])
-		sy := sign(st.Y[u] - st.Y[p])
+		dLdf := t.RPerUnit*g.Res[u] + t.CPerUnit/2*(g.Cap[p]+g.Cap[u])
+		sx := sign(t.X[u] - t.X[p])
+		sy := sign(t.Y[u] - t.Y[p])
 		g.X[u] += dLdf * sx
 		g.X[p] -= dLdf * sx
 		g.Y[u] += dLdf * sy

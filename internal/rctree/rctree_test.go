@@ -13,15 +13,23 @@ const (
 	cUnit = 0.16 // fF/DBU
 )
 
-// steiner builds a Steiner tree over the pins with a fresh tree and scratch.
+// steiner builds a Steiner tree over the pins with a fresh scratch, into
+// node windows sized as a net state's are.
 func steiner(px, py []float64) *rsmt.Tree {
-	return rsmt.BuildInto(&rsmt.Tree{}, px, py, new(rsmt.Scratch))
+	m := rsmt.MaxNodes(len(px))
+	t := &rsmt.Tree{X: make([]float64, 0, m), Y: make([]float64, 0, m),
+		XPin: make([]int32, 0, m), YPin: make([]int32, 0, m)}
+	return rsmt.BuildInto(t, px, py, new(rsmt.Scratch))
 }
 
-// newTree roots st at root and extracts RC values through Rebuild with a
-// fresh scratch.
+// newTree roots st at root and extracts RC values through Rebuild, into
+// node windows of its own, with a fresh scratch.
 func newTree(st *rsmt.Tree, root int32, pinCap []float64, rPerUnit, cPerUnit float64) (*Tree, error) {
-	t := &Tree{}
+	n := st.NumNodes()
+	col := func() []float64 { return make([]float64, 0, n) }
+	t := &Tree{Parent: make([]int32, 0, n), Order: make([]int32, 0, n),
+		Res: col(), Cap: col(), Load: col(), Delay: col(), LDelay: col(),
+		Beta: col(), Impulse: col(), EdgeLen: col()}
 	return t, t.Rebuild(st, root, pinCap, rPerUnit, cPerUnit, new(Scratch))
 }
 

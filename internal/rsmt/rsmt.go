@@ -14,7 +14,8 @@ package rsmt
 
 import "math"
 
-// Tree is a rectilinear Steiner tree over a net's pins.
+// Tree is a rectilinear Steiner tree over a net's pins: a view of node
+// windows that its owner keeps (a net-state column, or a test's slices).
 //
 // Nodes 0..NumPins-1 are the pins in input order; the remaining nodes are
 // Steiner points. Edge lengths are Manhattan distances between endpoint
@@ -26,7 +27,8 @@ type Tree struct {
 	//dtgp:cached by=BuildInto
 	NumPins int
 	// Edges connect node indices; the tree has len(X)-1 edges when
-	// len(X) > 0 and the net is connected.
+	// len(X) > 0 and the net is connected. BuildInto points them into its
+	// scratch: they stay valid until the scratch's next build.
 	//dtgp:cached by=BuildInto
 	Edges [][2]int32
 	// XPin[i] / YPin[i] give the pin index (0..NumPins-1) whose x (resp.
@@ -35,6 +37,12 @@ type Tree struct {
 	//dtgp:cached by=BuildInto
 	XPin, YPin []int32 //dtgp:index domain=snode elem=npin
 }
+
+// MaxNodes bounds the node count of a tree over n pins: n, plus at most
+// n−2 Steiner points. A built tree keeps only Steiner points of degree 3
+// or more (pruneDegenerate), and a tree whose s Steiner points all have
+// degree ≥ 3 has n+s−1 edges and so 2(n+s−1) ≥ n+3s, that is s ≤ n−2.
+func MaxNodes(n int) int { return max(n, 2*n-2) }
 
 // NumNodes returns the node count including Steiner points.
 func (t *Tree) NumNodes() int { return len(t.X) }
@@ -59,13 +67,15 @@ type hanan struct {
 	xPin, yPin int32
 }
 
-// Scratch bundles every working buffer the construction path needs. Its
-// owner keeps it across builds (one per worker: builds running at the same
-// time need separate scratch), so a warm scratch makes BuildInto
-// allocation-free apart from growth of the Tree itself. Trees outlive the
-// call (the timer keeps them across iterations), so anything stored into
-// the Tree is copied out of the scratch first. The zero value is ready.
+// Scratch bundles every working buffer the construction path needs,
+// including the working tree a build grows before it is copied into the
+// caller's windows: intermediate trees of the heuristic can hold more
+// Steiner points than MaxNodes allows, until pruneDegenerate drops the
+// ones of degree 2. Its owner keeps it across builds (one per worker:
+// builds running at the same time need separate scratch), so a warm
+// scratch makes BuildInto allocation-free. The zero value is ready.
 type Scratch struct {
+	work      Tree
 	mst       mstScratch
 	cands     []hanan
 	bestEdges [][2]int32
@@ -74,42 +84,45 @@ type Scratch struct {
 	adj       [][]int32
 }
 
-// BuildInto rebuilds t in place over new pin coordinates, reusing its slice
-// capacity and the caller's construction scratch s. With a warm tree and a
-// warm scratch, a rebuild allocates nothing. Returns t.
+// BuildInto builds the tree over the pin coordinates px, py in s and
+// copies its nodes into t's windows, which must have capacity for
+// MaxNodes(len(px)) nodes; t.Edges points into s. px and py may be t's own
+// pin nodes (t.X[:len(px)], t.Y[:len(py)]): the build reads them before
+// it writes t. With a warm scratch, a build allocates nothing. Returns t.
 //
 //dtgp:hotpath
 //dtgp:index px=npin py=npin
 func BuildInto(t *Tree, px, py []float64, s *Scratch) *Tree {
 	n := len(px)
-	// The previous Edges backing is owned by t; keep it aside so the final
-	// copy out of scratch can reuse it.
-	owned := t.Edges[:0]
-	t.X = append(t.X[:0], px...)
-	t.Y = append(t.Y[:0], py...)
-	t.NumPins = n
-	t.XPin = t.XPin[:0]
-	t.YPin = t.YPin[:0]
-	t.Edges = nil
+	w := &s.work
+	w.X = append(w.X[:0], px...)
+	w.Y = append(w.Y[:0], py...)
+	w.NumPins = n
+	w.XPin = w.XPin[:0]
+	w.YPin = w.YPin[:0]
 	for i := 0; i < n; i++ {
-		t.XPin = append(t.XPin, int32(i))
-		t.YPin = append(t.YPin, int32(i))
+		w.XPin = append(w.XPin, int32(i))
+		w.YPin = append(w.YPin, int32(i))
 	}
 	switch {
 	case n <= 1:
-		t.Edges = owned
-		return t
+		w.Edges = s.bestEdges[:0]
 	case n == 2:
-		t.Edges = append(owned, [2]int32{0, 1})
-		return t
+		s.bestEdges = append(s.bestEdges[:0], [2]int32{0, 1})
+		w.Edges = s.bestEdges
+	case n <= 4:
+		buildExact(w, s)
+	default:
+		buildHeuristic(w, s)
 	}
-	if n <= 4 {
-		buildExact(t, s)
-	} else {
-		buildHeuristic(t, s)
-	}
-	// The edge list aliases scratch buffers; copy into the owned backing.
-	t.Edges = append(owned, t.Edges...)
+	nn := len(w.X)
+	t.X, t.Y, t.XPin, t.YPin = t.X[:nn], t.Y[:nn], t.XPin[:nn], t.YPin[:nn]
+	copy(t.X, w.X)
+	copy(t.Y, w.Y)
+	copy(t.XPin, w.XPin)
+	copy(t.YPin, w.YPin)
+	t.NumPins = n
+	t.Edges = w.Edges
 	return t
 }
 

@@ -13,7 +13,15 @@ import (
 // build constructs a Steiner tree over the given pin coordinates with a
 // fresh tree and scratch.
 func build(px, py []float64) *Tree {
-	return BuildInto(&Tree{}, px, py, new(Scratch))
+	return BuildInto(newTree(len(px)), px, py, new(Scratch))
+}
+
+// newTree returns a tree whose node windows hold MaxNodes(n) nodes, as a
+// net state's windows do for a net of n pins.
+func newTree(n int) *Tree {
+	m := MaxNodes(n)
+	return &Tree{X: make([]float64, 0, m), Y: make([]float64, 0, m),
+		XPin: make([]int32, 0, m), YPin: make([]int32, 0, m)}
 }
 
 // Length returns the total rectilinear wirelength.
@@ -442,7 +450,7 @@ func TestFourPinMatchesOracle(t *testing.T) {
 	if testing.Short() {
 		nets = 10_000
 	}
-	tr, s := &Tree{}, new(Scratch)
+	tr, s := newTree(4), new(Scratch)
 	px, py := make([]float64, 4), make([]float64, 4)
 	for ri, regime := range fourPinRegimes {
 		rng := rand.New(rand.NewSource(int64(101 + ri)))

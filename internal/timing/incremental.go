@@ -29,7 +29,7 @@ func NewIncremental(g *Graph) *Incremental {
 	inc := &Incremental{scratch: NewBuildScratch()}
 	inc.rebuildFn = func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			RebuildNet(inc.G, &inc.Nets[i], &inc.Wires, &inc.scratch[w])
+			RebuildNet(inc.G, inc.Nets, int32(i), &inc.Wires, &inc.scratch[w])
 		}
 	}
 	inc.analyze(g, BuildNetStates(g))
@@ -50,6 +50,6 @@ func (inc *Incremental) MoveCells(cells []int32) {
 	// view, so the nets re-extract on the worker pool, from the column of
 	// pin positions refilled here.
 	inc.G.D.FillPinPositions()
-	parallel.ForGuided(len(inc.Nets), 8, parallel.CostHeavy, inc.rebuildFn)
+	parallel.ForGuided(len(inc.G.D.Nets), 8, parallel.CostHeavy, inc.rebuildFn)
 	inc.sweep()
 }

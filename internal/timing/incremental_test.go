@@ -238,13 +238,13 @@ func TestMoveCellsNonFiniteRecovers(t *testing.T) {
 	pos := d.Cells[ci].Pos
 	d.Cells[ci].Pos.X = math.NaN()
 	inc.MoveCells(nil)
-	if inc.Nets[ni].Tree != nil {
+	if inc.Nets.Timed(ni) {
 		t.Fatalf("net %d kept its Steiner tree at a NaN pin", ni)
 	}
 	sameAsAnalyze(t, "at the NaN position", &inc.LateState, Analyze(g))
 	d.Cells[ci].Pos = pos
 	inc.MoveCells(nil)
-	if inc.Nets[ni].Tree == nil {
+	if !inc.Nets.Timed(ni) {
 		t.Fatalf("net %d is still untimed after its pins are finite again", ni)
 	}
 	sameAsAnalyze(t, "after the round trip", &inc.LateState, Analyze(g))

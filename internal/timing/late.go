@@ -17,7 +17,7 @@ import (
 // max), require (required times) and setupSlacks (Eq. 2).
 type LateState struct {
 	G    *Graph
-	Nets []NetState //dtgp:index domain=net
+	Nets *NetStates
 	// Wires is the pin-indexed view of the Nets' Elmore results that the
 	// kernels read.
 	Wires Wires
@@ -48,7 +48,7 @@ type LateState struct {
 
 // analyze allocates the state over the given net states, runs their Elmore
 // forward passes into its view, and sweeps the late analysis from scratch.
-func (s *LateState) analyze(g *Graph, nets []NetState) {
+func (s *LateState) analyze(g *Graph, nets *NetStates) {
 	nPins := len(g.D.Pins)
 	n2 := 2 * nPins
 	*s = LateState{
@@ -76,7 +76,7 @@ func (s *LateState) analyze(g *Graph, nets []NetState) {
 		}
 	}
 	s.requireFn = func(i int) { s.require(s.level[i]) }
-	ForwardAll(g, nets, &s.Wires)
+	ForwardAll(g, nets, &s.Wires, NewBuildScratch())
 	s.sweep()
 }
 

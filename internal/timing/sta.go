@@ -44,7 +44,7 @@ func Analyze(g *Graph) *Result {
 // callers that maintain Steiner trees incrementally can reuse them. It runs
 // their Elmore forward passes (a pure function of each RC tree, so forward
 // results the caller already holds are rewritten with the same bits).
-func AnalyzeWithNets(g *Graph, nets []NetState) *Result {
+func AnalyzeWithNets(g *Graph, nets *NetStates) *Result {
 	r := &Result{}
 	r.analyze(g, nets)
 	return r

@@ -2,6 +2,7 @@ package timing
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -9,6 +10,8 @@ import (
 	"dtgp/internal/geom"
 	"dtgp/internal/liberty"
 	"dtgp/internal/netlist"
+	"dtgp/internal/parallel"
+	"dtgp/internal/rctree"
 	"dtgp/internal/sdc"
 )
 
@@ -250,8 +253,8 @@ func TestNetStateRefreshMatchesRebuild(t *testing.T) {
 	}
 	scratch := NewBuildScratch()
 	d.FillPinPositions() // the per-net kernels read the column
-	for i := range nets {
-		RefreshNetStateLazy(g, &nets[i], math.Inf(1), &scratch[0])
+	for ni := range d.Nets {
+		RefreshNetStateLazy(g, nets, int32(ni), math.Inf(1), &scratch[0])
 	}
 	r1 := AnalyzeWithNets(g, nets)
 	// Reference: full rebuild.
@@ -300,9 +303,9 @@ func TestSinkCapIncludesPortLoad(t *testing.T) {
 	if g.SinkCap[pid] != 42 {
 		t.Errorf("port sink cap = %v, want 42", g.SinkCap[pid])
 	}
-	nets := Analyze(g).Nets
-	qn := d.NetByName("qn")
-	if load := nets[qn].RC.Load[nets[qn].RC.Root]; load < 42 {
+	var rc rctree.Tree
+	Analyze(g).Nets.RC(d.NetByName("qn"), &rc)
+	if load := rc.Load[rc.Root]; load < 42 {
 		t.Errorf("driver load %v does not include the port load", load)
 	}
 }
@@ -345,5 +348,40 @@ func TestDerateRoundTripsThroughSDC(t *testing.T) {
 	}
 	if con.DerateEarly != 0.93 || con.DerateLate != 1.07 {
 		t.Fatalf("derates: %v / %v", con.DerateEarly, con.DerateLate)
+	}
+}
+
+// TestBuildNetStatesAllocatesNoPerNetObjects: the exact engine's net
+// states are a fixed set of columns, so building them allocates as many
+// heap objects on a design four times larger, within a small constant
+// (scratch growth). The build runs with the worker pool forced serial: a
+// lane that parks between dispatches allocates in the runtime, as often as
+// the schedule makes it wait.
+func TestBuildNetStatesAllocatesNoPerNetObjects(t *testing.T) {
+	graph := func(cells int) *Graph {
+		d, con, err := gen.Generate(gen.DefaultParams("t", cells, 48))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := NewGraph(d, con)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	small, large := graph(2000), graph(8000)
+	parallel.ForceSerial(true)
+	defer parallel.ForceSerial(false)
+	build := func(g *Graph) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		BuildNetStates(g)
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	ns, nl := build(small), build(large)
+	if nl > ns+64 || ns > nl+64 {
+		t.Errorf("BuildNetStates allocates %d objects at %d nets and %d at %d nets",
+			ns, len(small.D.Nets), nl, len(large.D.Nets))
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"dtgp/internal/geom"
 	"dtgp/internal/liberty"
 	"dtgp/internal/netlist"
+	"dtgp/internal/rctree"
 	"dtgp/internal/sdc"
 )
 
@@ -181,16 +182,17 @@ func TestToyArrivalComposition(t *testing.T) {
 
 	// Net in0→A.
 	nin := d.NetByName("nin")
-	nsIn := &r.Nets[nin]
+	var rcIn, rcMid rctree.Tree
+	r.Nets.RC(nin, &rcIn)
 	posA := -1
 	for k, pid := range d.Nets[nin].Pins {
 		if pid == aPin {
 			posA = k
 		}
 	}
-	atA := con.InputDelay["in0"] + nsIn.RC.Delay[posA]
+	atA := con.InputDelay["in0"] + rcIn.Delay[posA]
 	slewA := math.Sqrt(con.InputSlew["in0"]*con.InputSlew["in0"] +
-		nsIn.RC.Impulse[posA]*nsIn.RC.Impulse[posA])
+		rcIn.Impulse[posA]*rcIn.Impulse[posA])
 	if got := r.ATLate[TIdx(aPin, Rise)]; math.Abs(got-atA) > 1e-9 {
 		t.Errorf("AT(A,rise) = %v, want %v", got, atA)
 	}
@@ -200,7 +202,8 @@ func TestToyArrivalComposition(t *testing.T) {
 
 	// Cell arc A→Z, negative unate: Z rise comes from A fall.
 	nmid := d.NetByName("nmid")
-	load := r.Nets[nmid].RC.Load[r.Nets[nmid].RC.Root]
+	r.Nets.RC(nmid, &rcMid)
+	load := rcMid.Load[rcMid.Root]
 	var arcAZ *liberty.TimingArc
 	for ai := range lc.Arcs {
 		arcAZ = &lc.Arcs[ai]
@@ -211,14 +214,13 @@ func TestToyArrivalComposition(t *testing.T) {
 	}
 
 	// Net Z→D.
-	nsMid := &r.Nets[nmid]
 	posD := -1
 	for k, pid := range d.Nets[nmid].Pins {
 		if pid == dPin {
 			posD = k
 		}
 	}
-	atD := atZrise + nsMid.RC.Delay[posD]
+	atD := atZrise + rcMid.Delay[posD]
 	if got := r.ATLate[TIdx(dPin, Rise)]; math.Abs(got-atD) > 1e-9 {
 		t.Errorf("AT(D,rise) = %v, want %v", got, atD)
 	}
