@@ -84,7 +84,8 @@ func TestExactResultSharesInterconnect(t *testing.T) {
 	}
 	for round := 0; round < 3; round++ {
 		tm.Evaluate(0.01, 0.001)
-		scratch := timing.Analyze(g)
+		nets := timing.BuildNetStates(g)
+		scratch := timing.AnalyzeWithNets(g, nets)
 		w, ws := &tm.Wires, &scratch.Wires
 		for p := range ws.Driver {
 			if w.Driver[p] != ws.Driver[p] || bits(w.Load[p]) != bits(ws.Load[p]) ||
@@ -102,12 +103,12 @@ func TestExactResultSharesInterconnect(t *testing.T) {
 		}
 		for i := range g.D.Nets {
 			ni := int32(i)
-			if tm.Nets.Timed(ni) != scratch.Nets.Timed(ni) {
+			if tm.Nets.Timed(ni) != nets.Timed(ni) {
 				t.Fatalf("round %d net %d: timed in one state only", round, ni)
 			}
 			var a, b rctree.Tree
 			tm.Nets.RC(ni, &a)
-			scratch.Nets.RC(ni, &b)
+			nets.RC(ni, &b)
 			if a.N > 0 && !(same(a.Delay, b.Delay) && same(a.Impulse, b.Impulse) && same(a.Load, b.Load)) {
 				t.Fatalf("round %d net %d: Elmore state differs from the scratch build", round, ni)
 			}

@@ -43,10 +43,9 @@ type Options struct {
 
 	// Arena backs the timer's large SoA buffers (forward state, cell-arc
 	// tape, the wire view and its adjoints, the Fig. 4 node slab,
-	// gradients, CSR group storage) and the per-net Steiner/RC buffers with
-	// chunked slab storage (DESIGN.md §13). The placer passes the arena its
-	// netlist was compacted into; nil makes NewTimer carve its own, sized
-	// by arena.ChunkSize.
+	// gradients, CSR group storage) and the net-state columns with chunked
+	// slab storage (DESIGN.md §13). The placer passes its engine's arena;
+	// nil makes NewTimer carve its own, sized by arena.ChunkSize.
 	Arena *arena.Arena
 }
 

@@ -11,10 +11,11 @@ import "dtgp/internal/arena"
 // results are identical to the jagged layout.
 //
 // The slab is the design's own, made on the GC heap (pointer-free, so the
-// collector never scans it), not carved from the arena argument, which is
-// not used: a design outlives the engines that place it, and a slab in an
-// engine's arena would keep that arena's chunk alive for as long as the
-// design, through every later placement of it. Each window is carved with
+// collector never scans it). The arena argument is not used; callers that
+// still pass an engine's arena compile unchanged. A design outlives the
+// engines that place it, and a slab in an engine's arena would keep that
+// arena's chunk alive for as long as the design, through every later
+// placement of it. Each window is carved with
 // exact capacity, so a later append (nothing in the pipeline appends after
 // Finish) reallocates instead of clobbering the neighbouring list.
 //

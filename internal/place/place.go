@@ -304,11 +304,12 @@ func newEngine(d *netlist.Design, con *sdc.Constraints, opts Options) (*engine, 
 	e := &engine{d: d, con: con, opts: opts}
 	e.nReal = len(d.Cells)
 
-	// Slab storage for the big SoA surfaces (netlist pin lists, timer
-	// state, per-net Steiner/RC buffers). Compact is idempotent, so a
-	// design re-placed with its pin lists already flat keeps them.
+	// Slab storage for the big SoA surfaces (timer state, net-state
+	// columns). The design's pin lists go into a slab of the design's own,
+	// which outlives the engine: Compact takes no storage from the arena,
+	// and it is idempotent, so a design re-placed keeps its slab.
 	e.arena = arena.New(arena.ChunkSize(e.nReal))
-	d.Compact(e.arena)
+	d.Compact(nil)
 
 	// Fillers occupy the whitespace so the density system has a
 	// well-defined equilibrium (ePlace §filler insertion).

@@ -159,12 +159,14 @@ func TestDeadlineSurrendersWithFinalCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	opts := quickOpts(ModeWirelength)
 	opts.MaxIters = 1 << 20 // the deadline, not the budget, must end the run
-	opts.StopOverflow = 0   // and convergence must not end it first
+	opts.StopOverflow = 0   // and convergence must not end it first,
+	// nor the plateau stop: a 300-cell run reaches it at iteration 577,
+	// 125–180 ms in, around the deadline, so the design has 2000 cells.
 	opts.SkipLegalize = true
 	opts.CheckpointDir = dir
 	opts.Deadline = time.Now().Add(150 * time.Millisecond)
 
-	_, res := durableRun(t, 300, 5, opts)
+	_, res := durableRun(t, 2000, 5, opts)
 	rep := res.Recovery
 	if rep == nil {
 		t.Fatal("no recovery report")

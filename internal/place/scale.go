@@ -88,13 +88,14 @@ func scaleEngine(d *netlist.Design, con *sdc.Constraints, opts Options) (*engine
 	return e, e.newOptState(), nil
 }
 
-// HeapProbe builds the engine RunScaleBench builds and takes its first
-// steps timing-driven iterations. Then, with the engine still live, it runs
-// two GCs, writes the heap profile to w (its inuse_space is the live heap
-// by allocation site) and returns the live heap in bytes. The arena's
-// chunks are one owner there, arena.(*Arena).bytes.
-func HeapProbe(d *netlist.Design, con *sdc.Constraints, opts Options, steps int, w io.Writer) (uint64, error) {
-	e, st, err := scaleEngine(d, con, opts)
+// HeapProbe builds the engine RunScaleBench builds, with the default
+// options, and takes its first steps timing-driven iterations. Then, with
+// the engine still live, it runs two GCs, writes the heap profile to w (its
+// inuse_space is the live heap by allocation site) and returns the live
+// heap in bytes. The arena's chunks are one owner there,
+// arena.(*Arena).bytes.
+func HeapProbe(d *netlist.Design, con *sdc.Constraints, steps int, w io.Writer) (uint64, error) {
+	e, st, err := scaleEngine(d, con, DefaultOptions(ModeDiffTiming))
 	if err != nil {
 		return 0, err
 	}

@@ -174,7 +174,7 @@ func RunHeapProbe(spec ScaleSpec, steps int, w io.Writer) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	live, err := place.HeapProbe(d, con, place.DefaultOptions(place.ModeDiffTiming), steps, w)
+	live, err := place.HeapProbe(d, con, steps, w)
 	if err != nil {
 		return 0, fmt.Errorf("report: %s: %w", spec.Name, err)
 	}
@@ -228,7 +228,7 @@ func RunScaleSweep(specs []ScaleSpec, iters int, logf func(string, ...any)) (*Sc
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].TargetCells() < sorted[j].TargetCells() })
 	rep := &ScaleReport{
 		Description: "Cells-vs-time scaling trajectory of the differentiable-timing flow: " +
-			"netlist build (engine construction over the arena-compacted netlist) plus " +
+			"netlist build (engine construction over the compacted netlist) plus " +
 			strconv.Itoa(iters) + " timing-driven global-placement iterations per point, via place.RunScaleBench " +
 			"(timing active from iteration 0, supervision and legalization off). sec_per_iter is the " +
 			"steady-state mean excluding iteration 0 (which pays the first net-state build and λ calibration). " +

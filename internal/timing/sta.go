@@ -36,8 +36,15 @@ type Result struct {
 // Analyze runs exact late-mode STA: Steiner/RC construction, Elmore
 // forward passes, level-by-level arrival propagation, required times and
 // setup slacks. Hold slacks are computed only on request (AnalyzeHold).
+// The net states it builds are dropped once their Elmore results are in
+// the wire view (the result's Nets is nil): the analysis, the hold sweep
+// and the path reports read only the view, and the net states are the
+// largest part of a result's memory (about 70 MB at 200k cells). A caller
+// that wants them builds them and calls AnalyzeWithNets.
 func Analyze(g *Graph) *Result {
-	return AnalyzeWithNets(g, BuildNetStates(g))
+	r := AnalyzeWithNets(g, BuildNetStates(g))
+	r.Nets = nil
+	return r
 }
 
 // AnalyzeWithNets runs exact late-mode STA on pre-built net states, so

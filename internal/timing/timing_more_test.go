@@ -303,8 +303,10 @@ func TestSinkCapIncludesPortLoad(t *testing.T) {
 	if g.SinkCap[pid] != 42 {
 		t.Errorf("port sink cap = %v, want 42", g.SinkCap[pid])
 	}
+	nets := BuildNetStates(g)
+	AnalyzeWithNets(g, nets)
 	var rc rctree.Tree
-	Analyze(g).Nets.RC(d.NetByName("qn"), &rc)
+	nets.RC(d.NetByName("qn"), &rc)
 	if load := rc.Load[rc.Root]; load < 42 {
 		t.Errorf("driver load %v does not include the port load", load)
 	}

@@ -170,7 +170,8 @@ func TestToyArrivalComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Analyze(g)
+	nets := BuildNetStates(g)
+	r := AnalyzeWithNets(g, nets)
 
 	gi := d.CellByName("g0")
 	lc := &d.Lib.Cells[d.Cells[gi].Lib]
@@ -183,7 +184,7 @@ func TestToyArrivalComposition(t *testing.T) {
 	// Net in0→A.
 	nin := d.NetByName("nin")
 	var rcIn, rcMid rctree.Tree
-	r.Nets.RC(nin, &rcIn)
+	nets.RC(nin, &rcIn)
 	posA := -1
 	for k, pid := range d.Nets[nin].Pins {
 		if pid == aPin {
@@ -202,7 +203,7 @@ func TestToyArrivalComposition(t *testing.T) {
 
 	// Cell arc A→Z, negative unate: Z rise comes from A fall.
 	nmid := d.NetByName("nmid")
-	r.Nets.RC(nmid, &rcMid)
+	nets.RC(nmid, &rcMid)
 	load := rcMid.Load[rcMid.Root]
 	var arcAZ *liberty.TimingArc
 	for ai := range lc.Arcs {
